@@ -66,13 +66,14 @@ def period_legendre_mp(y0=Y0, l0=L0, l=L, sigma=SIGMA, mass=MASS):
     """Period via complete elliptic integrals K and Pi.
 
     Quartic roots in descending order a > b > c > d:
-        a = z0, b = l, c = 2*l0 - z0, d = -l
+        a = z0, b = l, {c, d} = {2*l0 - z0, -l} sorted
     integral over [b, a], radicand (1/l0)*(z-d)(z-c)(z-b)(a-z):
         g*( d*K(k) + (a-d)*Pi(n, k) ),  g = 2/sqrt((a-c)(b-d)),
         k^2 = (a-b)(c-d)/((a-c)(b-d)),  n = -(a-b)/(b-d).
     """
     z0 = z_of(y0, l)
-    a, b, c, d = z0, l, 2 * l0 - z0, -l
+    c, d = sorted((2 * l0 - z0, -l), reverse=True)
+    a, b = z0, l
     k2 = (a - b) * (c - d) / ((a - c) * (b - d))
     n = -(a - b) / (b - d)
     g = 2 / mp.sqrt((a - c) * (b - d))
@@ -99,6 +100,40 @@ def period_simpson_f64(y0, l0, l, sigma, mass, panels=2**20):
     coarse, fine = simpson(panels // 2), simpson(panels)
     integral = fine + (fine - coarse) / 15.0
     return 4.0 * math.sqrt(mass / (2.0 * sigma)) * integral
+
+
+# Cells with z0 >= 2*l0 + l, where the root 2*l0 - z0 drops below -l, plus
+# the switch itself (z0 = 2*l0 + l at l0=1, l=1.25, y0=3) and one ulp either
+# side. The last two are inputs where the adaptive quadrature misses its
+# rel_tol; they pin the closed form against the oracle, not the quadrature.
+NONSTANDARD_CELLS = [
+    (1.0, 1.25, 1.0, 1.0, 3.1),
+    (1.0, 1.25, 1.0, 1.0, 1e4),
+    (1.0, 1.25, 1.0, 1.0, math.nextafter(3.0, 0.0)),
+    (1.0, 1.25, 1.0, 1.0, 3.0),
+    (1.0, 1.25, 1.0, 1.0, math.nextafter(3.0, math.inf)),
+    (1.0, 1.5, 1.0, 1.0, 34.61714594547605),
+    (
+        1.6193910925484976,
+        4.0879062620793505,
+        0.04425648276791501,
+        0.8392509334140884,
+        188.9102371780467,
+    ),
+]
+
+
+def nonstandard_periods():
+    """40-digit periods on NONSTANDARD_CELLS: theta-form quadrature, checked
+    against the Legendre reduction with the lower roots sorted."""
+    rows = []
+    for cell in NONSTANDARD_CELLS:
+        l0, l, sigma, mass, y0 = (mp.mpf(v) for v in cell)  # exact binary inputs
+        kw = dict(l0=l0, l=l, sigma=sigma, mass=mass)
+        pt = period_theta_mp(y0=y0, **kw)
+        pl = period_legendre_mp(y0=y0, **kw)
+        rows.append((cell, pt, abs(pl - pt) / pt))
+    return rows
 
 
 def show(name, value, digits=20):
@@ -176,6 +211,10 @@ def main():
     show("Legendre reduction", pl)
     print(f"{'Simpson (f64)':<28s} {ps!r}")
     show("legendre rel dev", abs(pl - pt) / pt)
+
+    print("\n== non-standard root ordering (oracle.NONSTANDARD_PERIODS) ==")
+    for cell, p, dev in nonstandard_periods():
+        print(f"    ({cell!r}, {float(p)!r}),  # {mp.nstr(p, 30)}, legendre rel dev {mp.nstr(dev, 3)}")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .errors import (
     InsufficientEvents,
     InvalidParameters,
     MaxStepsExceeded,
-    NonstandardOrdering,
     SspError,
     StepFailure,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidParameters",
     "MaxStepsExceeded",
     "Method",
-    "NonstandardOrdering",
     "Oscillation",
     "PeriodBounds",
     "PeriodEstimate",

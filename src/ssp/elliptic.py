@@ -5,14 +5,19 @@ The substitution z = sqrt(l^2 + y^2) turns the period integral into
     P = 4*sqrt(m/(2*sigma)) * int_l^z0 z dz / sqrt(Q(z)),
     Q(z) = (1/l0) * (z^2 - l^2) * (z0 - z) * (z + z0 - 2*l0),
 
-a quartic radicand with roots {-l, 2*l0 - z0, l, z0} summing to 2*l0. Under
-the standard ordering -l < 2*l0 - z0 < l < z0 (equivalently z0 < 2*l0 + l)
-the integration interval [l, z0] sits between the two largest roots and the
-integral reduces to complete Legendre integrals:
+a quartic radicand with roots {-l, 2*l0 - z0, l, z0} summing to 2*l0. The
+integration interval [l, z0] lies between the two largest roots a = z0 and
+b = l for every amplitude, and the integral reduces to complete Legendre
+integrals (Byrd & Friedman, Handbook of Elliptic Integrals (1971)):
 
     int = g * (d*K(k) + (a-d)*Pi(n, k)),   a,b,c,d = z0, l, 2*l0-z0, -l
     g = 2/sqrt((a-c)*(b-d)),  k^2 = (a-b)*(c-d)/((a-c)*(b-d)),
     n = -(a-b)/(b-d)  (circular case, no principal value needed).
+
+The reduction needs only c < b and d < b, not c > d. Under the standard
+ordering -l < 2*l0 - z0 < l < z0 (z0 < 2*l0 + l) it has 0 <= k^2 < 1.
+Beyond it c < d and k^2 < 0; the Carlson forms below take 1 - k^2 > 1 as
+they stand, so one formula covers every amplitude.
 
 K and Pi are evaluated through Carlson's symmetric forms
 
@@ -20,8 +25,8 @@ K and Pi are evaluated through Carlson's symmetric forms
     Pi(n, k) = R_F(0, 1-k^2, 1) + (n/3)*R_J(0, 1-k^2, 1, 1-n)
 
 with R_F and R_J computed by the duplication algorithm (Carlson, Numerical
-Algorithms 10 (1995) 13-26). Outside the standard ordering the quadrature
-engine takes over unless the caller forbids the fallback.
+Algorithms 10 (1995) 13-26). The engine shares no numerical code with the
+quadrature.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DegenerateAmplitude, InvalidParameters, NonstandardOrdering
+from .errors import ConvergenceFailure, DegenerateAmplitude, InvalidParameters
 from .model import Oscillation, rayleigh_period
-from .quadrature import Method, PeriodEstimate, QuadratureConfig, exact_period
+from .quadrature import Method, PeriodEstimate
+from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
 
 __all__ = [
     "QuarticRoots",
@@ -237,51 +243,36 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
 
 
 def is_standard_ordering(osc: Oscillation) -> bool:
-    """True when z0 < 2*l0 + l, the domain of the closed-form reduction."""
+    """True when z0 < 2*l0 + l, i.e. the roots order as -l < 2*l0 - z0 < l < z0."""
     l, z0 = to_z_space(osc)
     return z0 < 2.0 * osc.params.l0 + l
 
 
-def period_elliptic(
-    osc: Oscillation,
-    tol: float = 1e-13,
-    allow_fallback: bool = True,
-    fallback_cfg: QuadratureConfig | None = None,
-) -> PeriodEstimate:
-    """Exact period via the Carlson-evaluated closed form.
+def period_elliptic(osc: Oscillation, tol: float = 1e-13) -> PeriodEstimate:
+    """Exact period via the Carlson-evaluated closed form, for every amplitude.
 
     Degenerate amplitudes return the linear-limit period, matching the
-    quadrature engine's behavior. Nonstandard root ordering falls back to
-    quadrature (tagged ELLIPTIC_FALLBACK) unless allow_fallback is False, in
-    which case NonstandardOrdering is raised.
+    quadrature engine's behavior. Both root orderings go through the same
+    arithmetic; past z0 = 2*l0 + l the modulus parameter k^2 turns negative.
     """
     if not (0.0 < tol < 1.0):
         raise InvalidParameters(f"tol must be in (0, 1), got {tol!r}")
     p = osc.params
     if osc.is_degenerate:
         return PeriodEstimate(rayleigh_period(p), Method.ELLIPTIC, 0.0)
-    if not is_standard_ordering(osc):
-        if not allow_fallback:
-            raise NonstandardOrdering(
-                f"z0 = {math.hypot(p.l, osc.y0)!r} >= 2*l0 + l = "
-                f"{2.0 * p.l0 + p.l!r}; closed form not applicable"
-            )
-        est = exact_period(osc, fallback_cfg or QuadratureConfig())
-        return PeriodEstimate(est.value, Method.ELLIPTIC_FALLBACK, est.err_estimate)
 
     l, z0 = to_z_space(osc)
     l0 = p.l0
-    # pairwise differences of the descending roots a=z0, b=l, c=2*l0-z0, d=-l,
-    # each formed without cancellation (dz0 = z0 - l0 via its square gap)
+    # pairwise differences of the roots a=z0, b=l, c=2*l0-z0, d=-l, each
+    # formed without cancellation (dz0 = z0 - l0 via its square gap)
     dz0 = ((l - l0) * (l + l0) + osc.y0 * osc.y0) / (z0 + l0)
     ab = osc.y0 * osc.y0 / (z0 + l)
     ac = 2.0 * dz0
     ad = z0 + l
     bc = dz0 + (l - l0)
     bd = 2.0 * l
-    cd = (l + 2.0 * l0) - z0
 
-    k2c = ad * bc / (ac * bd)  # 1 - k^2, formed directly
+    k2c = ad * bc / (ac * bd)  # 1 - k^2, formed directly; > 1 when c < d
     n = -ab / bd
     big_k = rf(0.0, k2c, 1.0, tol)
     big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, tol)

@@ -22,14 +22,6 @@ class ConvergenceFailure(EngineFailure):
     """An iterative scheme exhausted its budget before meeting tolerance."""
 
 
-class NonstandardOrdering(EngineFailure):
-    """Quartic roots left the ordering the closed-form reduction assumes.
-
-    Raised by ``period_elliptic`` only when the quadrature fallback is
-    explicitly disabled; the condition is ``z0 >= 2*l0 + l``.
-    """
-
-
 class StepFailure(EngineFailure):
     """Adaptive step size underflowed; the step controller cannot proceed."""
 

@@ -38,8 +38,7 @@ class Method(enum.Enum):
     ELLIPTIC = "elliptic"
     ODE_SIM = "ode"
     RAYLEIGH_APPROX = "rayleigh"
-    # quadrature result delivered through the elliptic entry point when the
-    # root ordering leaves the closed form's domain
+    # no longer produced; perfbench --trace still looks this member up
     ELLIPTIC_FALLBACK = "elliptic-fallback"
 
 
@@ -61,9 +60,9 @@ class QuadratureConfig:
     """Tolerances for the adaptive integrator.
 
     abs_tol is a raw floor; the effective absolute budget is
-    max(abs_tol, rel_tol * crude trapezoid estimate) so that rel_tol is the
-    knob that matters for any nonzero integral. max_refinements caps the
-    interval bisection depth.
+    max(abs_tol, rel_tol * |K15|), K15 being the first whole-interval panel's
+    value, so that rel_tol is the knob that matters for any nonzero
+    integral. max_refinements caps the interval bisection depth.
     """
 
     rel_tol: float = 1e-12
@@ -158,24 +157,23 @@ def adaptive_gk(
 ) -> tuple[float, float]:
     """Adaptive bisection on G7/K15 panels with a width-proportional budget.
 
-    Returns (integral, error estimate); raises ConvergenceFailure if some
-    subinterval still misses its share of the budget at max_refinements depth.
-    Deterministic for fixed inputs.
+    The whole-interval panel is evaluated first; its Kronrod value sets the
+    absolute budget max(abs_tol, rel_tol*|K15|) and, if its error fits,
+    is the result (15 evaluations). Otherwise panels are bisected, each
+    child evaluated once when it is pushed. Returns (integral, error
+    estimate); raises ConvergenceFailure if some subinterval still misses its
+    share of the budget at max_refinements depth. Deterministic for fixed
+    inputs.
     """
     width = b - a
-    npts = 32
-    h = width / npts
-    crude = h * (
-        0.5 * (f(a) + f(b)) + math.fsum(f(a + i * h) for i in range(1, npts))
-    )
-    budget = max(cfg.abs_tol, cfg.rel_tol * abs(crude))
+    val, err = _gk15(f, a, b)
+    budget = max(cfg.abs_tol, cfg.rel_tol * abs(val))
 
     total = 0.0
     total_err = 0.0
-    stack = [(a, b, 0)]
+    stack = [(a, b, 0, val, err)]
     while stack:
-        lo, hi, depth = stack.pop()
-        val, err = _gk15(f, lo, hi)
+        lo, hi, depth, val, err = stack.pop()
         local = budget * (hi - lo) / width
         if err <= local or (hi - lo) <= 16.0 * math.ulp(max(abs(lo), abs(hi))):
             total += val
@@ -187,8 +185,8 @@ def adaptive_gk(
             )
         else:
             mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
+            stack.append((mid, hi, depth + 1, *_gk15(f, mid, hi)))
+            stack.append((lo, mid, depth + 1, *_gk15(f, lo, mid)))
     return total, total_err
 
 

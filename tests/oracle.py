@@ -30,6 +30,25 @@ ENERGY_AT_REST = -2.5              # E(y=0, v=0), exact in binary
 ANHARMONIC_PARAMS = (1.0, 1.05, 10.0, 1.0, 2.1)
 P_ANHARMONIC = 1.9823552080414928
 
+# Non-standard root ordering, z0 >= 2*l0 + l: ((l0, l, sigma, mass, y0), period)
+# from nonstandard_periods() in scripts/compute_reference_values.py. At l0=1,
+# l=1.25 the switch z0 = 2*l0 + l sits at y0 = 3 exactly; the cell one ulp
+# below it is the last standard-ordering one. The last two cells are inputs
+# where exact_period misses its rel_tol.
+NONSTANDARD_PERIODS = [
+    ((1.0, 1.25, 1.0, 1.0, 3.1), 5.534800315226235),  # 5.53480031522623534796520960551
+    ((1.0, 1.25, 1.0, 1.0, 1e4), 4.443165809136588),  # 4.4431658091365887255303313086
+    ((1.0, 1.25, 1.0, 1.0, 2.9999999999999996), 5.574236454384699),  # 5.57423645438469893021928419332
+    ((1.0, 1.25, 1.0, 1.0, 3.0), 5.574236454384699),  # 5.57423645438469874922057842335
+    ((1.0, 1.25, 1.0, 1.0, 3.0000000000000004), 5.574236454384699),  # 5.57423645438469856822187265337
+    ((1.0, 1.5, 1.0, 1.0, 34.61714594547605), 4.526699427967754),  # 4.52669942796775451989718085035
+    (
+        (1.6193910925484976, 4.0879062620793505, 0.04425648276791501, 0.8392509334140884, 188.9102371780467),
+        24.75594923591285,  # 24.7559492359128503635318692746
+    ),
+]
+QUADRATURE_DEFECT_CELLS = NONSTANDARD_PERIODS[-2:]
+
 
 def g_plain(l0, l, y, y0):
     """Textbook form of the period-integrand factor, no cancellation care."""

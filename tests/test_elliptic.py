@@ -15,7 +15,6 @@ from ssp import (
     DegenerateAmplitude,
     InvalidParameters,
     Method,
-    NonstandardOrdering,
     Oscillation,
     StringParams,
     exact_period,
@@ -206,8 +205,6 @@ def test_period_agrees_with_quadrature_on_grid():
         (1.05, 1.25, 1.5, 2.0, 4.0), (0.05, 0.2, 0.5, 1.0, 2.0), (0.1, 1.0, 10.0)
     ):
         osc = Oscillation(StringParams(1.0, stretch, som, 1.0), rel_amp * stretch)
-        if not is_standard_ordering(osc):
-            continue
         q = exact_period(osc).value
         e = period_elliptic(osc).value
         worst = max(worst, abs(q - e) / q)
@@ -250,16 +247,12 @@ def test_nonstandard_ordering_detected():
     assert is_standard_ordering(Oscillation(osc.params, 0.5))
 
 
-def test_nonstandard_ordering_fallback():
-    osc = _huge_amplitude_osc()
-    est = period_elliptic(osc)
-    assert est.method is Method.ELLIPTIC_FALLBACK
-    np.testing.assert_allclose(est.value, exact_period(osc).value, rtol=1e-12)
-
-
-def test_nonstandard_ordering_raises_when_fallback_disabled():
-    with pytest.raises(NonstandardOrdering):
-        period_elliptic(_huge_amplitude_osc(), allow_fallback=False)
+@pytest.mark.parametrize("cell, period", oracle.NONSTANDARD_PERIODS)
+def test_nonstandard_ordering_matches_oracle(cell, period):
+    l0, l, sigma, mass, y0 = cell
+    est = period_elliptic(Oscillation(StringParams(l0, l, sigma, mass), y0))
+    assert est.method is Method.ELLIPTIC
+    assert abs(est.value - period) <= 1e-14 * period
 
 
 def test_tolerance_validation(reference_osc):
