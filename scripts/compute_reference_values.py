@@ -104,8 +104,8 @@ def period_simpson_f64(y0, l0, l, sigma, mass, panels=2**20):
 
 # Cells with z0 >= 2*l0 + l, where the root 2*l0 - z0 drops below -l, plus
 # the switch itself (z0 = 2*l0 + l at l0=1, l=1.25, y0=3) and one ulp either
-# side. The last two are inputs where the adaptive quadrature misses its
-# rel_tol; they pin the closed form against the oracle, not the quadrature.
+# side. The last two are inputs where the former adaptive Gauss-Kronrod
+# quadrature missed its rel_tol; they pin both engines against the oracle.
 NONSTANDARD_CELLS = [
     (1.0, 1.25, 1.0, 1.0, 3.1),
     (1.0, 1.25, 1.0, 1.0, 1e4),

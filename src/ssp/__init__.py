@@ -1,6 +1,6 @@
 """Oscillation period of a mass centered on a stretched elastic string.
 
-Three independent routes to the exact period (adaptive quadrature of the
+Three independent routes to the exact period (a trapezoid rule on the
 half-oscillation integral, a closed form built from Carlson symmetric
 elliptic integrals, and direct simulation of the equation of motion), plus
 the small-amplitude approximation and a-priori bounds that sandwich the
@@ -54,7 +54,6 @@ from .quadrature import (
     Method,
     PeriodEstimate,
     QuadratureConfig,
-    adaptive_gk,
     exact_period,
     radicand_g,
     speed,
@@ -85,7 +84,6 @@ __all__ = [
     "Trajectory",
     "VerifyReport",
     "acceleration",
-    "adaptive_gk",
     "check_sandwich",
     "compute_bounds",
     "energy",

@@ -38,7 +38,7 @@ P_ANHARMONIC = 1.9823552080414928
 # from nonstandard_periods() in scripts/compute_reference_values.py. At l0=1,
 # l=1.25 the switch z0 = 2*l0 + l sits at y0 = 3 exactly; the cell one ulp
 # below it is the last standard-ordering one. The last two cells are inputs
-# where exact_period misses its rel_tol.
+# where the former adaptive Gauss-Kronrod exact_period missed its rel_tol.
 NONSTANDARD_PERIODS = [
     ((1.0, 1.25, 1.0, 1.0, 3.1), 5.534800315226235),  # 5.53480031522623534796520960551
     ((1.0, 1.25, 1.0, 1.0, 1e4), 4.443165809136588),  # 4.4431658091365887255303313086

@@ -1,7 +1,8 @@
-"""Singular period integral: stabilized integrand and adaptive quadrature."""
+"""Singular period integral: stabilized integrand and the trapezoid ladder."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from ssp import (
     Oscillation,
     QuadratureConfig,
     StringParams,
-    adaptive_gk,
     exact_period,
+    period_elliptic,
     radicand_g,
     rayleigh_period,
     speed,
@@ -171,43 +172,31 @@ def test_simpson_panel_doubling_order():
 
 
 def test_truncated_singular_form_converges_from_below(reference_osc):
-    # Integrating the untransformed integrand up to c*y0 must increase with c
-    # and stay below the substituted value by no more than the tail bound.
+    # Integrating the untransformed integrand up to c*y0 (40-digit mpmath)
+    # must increase with c and stay below the ladder's value by no more than
+    # the tail bound (tail terms are >= 1e-4 of the total here).
     osc = reference_osc
-    y0 = osc.y0
-    cfg = QuadratureConfig(rel_tol=1e-12)
-    # The untransformed integrand spikes near the cutoff; a looser budget
-    # keeps the refinement depth reasonable without affecting the bounds
-    # being asserted (tail terms are >= 1e-4 of the total here).
-    cfg_direct = QuadratureConfig(rel_tol=1e-9)
+    y0 = mpmath.mpf(osc.y0)
+    p = osc.params
+    full = exact_period(osc).value / (4.0 * math.sqrt(p.mass / (2.0 * p.sigma)))
 
     def direct(y):
-        return 1.0 / math.sqrt((y0 * y0 - y * y) * radicand_g(osc, y))
+        l0, l = mpmath.mpf(p.l0), mpmath.mpf(p.l)
+        g = 1 / l0 - 2 / (mpmath.sqrt(l * l + y * y) + mpmath.sqrt(l * l + y0 * y0))
+        return 1 / mpmath.sqrt((y0 * y0 - y * y) * g)
 
-    full, _ = adaptive_gk(
-        lambda th: 1.0 / math.sqrt(radicand_g(osc, y0 * math.sin(th))),
-        0.0,
-        0.5 * math.pi,
-        cfg,
-    )
     previous = 0.0
-    for k in range(2, 7):
-        c = 1.0 - 10.0**-k
-        trunc, _ = adaptive_gk(direct, 0.0, c * y0, cfg_direct)
-        tail_width = 0.5 * math.pi - math.asin(c)
-        tail_bound = tail_width / math.sqrt(radicand_g(osc, c * y0))
-        assert trunc > previous
-        assert 0.0 < full - trunc <= tail_bound * (1.0 + 1e-9)
-        previous = trunc
+    with mpmath.workdps(40):
+        for k in range(2, 7):
+            c = 1.0 - 10.0**-k
+            trunc = float(mpmath.quad(direct, [0, c * y0]))
+            tail_width = 0.5 * math.pi - math.asin(c)
+            tail_bound = tail_width / math.sqrt(radicand_g(osc, c * osc.y0))
+            assert trunc > previous
+            assert 0.0 < full - trunc <= tail_bound * (1.0 + 1e-9)
+            previous = trunc
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: G7 and K15 agree by accident on the panel at theta = 0 "
-    "([0, pi/4] for the first cell, [0, pi/8] for the second), so adaptive_gk "
-    "accepts it with a 1e-11..1e-10 true error (root cause in CHANGES.md); "
-    "the panel error estimate is to be fixed on its own",
-)
 @pytest.mark.parametrize("cell, period", oracle.QUADRATURE_DEFECT_CELLS)
 def test_err_estimate_covers_actual_error_at_known_defects(cell, period):
     l0, l, sigma, mass, y0 = cell
@@ -215,11 +204,33 @@ def test_err_estimate_covers_actual_error_at_known_defects(cell, period):
     assert est.err_estimate >= abs(est.value - period)
 
 
+def test_err_estimate_is_honest_on_oracle_cells():
+    # Every 40-digit oracle period: the estimate covers the actual error and
+    # still meets the requested tolerance.
+    cells = [((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF)]
+    cells += [(oracle.ANHARMONIC_PARAMS, oracle.P_ANHARMONIC)]
+    cells += oracle.NONSTANDARD_PERIODS
+    for (l0, l, sigma, mass, y0), period in cells:
+        est = exact_period(Oscillation(StringParams(l0, l, sigma, mass), y0))
+        assert abs(est.value - period) <= est.err_estimate <= 1e-12 * est.value
+
+
+def test_dense_amplitude_scan_matches_elliptic():
+    # 2100 log-spaced amplitudes over ten decades and three stretches.
+    for stretch in (1.01, 1.25, 4.0):
+        p = StringParams(l0=1.0, l=stretch, sigma=1.0, mass=1.0)
+        for rel_amp in np.geomspace(1e-4, 1e6, 700):
+            osc = Oscillation(p, float(rel_amp) * p.l)
+            quad = exact_period(osc).value
+            ell = period_elliptic(osc).value
+            assert abs(quad - ell) <= 1e-13 * ell, (stretch, rel_amp, quad, ell)
+
+
 def test_integrand_work_count(monkeypatch, reference_params):
-    # One GK15 panel costs 15 integrand evaluations. A small amplitude is
-    # settled by the whole-interval panel alone and the reference cell
-    # (y0/l = 0.4) by it and its two halves, so any extra pass over the
-    # interval, such as a budget pre-pass, shows up here.
+    # The ladder evaluates 2**k + 1 nodes and needs two small successive level
+    # differences: y0/l = 0.1 and the reference cell (0.4) stop at 8
+    # intervals, y0/l = 40 at 16. Any extra pass over the interval shows up
+    # here.
     calls = 0
     real = ssp.quadrature.radicand_g
 
@@ -236,27 +247,62 @@ def test_integrand_work_count(monkeypatch, reference_params):
         exact_period(Oscillation(reference_params, rel_amp * reference_params.l))
         return calls
 
-    assert evaluations(0.1) == 15
-    assert evaluations(0.4) == 45
-    assert evaluations(40.0) <= 195 + 15  # 195 today, plus one panel of slack
+    assert evaluations(0.1) == 9
+    assert evaluations(0.4) == 9
+    assert evaluations(40.0) == 17
+
+
+def test_one_accidental_agreement_cannot_stop_the_ladder():
+    # f = sum a_k*cos(2k*psi) gives T_N = (pi/2)*(a_0 + the a_k with k a
+    # multiple of 2N). With a_12 = -a_4, T_4 equals T_2 by accident while
+    # still missing the integral pi/2 by a_8 = 1e-7.
+    coeffs = np.zeros(13)
+    coeffs[[0, 2, 4, 8, 12]] = 1.0, 1.0, 1e-3, 1e-7, -1e-3
+
+    def f(sin_psi, sin2_a, cos_a):
+        return float(np.polynomial.chebyshev.chebval(1.0 - 2.0 * sin_psi**2, coeffs))
+
+    value, err = ssp.quadrature.trapezoid_ladder(f, 1e-12)
+    assert abs(value - 0.5 * math.pi) <= err <= 1e-12 * value
 
 
 def test_adaptive_quadrature_exactness():
-    cfg = QuadratureConfig(rel_tol=1e-14)
-    val, err = adaptive_gk(math.sin, 0.0, math.pi, cfg)
-    np.testing.assert_allclose(val, 2.0, rtol=1e-14)
-    assert err < 1e-12
+    # As y0/l -> oo, g -> 1/l0 uniformly and the period tends to
+    # pi*sqrt(2*m*l0/sigma); at y0/l >= 1e20 the difference is below 1e-19.
+    p = StringParams(l0=1.0, l=1.25, sigma=3.0, mass=2.0)
+    limit = math.pi * math.sqrt(2.0 * p.mass * p.l0 / p.sigma)
+    for rel_amp in (1e20, 1e100, 1e160, 1e300):
+        est = exact_period(Oscillation(p, rel_amp * p.l))
+        assert math.isfinite(est.value) and math.isfinite(est.err_estimate)
+        np.testing.assert_allclose(est.value, limit, rtol=1e-12)
+        assert abs(est.value - limit) <= est.err_estimate <= 1e-12 * est.value
 
 
-def test_refinement_budget_exhaustion(reference_osc):
-    cfg = QuadratureConfig(rel_tol=1e-15, max_refinements=1)
+def test_period_survives_extreme_sigma_over_mass():
+    # sigma/m = 1e600 overflows; the prefactor is formed as sqrt(m)/sqrt(sigma).
+    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1e300, mass=1e-300), 0.5)
+    np.testing.assert_allclose(exact_period(osc).value, oracle.P_REF * 1e-300, rtol=1e-12)
+
+
+def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
+    # An integrand whose trapezoid sums never settle runs the whole ladder,
+    # 2**9 + 1 nodes, and then fails cleanly.
+    calls = 0
+
+    def rough(osc, y):
+        nonlocal calls
+        calls += 1
+        return 2.0 + math.sin(1e6 * y)
+
+    monkeypatch.setattr(ssp.quadrature, "radicand_g", rough)
     with pytest.raises(ConvergenceFailure):
-        exact_period(reference_osc, cfg)
+        exact_period(reference_osc)
+    assert calls == 2**9 + 1
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(rel_tol=0.0), dict(rel_tol=1.0), dict(rel_tol=-1e-3), dict(max_refinements=0)],
+    [dict(rel_tol=0.0), dict(rel_tol=1.0), dict(rel_tol=-1e-3)],
 )
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(InvalidParameters):
