@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .elliptic import (
     QuarticRoots,
-    is_standard_ordering,
     period_elliptic,
     quartic_coefficients,
     quartic_roots,
@@ -89,7 +88,6 @@ __all__ = [
     "energy",
     "exact_period",
     "integrate",
-    "is_standard_ordering",
     "lower_bound_corrected",
     "lower_bound_printed",
     "measure_period",

@@ -12,7 +12,8 @@ form; it is dimensionally inconsistent and is never asserted against.
 
 The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0], which shrinks quadratically
-in the amplitude.
+in the amplitude. Once y0*y0 overflows, the lower bounds read 0 and the
+relative-error bounds -inf: still true, where y0**2 would raise.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def upper_bound(params: StringParams) -> float:
 def lower_bound_corrected(osc: Oscillation) -> float:
     """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2))."""
     p = osc.params
-    stiff = p.linear_stiffness + p.sigma * osc.y0**2 / (p.mass * p.l0 * p.l**2)
+    y0_sq = osc.y0 * osc.y0
+    stiff = p.linear_stiffness + p.sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))
     return TWO_PI / math.sqrt(stiff)
 
 
@@ -61,21 +63,21 @@ def lower_bound_printed(osc: Oscillation) -> float:
     """Reported-only variant with sigma*y0^2/(l*l0) in place of the corrected
     stiffness excess. Not dimensionally consistent; never asserted against."""
     p = osc.params
-    stiff = p.linear_stiffness + p.sigma * osc.y0**2 / (p.l * p.l0)
+    stiff = p.linear_stiffness + p.sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
     return TWO_PI / math.sqrt(stiff)
 
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
     """Bounds on (P - P_lin)/P: within [-sigma*y0^2/(4*T*l0*l), 0]."""
     p = osc.params
-    low = -p.sigma * osc.y0**2 / (4.0 * p.rest_tension * p.l0 * p.l)
+    low = -p.sigma * (osc.y0 * osc.y0) / (4.0 * p.rest_tension * p.l0 * p.l)
     return low, 0.0
 
 
 def rel_error_bound_printed(osc: Oscillation) -> float:
     """Reported-only lower bound -y0^2*m / (4*T*l0); see lower_bound_printed."""
     p = osc.params
-    return -osc.y0**2 * p.mass / (4.0 * p.rest_tension * p.l0)
+    return -(osc.y0 * osc.y0) * p.mass / (4.0 * p.rest_tension * p.l0)
 
 
 def compute_bounds(osc: Oscillation) -> PeriodBounds:

@@ -242,12 +242,6 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
     )
 
 
-def is_standard_ordering(osc: Oscillation) -> bool:
-    """True when z0 < 2*l0 + l, i.e. the roots order as -l < 2*l0 - z0 < l < z0."""
-    l, z0 = to_z_space(osc)
-    return z0 < 2.0 * osc.params.l0 + l
-
-
 def period_elliptic(osc: Oscillation, tol: float = 1e-13) -> PeriodEstimate:
     """Exact period via the Carlson-evaluated closed form, for every amplitude.
 

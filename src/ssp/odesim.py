@@ -6,13 +6,18 @@ inside accepted steps by cubic Hermite interpolation of v, using the stage
 derivatives already available at both step ends, then polished by bisection.
 Consecutive turning times are half periods; their mean gives the period and
 their spread the error estimate.
+
+Every accepted step is recorded. The error weights of (y, v) are
+rel_tol * |value| plus an absolute floor of 1e-12 * y_scale for y and the
+same floor times the linear angular frequency for v, where y_scale is the
+larger of y0 and the initial displacement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import Oscillation, StringParams, acceleration, rayleigh_period
+from .model import Oscillation, acceleration, rayleigh_period
 from .quadrature import Method, PeriodEstimate
 
 __all__ = ["SimConfig", "Trajectory", "simulate", "integrate", "measure_period"]
@@ -69,45 +74,34 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0  # proportional exponent
 _PI_BETA = 0.4 / 5.0  # integral exponent (previous error feedback)
+# absolute error floor of y, relative to the displacement scale
+_ABS_FLOOR = 1e-12
+# attempted steps (accepted plus rejected) before MaxStepsExceeded
+_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step-controller and run-length settings.
-
-    abs_tol None means 1e-12 * y0, resolved when the run starts (the velocity
-    component gets the same floor scaled by the linear angular frequency).
-    sample_stride thins the recorded trajectory; events are never thinned.
-    """
+    """Relative step tolerance and run length of `simulate`."""
 
     rel_tol: float = 1e-10
-    abs_tol: float | None = None
-    max_steps: int = 10_000_000
     n_periods: int = 10
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1e-2):
             raise InvalidParameters(f"rel_tol must be in (0, 1e-2), got {self.rel_tol!r}")
-        if self.abs_tol is not None and self.abs_tol < 0.0:
-            raise InvalidParameters(f"abs_tol must be >= 0, got {self.abs_tol!r}")
-        if self.max_steps < 1:
-            raise InvalidParameters(f"max_steps must be >= 1, got {self.max_steps!r}")
         if self.n_periods < 1:
             raise InvalidParameters(f"n_periods must be >= 1, got {self.n_periods!r}")
-        if self.sample_stride < 1:
-            raise InvalidParameters(
-                f"sample_stride must be >= 1, got {self.sample_stride!r}"
-            )
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one integration run. Arrays are read-only views.
 
-    t, y, v are the sample times, displacements, and velocities; e holds the
-    conserved energy of the full nonlinear model at each sample (meaningful
-    when the acceleration was not overridden). events are the turning times.
+    t, y, v are the sample times, displacements, and velocities, one sample
+    per accepted step plus the initial state; e holds the conserved energy of
+    the full nonlinear model at each sample (meaningful when the acceleration
+    was not overridden). events are the turning times.
     """
 
     t: np.ndarray
@@ -153,77 +147,76 @@ def _locate_turning(
 
 
 def _run(
-    accel: Callable[[float], float],
-    t0: float,
-    y: float,
-    v: float,
-    t_end: float,
+    osc: Oscillation,
+    t_span: tuple[float, float],
+    state0: tuple[float, float],
     rel_tol: float,
-    abs_tol_y: float,
-    abs_tol_v: float,
-    max_steps: int,
-    max_events: int | None,
-    stride: int,
-    h_scale: float,
-) -> tuple[list[float], list[float], list[float], list[float], int, int]:
-    """Core stepper. Returns (ts, ys, vs, events, n_accepted, n_rejected)."""
-    direction = 1.0 if t_end >= t0 else -1.0
-    span = abs(t_end - t0)
-    if span == 0.0:
-        return [t0], [y], [v], [0.0] if v == 0.0 else [], 0, 0
+    accel: Callable[[float], float] | None,
+    max_events: int | None = None,
+) -> Trajectory:
+    """Integrate (y, v) from state0 over t_span, stopping early once
+    max_events turning events are recorded. accel None means the model's
+    force law, looked up at call time."""
+    p = osc.params
+    accel = accel if accel is not None else (lambda y: acceleration(p, y))
+    t, t_end = t_span
+    y, v = state0
+    y_scale = max(osc.y0, abs(y))
+    if y_scale == 0.0:
+        raise InvalidParameters("simulation needs a nonzero amplitude or displacement")
+    abs_y = _ABS_FLOOR * y_scale
+    abs_v = abs_y * math.sqrt(p.linear_stiffness)
 
-    t = t0
-    h = direction * min(span, h_scale / 500.0)
-    k1y, k1v = v, accel(y)
+    direction = 1.0 if t_end >= t else -1.0
+    h = direction * min(abs(t_end - t), rayleigh_period(p) / 500.0)
+    # y' = v, so the y-stage slopes are the stage velocities; only the
+    # v-stage slope k1v is carried over from the last stage (FSAL)
+    k1v = accel(y)
 
-    ts, ys, vs = [t0], [y], [v]
-    events: list[float] = [t0] if v == 0.0 else []
+    ts, ys, vs = [t], [y], [v]
+    events: list[float] = [t] if v == 0.0 else []
     err_prev = 1e-4
     n_acc = 0
     n_rej = 0
     just_rejected = False
-    steps = 0
 
     while (t - t_end) * direction < 0.0:
         if max_events is not None and len(events) >= max_events:
             break
-        steps += 1
-        if steps > max_steps:
+        if n_acc + n_rej >= _MAX_STEPS:
             raise MaxStepsExceeded(
-                f"no result after {max_steps} steps (t = {t!r} of {t_end!r})"
+                f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
             )
         if abs(h) < 32.0 * math.ulp(max(abs(t), abs(t_end))):
             raise StepFailure(f"step size underflowed at t = {t!r} (h = {h!r})")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        y2 = y + h * (_A21 * k1y)
+        y2 = y + h * (_A21 * v)
         v2 = v + h * (_A21 * k1v)
-        k2y, k2v = v2, accel(y2)
-        y3 = y + h * (_A31 * k1y + _A32 * k2y)
+        k2v = accel(y2)
+        y3 = y + h * (_A31 * v + _A32 * v2)
         v3 = v + h * (_A31 * k1v + _A32 * k2v)
-        k3y, k3v = v3, accel(y3)
-        y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
+        k3v = accel(y3)
+        y4 = y + h * (_A41 * v + _A42 * v2 + _A43 * v3)
         v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4y, k4v = v4, accel(y4)
-        y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
+        k4v = accel(y4)
+        y5 = y + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
         v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5y, k5v = v5, accel(y5)
-        y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
+        k5v = accel(y5)
+        y6 = y + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
         v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6y, k6v = v6, accel(y6)
-        y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+        k6v = accel(y6)
+        y_new = y + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
         v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7y, k7v = v_new, accel(y_new)
+        k7v = accel(y_new)
 
-        err_y = h * (
-            _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
-        )
+        err_y = h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v_new)
         err_v = h * (
             _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
         )
-        sc_y = abs_tol_y + rel_tol * max(abs(y), abs(y_new))
-        sc_v = abs_tol_v + rel_tol * max(abs(v), abs(v_new))
+        sc_y = abs_y + rel_tol * max(abs(y), abs(y_new))
+        sc_v = abs_v + rel_tol * max(abs(v), abs(v_new))
         err = math.sqrt(0.5 * ((err_y / sc_y) ** 2 + (err_v / sc_v) ** 2))
 
         if err <= 1.0:
@@ -233,12 +226,10 @@ def _run(
             elif v_new == 0.0:
                 events.append(t_new)
             n_acc += 1
-            t, y, v = t_new, y_new, v_new
-            k1y, k1v = k7y, k7v
-            if n_acc % stride == 0:
-                ts.append(t)
-                ys.append(y)
-                vs.append(v)
+            t, y, v, k1v = t_new, y_new, v_new, k7v
+            ts.append(t)
+            ys.append(y)
+            vs.append(v)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -253,40 +244,14 @@ def _run(
             h *= min(1.0, max(0.1, _SAFETY * err**-0.2))
             just_rejected = True
 
-    if ts[-1] != t:
-        ts.append(t)
-        ys.append(y)
-        vs.append(v)
-    return ts, ys, vs, events, n_acc, n_rej
-
-
-def _finish(
-    p: StringParams,
-    ts: Sequence[float],
-    ys: Sequence[float],
-    vs: Sequence[float],
-    events: Sequence[float],
-    n_acc: int,
-    n_rej: int,
-) -> Trajectory:
-    t = np.asarray(ts)
-    y = np.asarray(ys)
-    v = np.asarray(vs)
-    e = 0.5 * v * v + (2.0 * p.sigma / p.mass) * (
-        y * y / (2.0 * p.l0) - np.hypot(p.l, y)
+    ya, va = np.asarray(ys), np.asarray(vs)
+    e = 0.5 * va * va + (2.0 * p.sigma / p.mass) * (
+        ya * ya / (2.0 * p.l0) - np.hypot(p.l, ya)
     )
-    ev = np.asarray(events)
-    for a in (t, y, v, e, ev):
+    arrays = (np.asarray(ts), ya, va, e, np.asarray(events))
+    for a in arrays:
         a.flags.writeable = False
-    return Trajectory(t, y, v, e, ev, n_acc, n_rej)
-
-
-def _resolve_tols(
-    osc: Oscillation, cfg: SimConfig, y_scale: float
-) -> tuple[float, float]:
-    abs_y = cfg.abs_tol if cfg.abs_tol is not None else 1e-12 * y_scale
-    omega0 = math.sqrt(osc.params.linear_stiffness)
-    return abs_y, abs_y * omega0
+    return Trajectory(*arrays, n_acc, n_rej)
 
 
 def simulate(
@@ -302,68 +267,27 @@ def simulate(
     periods always suffices. `accel` overrides the force law (test hook for
     the linearized system); it must map y to d2y/dt2.
     """
-    p = osc.params
-    if osc.y0 == 0.0:
-        raise InvalidParameters("simulation needs a nonzero release amplitude")
-    acc = accel if accel is not None else (lambda y: acceleration(p, y))
-    abs_y, abs_v = _resolve_tols(osc, cfg, osc.y0)
-    horizon = (cfg.n_periods + 2) * rayleigh_period(p)
+    horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
     want = 2 * cfg.n_periods + 1
-    ts, ys, vs, events, n_acc, n_rej = _run(
-        acc,
-        0.0,
-        osc.y0,
-        0.0,
-        horizon,
-        cfg.rel_tol,
-        abs_y,
-        abs_v,
-        cfg.max_steps,
-        want,
-        cfg.sample_stride,
-        rayleigh_period(p),
-    )
-    if len(events) < want:
+    traj = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
+    if traj.events.size < want:
         raise ConvergenceFailure(
             f"expected {want} turning events within {horizon!r} time units, "
-            f"found {len(events)}"
+            f"found {traj.events.size}"
         )
-    return _finish(p, ts, ys, vs, events, n_acc, n_rej)
+    return traj
 
 
 def integrate(
-    osc: Oscillation,
-    t_span: tuple[float, float],
-    state0: tuple[float, float],
-    cfg: SimConfig = SimConfig(),
-    accel: Callable[[float], float] | None = None,
+    osc: Oscillation, t_span: tuple[float, float], state0: tuple[float, float]
 ) -> Trajectory:
-    """Integrate an arbitrary initial state over t_span (backward allowed).
+    """Integrate an arbitrary initial state over t_span (backward allowed)
+    at the default SimConfig tolerance.
 
     Turning events are recorded but never stop the run; the trajectory always
     reaches t_span[1] exactly.
     """
-    p = osc.params
-    acc = accel if accel is not None else (lambda y: acceleration(p, y))
-    y_scale = max(osc.y0, abs(state0[0]))
-    if y_scale == 0.0:
-        raise InvalidParameters("state and amplitude are both zero")
-    abs_y, abs_v = _resolve_tols(osc, cfg, y_scale)
-    ts, ys, vs, events, n_acc, n_rej = _run(
-        acc,
-        t_span[0],
-        state0[0],
-        state0[1],
-        t_span[1],
-        cfg.rel_tol,
-        abs_y,
-        abs_v,
-        cfg.max_steps,
-        None,
-        cfg.sample_stride,
-        rayleigh_period(p),
-    )
-    return _finish(p, ts, ys, vs, events, n_acc, n_rej)
+    return _run(osc, t_span, state0, SimConfig().rel_tol, None)
 
 
 def measure_period(traj: Trajectory) -> PeriodEstimate:

@@ -49,7 +49,6 @@ class Method(enum.Enum):
     QUADRATURE = "quadrature"
     ELLIPTIC = "elliptic"
     ODE_SIM = "ode"
-    RAYLEIGH_APPROX = "rayleigh"
     # no longer produced; perfbench --trace still looks this member up
     ELLIPTIC_FALLBACK = "elliptic-fallback"
 
@@ -100,9 +99,16 @@ def speed(osc: Oscillation, y: float) -> float:
         raise InvalidParameters(
             f"|y| must not exceed the amplitude (|y|={abs(y)!r}, y0={osc.y0!r})"
         )
+    # a product of square roots: the radicand itself overflows at large
+    # sigma/m or y0 while the speed is still finite
     p = osc.params
-    rad = (2.0 * p.sigma / p.mass) * (osc.y0 - y) * (osc.y0 + y) * radicand_g(osc, y)
-    return math.sqrt(max(rad, 0.0))
+    ay = abs(y)
+    return (
+        math.sqrt(2.0 * p.sigma) / math.sqrt(p.mass)
+        * math.sqrt(osc.y0 - ay)
+        * math.sqrt(osc.y0 + ay)
+        * math.sqrt(radicand_g(osc, y))
+    )
 
 
 # The finest level has 2**_TOP intervals on [0, pi/2].

@@ -146,3 +146,15 @@ def test_degenerate_amplitude_sandwich(reference_params):
     report = check_sandwich(osc, est)
     # Period equals both bounds; the strict side is waived in the limit.
     assert report.passed
+
+
+def test_bounds_survive_overflowing_amplitude(reference_params):
+    # y0^2 overflows: the lower bounds fall to 0 and the relative bounds to
+    # -inf, both still true, and the exact period stays inside.
+    osc = Oscillation(reference_params, 1e200)
+    b = compute_bounds(osc)
+    assert (b.lower_corrected, b.lower_printed) == (0.0, 0.0)
+    assert b.upper == upper_bound(reference_params)
+    assert b.rel_error_bound_corrected == -math.inf
+    assert b.rel_error_bound_printed == -math.inf
+    assert check_sandwich(osc, exact_period(osc)).passed

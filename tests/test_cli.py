@@ -56,6 +56,17 @@ def test_period_csv_json_agree(capsys):
         assert repr(float(row[key])) == row[key]
 
 
+def test_period_at_overflowing_amplitude(capsys):
+    # y0^2 overflows in the bounds; the command still reports the period.
+    code, out, _ = run_cli(
+        capsys, "period", "--y0", "1e200", "--method", "quadrature", "--format", "csv"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["period_quadrature"] == "4.442882938158366"
+    assert rows[0]["pass"] == "true"
+
+
 def test_period_methods_subset(capsys):
     code, out, _ = run_cli(capsys, "period", "--format", "csv", "--method", "elliptic")
     assert code == 0

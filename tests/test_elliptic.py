@@ -18,7 +18,6 @@ from ssp import (
     Oscillation,
     StringParams,
     exact_period,
-    is_standard_ordering,
     period_elliptic,
     quartic_coefficients,
     quartic_roots,
@@ -135,7 +134,9 @@ def test_quartic_root_sum(osc):
     qr = quartic_roots(osc)
     total = math.fsum(qr.roots)
     np.testing.assert_allclose(total, 2.0 * osc.params.l0, rtol=1e-13)
-    assert qr.roots[0] < qr.roots[1] < qr.roots[2] < qr.roots[3] or not is_standard_ordering(osc)
+    l, z0 = to_z_space(osc)
+    standard = z0 < 2.0 * osc.params.l0 + l
+    assert qr.roots[0] < qr.roots[1] < qr.roots[2] < qr.roots[3] or not standard
 
 
 def test_factored_form_matches_direct_product(reference_osc):
@@ -242,9 +243,12 @@ def _huge_amplitude_osc():
 
 
 def test_nonstandard_ordering_detected():
+    # The roots order as -l < 2*l0 - z0 < l < z0 only while z0 < 2*l0 + l.
     osc = _huge_amplitude_osc()
-    assert not is_standard_ordering(osc)
-    assert is_standard_ordering(Oscillation(osc.params, 0.5))
+    l, z0 = to_z_space(osc)
+    assert not z0 < 2.0 * osc.params.l0 + l
+    l, z0 = to_z_space(Oscillation(osc.params, 0.5))
+    assert z0 < 2.0 * osc.params.l0 + l
 
 
 @pytest.mark.parametrize("cell, period", oracle.NONSTANDARD_PERIODS)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 import oracle
+from ssp import odesim
 from ssp import (
     InsufficientEvents,
     InvalidParameters,
@@ -39,6 +40,8 @@ def test_release_from_rest_initial_sample(default_traj):
 
 def test_time_grid_strictly_increasing(default_traj):
     _, traj = default_traj
+    # One sample per accepted step, plus the initial state.
+    assert len(traj.t) == traj.n_accepted + 1
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.all(np.diff(traj.events) > 0.0)
     assert traj.events[0] == 0.0
@@ -130,14 +133,6 @@ def test_against_scipy_rk45(default_traj):
     assert abs(mine.v[-1] - sol.y[1, -1]) < 1e-6
 
 
-def test_sample_stride_thins_output(default_traj):
-    osc, traj = default_traj
-    thinned = simulate(osc, SimConfig(sample_stride=8))
-    assert len(thinned.t) < len(traj.t)
-    # Events are located from every accepted step regardless of stride.
-    np.testing.assert_allclose(thinned.events, traj.events, rtol=1e-12)
-
-
 def test_tighter_tolerance_takes_more_steps(default_traj):
     osc, _ = default_traj
     coarse = simulate(osc, SimConfig(rel_tol=1e-6, n_periods=2))
@@ -152,10 +147,11 @@ def test_zero_amplitude_rejected(default_traj):
         simulate(Oscillation(osc.params, 0.0))
 
 
-def test_step_budget_enforced(default_traj):
+def test_step_budget_enforced(default_traj, monkeypatch):
     osc, _ = default_traj
+    monkeypatch.setattr(odesim, "_MAX_STEPS", 10)
     with pytest.raises(MaxStepsExceeded):
-        simulate(osc, SimConfig(max_steps=10))
+        simulate(osc)
 
 
 def test_period_needs_three_events():
@@ -177,10 +173,7 @@ def test_period_needs_three_events():
     [
         dict(rel_tol=0.0),
         dict(rel_tol=1e-1),
-        dict(abs_tol=-1.0),
-        dict(max_steps=0),
         dict(n_periods=0),
-        dict(sample_stride=0),
     ],
 )
 def test_invalid_config_rejected(kwargs):

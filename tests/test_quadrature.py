@@ -96,6 +96,14 @@ def test_speed_consistent_with_energy(reference_osc):
         )
 
 
+def test_speed_survives_extreme_scales():
+    # (2*sigma/m)*(y0^2 - y^2) overflows at both inputs; the speed does not.
+    heavy = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1e300, mass=1e-300), 0.5)
+    np.testing.assert_allclose(speed(heavy, 0.0), oracle.SPEED_AT_ZERO * 1e300, rtol=1e-14)
+    far = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 1e200)
+    np.testing.assert_allclose(speed(far, 0.0), math.sqrt(2.0) * 1e200, rtol=1e-14)
+
+
 def test_period_reference_value(reference_osc):
     est = exact_period(reference_osc)
     assert est.method is Method.QUADRATURE
