@@ -173,6 +173,8 @@ def test_period_needs_three_events():
     [
         dict(rel_tol=0.0),
         dict(rel_tol=1e-1),
+        dict(rel_tol=1e-2),
+        dict(rel_tol=float("nan")),
         dict(n_periods=0),
     ],
 )
