@@ -22,8 +22,8 @@ from ssp import (
     measure_period,
     period_elliptic,
     simulate,
-    upper_bound,
 )
+from ssp.bounds import upper_bound
 
 
 def main() -> None:

@@ -14,6 +14,16 @@ The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0], which shrinks quadratically
 in the amplitude. Once y0*y0 overflows, the lower bounds read 0 and the
 relative-error bounds -inf: still true, where y0**2 would raise.
+
+check_sandwich demands value < upper only where the gap below upper is
+resolvable. The potential is convex in y^2, so its chord through 0 gives a
+second upper bound, the secant-energy period
+2*pi/sqrt((2*sigma/m)*(1/l0 - 2/(r+l))) with r = hypot(l, y0). It lies
+below the linear-limit period by about (y0/l)^2/(8*(l/l0 - 1)) of it. Where
+that distance exceeds the estimate's error plus two ulps of upper, a
+correct estimate must fall below upper. Elsewhere the strict test is the
+slack test: the gap drops under the engines' resolution near y0/l = 4e-9
+at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .model import TWO_PI, Oscillation, StringParams, rayleigh_period
-from .quadrature import PeriodEstimate
+from .quadrature import PeriodEstimate, radicand_g
 
 __all__ = [
     "PeriodBounds",
@@ -96,10 +106,9 @@ class SandwichReport:
     """Outcome of checking one period estimate against the a-priori bounds.
 
     slack absorbs the engine's own error estimate plus a relative margin for
-    the non-strict inequalities. strict_upper_ok additionally demands a
-    genuine gap below the upper bound whenever the amplitude is finite; it is
-    a plain float comparison because the engines resolve the period orders of
-    magnitude more finely than the gap ever shrinks over valid inputs.
+    the non-strict inequalities. strict_upper_ok demands value < upper
+    where the gap below upper is resolvable (see the module docstring) and
+    equals upper_ok elsewhere.
     """
 
     lower: float
@@ -115,6 +124,20 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok and self.strict_upper_ok
 
 
+def _secant_upper(osc: Oscillation) -> float:
+    """Secant-energy bound 2*pi/sqrt((2*sigma/m)*g(0)) >= P.
+
+    speed^2 = (2*sigma/m)*(y0^2 - y^2)*g(y) and g rises with |y|, so g(0) =
+    1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
+    """
+    p = osc.params
+    return TWO_PI / math.sqrt((2.0 * p.sigma / p.mass) * radicand_g(osc, 0.0))
+
+
+# Rounding allowance of the strictness test, in ulps of the upper bound.
+_STRICT_ULPS = 2.0
+
+
 def check_sandwich(
     osc: Oscillation,
     estimate: PeriodEstimate,
@@ -126,5 +149,11 @@ def check_sandwich(
     value = estimate.value
     lower_ok = value >= lower - slack
     upper_ok = value <= upper + slack
-    strict = upper_ok if osc.is_degenerate else value < upper
+    # the period lies at or below the secant bound, so a correct estimate
+    # may reach upper only where that bound sits within err of it
+    strict = value < upper or (
+        upper_ok
+        and upper - _secant_upper(osc)
+        <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
+    )
     return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok, strict)

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .elliptic import period_elliptic
 from .errors import EngineFailure, InvalidParameters
 from .model import Oscillation, StringParams, rayleigh_period
 from .odesim import SimConfig, measure_period, simulate
-from .quadrature import Method, PeriodEstimate, QuadratureConfig, exact_period
+from .quadrature import Method, PeriodEstimate, exact_period
 from .verify import run_invariant_suite
 
 __all__ = ["main", "entrypoint"]
@@ -62,8 +63,21 @@ def _write_csv(rows: Sequence[dict[str, object]], header: Sequence[str]) -> None
         out.write(",".join(_fmt_machine(row[k]) for k in header) + "\n")
 
 
+def _json_ready(value: object) -> object:
+    """Non-finite floats become the CSV's tokens ("inf", "-inf", "nan"),
+    which JSON has no number for."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def _write_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(_json_ready(payload), indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _env_float(name: str) -> float | None:
@@ -125,7 +139,7 @@ def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
 def _build_row(
     osc: Oscillation,
     methods: Sequence[str],
-    quad_cfg: QuadratureConfig,
+    quad_tol: float,
     sim_cfg: SimConfig,
     carlson_tol: float,
 ) -> dict[str, object]:
@@ -138,11 +152,11 @@ def _build_row(
         "mass": p.mass,
         "y0": osc.y0,
     }
-    quad = exact_period(osc, quad_cfg)
+    quad = exact_period(osc, quad_tol)
     if "quadrature" in methods:
         row["period_quadrature"] = quad.value
     if "elliptic" in methods:
-        row["period_elliptic"] = period_elliptic(osc, tol=carlson_tol).value
+        row["period_elliptic"] = period_elliptic(osc, carlson_tol).value
     if "ode" in methods:
         row["period_ode"] = _ode_estimate(osc, sim_cfg).value
     bounds = compute_bounds(osc)
@@ -160,17 +174,18 @@ def _selected_methods(raw: str) -> tuple[str, ...]:
     return _METHODS if raw == "all" else (raw,)
 
 
-def _engine_configs(args: argparse.Namespace) -> tuple[QuadratureConfig, SimConfig, float]:
+def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig, float]:
+    """Quadrature tolerance, simulation config and Carlson tolerance."""
     tol = _resolve_tol(args.tol, 1e-12)
     sim_tol = max(_resolve_tol(args.tol, 1e-10), 1e-13)
-    return QuadratureConfig(rel_tol=tol), SimConfig(rel_tol=sim_tol), min(1e-13, tol)
+    return tol, SimConfig(rel_tol=sim_tol), min(1e-13, tol)
 
 
 def cmd_period(args: argparse.Namespace) -> int:
     osc = _oscillation(args)
-    quad_cfg, sim_cfg, ctol = _engine_configs(args)
+    quad_tol, sim_cfg, ctol = _engine_configs(args)
     methods = _selected_methods(args.method)
-    row = _build_row(osc, methods, quad_cfg, sim_cfg, ctol)
+    row = _build_row(osc, methods, quad_tol, sim_cfg, ctol)
     header = list(row.keys())
     if args.format == "csv":
         _write_csv([row], header)
@@ -210,7 +225,7 @@ def _grid(low: float, high: float, points: int, log: bool) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.low is None or args.high is None:
         raise InvalidParameters("sweep needs both --from and --to")
-    quad_cfg, sim_cfg, ctol = _engine_configs(args)
+    quad_tol, sim_cfg, ctol = _engine_configs(args)
     methods = _selected_methods(args.method)
     base = {
         "l0": args.l0,
@@ -227,7 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             StringParams(vals["l0"], vals["l"], vals["sigma"], vals["mass"]),
             vals["y0"],
         )
-        rows.append(_build_row(osc, methods, quad_cfg, sim_cfg, ctol))
+        rows.append(_build_row(osc, methods, quad_tol, sim_cfg, ctol))
     header = list(rows[0].keys())
     if args.format == "json":
         _write_json(rows)
@@ -244,8 +259,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise InvalidParameters("trajectory needs y0 > 0")
     if args.periods < 1:
         raise InvalidParameters(f"periods must be >= 1, got {args.periods}")
-    sim_tol = max(_resolve_tol(args.tol, 1e-10), 1e-13)
-    traj = simulate(osc, SimConfig(rel_tol=sim_tol, n_periods=args.periods))
+    sim_cfg = _engine_configs(args)[1]
+    traj = simulate(osc, replace(sim_cfg, n_periods=args.periods))
     header = ["t", "y", "v", "E"]
     rows = [
         {"t": float(t), "y": float(y), "v": float(v), "E": float(e)}
@@ -291,12 +306,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise InvalidParameters(f"points must be >= 2, got {args.points}")
     if low <= 0.0 or high <= 0.0 or low == high:
         raise InvalidParameters("convergence needs distinct positive y0 endpoints")
-    quad_cfg = QuadratureConfig(rel_tol=_resolve_tol(args.tol, 1e-12))
+    quad_tol = _resolve_tol(args.tol, 1e-12)
     amps = np.geomspace(low, high, args.points)
     rows = []
     for y0 in amps:
         osc = Oscillation(p, float(y0))
-        period = exact_period(osc, quad_cfg).value
+        period = exact_period(osc, quad_tol).value
         bounds = compute_bounds(osc)
         rows.append(
             {

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DegenerateAmplitude, InvalidParameters
+from .errors import ConvergenceFailure, InvalidParameters
 from .model import Oscillation, rayleigh_period
 from .quadrature import Method, PeriodEstimate
 from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
@@ -200,15 +200,8 @@ class QuarticRoots:
 def to_z_space(osc: Oscillation) -> tuple[float, float]:
     """Map the oscillation to stretched coordinates: returns (l, z0).
 
-    z0 = sqrt(l^2 + y0^2) is the turning-point half-length. Raises
-    DegenerateAmplitude below the threshold where z0 - l underflows the
-    useful range.
+    z0 = sqrt(l^2 + y0^2) is the turning-point half-length; z0 = l at y0 = 0.
     """
-    if osc.is_degenerate:
-        raise DegenerateAmplitude(
-            f"amplitude {osc.y0!r} is below the degeneracy threshold for "
-            f"l = {osc.params.l!r}"
-        )
     return osc.params.l, math.hypot(osc.params.l, osc.y0)
 
 
@@ -242,15 +235,16 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
     )
 
 
-def period_elliptic(osc: Oscillation, tol: float = 1e-13) -> PeriodEstimate:
+def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     """Exact period via the Carlson-evaluated closed form, for every amplitude.
 
+    rel_tol, in (0, 1), is the duplication tolerance of R_F and R_J.
     Degenerate amplitudes return the linear-limit period, matching the
     quadrature engine's behavior. Both root orderings go through the same
     arithmetic; past z0 = 2*l0 + l the modulus parameter k^2 turns negative.
     """
-    if not (0.0 < tol < 1.0):
-        raise InvalidParameters(f"tol must be in (0, 1), got {tol!r}")
+    if not (0.0 < rel_tol < 1.0):
+        raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
     if osc.is_degenerate:
         return PeriodEstimate(rayleigh_period(p), Method.ELLIPTIC, 0.0)
@@ -268,9 +262,9 @@ def period_elliptic(osc: Oscillation, tol: float = 1e-13) -> PeriodEstimate:
 
     k2c = ad * bc / (ac * bd)  # 1 - k^2, formed directly; > 1 when c < d
     n = -ab / bd
-    big_k = rf(0.0, k2c, 1.0, tol)
-    big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, tol)
+    big_k = rf(0.0, k2c, 1.0, rel_tol)
+    big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, rel_tol)
     bracket = (-l) * big_k + ad * big_pi
     integral = 2.0 / math.sqrt(ac * bd) * bracket
     value = 4.0 * math.sqrt(p.mass * l0 / (2.0 * p.sigma)) * integral
-    return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * tol + 1e-15))
+    return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

@@ -32,7 +32,3 @@ class MaxStepsExceeded(EngineFailure):
 
 class InsufficientEvents(EngineFailure):
     """Too few turning events were recorded to estimate a period."""
-
-
-class DegenerateAmplitude(SspError, ValueError):
-    """Amplitude is below the degeneracy threshold for this operation."""

@@ -53,11 +53,6 @@ class StringParams:
             raise InvalidParameters(f"mass must be positive, got {self.mass!r}")
 
     @property
-    def epsilon(self) -> float:
-        """Rest elongation of a half, l - l0."""
-        return self.l - self.l0
-
-    @property
     def rest_tension(self) -> float:
         """Tension of either half at y = 0: sigma * (l - l0) / l0."""
         return self.sigma * (self.l - self.l0) / self.l0

@@ -166,6 +166,11 @@ def _run(
         raise InvalidParameters("simulation needs a nonzero amplitude or displacement")
     abs_y = _ABS_FLOOR * y_scale
     abs_v = abs_y * math.sqrt(p.linear_stiffness)
+    if abs_y == 0.0 or abs_v == 0.0:
+        raise InvalidParameters(
+            f"amplitude {y_scale!r} is too small to simulate: its absolute "
+            "error floor underflows to 0"
+        )
 
     direction = 1.0 if t_end >= t else -1.0
     h = direction * min(abs(t_end - t), rayleigh_period(p) / 500.0)

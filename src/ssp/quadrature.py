@@ -36,7 +36,6 @@ from .model import Oscillation, rayleigh_period
 __all__ = [
     "Method",
     "PeriodEstimate",
-    "QuadratureConfig",
     "radicand_g",
     "speed",
     "exact_period",
@@ -64,17 +63,6 @@ class PeriodEstimate:
     value: float
     method: Method
     err_estimate: float
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative tolerance of the trapezoid ladder."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise InvalidParameters(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
 
 
 def radicand_g(osc: Oscillation, y: float) -> float:
@@ -164,14 +152,15 @@ def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
     )
 
 
-def exact_period(
-    osc: Oscillation, cfg: QuadratureConfig = QuadratureConfig()
-) -> PeriodEstimate:
+def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     """Exact period by the trapezoid ladder on the sinh-substituted integral.
 
-    Amplitudes below the degeneracy threshold return the linear-limit period
-    (to which the integral tends continuously) with zero error estimate.
+    rel_tol, in (0, 1), is the ladder's relative tolerance. Amplitudes below
+    the degeneracy threshold return the linear-limit period (to which the
+    integral tends continuously) with zero error estimate.
     """
+    if not (0.0 < rel_tol < 1.0):
+        raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
     if osc.is_degenerate:
         return PeriodEstimate(rayleigh_period(p), Method.QUADRATURE, 0.0)
@@ -187,6 +176,6 @@ def exact_period(
         rad = -math.expm1(-2.0 * (big_s + s)) * radicand_g(osc, p.l * math.sinh(s))
         return cos_a * (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(x_ratio / rad)
 
-    integral, err = trapezoid_ladder(integrand, cfg.rel_tol)
+    integral, err = trapezoid_ladder(integrand, rel_tol)
     pref = 4.0 * math.sqrt(p.mass) / math.sqrt(2.0 * p.sigma) * math.sqrt(2.0 * big_s)
     return PeriodEstimate(pref * integral, Method.QUADRATURE, pref * err)

@@ -19,7 +19,7 @@ from .bounds import check_sandwich
 from .elliptic import period_elliptic, quartic_coefficients, quartic_roots, rf, rj
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
-from .quadrature import QuadratureConfig, exact_period
+from .quadrature import exact_period
 
 __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
 
@@ -78,14 +78,14 @@ def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
 
 
 def _check_sandwich_and_cross(
-    oscs: list[Oscillation], cfg: QuadratureConfig, carlson_tol: float
+    oscs: list[Oscillation], rel_tol: float, carlson_tol: float
 ) -> tuple[CheckResult, CheckResult]:
     sand_fail = 0
     sand_worst = 0.0
     cross_fail = 0
     cross_worst = 0.0
     for osc in oscs:
-        est = exact_period(osc, cfg)
+        est = exact_period(osc, rel_tol)
         rep = check_sandwich(osc, est)
         if not rep.passed:
             sand_fail += 1
@@ -98,7 +98,7 @@ def _check_sandwich_and_cross(
             viol = max(viol, est.value - rep.upper)
         sand_worst = max(sand_worst, viol / rep.upper)
 
-        ell = period_elliptic(osc, tol=carlson_tol)
+        ell = period_elliptic(osc, carlson_tol)
         dev = abs(ell.value - est.value) / est.value
         cross_worst = max(cross_worst, dev)
         if dev > CROSS_METHOD_TOL:
@@ -112,19 +112,19 @@ def _check_sandwich_and_cross(
 
 
 def _check_scaling(
-    oscs: list[Oscillation], rng: np.random.Generator, cfg: QuadratureConfig
+    oscs: list[Oscillation], rng: np.random.Generator, rel_tol: float
 ) -> CheckResult:
     fail = 0
     worst = 0.0
     for osc in oscs:
         k = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         p = osc.params
-        base = exact_period(osc, cfg).value
+        base = exact_period(osc, rel_tol).value
         joint = exact_period(
-            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass * k), osc.y0), cfg
+            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass * k), osc.y0), rel_tol
         ).value
         sigma_only = exact_period(
-            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass), osc.y0), cfg
+            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass), osc.y0), rel_tol
         ).value
         dev = max(
             abs(joint - base) / base,
@@ -197,10 +197,9 @@ def run_invariant_suite(
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     oscs = _draw_oscillations(rng, samples)
-    cfg = QuadratureConfig(rel_tol=rel_tol)
     carlson_tol = min(1e-13, rel_tol)
-    sandwich, cross = _check_sandwich_and_cross(oscs, cfg, carlson_tol)
-    scaling = _check_scaling(oscs[: min(50, samples)], rng, cfg)
+    sandwich, cross = _check_sandwich_and_cross(oscs, rel_tol, carlson_tol)
+    scaling = _check_scaling(oscs[: min(50, samples)], rng, rel_tol)
     homo = _check_homogeneity(rng, 200)
     quartic = _check_quartic(rng, 100)
     return VerifyReport(seed, samples, (sandwich, cross, scaling, homo, quartic))

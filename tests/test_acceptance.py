@@ -17,7 +17,6 @@ import oracle
 import ssp.cli
 from ssp import (
     Oscillation,
-    QuadratureConfig,
     SimConfig,
     StringParams,
     check_sandwich,
@@ -25,13 +24,11 @@ from ssp import (
     exact_period,
     measure_period,
     period_elliptic,
-    quartic_coefficients,
-    quartic_roots,
     rayleigh_period,
-    relative_error_bounds,
     simulate,
-    upper_bound,
 )
+from ssp.bounds import relative_error_bounds, upper_bound
+from ssp.elliptic import quartic_coefficients, quartic_roots
 
 REFERENCE = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0)
 

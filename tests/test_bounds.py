@@ -15,9 +15,13 @@ from ssp import (
     check_sandwich,
     compute_bounds,
     exact_period,
+    period_elliptic,
+    rayleigh_period,
+)
+from ssp.bounds import (
+    _secant_upper,
     lower_bound_corrected,
     lower_bound_printed,
-    rayleigh_period,
     rel_error_bound_printed,
     relative_error_bounds,
     upper_bound,
@@ -146,6 +150,49 @@ def test_degenerate_amplitude_sandwich(reference_params):
     report = check_sandwich(osc, est)
     # Period equals both bounds; the strict side is waived in the limit.
     assert report.passed
+
+
+# (l, y0) at l0 = sigma = m = 1 where exact_period's value reaches the upper
+# bound: the gap below it is smaller than the estimate's own error.
+@pytest.mark.parametrize(
+    "l, y0",
+    [
+        (1.25, 2.5e-9),
+        (1.25, 6.25e-9),
+        (10.0, 7e-7),
+        (1.01, 4.1374203476906136e-09),
+        (100.0, 3.385996131863295e-05),
+        (1e5, 1.3389093286270097),
+    ],
+)
+def test_sandwich_passes_periods_at_the_upper_bound(l, y0):
+    osc = Oscillation(StringParams(1.0, l, 1.0, 1.0), y0)
+    for engine in (exact_period, period_elliptic):
+        assert check_sandwich(osc, engine(osc)).passed
+
+
+@pytest.mark.parametrize("rel_amp", [1e-4, 0.4])
+def test_estimate_at_upper_bound_fails_strict(reference_params, rel_amp):
+    osc = Oscillation(reference_params, rel_amp * reference_params.l)
+    for engine in (exact_period, period_elliptic):
+        est = engine(osc)
+        at_upper = PeriodEstimate(upper_bound(reference_params), est.method, est.err_estimate)
+        report = check_sandwich(osc, at_upper)
+        assert report.upper_ok
+        assert not report.strict_upper_ok
+    # an error estimate wider than the gap below upper waives strictness
+    gap = upper_bound(reference_params) - exact_period(osc).value
+    loose = PeriodEstimate(upper_bound(reference_params), Method.QUADRATURE, 2.0 * gap)
+    assert check_sandwich(osc, loose).strict_upper_ok
+
+
+@settings(max_examples=40)
+@given(oscillations(rel_amp_hi=100.0))
+def test_secant_bound_lies_between_period_and_upper(osc):
+    est = exact_period(osc)
+    secant = _secant_upper(osc)
+    assert est.value <= secant + est.err_estimate
+    assert secant <= upper_bound(osc.params) * (1.0 + 1e-15)
 
 
 def test_bounds_survive_overflowing_amplitude(reference_params):

@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, formats, determinism, env overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssp
 import ssp.cli
 from ssp import ConvergenceFailure, Method, PeriodEstimate
 from ssp.cli import main
@@ -65,6 +70,20 @@ def test_period_at_overflowing_amplitude(capsys):
     _, rows = parse_csv(out)
     assert rows[0]["period_quadrature"] == "4.442882938158366"
     assert rows[0]["pass"] == "true"
+
+
+def _reject_constant(token):
+    raise ValueError(f"not a JSON number: {token}")
+
+
+def test_period_json_stays_valid_at_overflowing_amplitude(capsys):
+    code, out, _ = run_cli(
+        capsys, "period", "--y0", "1e200", "--method", "quadrature", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["R_bound_corrected"] == "-inf"
+    assert payload["period_quadrature"] == 4.442882938158366
 
 
 def test_period_methods_subset(capsys):
@@ -188,6 +207,19 @@ def test_trajectory_rejects_zero_amplitude(capsys):
     code, _, err = run_cli(capsys, "trajectory", "--y0", "0")
     assert code == 1
     assert "error:" in err
+
+
+def test_trajectory_rejects_underflowing_amplitude():
+    env = dict(os.environ, PYTHONPATH=str(Path(ssp.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssp.cli", "trajectory", "--y0", "5e-324", "--periods", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # --- verify ------------------------------------------------------------------

@@ -8,17 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from ssp import (
-    InvalidParameters,
-    Oscillation,
-    StringParams,
-    acceleration,
-    energy,
-    rayleigh_period,
-    rayleigh_solution,
-    tension,
-    vertical_force,
-)
+from ssp import InvalidParameters, Oscillation, StringParams, rayleigh_period
+from ssp.model import acceleration, energy, rayleigh_solution, tension, vertical_force
 from strategies import string_params
 
 displacements = st.floats(-5.0, 5.0, allow_nan=False)

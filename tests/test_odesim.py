@@ -15,7 +15,6 @@ from ssp import (
     SimConfig,
     StringParams,
     Trajectory,
-    acceleration,
     check_sandwich,
     exact_period,
     integrate,
@@ -23,6 +22,7 @@ from ssp import (
     rayleigh_period,
     simulate,
 )
+from ssp.model import acceleration
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,13 @@ def test_zero_amplitude_rejected(default_traj):
     osc, _ = default_traj
     with pytest.raises(InvalidParameters):
         simulate(Oscillation(osc.params, 0.0))
+
+
+@pytest.mark.parametrize("l, y0", [(1.25, 5e-324), (1.0 + 1e-9, 1e-310)])
+def test_underflowing_error_floor_rejected(l, y0):
+    # the absolute floors 1e-12*y0 and that times omega0 round to 0
+    with pytest.raises(InvalidParameters):
+        simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
 
 
 def test_step_budget_enforced(default_traj, monkeypatch):

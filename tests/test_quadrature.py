@@ -15,14 +15,12 @@ from ssp import (
     InvalidParameters,
     Method,
     Oscillation,
-    QuadratureConfig,
     StringParams,
     exact_period,
     period_elliptic,
-    radicand_g,
     rayleigh_period,
-    speed,
 )
+from ssp.quadrature import radicand_g, speed
 from strategies import oscillations
 
 
@@ -86,7 +84,7 @@ def test_speed_even_and_domain_checked(reference_osc):
 
 def test_speed_consistent_with_energy(reference_osc):
     # v(y)^2/2 + Phi(y) = Phi(y0) with Phi the potential part of the energy.
-    from ssp import energy
+    from ssp.model import energy
 
     p = reference_osc.params
     for y in (0.0, 0.2, 0.4):
@@ -312,6 +310,6 @@ def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
     "kwargs",
     [dict(rel_tol=0.0), dict(rel_tol=1.0), dict(rel_tol=-1e-3)],
 )
-def test_invalid_config_rejected(kwargs):
+def test_invalid_config_rejected(reference_osc, kwargs):
     with pytest.raises(InvalidParameters):
-        QuadratureConfig(**kwargs)
+        exact_period(reference_osc, **kwargs)
