@@ -23,7 +23,10 @@ below the linear-limit period by about (y0/l)^2/(8*(l/l0 - 1)) of it. Where
 that distance exceeds the estimate's error plus two ulps of upper, a
 correct estimate must fall below upper. Elsewhere the strict test is the
 slack test: the gap drops under the engines' resolution near y0/l = 4e-9
-at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5.
+at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5. Below the degeneracy threshold
+(y0 < 1e-9*l) the engines return the linear-limit period itself with zero
+error, so the strict side is waived there whatever the secant says: near
+l/l0 = 1 the true gap is still above two ulps at those amplitudes.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ class SandwichReport:
 
     slack absorbs the engine's own error estimate plus a relative margin for
     the non-strict inequalities. strict_upper_ok demands value < upper
-    where the gap below upper is resolvable (see the module docstring) and
-    equals upper_ok elsewhere.
+    where the amplitude is not degenerate and the gap below upper is
+    resolvable (see the module docstring), and equals upper_ok elsewhere.
     """
 
     lower: float
@@ -150,10 +153,14 @@ def check_sandwich(
     lower_ok = value >= lower - slack
     upper_ok = value <= upper + slack
     # the period lies at or below the secant bound, so a correct estimate
-    # may reach upper only where that bound sits within err of it
+    # may reach upper only where that bound sits within err of it; degenerate
+    # amplitudes are reported as the harmonic limit itself
     strict = value < upper or (
         upper_ok
-        and upper - _secant_upper(osc)
-        <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
+        and (
+            osc.is_degenerate
+            or upper - _secant_upper(osc)
+            <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
+        )
     )
     return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok, strict)

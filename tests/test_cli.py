@@ -1,15 +1,10 @@
 """Command-line contract: exit codes, formats, determinism, env overrides."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ssp
 import ssp.cli
 from ssp import ConvergenceFailure, Method, PeriodEstimate
 from ssp.cli import main
@@ -209,17 +204,12 @@ def test_trajectory_rejects_zero_amplitude(capsys):
     assert "error:" in err
 
 
-def test_trajectory_rejects_underflowing_amplitude():
-    env = dict(os.environ, PYTHONPATH=str(Path(ssp.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssp.cli", "trajectory", "--y0", "5e-324", "--periods", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+def test_trajectory_rejects_underflowing_amplitude(capsys):
+    # main maps InvalidParameters to exit 1; a raw ZeroDivisionError would
+    # propagate out of main and fail the test
+    code, _, err = run_cli(capsys, "trajectory", "--y0", "5e-324", "--periods", "1")
+    assert code == 1
+    assert err.startswith("error:")
 
 
 # --- verify ------------------------------------------------------------------
