@@ -68,16 +68,16 @@ def lower_bound_corrected(osc: Oscillation) -> float:
     """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2))."""
     p = osc.params
     y0_sq = osc.y0 * osc.y0
-    stiff = p.linear_stiffness + p.sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))
-    return TWO_PI / math.sqrt(stiff)
+    stiff = p._unit_stiffness + p._unit_sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))
+    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._unit_exp)
 
 
 def lower_bound_printed(osc: Oscillation) -> float:
     """Reported-only variant with sigma*y0^2/(l*l0) in place of the corrected
     stiffness excess. Not dimensionally consistent; never asserted against."""
     p = osc.params
-    stiff = p.linear_stiffness + p.sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
-    return TWO_PI / math.sqrt(stiff)
+    stiff = p._unit_stiffness + p._unit_sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
+    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._unit_exp)
 
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
@@ -134,7 +134,8 @@ def _secant_upper(osc: Oscillation) -> float:
     1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
     """
     p = osc.params
-    return TWO_PI / math.sqrt((2.0 * p.sigma / p.mass) * radicand_g(osc, 0.0))
+    secant = TWO_PI / math.sqrt((2.0 * p._unit_sigma / p.mass) * radicand_g(osc, 0.0))
+    return math.ldexp(secant, -p._unit_exp)
 
 
 # Rounding allowance of the strictness test, in ulps of the upper bound.

@@ -266,5 +266,6 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, rel_tol)
     bracket = (-l) * big_k + ad * big_pi
     integral = 2.0 / math.sqrt(ac * bd) * bracket
-    value = 4.0 * math.sqrt(p.mass * l0 / (2.0 * p.sigma)) * integral
+    value = 4.0 * math.sqrt(p.mass * l0 / (2.0 * p._unit_sigma)) * integral
+    value = math.ldexp(value, -p._unit_exp)
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

@@ -11,7 +11,7 @@ Hookean. All quantities assume one coherent unit system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
 
@@ -35,6 +35,18 @@ class StringParams:
     l: float
     sigma: float
     mass: float
+    # Set once in __post_init__: _unit_sigma = sigma * 4**-_unit_exp lies
+    # within a factor 4 of mass, and _unit_stiffness is linear_stiffness
+    # formed with it in place of sigma. A period is proportional to
+    # sqrt(mass/sigma), so one formed from _unit_sigma is 2**_unit_exp times
+    # that of these parameters, and math.ldexp(period, -_unit_exp) undoes
+    # it. Both scalings are by powers of two and exact: where the formula
+    # with sigma itself stays in the normal range the result keeps its
+    # bits, and where sigma/mass would overflow or underflow the scaled
+    # form does not.
+    _unit_sigma: float = field(init=False, repr=False, compare=False)
+    _unit_stiffness: float = field(init=False, repr=False, compare=False)
+    _unit_exp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("l0", "l", "sigma", "mass"):
@@ -51,6 +63,12 @@ class StringParams:
             raise InvalidParameters(f"sigma must be positive, got {self.sigma!r}")
         if self.mass <= 0.0:
             raise InvalidParameters(f"mass must be positive, got {self.mass!r}")
+        j = (math.frexp(self.sigma)[1] - math.frexp(self.mass)[1]) // 2
+        s = math.ldexp(self.sigma, -2 * j)
+        w = 2.0 * (s * (self.l - self.l0) / self.l0) / (self.mass * self.l)
+        object.__setattr__(self, "_unit_sigma", s)
+        object.__setattr__(self, "_unit_stiffness", w)
+        object.__setattr__(self, "_unit_exp", j)
 
     @property
     def rest_tension(self) -> float:
@@ -114,9 +132,10 @@ def rayleigh_period(p: StringParams) -> float:
     """Period of the linearized (harmonic) motion, 2*pi/sqrt(2T/(m*l)).
 
     Exact in the y0 -> 0 limit and a strict upper bound on the true period
-    for any finite amplitude.
+    for any finite amplitude. Finite also where sigma/mass itself would
+    overflow or underflow a float.
     """
-    return TWO_PI / math.sqrt(p.linear_stiffness)
+    return math.ldexp(TWO_PI / math.sqrt(p._unit_stiffness), -p._unit_exp)
 
 
 def rayleigh_solution(p: StringParams, y0: float, t: float) -> float:

@@ -7,6 +7,12 @@ derivatives already available at both step ends, then polished by bisection.
 Consecutive turning times are half periods; their mean gives the period and
 their spread the error estimate.
 
+The default force is bound once per run as a closure over the string's
+constants, because each step makes six force evaluations and the calls
+through `acceleration` and `vertical_force` cost more than their
+arithmetic; it does the same operations in the same order, so every force
+value is unchanged.
+
 Every accepted step is recorded. The error weights of (y, v) are
 rel_tol * |value| plus an absolute floor of 1e-12 * y_scale for y and the
 same floor times the linear angular frequency for v, where y_scale is the
@@ -28,7 +34,8 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import Oscillation, acceleration, rayleigh_period
+from .model import Oscillation, rayleigh_period
+from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
 
 __all__ = ["SimConfig", "Trajectory", "simulate", "integrate", "measure_period"]
@@ -155,10 +162,26 @@ def _run(
     max_events: int | None = None,
 ) -> Trajectory:
     """Integrate (y, v) from state0 over t_span, stopping early once
-    max_events turning events are recorded. accel None means the model's
-    force law, looked up at call time."""
+    max_events (at least 2) turning events are recorded. accel None means
+    the model's force law, bound once per run.
+
+    A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure. Every t
+    of the run lies between t0 and t_end, so this floor is never below 32
+    ulps of max(|t|, |t_end|). For simulate, which runs from 0 up to its
+    horizon, the two are equal on every step; on spans where |t| falls
+    below |t0|, StepFailure comes in the same cases or earlier.
+    """
     p = osc.params
-    accel = accel if accel is not None else (lambda y: acceleration(p, y))
+    if accel is None:
+        # the operations of vertical_force(p, y) / p.mass, in the same order
+        hypot = math.hypot
+        l, l0, mass = p.l, p.l0, p.mass
+        k = -2.0 * p.sigma
+
+        def accel(y: float) -> float:
+            r = hypot(l, y)
+            return k * ((r - l0) / l0) * (y / r) / mass
+
     t, t_end = t_span
     y, v = state0
     y_scale = max(osc.y0, abs(y))
@@ -168,15 +191,17 @@ def _run(
     abs_v = abs_y * math.sqrt(p.linear_stiffness)
     if abs_y == 0.0 or abs_v == 0.0:
         raise InvalidParameters(
-            f"amplitude {y_scale!r} is too small to simulate: its absolute "
-            "error floor underflows to 0"
+            f"cannot simulate at amplitude {y_scale!r} and omega0^2 = "
+            f"{p.linear_stiffness!r}: an absolute error floor underflows to 0"
         )
 
     direction = 1.0 if t_end >= t else -1.0
     h = direction * min(abs(t_end - t), rayleigh_period(p) / 500.0)
+    h_floor = 32.0 * math.ulp(max(abs(t), abs(t_end)))
     # y' = v, so the y-stage slopes are the stage velocities; only the
     # v-stage slope k1v is carried over from the last stage (FSAL)
     k1v = accel(y)
+    ay, av = abs(y), abs(v)
 
     ts, ys, vs = [t], [y], [v]
     events: list[float] = [t] if v == 0.0 else []
@@ -186,13 +211,11 @@ def _run(
     just_rejected = False
 
     while (t - t_end) * direction < 0.0:
-        if max_events is not None and len(events) >= max_events:
-            break
         if n_acc + n_rej >= _MAX_STEPS:
             raise MaxStepsExceeded(
                 f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
             )
-        if abs(h) < 32.0 * math.ulp(max(abs(t), abs(t_end))):
+        if abs(h) < h_floor:
             raise StepFailure(f"step size underflowed at t = {t!r} (h = {h!r})")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
@@ -220,29 +243,42 @@ def _run(
         err_v = h * (
             _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
         )
-        sc_y = abs_y + rel_tol * max(abs(y), abs(y_new))
-        sc_v = abs_v + rel_tol * max(abs(v), abs(v_new))
+        # |y| and |v| of the step start carry over from the last accepted step
+        ay_new, av_new = abs(y_new), abs(v_new)
+        sc_y = abs_y + rel_tol * (ay_new if ay_new > ay else ay)
+        sc_v = abs_v + rel_tol * (av_new if av_new > av else av)
         err = math.sqrt(0.5 * ((err_y / sc_y) ** 2 + (err_v / sc_v) ** 2))
 
         if err <= 1.0:
             t_new = t + h
             if (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
-                events.append(_locate_turning(t, h, v, k1v, v_new, k7v))
+                event = _locate_turning(t, h, v, k1v, v_new, k7v)
             elif v_new == 0.0:
-                events.append(t_new)
+                event = t_new
+            else:
+                event = None
             n_acc += 1
             t, y, v, k1v = t_new, y_new, v_new, k7v
+            ay, av = ay_new, av_new
             ts.append(t)
             ys.append(y)
             vs.append(v)
+            if event is not None:
+                events.append(event)
+                if len(events) == max_events:
+                    break
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
                 factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
-            if just_rejected:
-                factor = min(factor, 1.0)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-4)
+            if just_rejected and factor > 1.0:
+                factor = 1.0
+            if factor > _MAX_FACTOR:
+                factor = _MAX_FACTOR
+            elif factor < _MIN_FACTOR:
+                factor = _MIN_FACTOR
+            h *= factor
+            err_prev = err if err > 1e-4 else 1e-4
             just_rejected = False
         else:
             n_rej += 1

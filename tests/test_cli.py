@@ -67,6 +67,22 @@ def test_period_at_overflowing_amplitude(capsys):
     assert rows[0]["pass"] == "true"
 
 
+@pytest.mark.parametrize("sigma, mass", [("1e300", "1e-300"), ("1e-300", "1e300")])
+def test_period_at_extreme_sigma_over_mass(capsys, sigma, mass):
+    # sigma/m = 1e600 overflows and 1e-600 underflows: the closed-form engines
+    # and the bounds still hold, the simulation fails cleanly
+    params = ("--sigma", sigma, "--mass", mass, "--format", "csv")
+    for method in ("quadrature", "elliptic"):
+        code, out, _ = run_cli(capsys, "period", *params, "--method", method)
+        assert code == 0
+        assert parse_csv(out)[1][0]["pass"] == "true"
+    code, out, err = run_cli(capsys, "period", *params, "--method", "all")
+    assert code in (1, 2)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error:", "engine failure:"))
+
+
 def _reject_constant(token):
     raise ValueError(f"not a JSON number: {token}")
 

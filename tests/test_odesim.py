@@ -133,6 +133,41 @@ def test_against_scipy_rk45(default_traj):
     assert abs(mine.v[-1] - sol.y[1, -1]) < 1e-6
 
 
+def _same_bytes(a, b):
+    for name in ("t", "y", "v", "e", "events"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+
+
+@pytest.mark.parametrize("rel_amp", [1e-3, 0.4, 40.0])
+def test_default_force_is_the_model_force_bit_for_bit(rel_amp):
+    # sigma and mass are not powers of two, so a reordered force rounds apart
+    p = StringParams(l0=0.9, l=1.3, sigma=2.3, mass=0.7)
+    osc = Oscillation(p, rel_amp * p.l)
+    _same_bytes(simulate(osc), simulate(osc, accel=lambda y: acceleration(osc.params, y)))
+
+
+@pytest.mark.parametrize("n_periods", [1, 3])
+def test_simulate_ends_on_the_step_of_its_last_event(default_traj, n_periods):
+    osc, _ = default_traj
+    traj = simulate(osc, SimConfig(n_periods=n_periods))
+    assert len(traj.events) == 2 * n_periods + 1
+    assert traj.t[-2] < traj.events[-1] <= traj.t[-1]
+
+
+def test_integrate_runs_backward_through_zero(default_traj):
+    # the run crosses t = 0 backward, ends exactly at t_span[1] and records
+    # its turning events without stopping at them
+    osc, _ = default_traj
+    big_p = rayleigh_period(osc.params)
+    traj = integrate(osc, (0.5 * big_p, -0.5 * big_p), (osc.y0, 0.0))
+    assert traj.t[-1] == -0.5 * big_p
+    half = 0.5 * exact_period(osc).value
+    np.testing.assert_allclose(
+        traj.events, 0.5 * big_p - half * np.arange(3), rtol=0.0, atol=1e-8 * big_p
+    )
+
+
 def test_tighter_tolerance_takes_more_steps(default_traj):
     osc, _ = default_traj
     coarse = simulate(osc, SimConfig(rel_tol=1e-6, n_periods=2))

@@ -16,6 +16,8 @@ from ssp import (
     Method,
     Oscillation,
     StringParams,
+    check_sandwich,
+    compute_bounds,
     exact_period,
     period_elliptic,
     rayleigh_period,
@@ -285,9 +287,17 @@ def test_adaptive_quadrature_exactness():
 
 
 def test_period_survives_extreme_sigma_over_mass():
-    # sigma/m = 1e600 overflows; the prefactor is formed as sqrt(m)/sqrt(sigma).
-    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1e300, mass=1e-300), 0.5)
-    np.testing.assert_allclose(exact_period(osc).value, oracle.P_REF * 1e-300, rtol=1e-12)
+    # sigma/m = 1e600 overflows and 1e-600 underflows. exact_period forms its
+    # prefactor as sqrt(m)/sqrt(sigma); the elliptic prefactor and the bounds
+    # scale sigma by a power of four first.
+    for sigma, mass in ((1e300, 1e-300), (1e-300, 1e300)):
+        osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=sigma, mass=mass), 0.5)
+        exact = exact_period(osc)
+        np.testing.assert_allclose(exact.value, oracle.P_REF * mass, rtol=1e-12)
+        bounds = compute_bounds(osc)
+        assert bounds.lower_corrected < exact.value < bounds.upper
+        assert check_sandwich(osc, exact).passed
+        np.testing.assert_allclose(period_elliptic(osc).value, exact.value, rtol=1e-12)
 
 
 def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
