@@ -34,7 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import TWO_PI, Oscillation, StringParams, rayleigh_period
+from .model import (
+    TWO_PI,
+    Oscillation,
+    StringParams,
+    _from_unit_scale,
+    _linear_stiffness,
+    rayleigh_period,
+)
 from .quadrature import PeriodEstimate, radicand_g
 
 __all__ = [
@@ -68,16 +75,20 @@ def lower_bound_corrected(osc: Oscillation) -> float:
     """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2))."""
     p = osc.params
     y0_sq = osc.y0 * osc.y0
-    stiff = p._unit_stiffness + p._unit_sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))
-    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._unit_exp)
+    stiff = p._unit_stiffness + p._unit_sigma * y0_sq / (
+        p._unit_mass * p.l0 * (p.l * p.l)
+    )
+    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 
 def lower_bound_printed(osc: Oscillation) -> float:
     """Reported-only variant with sigma*y0^2/(l*l0) in place of the corrected
     stiffness excess. Not dimensionally consistent; never asserted against."""
     p = osc.params
-    stiff = p._unit_stiffness + p._unit_sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
-    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._unit_exp)
+    # proportional to sigma but not to 1/mass: scale sigma alone
+    lin = _linear_stiffness(p.l0, p.l, p._unit_sigma, p.mass)
+    stiff = lin + p._unit_sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
+    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._sigma_exp)
 
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
@@ -134,8 +145,8 @@ def _secant_upper(osc: Oscillation) -> float:
     1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
     """
     p = osc.params
-    secant = TWO_PI / math.sqrt((2.0 * p._unit_sigma / p.mass) * radicand_g(osc, 0.0))
-    return math.ldexp(secant, -p._unit_exp)
+    stiff = (2.0 * p._unit_sigma / p._unit_mass) * radicand_g(osc, 0.0)
+    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 
 # Rounding allowance of the strictness test, in ulps of the upper bound.

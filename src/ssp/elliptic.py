@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation, rayleigh_period
+from .model import Oscillation, _from_unit_scale, rayleigh_period
 from .quadrature import Method, PeriodEstimate
 from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
 
@@ -266,6 +266,6 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, rel_tol)
     bracket = (-l) * big_k + ad * big_pi
     integral = 2.0 / math.sqrt(ac * bd) * bracket
-    value = 4.0 * math.sqrt(p.mass * l0 / (2.0 * p._unit_sigma)) * integral
-    value = math.ldexp(value, -p._unit_exp)
+    value = 4.0 * math.sqrt(p._unit_mass * l0 / (2.0 * p._unit_sigma)) * integral
+    value = _from_unit_scale(p, value)
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import InvalidParameters
 
@@ -21,7 +22,7 @@ DEGENERACY_THRESHOLD = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringParams:
     """Static parameters of the string-mass system.
 
@@ -35,18 +36,16 @@ class StringParams:
     l: float
     sigma: float
     mass: float
-    # Set once in __post_init__: _unit_sigma = sigma * 4**-_unit_exp lies
-    # within a factor 4 of mass, and _unit_stiffness is linear_stiffness
-    # formed with it in place of sigma. A period is proportional to
-    # sqrt(mass/sigma), so one formed from _unit_sigma is 2**_unit_exp times
-    # that of these parameters, and math.ldexp(period, -_unit_exp) undoes
-    # it. Both scalings are by powers of two and exact: where the formula
-    # with sigma itself stays in the normal range the result keeps its
-    # bits, and where sigma/mass would overflow or underflow the scaled
-    # form does not.
+    # Set once in __post_init__: sigma = _unit_sigma * 4**_sigma_exp and
+    # mass = _unit_mass * 4**_mass_exp with both unit values in [0.5, 2),
+    # and _unit_stiffness is linear_stiffness formed from the unit values.
+    # See _from_unit_scale. The class is slotted so that these cached
+    # fields do not add a per-instance __dict__ to the parameter pools.
     _unit_sigma: float = field(init=False, repr=False, compare=False)
+    _unit_mass: float = field(init=False, repr=False, compare=False)
+    _sigma_exp: int = field(init=False, repr=False, compare=False)
+    _mass_exp: int = field(init=False, repr=False, compare=False)
     _unit_stiffness: float = field(init=False, repr=False, compare=False)
-    _unit_exp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("l0", "l", "sigma", "mass"):
@@ -63,12 +62,14 @@ class StringParams:
             raise InvalidParameters(f"sigma must be positive, got {self.sigma!r}")
         if self.mass <= 0.0:
             raise InvalidParameters(f"mass must be positive, got {self.mass!r}")
-        j = (math.frexp(self.sigma)[1] - math.frexp(self.mass)[1]) // 2
-        s = math.ldexp(self.sigma, -2 * j)
-        w = 2.0 * (s * (self.l - self.l0) / self.l0) / (self.mass * self.l)
+        s, a = _unit_scale(self.sigma)
+        m, b = _unit_scale(self.mass)
         object.__setattr__(self, "_unit_sigma", s)
+        object.__setattr__(self, "_unit_mass", m)
+        object.__setattr__(self, "_sigma_exp", a)
+        object.__setattr__(self, "_mass_exp", b)
+        w = _linear_stiffness(self.l0, self.l, s, m)
         object.__setattr__(self, "_unit_stiffness", w)
-        object.__setattr__(self, "_unit_exp", j)
 
     @property
     def rest_tension(self) -> float:
@@ -78,7 +79,31 @@ class StringParams:
     @property
     def linear_stiffness(self) -> float:
         """Squared angular frequency of the linearized motion, 2T/(m*l)."""
-        return 2.0 * self.rest_tension / (self.mass * self.l)
+        return _linear_stiffness(self.l0, self.l, self.sigma, self.mass)
+
+
+def _linear_stiffness(l0: float, l: float, sigma: float, mass: float) -> float:
+    return 2.0 * (sigma * (l - l0) / l0) / (mass * l)
+
+
+def _unit_scale(x: float) -> tuple[float, int]:
+    """(u, e) with x = u * 4**e and u in [0.5, 2); exact for every x > 0."""
+    e = math.frexp(x)[1] // 2
+    return math.ldexp(x, -2 * e), e
+
+
+def _from_unit_scale(p: StringParams, period: float) -> float:
+    """A period formed with p._unit_sigma and p._unit_mass in place of sigma
+    and mass, in the units of p.
+
+    A period is proportional to sqrt(mass/sigma), so the scaled one is
+    2**(_sigma_exp - _mass_exp) times the true one. All scalings are by
+    powers of two, so where every intermediate of both formulas is a normal
+    float the result keeps its bits. The scaled formula's intermediates
+    depend on the lengths and the amplitude alone, as at sigma = mass = 1,
+    so sigma/mass may overflow or underflow without harm.
+    """
+    return math.ldexp(period, p._mass_exp - p._sigma_exp)
 
 
 @dataclass(frozen=True)
@@ -117,6 +142,21 @@ def acceleration(p: StringParams, y: float) -> float:
     return vertical_force(p, y) / p.mass
 
 
+def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
+    """acceleration(p, .) as a closure over p's constants: the same
+    operations in the same order, so every value keeps its bits, without
+    the two calls and four attribute loads per evaluation."""
+    hypot = math.hypot
+    l, l0, mass = p.l, p.l0, p.mass
+    k = -2.0 * p.sigma
+
+    def accel(y: float) -> float:
+        r = hypot(l, y)
+        return k * ((r - l0) / l0) * (y / r) / mass
+
+    return accel
+
+
 def energy(p: StringParams, y: float, v: float) -> float:
     """Conserved energy per unit mass of the transverse motion.
 
@@ -135,7 +175,7 @@ def rayleigh_period(p: StringParams) -> float:
     for any finite amplitude. Finite also where sigma/mass itself would
     overflow or underflow a float.
     """
-    return math.ldexp(TWO_PI / math.sqrt(p._unit_stiffness), -p._unit_exp)
+    return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness))
 
 
 def rayleigh_solution(p: StringParams, y0: float, t: float) -> float:

@@ -8,10 +8,10 @@ Consecutive turning times are half periods; their mean gives the period and
 their spread the error estimate.
 
 The default force is bound once per run as a closure over the string's
-constants, because each step makes six force evaluations and the calls
-through `acceleration` and `vertical_force` cost more than their
-arithmetic; it does the same operations in the same order, so every force
-value is unchanged.
+constants (model._bound_acceleration), because each step makes six force
+evaluations and the calls through `acceleration` and `vertical_force` cost
+more than their arithmetic; it does the same operations in the same order,
+so every force value is unchanged.
 
 Every accepted step is recorded. The error weights of (y, v) are
 rel_tol * |value| plus an absolute floor of 1e-12 * y_scale for y and the
@@ -34,7 +34,7 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import Oscillation, rayleigh_period
+from .model import Oscillation, _bound_acceleration, rayleigh_period
 from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
 
@@ -173,15 +173,7 @@ def _run(
     """
     p = osc.params
     if accel is None:
-        # the operations of vertical_force(p, y) / p.mass, in the same order
-        hypot = math.hypot
-        l, l0, mass = p.l, p.l0, p.mass
-        k = -2.0 * p.sigma
-
-        def accel(y: float) -> float:
-            r = hypot(l, y)
-            return k * ((r - l0) / l0) * (y / r) / mass
-
+        accel = _bound_acceleration(p)
     t, t_end = t_span
     y, v = state0
     y_scale = max(osc.y0, abs(y))

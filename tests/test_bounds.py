@@ -26,6 +26,7 @@ from ssp.bounds import (
     relative_error_bounds,
     upper_bound,
 )
+from ssp.model import TWO_PI
 from strategies import oscillations
 
 
@@ -208,3 +209,38 @@ def test_bounds_survive_overflowing_amplitude(reference_params):
     assert b.rel_error_bound_corrected == -math.inf
     assert b.rel_error_bound_printed == -math.inf
     assert check_sandwich(osc, exact_period(osc)).passed
+
+
+def _plain_bounds(osc):
+    # the bounds' formulas with sigma and mass themselves, unscaled
+    p, y0_sq = osc.params, osc.y0 * osc.y0
+    lin = p.linear_stiffness
+    return (
+        TWO_PI / math.sqrt(lin + p.sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))),
+        TWO_PI / math.sqrt(lin + p.sigma * y0_sq / (p.l * p.l0)),
+        TWO_PI / math.sqrt(lin),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, y0",
+    [
+        # mass = 1e300: sigma*y0^2 = 1e10 would overflow had sigma been
+        # scaled towards mass rather than towards 1
+        (StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1e300), 1e5),
+        # sigma*(l - l0)/l0 = 1e10 beside mass = 1e300: the same for upper
+        (StringParams(l0=1e-10, l=1.0, sigma=1.0, mass=1e300), 0.5),
+        # mass = 1e-305: sigma*(l - l0) = 1e-15 would fall subnormal had
+        # sigma been scaled towards mass
+        (StringParams(l0=1.0, l=1.0 + 1e-15, sigma=1.0, mass=1e-305), 1e-3),
+    ],
+)
+def test_bounds_keep_the_bits_of_the_plain_formulas(p, y0):
+    osc = Oscillation(p, y0)
+    b = compute_bounds(osc)
+    assert (b.lower_corrected, b.lower_printed, b.upper) == _plain_bounds(osc)
+    assert math.isfinite(b.upper)
+    exact = exact_period(osc)
+    assert b.lower_corrected < exact.value < b.upper
+    assert check_sandwich(osc, exact).passed
+    np.testing.assert_allclose(period_elliptic(osc).value, exact.value, rtol=1e-12)

@@ -289,7 +289,7 @@ def test_adaptive_quadrature_exactness():
 def test_period_survives_extreme_sigma_over_mass():
     # sigma/m = 1e600 overflows and 1e-600 underflows. exact_period forms its
     # prefactor as sqrt(m)/sqrt(sigma); the elliptic prefactor and the bounds
-    # scale sigma by a power of four first.
+    # scale sigma and mass each by a power of four first.
     for sigma, mass in ((1e300, 1e-300), (1e-300, 1e300)):
         osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=sigma, mass=mass), 0.5)
         exact = exact_period(osc)
