@@ -11,9 +11,10 @@ other is a lighter variant kept for reporting because it circulates in that
 form; it is dimensionally inconsistent and is never asserted against.
 
 The corrected bounds confine the relative deviation of the period from its
-linear limit to [-sigma*y0^2 / (4*T*l0*l), 0], which shrinks quadratically
-in the amplitude. Once y0*y0 overflows, the lower bounds read 0 and the
-relative-error bounds -inf: still true, where y0**2 would raise.
+linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
+which shrinks quadratically in the amplitude. Once y0*y0 overflows, the
+lower bounds read 0 and the relative-error bounds -inf: still true, where
+y0**2 would raise.
 
 check_sandwich demands value < upper only where the gap below upper is
 resolvable. The potential is convex in y^2, so its chord through 0 gives a
@@ -23,10 +24,8 @@ below the linear-limit period by about (y0/l)^2/(8*(l/l0 - 1)) of it. Where
 that distance exceeds the estimate's error plus two ulps of upper, a
 correct estimate must fall below upper. Elsewhere the strict test is the
 slack test: the gap drops under the engines' resolution near y0/l = 4e-9
-at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5. Below the degeneracy threshold
-(y0 < 1e-9*l) the engines return the linear-limit period itself with zero
-error, so the strict side is waived there whatever the secant says: near
-l/l0 = 1 the true gap is still above two ulps at those amplitudes.
+at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5, and at y0 = 0 the secant bound
+is the linear-limit period itself.
 """
 
 from __future__ import annotations
@@ -92,9 +91,10 @@ def lower_bound_printed(osc: Oscillation) -> float:
 
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
-    """Bounds on (P - P_lin)/P: within [-sigma*y0^2/(4*T*l0*l), 0]."""
+    """Bounds on (P - P_lin)/P: within [-y0^2/(4*(l-l0)*l), 0], sigma
+    cancelled from -sigma*y0^2/(4*T*l0*l) so that no extreme sigma moves it."""
     p = osc.params
-    low = -p.sigma * (osc.y0 * osc.y0) / (4.0 * p.rest_tension * p.l0 * p.l)
+    low = -(osc.y0 * osc.y0) / (4.0 * (p.l - p.l0) * p.l)
     return low, 0.0
 
 
@@ -121,8 +121,8 @@ class SandwichReport:
 
     slack absorbs the engine's own error estimate plus a relative margin for
     the non-strict inequalities. strict_upper_ok demands value < upper
-    where the amplitude is not degenerate and the gap below upper is
-    resolvable (see the module docstring), and equals upper_ok elsewhere.
+    where the gap below upper is resolvable (see the module docstring), and
+    equals upper_ok elsewhere.
     """
 
     lower: float
@@ -165,14 +165,10 @@ def check_sandwich(
     lower_ok = value >= lower - slack
     upper_ok = value <= upper + slack
     # the period lies at or below the secant bound, so a correct estimate
-    # may reach upper only where that bound sits within err of it; degenerate
-    # amplitudes are reported as the harmonic limit itself
+    # may reach upper only where that bound sits within err of it
     strict = value < upper or (
         upper_ok
-        and (
-            osc.is_degenerate
-            or upper - _secant_upper(osc)
-            <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
-        )
+        and upper - _secant_upper(osc)
+        <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
     )
     return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok, strict)

@@ -131,7 +131,8 @@ def _oscillation(args: argparse.Namespace) -> Oscillation:
 
 
 def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
-    if osc.is_degenerate:
+    # the rest state has no turning point to simulate
+    if osc.y0 == 0.0:
         return PeriodEstimate(rayleigh_period(osc.params), Method.ODE_SIM, 0.0)
     return measure_period(simulate(osc, cfg))
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation, _from_unit_scale, rayleigh_period
+from .model import Oscillation, _from_unit_scale
 from .quadrature import Method, PeriodEstimate
 from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
 
@@ -239,16 +239,13 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     """Exact period via the Carlson-evaluated closed form, for every amplitude.
 
     rel_tol, in (0, 1), is the duplication tolerance of R_F and R_J.
-    Degenerate amplitudes return the linear-limit period, matching the
-    quadrature engine's behavior. Both root orderings go through the same
-    arithmetic; past z0 = 2*l0 + l the modulus parameter k^2 turns negative.
+    Both root orderings go through the same arithmetic; past z0 = 2*l0 + l
+    the modulus parameter k^2 turns negative. At y0 = 0, k^2 = n = 0 and
+    the closed form is the linear-limit period.
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    if osc.is_degenerate:
-        return PeriodEstimate(rayleigh_period(p), Method.ELLIPTIC, 0.0)
-
     l, z0 = to_z_space(osc)
     l0 = p.l0
     # pairwise differences of the roots a=z0, b=l, c=2*l0-z0, d=-l, each

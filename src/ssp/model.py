@@ -16,9 +16,6 @@ from typing import Callable
 
 from .errors import InvalidParameters
 
-# Amplitudes below DEGENERACY_THRESHOLD * l are treated as the linear limit.
-DEGENERACY_THRESHOLD = 1e-9
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -121,10 +118,6 @@ class Oscillation:
         if not math.isfinite(self.y0):
             raise InvalidParameters(f"y0 must be finite, got {self.y0!r}")
         object.__setattr__(self, "y0", abs(self.y0))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.y0 < DEGENERACY_THRESHOLD * self.params.l
 
 
 def tension(p: StringParams, y: float) -> float:

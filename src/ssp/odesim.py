@@ -193,6 +193,11 @@ def _run(
     # y' = v, so the y-stage slopes are the stage velocities; only the
     # v-stage slope k1v is carried over from the last stage (FSAL)
     k1v = accel(y)
+    if not math.isfinite(k1v):
+        raise StepFailure(
+            f"the force per unit mass at y = {y!r} is {k1v!r} "
+            f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
+        )
     ay, av = abs(y), abs(v)
 
     ts, ys, vs = [t], [y], [v]

@@ -10,18 +10,20 @@ The substitution y = l*sinh(s), s = S*sin(psi), S = asinh(y0/l), with psi in
 [0, pi/2], removes the inverse-square-root endpoint singularity and, unlike
 y = y0*sin(theta) alone, keeps the integrand smooth at every amplitude:
 
-    P = 4*sqrt(m/(2*sigma)) * int_0^{pi/2} J(psi) / sqrt(g(l*sinh(s))) dpsi,
-    J = dtheta/dpsi = cosh(s)*cos(a)*sqrt(2*S)*sqrt((x/sinh(x))/sinh(S+s)),
+    P = 4*sqrt(m/(2*sigma)) * int_0^{pi/2} (1 + e^{-2s}) * e^{-x}
+        * sqrt(q(x)*q(S+s)/g(l*sinh(s))) dpsi,   q(u) = u/(1 - e^{-2u}),
 
 where a = pi/4 - psi/2 and x = S - s = 2*S*sin(a)^2 are formed without
-cancellation. The integrand is analytic and even about both ends of
-[0, pi/2], so the trapezoid rule with half-weighted endpoints is the
-trapezoid rule over a whole period, and it converges geometrically: each
-halving of the step roughly squares the error (Trefethen & Weideman, SIAM
-Review 56 (2014) 385-458). At rel_tol = 1e-12 the ladder stops at 4 to 16
-intervals for y0/l <= 1 and at 8 to 64 up to y0/l = 1e8. Beyond, the
-integrand's feature near psi = pi/2 narrows like 1/sqrt(S), and it needs up
-to 256 out to y0/l = 1e306.
+cancellation. Since 1 + sin(psi) = 2*cos(a)^2, S drops out of the Jacobian
+exactly: at y0 = 0 the integrand is 1/sqrt(g(0)), with q(0) = 1/2, and the
+ladder returns the linear-limit period. The integrand is analytic and even
+about both ends of [0, pi/2], so the trapezoid rule with half-weighted
+endpoints is the trapezoid rule over a whole period, and it converges
+geometrically: each halving of the step roughly squares the error
+(Trefethen & Weideman, SIAM Review 56 (2014) 385-458). At rel_tol = 1e-12
+the ladder stops at 4 to 16 intervals for y0/l <= 1 and at 8 to 64 up to
+y0/l = 1e8; beyond, the integrand's feature near psi = pi/2 narrows like
+1/sqrt(S), and it needs up to 256 out to y0/l = 1e306.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation, rayleigh_period
+from .model import Oscillation
 
 __all__ = [
     "Method",
@@ -99,16 +101,21 @@ def speed(osc: Oscillation, y: float) -> float:
     )
 
 
+def _q(u: float) -> float:
+    """u/(1 - exp(-2u)) for u >= 0, with its limit 1/2 at u = 0."""
+    return u / -math.expm1(-2.0 * u) if u > 0.0 else 0.5
+
+
 # The finest level has 2**_TOP intervals on [0, pi/2].
 _TOP = 9
 # Rounding floor of err_estimate: this many ulps of the value per node.
 _ULPS_PER_NODE = 4.0
 
 
-def _node(k: int, n: int) -> tuple[float, float, float]:
-    """(sin(psi), sin(a)^2, cos(a)) at psi = k*pi/(2n), a = pi/4 - psi/2."""
+def _node(k: int, n: int) -> tuple[float, float]:
+    """(sin(psi), sin(a)^2) at psi = k*pi/(2n), a = pi/4 - psi/2."""
     a = 0.25 * math.pi * (n - k) / n
-    return math.sin(0.5 * math.pi * k / n), math.sin(a) ** 2, math.cos(a)
+    return math.sin(0.5 * math.pi * k / n), math.sin(a) ** 2
 
 
 # _NODES[0] holds the two endpoints; _NODES[j] the nodes that level 2**j adds.
@@ -123,7 +130,7 @@ def adaptive_gk(*args, **kwargs):
 
 
 def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
-    """Integral of f(sin(psi), sin(a)^2, cos(a)) over psi in [0, pi/2].
+    """Integral of f(sin(psi), sin(a)^2) over psi in [0, pi/2].
 
     f must be even about both ends. The levels N = 1, 2, 4, ... intervals
     reuse every node. The ladder stops at the first N with |T_N - T_{N/2}| <=
@@ -155,27 +162,24 @@ def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
 def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     """Exact period by the trapezoid ladder on the sinh-substituted integral.
 
-    rel_tol, in (0, 1), is the ladder's relative tolerance. Amplitudes below
-    the degeneracy threshold return the linear-limit period (to which the
-    integral tends continuously) with zero error estimate.
+    rel_tol, in (0, 1), is the ladder's relative tolerance. The same
+    formula covers every amplitude down to y0 = 0, where it gives the
+    linear-limit period.
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    if osc.is_degenerate:
-        return PeriodEstimate(rayleigh_period(p), Method.QUADRATURE, 0.0)
-
     big_s = math.asinh(osc.y0 / p.l)
 
-    def integrand(sin_psi: float, sin2_a: float, cos_a: float) -> float:
-        # J/sqrt(2S)/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written
-        # through exp(-...) and expm1 so that nothing overflows as S grows
+    def integrand(sin_psi: float, sin2_a: float) -> float:
+        # J/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written through
+        # exp(-...) and expm1 so that nothing overflows as S grows
         s = big_s * sin_psi
         x = 2.0 * big_s * sin2_a
-        x_ratio = x / -math.expm1(-2.0 * x) if x > 0.0 else 0.5
-        rad = -math.expm1(-2.0 * (big_s + s)) * radicand_g(osc, p.l * math.sinh(s))
-        return cos_a * (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(x_ratio / rad)
+        q2 = _q(x) * _q(big_s + s)
+        g = radicand_g(osc, p.l * math.sinh(s))
+        return (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(q2 / g)
 
     integral, err = trapezoid_ladder(integrand, rel_tol)
-    pref = 4.0 * math.sqrt(p.mass) / math.sqrt(2.0 * p.sigma) * math.sqrt(2.0 * big_s)
+    pref = 4.0 * math.sqrt(p.mass) / math.sqrt(2.0 * p.sigma)
     return PeriodEstimate(pref * integral, Method.QUADRATURE, pref * err)

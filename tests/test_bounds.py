@@ -69,6 +69,17 @@ def test_relative_error_bounds_reference(reference_osc):
     assert low <= oracle.R_REF <= high
 
 
+def test_relative_error_bound_does_not_depend_on_sigma():
+    # sigma cancels from sigma*y0^2/(4*T*l0*l); a sigma left in overflows to
+    # -inf at sigma = 1e300, y0 = 1e5 and loses bits at subnormal sigma.
+    for y0, expected in ((1.0, -0.8), (1e5, -8e9)):
+        ref = relative_error_bounds(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), y0))
+        assert ref == (expected, 0.0)
+        for sigma in (1e300, 1e-310):
+            osc = Oscillation(StringParams(1.0, 1.25, sigma, 1.0), y0)
+            assert relative_error_bounds(osc) == ref
+
+
 def test_printed_error_variant_computes(reference_osc):
     # Reported for comparison only; its scaling differs from the corrected
     # form, so no ordering against the true deviation is asserted.
@@ -149,13 +160,12 @@ def test_degenerate_amplitude_sandwich(reference_params):
     osc = Oscillation(reference_params, 0.0)
     est = exact_period(osc)
     report = check_sandwich(osc, est)
-    # Period equals both bounds; the strict side is waived in the limit.
+    # Period equals both bounds; at y0 = 0 the secant bound is upper itself.
     assert report.passed
 
 
 # (l, y0) at l0 = sigma = m = 1 where exact_period's value reaches the upper
-# bound: the gap below it is smaller than the estimate's own error, or the
-# amplitude is below the degeneracy threshold and both engines return upper.
+# bound: the gap below it is smaller than the estimate's own error.
 @pytest.mark.parametrize(
     "l, y0",
     [

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, formats, determinism, env overrides."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_period_csv_json_agree(capsys):
         assert repr(float(row[key])) == row[key]
 
 
+def _assert_large_amplitude_limit(period):
+    # At y0/l = 8e199 the period equals its large-amplitude limit
+    # pi*sqrt(2*m*l0/sigma) = pi*sqrt(2) far below one ulp.
+    from ssp import Oscillation, StringParams, exact_period
+
+    est = exact_period(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e200))
+    assert period == est.value
+    assert abs(period - math.pi * math.sqrt(2.0)) <= est.err_estimate
+
+
 def test_period_at_overflowing_amplitude(capsys):
     # y0^2 overflows in the bounds; the command still reports the period.
     code, out, _ = run_cli(
@@ -63,7 +74,7 @@ def test_period_at_overflowing_amplitude(capsys):
     )
     assert code == 0
     _, rows = parse_csv(out)
-    assert rows[0]["period_quadrature"] == "4.442882938158366"
+    _assert_large_amplitude_limit(float(rows[0]["period_quadrature"]))
     assert rows[0]["pass"] == "true"
 
 
@@ -94,7 +105,7 @@ def test_period_json_stays_valid_at_overflowing_amplitude(capsys):
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["R_bound_corrected"] == "-inf"
-    assert payload["period_quadrature"] == 4.442882938158366
+    _assert_large_amplitude_limit(payload["period_quadrature"])
 
 
 def test_period_methods_subset(capsys):
@@ -111,18 +122,33 @@ def test_period_methods_subset(capsys):
 
 
 def test_period_zero_amplitude_reports_harmonic_everywhere(capsys):
+    # The rest state's ode period is the linear limit itself; both closed
+    # forms compute it, elliptic about 1.1e-15 low from R_F's truncation at
+    # its default tolerance.
     code, out, _ = run_cli(
-        capsys, "period", "--y0", "0", "--format", "csv", "--method", "all"
+        capsys, "period", "--y0", "0", "--format", "json", "--method", "all"
     )
     assert code == 0
-    _, rows = parse_csv(out)
-    row = rows[0]
-    assert (
-        row["period_quadrature"]
-        == row["period_elliptic"]
-        == row["period_ode"]
-        == row["upper"]
-    )
+    row = json.loads(out)
+    assert row["period_ode"] == row["upper"]
+    for key in ("period_quadrature", "period_elliptic"):
+        assert abs(row[key] - row["upper"]) <= 2e-15 * row["upper"]
+    assert row["pass"] is True
+
+
+def test_period_at_subnormal_amplitude(capsys):
+    # The closed forms reach y0 = 5e-324; the simulation's absolute error
+    # floors underflow there, and it says so instead of tracing back.
+    for method in ("quadrature", "elliptic"):
+        code, out, _ = run_cli(
+            capsys, "period", "--y0", "5e-324", "--format", "json", "--method", method
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+    code, out, err = run_cli(capsys, "period", "--y0", "5e-324", "--method", "all")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_period_values_match_library(capsys, reference_osc):

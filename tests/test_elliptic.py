@@ -213,10 +213,13 @@ def test_tiny_amplitude_matches_harmonic(reference_params):
 
 
 def test_degenerate_amplitude(reference_params):
-    est = period_elliptic(Oscillation(reference_params, 0.0))
-    assert est.value == rayleigh_period(reference_params)
-    assert est.method is Method.ELLIPTIC
-    assert est.err_estimate == 0.0
+    # k^2 = n = 0 at y0 = 0: the closed form is the harmonic period itself.
+    harmonic = rayleigh_period(reference_params)
+    for y0 in (0.0, 1e-10 * reference_params.l):
+        est = period_elliptic(Oscillation(reference_params, y0))
+        assert est.method is Method.ELLIPTIC
+        assert 0.0 < est.err_estimate
+        assert abs(est.value - harmonic) <= est.err_estimate
 
 
 @settings(max_examples=25)

@@ -146,9 +146,3 @@ def test_negative_amplitude_folded(reference_params):
     assert Oscillation(reference_params, -0.5).y0 == 0.5
     with pytest.raises(InvalidParameters):
         Oscillation(reference_params, math.nan)
-
-
-def test_degeneracy_threshold(reference_params):
-    assert Oscillation(reference_params, 0.0).is_degenerate
-    assert Oscillation(reference_params, 1e-10 * reference_params.l).is_degenerate
-    assert not Oscillation(reference_params, 1e-8 * reference_params.l).is_degenerate

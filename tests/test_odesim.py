@@ -13,6 +13,7 @@ from ssp import (
     Method,
     Oscillation,
     SimConfig,
+    StepFailure,
     StringParams,
     Trajectory,
     check_sandwich,
@@ -187,6 +188,14 @@ def test_underflowing_error_floor_rejected(l, y0):
     # the absolute floors 1e-12*y0 and that times omega0 round to 0
     with pytest.raises(InvalidParameters):
         simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
+
+
+def test_overflowing_force_named():
+    # At sigma/m = 1e600 the force per unit mass overflows at the release
+    # point; the run says so instead of shrinking its step to nothing.
+    osc = Oscillation(StringParams(1.0, 1.25, 1e300, 1e-300), 0.5)
+    with pytest.raises(StepFailure, match=r"force .* is -inf.*sigma = 1e\+300, mass = 1e-300"):
+        simulate(osc)
 
 
 def test_step_budget_enforced(default_traj, monkeypatch):

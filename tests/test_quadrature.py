@@ -142,11 +142,13 @@ def test_period_decreases_with_amplitude(reference_params):
 
 
 def test_degenerate_amplitude_falls_back_to_harmonic(reference_params):
+    # The ladder itself reaches the harmonic limit, with an honest estimate.
+    harmonic = rayleigh_period(reference_params)
     for y0 in (0.0, 1e-10 * reference_params.l):
         est = exact_period(Oscillation(reference_params, y0))
-        assert est.value == rayleigh_period(reference_params)
         assert est.method is Method.QUADRATURE
-        assert est.err_estimate == 0.0
+        assert 0.0 < est.err_estimate
+        assert abs(est.value - harmonic) <= est.err_estimate
 
 
 def test_tiny_amplitude_approaches_harmonic(reference_params):
@@ -267,7 +269,7 @@ def test_one_accidental_agreement_cannot_stop_the_ladder():
     coeffs = np.zeros(13)
     coeffs[[0, 2, 4, 8, 12]] = 1.0, 1.0, 1e-3, 1e-7, -1e-3
 
-    def f(sin_psi, sin2_a, cos_a):
+    def f(sin_psi, sin2_a):
         return float(np.polynomial.chebyshev.chebval(1.0 - 2.0 * sin_psi**2, coeffs))
 
     value, err = ssp.quadrature.trapezoid_ladder(f, 1e-12)
