@@ -142,7 +142,7 @@ def _build_row(
     methods: Sequence[str],
     quad_tol: float,
     sim_cfg: SimConfig,
-    carlson_tol: float,
+    elliptic_tol: float,
 ) -> dict[str, object]:
     """One output record; the quadrature period anchors R and the verdict."""
     p = osc.params
@@ -157,7 +157,7 @@ def _build_row(
     if "quadrature" in methods:
         row["period_quadrature"] = quad.value
     if "elliptic" in methods:
-        row["period_elliptic"] = period_elliptic(osc, carlson_tol).value
+        row["period_elliptic"] = period_elliptic(osc, elliptic_tol).value
     if "ode" in methods:
         row["period_ode"] = _ode_estimate(osc, sim_cfg).value
     bounds = compute_bounds(osc)
@@ -176,7 +176,7 @@ def _selected_methods(raw: str) -> tuple[str, ...]:
 
 
 def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig, float]:
-    """Quadrature tolerance, simulation config and Carlson tolerance."""
+    """Quadrature tolerance, simulation config and elliptic tolerance."""
     tol = _resolve_tol(args.tol, 1e-12)
     sim_tol = max(_resolve_tol(args.tol, 1e-10), 1e-13)
     return tol, SimConfig(rel_tol=sim_tol), min(1e-13, tol)
@@ -184,9 +184,9 @@ def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig, float]:
 
 def cmd_period(args: argparse.Namespace) -> int:
     osc = _oscillation(args)
-    quad_tol, sim_cfg, ctol = _engine_configs(args)
+    quad_tol, sim_cfg, elliptic_tol = _engine_configs(args)
     methods = _selected_methods(args.method)
-    row = _build_row(osc, methods, quad_tol, sim_cfg, ctol)
+    row = _build_row(osc, methods, quad_tol, sim_cfg, elliptic_tol)
     header = list(row.keys())
     if args.format == "csv":
         _write_csv([row], header)
@@ -226,7 +226,7 @@ def _grid(low: float, high: float, points: int, log: bool) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.low is None or args.high is None:
         raise InvalidParameters("sweep needs both --from and --to")
-    quad_tol, sim_cfg, ctol = _engine_configs(args)
+    quad_tol, sim_cfg, elliptic_tol = _engine_configs(args)
     methods = _selected_methods(args.method)
     base = {
         "l0": args.l0,
@@ -243,7 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             StringParams(vals["l0"], vals["l"], vals["sigma"], vals["mass"]),
             vals["y0"],
         )
-        rows.append(_build_row(osc, methods, quad_tol, sim_cfg, ctol))
+        rows.append(_build_row(osc, methods, quad_tol, sim_cfg, elliptic_tol))
     header = list(rows[0].keys())
     if args.format == "json":
         _write_json(rows)

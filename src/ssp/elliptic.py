@@ -16,17 +16,15 @@ integrals (Byrd & Friedman, Handbook of Elliptic Integrals (1971)):
 
 The reduction needs only c < b and d < b, not c > d. Under the standard
 ordering -l < 2*l0 - z0 < l < z0 (z0 < 2*l0 + l) it has 0 <= k^2 < 1.
-Beyond it c < d and k^2 < 0; the Carlson forms below take 1 - k^2 > 1 as
-they stand, so one formula covers every amplitude.
+Beyond it c < d and k^2 < 0, so kc = sqrt(1 - k^2) > 1; cel below takes
+either as it stands, so one formula covers every amplitude.
 
-K and Pi are evaluated through Carlson's symmetric forms
+The bracket is a single generalized complete elliptic integral,
 
-    K(k)     = R_F(0, 1-k^2, 1)
-    Pi(n, k) = R_F(0, 1-k^2, 1) + (n/3)*R_J(0, 1-k^2, 1, 1-n)
+    d*K(k) + (a-d)*Pi(n, k) = cel(kc, 1 - n, a, a - (a-b)/2),
 
-with R_F and R_J computed by the duplication algorithm (Carlson, Numerical
-Algorithms 10 (1995) 13-26). The engine shares no numerical code with the
-quadrature.
+evaluated by Bulirsch's Landen/AGM iteration, which converges
+quadratically. The engine shares no numerical code with the quadrature.
 """
 
 from __future__ import annotations
@@ -44,135 +42,52 @@ __all__ = [
     "to_z_space",
     "quartic_roots",
     "quartic_coefficients",
-    "rc",
-    "rf",
-    "rj",
     "period_elliptic",
 ]
 
-_MAX_DUPLICATIONS = 200
+# Each step of the AGM doubles the digits; kc within 1e+-300 of 1 takes at
+# most 14 steps. An overflowed or NaN input never meets the stop test.
+_MAX_AGM_STEPS = 40
+# the floating-point AGM may settle with its two means one ulp apart
+_CA_FLOOR = 2.0**-51
 
 
-def _rc1(s: float) -> float:
-    """R_C(1, 1 + s) for s > -1, stable as s -> 0.
+def _cel(kc: float, p: float, a: float, b: float, ca: float) -> float:
+    """Bulirsch's generalized complete elliptic integral, for kc > 0, p > 0:
 
-    Both sign branches share the expansion sum((-s)^k / (2k+1)); the inverse
-    trig closed forms lose half the working digits near s = 0 (acos of an
-    argument near 1), so small s switches to the series.
+        cel(kc, p, a, b) = int_0^{pi/2} (a*cos^2 + b*sin^2)
+                           / ((cos^2 + p*sin^2) * sqrt(cos^2 + kc^2*sin^2)).
+
+    The Landen/AGM loop stops once its two means agree to ca, which leaves a
+    relative truncation error of about ca^2/8 (R. Bulirsch, Numer. Math. 13
+    (1969) 305-315; Numerical Recipes, 2nd ed., section 6.11).
     """
-    if s <= -1.0:
-        raise ConvergenceFailure(f"rc domain: second argument {1.0 + s!r} <= 0")
-    if abs(s) < 3e-4:
-        u = -s
-        return 1.0 + u * (
-            1.0 / 3.0 + u * (1.0 / 5.0 + u * (1.0 / 7.0 + u * (1.0 / 9.0)))
-        )
-    if s > 0.0:
-        r = math.sqrt(s)
-        return math.atan(r) / r
-    r = math.sqrt(-s)
-    return math.atanh(r) / r
+    qc = e = kc
+    em = 1.0
+    p = math.sqrt(p)
+    b /= p
+    for _ in range(_MAX_AGM_STEPS):
+        f = a
+        a += b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p += g
+        g = em
+        em += qc
+        if abs(g - qc) <= g * ca:
+            return 0.5 * math.pi * (b + a * em) / (em * (em + p))
+        qc = 2.0 * math.sqrt(e)
+        e = qc * em
+    raise ConvergenceFailure(f"cel AGM did not converge at kc={kc!r}")
 
 
-def rc(x: float, y: float) -> float:
-    """Degenerate case R_C(x, y) = R_F(x, y, y), for x >= 0, y > 0."""
-    if y <= 0.0 or x < 0.0:
-        raise ConvergenceFailure(f"rc domain: x={x!r}, y={y!r}")
-    if x == 0.0:
-        return 0.5 * math.pi / math.sqrt(y)
-    if y < 0.5 * x:
-        # The atanh form amplifies rounding as y/x -> 0; the equivalent log
-        # form stays conditioned.
-        d = math.sqrt(x - y)
-        return math.log((math.sqrt(x) + d) / math.sqrt(y)) / d
-    return _rc1((y - x) / x) / math.sqrt(x)
+# no longer called; perfbench --trace still wraps these names
+def rf(*args, **kwargs):
+    raise NotImplementedError("rf is gone; period_elliptic evaluates one Bulirsch cel")
 
 
-def rf(x: float, y: float, z: float, rtol: float = 1e-13) -> float:
-    """Symmetric elliptic integral of the first kind, duplication algorithm.
-
-    Arguments must be nonnegative with at most one zero. Each duplication
-    quarters the argument spread; the loop stops once the spread is small
-    enough that the fifth-order Taylor tail sits below rtol.
-    """
-    if min(x, y, z) < 0.0 or sorted((x, y, z))[1] == 0.0:
-        raise ConvergenceFailure(f"rf domain: ({x!r}, {y!r}, {z!r})")
-    if x == y == z:
-        return 1.0 / math.sqrt(x)
-    xm, ym, zm = x, y, z
-    a0 = am = (x + y + z) / 3.0
-    q = (3.0 * rtol) ** (-1.0 / 6.0) * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    pow4 = 1.0
-    for _ in range(_MAX_DUPLICATIONS):
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
-        lam = sx * sy + sx * sz + sy * sz
-        am1 = 0.25 * (am + lam)
-        xm, ym, zm = 0.25 * (xm + lam), 0.25 * (ym + lam), 0.25 * (zm + lam)
-        if pow4 * q < abs(am):
-            break
-        am = am1
-        pow4 *= 0.25
-    else:
-        raise ConvergenceFailure("rf duplication exceeded its iteration budget")
-    t = pow4 / am
-    big_x = (a0 - x) * t
-    big_y = (a0 - y) * t
-    big_z = -big_x - big_y
-    e2 = big_x * big_y - big_z * big_z
-    e3 = big_x * big_y * big_z
-    series = 9240.0 - 924.0 * e2 + 385.0 * e2 * e2 + 660.0 * e3 - 630.0 * e2 * e3
-    return series / (9240.0 * math.sqrt(am))
-
-
-def rj(x: float, y: float, z: float, p: float, rtol: float = 1e-13) -> float:
-    """Symmetric elliptic integral of the third kind, duplication algorithm.
-
-    Real case only: x, y, z nonnegative with at most one zero, p positive.
-    """
-    if min(x, y, z) < 0.0 or sorted((x, y, z))[1] == 0.0 or p <= 0.0:
-        raise ConvergenceFailure(f"rj domain: ({x!r}, {y!r}, {z!r}, {p!r})")
-    xm, ym, zm, pm = x, y, z, p
-    a0 = am = (x + y + z + 2.0 * p) / 5.0
-    delta = (p - x) * (p - y) * (p - z)
-    q = (0.25 * rtol) ** (-1.0 / 6.0) * max(
-        abs(a0 - x), abs(a0 - y), abs(a0 - z), abs(a0 - p)
-    )
-    pow4 = 1.0
-    acc = 0.0
-    for _ in range(_MAX_DUPLICATIONS):
-        sx, sy, sz, sp = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm), math.sqrt(pm)
-        lam = sx * sy + sx * sz + sy * sz
-        am1 = 0.25 * (am + lam)
-        xm, ym, zm = 0.25 * (xm + lam), 0.25 * (ym + lam), 0.25 * (zm + lam)
-        pm = 0.25 * (pm + lam)
-        dm = (sp + sx) * (sp + sy) * (sp + sz)
-        em = delta * pow4**3 / (dm * dm)
-        if pow4 * q < abs(am):
-            break
-        acc += pow4 / dm * _rc1(em)
-        pow4 *= 0.25
-        am = am1
-    else:
-        raise ConvergenceFailure("rj duplication exceeded its iteration budget")
-    t = pow4 / am
-    big_x = (a0 - x) * t
-    big_y = (a0 - y) * t
-    big_z = (a0 - z) * t
-    big_p = -0.5 * (big_x + big_y + big_z)
-    e2 = big_x * big_y + big_x * big_z + big_y * big_z - 3.0 * big_p * big_p
-    e3 = big_x * big_y * big_z + 2.0 * e2 * big_p + 4.0 * big_p**3
-    e4 = (2.0 * big_x * big_y * big_z + e2 * big_p + 3.0 * big_p**3) * big_p
-    e5 = big_x * big_y * big_z * big_p * big_p
-    series = (
-        24024.0
-        - 5148.0 * e2
-        + 2457.0 * e2 * e2
-        + 4004.0 * e3
-        - 4158.0 * e2 * e3
-        - 3276.0 * e4
-        + 2772.0 * e5
-    ) / 24024.0
-    return pow4 * am ** (-1.5) * series + 6.0 * acc
+def rj(*args, **kwargs):
+    raise NotImplementedError("rj is gone; period_elliptic evaluates one Bulirsch cel")
 
 
 @dataclass(frozen=True)
@@ -236,33 +151,34 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
 
 
 def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
-    """Exact period via the Carlson-evaluated closed form, for every amplitude.
+    """Exact period via the closed form, one cel call for every amplitude.
 
-    rel_tol, in (0, 1), is the duplication tolerance of R_F and R_J.
-    Both root orderings go through the same arithmetic; past z0 = 2*l0 + l
-    the modulus parameter k^2 turns negative. At y0 = 0, k^2 = n = 0 and
-    the closed form is the linear-limit period.
+    rel_tol, in (0, 1), sets the AGM stop test ca = sqrt(rel_tol), at least
+    2**-51. Both root orderings go through the same arithmetic; past
+    z0 = 2*l0 + l the complementary modulus kc exceeds 1. At y0 = 0,
+    kc = p = 1 and the closed form is the linear-limit period.
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
     l, z0 = to_z_space(osc)
     l0 = p.l0
+    y0 = osc.y0
     # pairwise differences of the roots a=z0, b=l, c=2*l0-z0, d=-l, each
-    # formed without cancellation (dz0 = z0 - l0 via its square gap)
-    dz0 = ((l - l0) * (l + l0) + osc.y0 * osc.y0) / (z0 + l0)
-    ab = osc.y0 * osc.y0 / (z0 + l)
+    # formed without cancellation and without squaring y0
+    dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    ab = y0 * (y0 / (z0 + l))
     ac = 2.0 * dz0
     ad = z0 + l
     bc = dz0 + (l - l0)
     bd = 2.0 * l
 
-    k2c = ad * bc / (ac * bd)  # 1 - k^2, formed directly; > 1 when c < d
-    n = -ab / bd
-    big_k = rf(0.0, k2c, 1.0, rel_tol)
-    big_pi = big_k + (n / 3.0) * rj(0.0, k2c, 1.0, 1.0 - n, rel_tol)
-    bracket = (-l) * big_k + ad * big_pi
-    integral = 2.0 / math.sqrt(ac * bd) * bracket
+    # d*K + (a-d)*Pi = cel(kc, 1 - n, z0, z0 - ab/2) with n = -ab/bd <= 0;
+    # cel is linear in its last two arguments, so z0 is factored out
+    kc = math.sqrt(ad / ac) * math.sqrt(bc / bd)
+    ca = max(math.sqrt(rel_tol), _CA_FLOOR)
+    c = _cel(kc, 1.0 + ab / bd, 1.0, 1.0 - ab / (2.0 * z0), ca)
+    integral = 2.0 * (z0 / math.sqrt(ac)) / math.sqrt(bd) * c
     value = 4.0 * math.sqrt(p._unit_mass * l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

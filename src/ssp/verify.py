@@ -4,8 +4,8 @@ Each check draws parameter sets from wide log-uniform ranges and verifies a
 property that must hold regardless of the numbers drawn: the period sits
 strictly inside its a-priori bounds, the quadrature and elliptic routes
 agree, the period depends on sigma and mass only through their ratio, the
-Carlson kernels obey their homogeneity laws, and the closed-form quartic
-roots match a general-purpose eigenvalue root finder.
+elliptic engine's cel kernel obeys Legendre's relation, and the closed-form
+quartic roots match a general-purpose eigenvalue root finder.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_sandwich
-from .elliptic import period_elliptic, quartic_coefficients, quartic_roots, rf, rj
+from .elliptic import _cel, period_elliptic, quartic_coefficients, quartic_roots
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
 from .quadrature import exact_period
@@ -25,7 +25,7 @@ __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
 
 CROSS_METHOD_TOL = 1e-9
 SCALING_TOL = 1e-12
-HOMOGENEITY_TOL = 1e-12
+LEGENDRE_TOL = 1e-12
 QUARTIC_TOL = 1e-12
 
 
@@ -78,7 +78,7 @@ def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
 
 
 def _check_sandwich_and_cross(
-    oscs: list[Oscillation], rel_tol: float, carlson_tol: float
+    oscs: list[Oscillation], rel_tol: float, elliptic_tol: float
 ) -> tuple[CheckResult, CheckResult]:
     sand_fail = 0
     sand_worst = 0.0
@@ -98,7 +98,7 @@ def _check_sandwich_and_cross(
             viol = max(viol, est.value - rep.upper)
         sand_worst = max(sand_worst, viol / rep.upper)
 
-        ell = period_elliptic(osc, carlson_tol)
+        ell = period_elliptic(osc, elliptic_tol)
         dev = abs(ell.value - est.value) / est.value
         cross_worst = max(cross_worst, dev)
         if dev > CROSS_METHOD_TOL:
@@ -136,20 +136,24 @@ def _check_scaling(
     return CheckResult("sigma-mass-scaling", len(oscs), fail, worst, SCALING_TOL)
 
 
-def _check_homogeneity(rng: np.random.Generator, n: int) -> CheckResult:
+def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
+    """E*K' + E'*K - K*K' = pi/2, with K, E, K', E' each one cel call.
+
+    The relation is symmetric in k and kc, so angles up to pi/4 cover every
+    modulus; k = sin(t) and kc = cos(t) then hold to the rounding level.
+    """
     fail = 0
     worst = 0.0
-    for _ in range(n):
-        x, y, z, p = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 4))
-        k = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
-        dev_f = abs(rf(k * x, k * y, k * z) * math.sqrt(k) - rf(x, y, z)) / rf(x, y, z)
-        base_j = rj(x, y, z, p)
-        dev_j = abs(rj(k * x, k * y, k * z, k * p) * k**1.5 - base_j) / abs(base_j)
-        dev = max(dev_f, dev_j)
+    ca = math.sqrt(1e-13)  # period_elliptic's default stop test
+    for t in np.exp(rng.uniform(math.log(1e-6), math.log(0.25 * math.pi), n)):
+        k, kc = math.sin(t), math.cos(t)
+        big_k, big_kp = _cel(kc, 1.0, 1.0, 1.0, ca), _cel(k, 1.0, 1.0, 1.0, ca)
+        big_e, big_ep = _cel(kc, 1.0, 1.0, kc * kc, ca), _cel(k, 1.0, 1.0, k * k, ca)
+        dev = abs((big_e * big_kp + big_ep * big_k - big_k * big_kp) / (0.5 * math.pi) - 1.0)
         worst = max(worst, dev)
-        if dev > HOMOGENEITY_TOL:
+        if dev > LEGENDRE_TOL:
             fail += 1
-    return CheckResult("carlson-homogeneity", n, fail, worst, HOMOGENEITY_TOL)
+    return CheckResult("legendre-relation", n, fail, worst, LEGENDRE_TOL)
 
 
 def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
@@ -197,9 +201,9 @@ def run_invariant_suite(
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     oscs = _draw_oscillations(rng, samples)
-    carlson_tol = min(1e-13, rel_tol)
-    sandwich, cross = _check_sandwich_and_cross(oscs, rel_tol, carlson_tol)
+    elliptic_tol = min(1e-13, rel_tol)
+    sandwich, cross = _check_sandwich_and_cross(oscs, rel_tol, elliptic_tol)
     scaling = _check_scaling(oscs[: min(50, samples)], rng, rel_tol)
-    homo = _check_homogeneity(rng, 200)
+    legendre = _check_legendre(rng, 200)
     quartic = _check_quartic(rng, 100)
-    return VerifyReport(seed, samples, (sandwich, cross, scaling, homo, quartic))
+    return VerifyReport(seed, samples, (sandwich, cross, scaling, legendre, quartic))

@@ -123,8 +123,7 @@ def test_period_methods_subset(capsys):
 
 def test_period_zero_amplitude_reports_harmonic_everywhere(capsys):
     # The rest state's ode period is the linear limit itself; both closed
-    # forms compute it, elliptic about 1.1e-15 low from R_F's truncation at
-    # its default tolerance.
+    # forms compute it to within an ulp or two.
     code, out, _ = run_cli(
         capsys, "period", "--y0", "0", "--format", "json", "--method", "all"
     )

@@ -1,8 +1,9 @@
-"""Carlson symmetric integrals and the closed-form period built on them."""
+"""Bulirsch's cel and the closed-form period built on it."""
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -20,83 +21,67 @@ from ssp import (
     period_elliptic,
     rayleigh_period,
 )
-from ssp.elliptic import quartic_coefficients, quartic_roots, rc, rf, rj, to_z_space
+from ssp.elliptic import _cel, quartic_coefficients, quartic_roots, to_z_space
 from strategies import oscillations, positive_scale
 
-carlson_args = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+CA = math.sqrt(1e-13)  # period_elliptic's default stop test
+# it leaves a truncation error of at most about CA^2/8, plus rounding
+CEL_RTOL = 2e-14
+# k^2 over (-1e3, 1): kc from about 31.6 down to 1e-8, both sides of kc = 1
+modulus_parameter = st.floats(-1e3, 1.0, exclude_max=True)
+cel_args = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
 
-# --- Carlson integrals ------------------------------------------------------
+# --- Bulirsch's generalized complete elliptic integral ----------------------
 
 
-def test_rc_special_values():
-    np.testing.assert_allclose(rc(4.0, 4.0), 0.5, rtol=1e-15)
-    np.testing.assert_allclose(rc(0.0, 9.0), math.pi / 6.0, rtol=1e-15)
+def test_cel_special_values():
+    assert _cel(1.0, 1.0, 1.0, 1.0, CA) == 0.5 * math.pi
+    # lemniscate case: K(1/sqrt(2)) = Gamma(1/4)^2 / (4*sqrt(pi))
+    kc = math.sqrt(0.5)
+    np.testing.assert_allclose(_cel(kc, 1.0, 1.0, 1.0, CA), 1.8540746773013719, rtol=1e-15)
+    # Legendre's relation at k = kc: 2*E*K - K^2 = pi/2
+    big_k, big_e = _cel(kc, 1.0, 1.0, 1.0, CA), _cel(kc, 1.0, 1.0, 0.5, CA)
+    np.testing.assert_allclose(2.0 * big_e * big_k - big_k * big_k, 0.5 * math.pi, rtol=1e-15)
 
 
-@given(carlson_args, carlson_args)
-def test_rc_matches_scipy(x, y):
-    np.testing.assert_allclose(rc(x, y), scipy.special.elliprc(x, y), rtol=5e-14)
+@given(modulus_parameter)
+def test_cel_first_and_second_kind_match_scipy(m):
+    # K(k) = cel(kc, 1, 1, 1) and E(k) = cel(kc, 1, 1, kc^2), kc^2 = 1 - m;
+    # ellipkm1 takes 1 - m itself, so K keeps its digits as kc -> 0
+    p = 1.0 - m
+    kc = math.sqrt(p)
+    np.testing.assert_allclose(_cel(kc, 1.0, 1.0, 1.0, CA), scipy.special.ellipkm1(p), rtol=CEL_RTOL)
+    np.testing.assert_allclose(_cel(kc, 1.0, 1.0, p, CA), scipy.special.ellipe(m), rtol=CEL_RTOL)
 
 
-def test_rc_near_equal_arguments_full_precision():
-    # y -> x is the regime the duplication loop feeds; closed forms lose
-    # half their digits there, the series must not.
-    for em in (1e-3, 1e-6, 1e-10, 1e-14, -1e-3, -1e-10):
-        got = rc(1.0, 1.0 + em)
-        want = float(scipy.special.elliprc(1.0, 1.0 + em))
-        np.testing.assert_allclose(got, want, rtol=5e-15)
+@given(modulus_parameter, st.floats(-1e3, 0.99))
+def test_cel_third_kind_matches_mpmath(m, n):
+    # Pi(n, k) = cel(kc, 1 - n, 1, 1), with mpmath's sign convention 1 - n*sin^2
+    p = 1.0 - m
+    with mpmath.workdps(30):
+        want = float(mpmath.ellippi(n, 1 - mpmath.mpf(p)))
+    np.testing.assert_allclose(_cel(math.sqrt(p), 1.0 - n, 1.0, 1.0, CA), want, rtol=CEL_RTOL)
 
 
-def test_rf_special_values():
-    np.testing.assert_allclose(rf(2.0, 2.0, 2.0), 1.0 / math.sqrt(2.0), rtol=1e-15)
-    # Degenerate first argument reduces to the rc case.
-    np.testing.assert_allclose(rf(0.0, 4.0, 4.0), rc(0.0, 4.0), rtol=1e-14)
-    # Classical lemniscate constant: 2*RF(0,1,2) = 2.62205755429212...
-    np.testing.assert_allclose(2.0 * rf(0.0, 1.0, 2.0), 2.6220575542921198, rtol=1e-14)
+@given(cel_args, cel_args, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), positive_scale)
+def test_cel_is_linear_in_a_and_b(kc, p, a, b, s):
+    # period_elliptic factors z0 out of both numerator coefficients
+    whole = _cel(kc, p, a * s, b * s, CA)
+    parts = s * (_cel(kc, p, a, 0.0, CA) + _cel(kc, p, 0.0, b, CA))
+    scale = s * (abs(a) + abs(b)) * _cel(kc, p, 1.0, 1.0, CA)
+    assert abs(whole - parts) <= 1e-14 * scale
 
 
-@given(carlson_args, carlson_args, carlson_args)
-def test_rf_matches_scipy(x, y, z):
-    np.testing.assert_allclose(rf(x, y, z), scipy.special.elliprf(x, y, z), rtol=5e-14)
-
-
-@given(carlson_args, carlson_args, carlson_args, carlson_args)
-def test_rj_matches_scipy(x, y, z, p):
-    np.testing.assert_allclose(
-        rj(x, y, z, p), scipy.special.elliprj(x, y, z, p), rtol=5e-13
-    )
-
-
-def test_rj_special_value():
-    np.testing.assert_allclose(rj(3.0, 3.0, 3.0, 3.0), 3.0**-1.5, rtol=1e-14)
-
-
-@given(carlson_args, carlson_args, carlson_args, positive_scale)
-def test_rf_homogeneity(x, y, z, k):
-    np.testing.assert_allclose(
-        rf(k * x, k * y, k * z) * math.sqrt(k), rf(x, y, z), rtol=1e-12
-    )
-
-
-@given(carlson_args, carlson_args, carlson_args, carlson_args, positive_scale)
-def test_rj_homogeneity(x, y, z, p, k):
-    np.testing.assert_allclose(
-        rj(k * x, k * y, k * z, k * p) * k**1.5, rj(x, y, z, p), rtol=1e-12
-    )
-
-
-def test_carlson_domain_errors():
+def test_cel_failure_is_a_clean_error():
+    # an overflowed or NaN kc never meets the stop test
     with pytest.raises(ConvergenceFailure):
-        rf(-1.0, 1.0, 1.0)
+        _cel(0.0, 1.0, 1.0, 1.0, CA)
     with pytest.raises(ConvergenceFailure):
-        rf(0.0, 0.0, 1.0)
+        _cel(math.nan, 1.0, 1.0, 1.0, CA)
+    # at y0 = 1e308 the root difference 2*(z0 - l0) overflows
     with pytest.raises(ConvergenceFailure):
-        rj(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ConvergenceFailure):
-        rj(1.0, 1.0, 1.0, -2.0)
-    with pytest.raises(ConvergenceFailure):
-        rc(1.0, 0.0)
+        period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e308))
 
 
 # --- change of variables and the root structure -----------------------------
@@ -233,8 +218,8 @@ def test_period_invariant_under_joint_rescaling(osc, c):
 
 
 def _huge_amplitude_osc():
-    # y0^2 >= 4*l0*(l0 + l) pushes the outer turning point past the third
-    # root's mirror and breaks the descending-order reduction.
+    # y0^2 >= 4*l0*(l0 + l) drops the root 2*l0 - z0 below -l: the
+    # non-standard ordering, where k^2 < 0 and kc > 1.
     p = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0)
     return Oscillation(p, 3.1)
 
@@ -261,3 +246,32 @@ def test_tolerance_validation(reference_osc):
         period_elliptic(reference_osc, rel_tol=0.0)
     with pytest.raises(InvalidParameters):
         period_elliptic(reference_osc, rel_tol=1.0)
+
+
+ORACLE_CELLS = [
+    ((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF),
+    (oracle.ANHARMONIC_PARAMS, oracle.P_ANHARMONIC),
+    *oracle.NONSTANDARD_PERIODS,
+]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize("cell, period", ORACLE_CELLS)
+def test_error_estimate_covers_oracle(cell, period, rel_tol):
+    l0, l, sigma, mass, y0 = cell
+    est = period_elliptic(Oscillation(StringParams(l0, l, sigma, mass), y0), rel_tol)
+    assert abs(est.value - period) <= est.err_estimate
+
+
+def test_tiny_tolerance_still_terminates(reference_osc):
+    # below ca = 2**-51 the AGM's two means may stay one ulp apart
+    est = period_elliptic(reference_osc, rel_tol=1e-300)
+    assert abs(est.value - oracle.P_REF) <= est.err_estimate
+
+
+@pytest.mark.parametrize("y0", [1e160, 1e200, 1e300])
+def test_huge_amplitude_limit(y0):
+    # as y0 -> inf the period tends to pi*sqrt(2*m*l0/sigma)
+    est = period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), y0))
+    assert math.isfinite(est.value)
+    assert abs(est.value - math.pi * math.sqrt(2.0)) <= est.err_estimate

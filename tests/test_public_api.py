@@ -19,8 +19,7 @@ MODULE_ONLY = {
     "ssp.model": ["acceleration", "energy", "tension", "vertical_force", "rayleigh_solution"],
     "ssp.quadrature": ["radicand_g", "speed"],
     "ssp.elliptic": [
-        "QuarticRoots", "quartic_roots", "quartic_coefficients",
-        "rc", "rf", "rj", "to_z_space",
+        "QuarticRoots", "quartic_roots", "quartic_coefficients", "to_z_space",
     ],
     "ssp.bounds": [
         "upper_bound", "lower_bound_corrected", "lower_bound_printed",
@@ -38,7 +37,7 @@ def test_all_is_the_supported_surface():
 
 def test_module_only_names_import_from_their_modules():
     names = [n for group in MODULE_ONLY.values() for n in group]
-    assert len(names) == 19
+    assert len(names) == 16
     for module, group in MODULE_ONLY.items():
         mod = importlib.import_module(module)
         for name in group:
