@@ -17,6 +17,8 @@ from typing import Callable
 from .errors import InvalidParameters
 
 TWO_PI = 2.0 * math.pi
+# the smallest positive (subnormal) float, 5e-324
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,9 +128,18 @@ def tension(p: StringParams, y: float) -> float:
 
 
 def vertical_force(p: StringParams, y: float) -> float:
-    """Net transverse force on the mass (both halves), restoring for y != 0."""
+    """Net transverse force on the mass (both halves), restoring for y != 0.
+
+    y is the last factor, so a subnormal y is not lost to an underflowing
+    y / r. Where the exact force is below half the smallest subnormal it
+    rounds to 0; it is then returned as that subnormal, signed against y,
+    so the force keeps its direction.
+    """
     r = math.hypot(p.l, y)
-    return -2.0 * p.sigma * ((r - p.l0) / p.l0) * (y / r)
+    f = -2.0 * p.sigma / p.l0 * ((r - p.l0) / r) * y
+    if f == 0.0 and y != 0.0:
+        return -math.copysign(_TINY, y)
+    return f
 
 
 def acceleration(p: StringParams, y: float) -> float:
@@ -139,13 +150,16 @@ def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
     """acceleration(p, .) as a closure over p's constants: the same
     operations in the same order, so every value keeps its bits, without
     the two calls and four attribute loads per evaluation."""
-    hypot = math.hypot
+    hypot, copysign = math.hypot, math.copysign
     l, l0, mass = p.l, p.l0, p.mass
-    k = -2.0 * p.sigma
+    k = -2.0 * p.sigma / l0
 
     def accel(y: float) -> float:
         r = hypot(l, y)
-        return k * ((r - l0) / l0) * (y / r) / mass
+        f = k * ((r - l0) / r) * y
+        if f == 0.0 and y != 0.0:
+            f = -copysign(_TINY, y)
+        return f / mass
 
     return accel
 
