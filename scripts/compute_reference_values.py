@@ -212,6 +212,13 @@ def main():
     print(f"{'Simpson (f64)':<28s} {ps!r}")
     show("legendre rel dev", abs(pl - pt) / pt)
 
+    print("\n== near-l0 cell (l = 1 + 1e-12, y0 = 2e-9, the float inputs exactly) ==")
+    kw = dict(l0=mp.mpf(1), l=mp.mpf(1.0 + 1e-12), sigma=mp.mpf(1), mass=mp.mpf(1))
+    y0c = mp.mpf(2e-9)
+    pt = period_theta_mp(y0=y0c, **kw)
+    show("theta-form", pt, 30)
+    show("legendre rel dev", abs(period_legendre_mp(y0=y0c, **kw) - pt) / pt)
+
     print("\n== non-standard root ordering (oracle.NONSTANDARD_PERIODS) ==")
     for cell, p, dev in nonstandard_periods():
         print(f"    ({cell!r}, {float(p)!r}),  # {mp.nstr(p, 30)}, legendre rel dev {mp.nstr(dev, 3)}")

@@ -130,13 +130,16 @@ def tension(p: StringParams, y: float) -> float:
 def vertical_force(p: StringParams, y: float) -> float:
     """Net transverse force on the mass (both halves), restoring for y != 0.
 
-    y is the last factor, so a subnormal y is not lost to an underflowing
-    y / r. Where the exact force is below half the smallest subnormal it
-    rounds to 0; it is then returned as that subnormal, signed against y,
-    so the force keeps its direction.
+    The stretch r - l0 is formed as (l-l0)*(l+l0)/(r+l0) + y*(y/(r+l0)),
+    the form radicand_g uses, which does not cancel near l = l0 as
+    hypot(l, y) - l0 does. y is the last factor, so a subnormal y is not
+    lost to an underflowing y / r. Where the exact force is below half the
+    smallest subnormal it rounds to 0; it is then returned as that
+    subnormal, signed against y, so the force keeps its direction.
     """
     r = math.hypot(p.l, y)
-    f = -2.0 * p.sigma / p.l0 * ((r - p.l0) / r) * y
+    s = r + p.l0
+    f = -2.0 * p.sigma / p.l0 * (((p.l - p.l0) * (p.l + p.l0) / s + y * (y / s)) / r) * y
     if f == 0.0 and y != 0.0:
         return -math.copysign(_TINY, y)
     return f
@@ -147,16 +150,20 @@ def acceleration(p: StringParams, y: float) -> float:
 
 
 def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
-    """acceleration(p, .) as a closure over p's constants: the same
-    operations in the same order, so every value keeps its bits, without
-    the two calls and four attribute loads per evaluation."""
+    """acceleration(p, .) with p._unit_sigma and p._unit_mass in place of
+    sigma and mass, as a closure over p's constants, without the two calls
+    and four attribute loads per evaluation. It does the same operations in
+    the same order, so where no intermediate is subnormal each value is
+    acceleration(p, y) times 4**(_mass_exp - _sigma_exp), exactly."""
     hypot, copysign = math.hypot, math.copysign
-    l, l0, mass = p.l, p.l0, p.mass
-    k = -2.0 * p.sigma / l0
+    l, l0, mass = p.l, p.l0, p._unit_mass
+    k = -2.0 * p._unit_sigma / l0
+    gap = (l - l0) * (l + l0)
 
     def accel(y: float) -> float:
         r = hypot(l, y)
-        f = k * ((r - l0) / r) * y
+        s = r + l0
+        f = k * ((gap / s + y * (y / s)) / r) * y
         if f == 0.0 and y != 0.0:
             f = -copysign(_TINY, y)
         return f / mass

@@ -4,14 +4,20 @@ A Dormand-Prince 5(4) embedded pair (FSAL) integrates (y, v) with
 proportional-integral step-size control. Turning points (v = 0) are located
 inside accepted steps by cubic Hermite interpolation of v, using the stage
 derivatives already available at both step ends, then polished by bisection.
-Consecutive turning times are half periods; their mean gives the period and
-their spread the error estimate.
+Consecutive turning times are half periods, so the span from the first to the
+last turning time over the number of periods between them gives the period.
+Its error estimate is the sum of the embedded local error estimates of the
+accepted steps, relative to the amplitude, read as a phase error (see
+measure_period).
 
-The default force is bound once per run as a closure over the string's
-constants (model._bound_acceleration), because each step makes six force
-evaluations and the calls through `acceleration` and `vertical_force` cost
-more than their arithmetic; it does the same operations in the same order,
-so every force value is unchanged.
+The run is in unit time, in which sigma and mass are replaced by their
+unit-scaled values (model._from_unit_scale), so sigma/mass may lie outside
+the float range. The default force is bound once per run as a closure over
+the string's constants (model._bound_acceleration), because each step makes
+six force evaluations and the calls through `acceleration` and
+`vertical_force` cost more than their arithmetic; it does the same
+operations in the same order, so every force value is the model's, scaled
+by a power of two.
 
 Every accepted step is recorded. The error weights of (y, v) are
 rel_tol * |value| plus an absolute floor of 1e-12 * y_scale for y and the
@@ -34,7 +40,7 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import Oscillation, _bound_acceleration, rayleigh_period
+from .model import TWO_PI, Oscillation, _bound_acceleration, rayleigh_period
 from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
 
@@ -89,10 +95,14 @@ _MAX_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Relative step tolerance and run length of `simulate`."""
+    """Relative step tolerance and run length of `simulate`.
+
+    The default run is one period. A longer run reads the same period, to
+    within its error estimate, at proportionally more steps.
+    """
 
     rel_tol: float = 1e-10
-    n_periods: int = 10
+    n_periods: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1e-2):
@@ -108,7 +118,10 @@ class Trajectory:
     t, y, v are the sample times, displacements, and velocities, one sample
     per accepted step plus the initial state; e holds the conserved energy of
     the full nonlinear model at each sample (meaningful when the acceleration
-    was not overridden). events are the turning times.
+    was not overridden), +-inf where it is beyond the float range. events
+    are the turning times. local_err is the sum over accepted steps of the
+    embedded local error estimates |err_y| + |err_v|/omega0, relative to the
+    displacement scale (see measure_period).
     """
 
     t: np.ndarray
@@ -118,6 +131,7 @@ class Trajectory:
     events: np.ndarray
     n_accepted: int
     n_rejected: int
+    local_err: float
 
 
 def _hermite_v(s: float, h: float, v0: float, a0: float, v1: float, a1: float) -> float:
@@ -170,25 +184,41 @@ def _run(
     ulps of max(|t|, |t_end|). For simulate, which runs from 0 up to its
     horizon, the two are equal on every step; on spans where |t| falls
     below |t0|, StepFailure comes in the same cases or earlier.
+
+    The run is in unit time tau = t * 2**-shift, shift = _mass_exp -
+    _sigma_exp, where the force has p._unit_sigma and p._unit_mass in place
+    of sigma and mass (see model._from_unit_scale): velocities are scaled by
+    2**shift and accelerations by 4**shift on the way in, and times,
+    velocities and energies back on the way out. Every scaling is by a power
+    of two, so where no intermediate is subnormal the run keeps its bits,
+    and sigma/mass may overflow or underflow a float.
     """
     p = osc.params
+    shift = p._mass_exp - p._sigma_exp
     if accel is None:
         accel = _bound_acceleration(p)
-    t, t_end = t_span
-    y, v = state0
+    else:
+        physical = accel
+
+        def accel(y: float) -> float:
+            return math.ldexp(physical(y), 2 * shift)
+
+    t, t_end = math.ldexp(t_span[0], -shift), math.ldexp(t_span[1], -shift)
+    y, v = state0[0], math.ldexp(state0[1], shift)
     y_scale = max(osc.y0, abs(y))
     if y_scale == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude or displacement")
+    omega0 = math.sqrt(p._unit_stiffness)
     abs_y = _ABS_FLOOR * y_scale
-    abs_v = abs_y * math.sqrt(p.linear_stiffness)
+    abs_v = abs_y * omega0
     if abs_y == 0.0 or abs_v == 0.0:
         raise InvalidParameters(
-            f"cannot simulate at amplitude {y_scale!r} and omega0^2 = "
-            f"{p.linear_stiffness!r}: an absolute error floor underflows to 0"
+            f"cannot simulate at amplitude {y_scale!r} with l0 = {p.l0!r}, "
+            f"l = {p.l!r}: an absolute error floor underflows to 0"
         )
 
     direction = 1.0 if t_end >= t else -1.0
-    h = direction * min(abs(t_end - t), rayleigh_period(p) / 500.0)
+    h = direction * min(abs(t_end - t), TWO_PI / omega0 / 500.0)
     h_floor = 32.0 * math.ulp(max(abs(t), abs(t_end)))
     # y' = v, so the y-stage slopes are the stage velocities; only the
     # v-stage slope k1v is carried over from the last stage (FSAL)
@@ -201,6 +231,7 @@ def _run(
     ay, av = abs(y), abs(v)
 
     ts, ys, vs = [t], [y], [v]
+    local = 0.0
     events: list[float] = [t] if v == 0.0 else []
     err_prev = 1e-4
     n_acc = 0
@@ -255,6 +286,7 @@ def _run(
             else:
                 event = None
             n_acc += 1
+            local += abs(err_y) + abs(err_v) / omega0
             t, y, v, k1v = t_new, y_new, v_new, k7v
             ay, av = ay_new, av_new
             ts.append(t)
@@ -283,13 +315,15 @@ def _run(
             just_rejected = True
 
     ya, va = np.asarray(ys), np.asarray(vs)
-    e = 0.5 * va * va + (2.0 * p.sigma / p.mass) * (
+    e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
         ya * ya / (2.0 * p.l0) - np.hypot(p.l, ya)
     )
-    arrays = (np.asarray(ts), ya, va, e, np.asarray(events))
+    with np.errstate(over="ignore"):
+        e = np.ldexp(e, -2 * shift)
+    arrays = (np.ldexp(ts, shift), ya, np.ldexp(va, -shift), e, np.ldexp(events, shift))
     for a in arrays:
         a.flags.writeable = False
-    return Trajectory(*arrays, n_acc, n_rej)
+    return Trajectory(*arrays, n_acc, n_rej, local / y_scale)
 
 
 def simulate(
@@ -300,7 +334,8 @@ def simulate(
     """Release from rest at y0 and integrate until n_periods have elapsed.
 
     Each period contributes two turning events; the run stops once
-    2*n_periods events follow the initial one. The true period never exceeds
+    2*n_periods events follow the initial one, so the default run ends at
+    the third event (t = 0, P/2, P). The true period never exceeds
     the linear-limit period, so the time horizon (n_periods + 2) linear
     periods always suffices. `accel` overrides the force law (test hook for
     the linearized system); it must map y to d2y/dt2.
@@ -329,17 +364,27 @@ def integrate(
 
 
 def measure_period(traj: Trajectory) -> PeriodEstimate:
-    """Period from turning events: twice the mean gap, spread as the error.
+    """Period from turning events: the time from the first to the last
+    over the number of periods between them, n_periods = (events.size - 1)/2.
+    Needs at least three events (one full period).
 
-    Needs at least three events (two gaps) so the spread is defined.
+    The error estimate is value * local_err / n_periods. local_err sums the
+    embedded estimates |err_y| + |err_v|/omega0 of the accepted steps,
+    relative to the displacement scale: local errors of the fourth-order
+    solution, which exceed those of the fifth-order one that is carried
+    forward. Over a period an oscillator carries a state error forward by an
+    O(1) factor, and a relative state error e moves the phase by about e
+    radians, e/(2*pi) of a period, so the estimate covers the accumulated
+    phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).
+    omega0, the linear angular frequency, is the smallest of the motion, so
+    the estimate is looser the further the period falls below the linear
+    one.
     """
-    if traj.events.size < 3:
+    events = traj.events
+    if events.size < 3:
         raise InsufficientEvents(
-            f"need >= 3 turning events to estimate a period, got {traj.events.size}"
+            f"need >= 3 turning events to estimate a period, got {events.size}"
         )
-    gaps = np.diff(traj.events)
-    return PeriodEstimate(
-        2.0 * float(np.mean(gaps)),
-        Method.ODE_SIM,
-        float(np.std(gaps, ddof=1)),
-    )
+    n_periods = 0.5 * (events.size - 1)
+    value = float(events[-1] - events[0]) / n_periods
+    return PeriodEstimate(value, Method.ODE_SIM, value * traj.local_err / n_periods)

@@ -8,6 +8,8 @@ output against them instead of trusting the code being tested.
 
 import math
 
+import mpmath
+
 # Reference configuration: l0=1, l=1.25, sigma=1, mass=1, y0=0.5.
 P_REF = 9.005336275721726          # exact period, 9.00533627572172675538723387156...
 RAYLEIGH_REF = 9.934588265796101   # harmonic period 2*pi/sqrt(0.4)
@@ -53,6 +55,12 @@ NONSTANDARD_PERIODS = [
 ]
 QUADRATURE_DEFECT_CELLS = NONSTANDARD_PERIODS[-2:]
 
+# A string stretched by 1e-12 of its length: l0=1, l=1+1e-12 (the float),
+# sigma=1, mass=1, y0=2e-9, from the "near-l0 cell" line of
+# scripts/compute_reference_values.py. hypot(l, y) - l0 cancels here.
+NEAR_L0_PARAMS = (1.0, 1.0 + 1e-12, 1.0, 1.0, 2e-9)
+P_NEAR_L0 = 4442682.132172986  # 4442682.13217298589114907992585
+
 
 def g_plain(l0, l, y, y0):
     """Textbook form of the period-integrand factor, no cancellation care."""
@@ -95,3 +103,17 @@ def rayleigh_plain(l0, l, sigma, mass):
 
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def period_mp(l0, l, sigma, mass, y0):
+    """4*sqrt(m/(2*sigma)) * int_0^{pi/2} dtheta / sqrt(g(y0*sin(theta))),
+    at 40 digits from the floats' exact values."""
+    with mpmath.workdps(40):
+        l0, l, sigma, mass, y0 = map(mpmath.mpf, (l0, l, sigma, mass, y0))
+        z0 = mpmath.sqrt(l * l + y0 * y0)
+
+        def f(theta):
+            y = y0 * mpmath.sin(theta)
+            return 1 / mpmath.sqrt(1 / l0 - 2 / (mpmath.sqrt(l * l + y * y) + z0))
+
+        return float(4 * mpmath.sqrt(mass / (2 * sigma)) * mpmath.quad(f, [0, mpmath.pi / 2]))

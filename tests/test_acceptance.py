@@ -157,10 +157,10 @@ def test_criterion_5_quartic_roots_vs_eigensolver():
 def test_criterion_6_simulation_quality_defaults():
     # At default tolerances over 10 periods: relative energy drift < 1e-8
     # and half-period gap scatter below 1e-7 of the period.
-    traj = simulate(Oscillation(REFERENCE, 0.5))
+    traj = simulate(Oscillation(REFERENCE, 0.5), SimConfig(n_periods=10))
     drift = float(np.max(np.abs(traj.e - traj.e[0])) / abs(traj.e[0]))
     est = measure_period(traj)
-    scatter = est.err_estimate / est.value
+    scatter = float(np.std(np.diff(traj.events), ddof=1)) / est.value
     ok = drift < 1e-8 and scatter < 1e-7
     _report(6, ok, f"energy drift {drift:.2e} (tol 1e-8), gap scatter {scatter:.2e} (tol 1e-7)")
     assert ok

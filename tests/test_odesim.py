@@ -1,5 +1,7 @@
 """Adaptive Dormand-Prince simulation with turning-point events."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -29,7 +31,7 @@ from ssp.model import acceleration
 @pytest.fixture(scope="module")
 def default_traj():
     osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 0.5)
-    return osc, simulate(osc)
+    return osc, simulate(osc, SimConfig(n_periods=10))
 
 
 def test_release_from_rest_initial_sample(default_traj):
@@ -49,9 +51,17 @@ def test_time_grid_strictly_increasing(default_traj):
 
 
 def test_event_count_matches_requested_periods(default_traj):
-    _, traj = default_traj
+    osc, traj = default_traj
     # Release from rest: one event seeds t=0, then two turnings per period.
     assert len(traj.events) == 2 * 10 + 1
+    # the default run is one period: t = 0, P/2 and P
+    assert len(simulate(osc).events) == 3
+
+
+def test_default_run_work_count(default_traj):
+    # one period, where ten took about 2.6k accepted steps
+    osc, _ = default_traj
+    assert simulate(osc).n_accepted <= 300
 
 
 def test_energy_drift_within_budget(default_traj):
@@ -73,7 +83,6 @@ def test_measured_period_matches_quadrature(default_traj):
 def test_gap_scatter_small(default_traj):
     osc, traj = default_traj
     est = measure_period(traj)
-    # err_estimate carries the std over half-period gaps.
     assert est.err_estimate < 1e-7 * est.value
     gaps = np.diff(traj.events)
     assert np.max(gaps) / np.min(gaps) - 1.0 < 1e-6
@@ -190,12 +199,23 @@ def test_underflowing_error_floor_rejected(l, y0):
         simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
 
 
-def test_overflowing_force_named():
-    # At sigma/m = 1e600 the force per unit mass overflows at the release
-    # point; the run says so instead of shrinking its step to nothing.
-    osc = Oscillation(StringParams(1.0, 1.25, 1e300, 1e-300), 0.5)
-    with pytest.raises(StepFailure, match=r"force .* is -inf.*sigma = 1e\+300, mass = 1e-300"):
-        simulate(osc)
+@pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
+    # sigma/m = 1e600 overflows a float and 1e-600 underflows; the run is in
+    # unit time, where the force has sigma and mass scaled into [0.5, 2)
+    osc = Oscillation(StringParams(1.0, 1.25, sigma, mass), 0.5)
+    traj = simulate(osc)
+    est = measure_period(traj)
+    assert abs(est.value - exact_period(osc).value) <= est.err_estimate
+    assert np.all(np.isfinite(traj.t)) and np.all(np.isfinite(traj.v))
+
+
+def test_nonfinite_force_named():
+    # the override overflows at the release point; the run says so instead
+    # of shrinking its step to nothing
+    osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    with pytest.raises(StepFailure, match=r"force .* is -inf"):
+        simulate(osc, accel=lambda y: -math.inf)
 
 
 def test_step_budget_enforced(default_traj, monkeypatch):
@@ -214,6 +234,7 @@ def test_period_needs_three_events():
         events=np.array([0.0, 1.0]),
         n_accepted=2,
         n_rejected=0,
+        local_err=1e-10,
     )
     with pytest.raises(InsufficientEvents):
         measure_period(traj)
@@ -232,3 +253,42 @@ def test_period_needs_three_events():
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(InvalidParameters):
         SimConfig(**kwargs)
+
+
+# (l0, l, sigma, mass, y0) with their 40-digit periods
+ORACLE_CELLS = [
+    ((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF),
+    (oracle.ANHARMONIC_PARAMS, oracle.P_ANHARMONIC),
+    (oracle.NEAR_L0_PARAMS, oracle.P_NEAR_L0),
+]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("cell, period", ORACLE_CELLS)
+def test_error_estimate_covers_oracle(cell, period, rel_tol):
+    # the summed local error estimates bound the error of one simulated
+    # period; near l = l0 this needs the stretch formed without cancellation
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    est = measure_period(simulate(osc, SimConfig(rel_tol=rel_tol)))
+    assert abs(est.value - period) <= est.err_estimate
+    if rel_tol <= 1e-10:
+        assert est.err_estimate <= 1e-7 * est.value
+
+
+def test_error_estimate_covers_random_draws():
+    # log-uniform over the stretch, the amplitude and sigma/m, against
+    # 40-digit quadrature. Velocity errors are scaled by the linear angular
+    # frequency, the smallest one of the motion, so the estimate is sized
+    # by the linear period: on a strongly anharmonic draw, where the period
+    # is 1e-3 of it, the estimate is up to about 2e-6 of the period.
+    rng = np.random.default_rng(20081)
+    for _ in range(32):
+        l0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        l = l0 * (1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
+        sigma, mass = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2)))
+        y0 = l * math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))
+        osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+        est = measure_period(simulate(osc))
+        ref = oracle.period_mp(l0, l, sigma, mass, y0)
+        assert abs(est.value - ref) <= est.err_estimate, osc
+        assert est.err_estimate <= 1e-7 * rayleigh_period(osc.params), osc

@@ -6,26 +6,12 @@ way down to y0 = 0, where the period is the linear-limit one.
 
 import math
 
-import mpmath
 import pytest
 
+from oracle import period_mp
 from ssp import Oscillation, StringParams, check_sandwich, exact_period, period_elliptic
 
 ENGINES = (exact_period, period_elliptic)
-
-
-def period_mp(l0, l, sigma, mass, y0):
-    """4*sqrt(m/(2*sigma)) * int_0^{pi/2} dtheta / sqrt(g(y0*sin(theta))),
-    at 40 digits from the floats' exact values."""
-    with mpmath.workdps(40):
-        l0, l, sigma, mass, y0 = map(mpmath.mpf, (l0, l, sigma, mass, y0))
-        z0 = mpmath.sqrt(l * l + y0 * y0)
-
-        def f(theta):
-            y = y0 * mpmath.sin(theta)
-            return 1 / mpmath.sqrt(1 / l0 - 2 / (mpmath.sqrt(l * l + y * y) + z0))
-
-        return float(4 * mpmath.sqrt(mass / (2 * sigma)) * mpmath.quad(f, [0, mpmath.pi / 2]))
 
 
 # (l/l0, y0/l) near the rest state, where the string is barely stretched
