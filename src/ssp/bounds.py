@@ -31,7 +31,7 @@ is the linear-limit period itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     TWO_PI,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodBounds:
+class PeriodBounds(NamedTuple):
     lower_corrected: float
     lower_printed: float
     upper: float
@@ -115,8 +114,7 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Outcome of checking one period estimate against the a-priori bounds.
 
     slack absorbs the engine's own error estimate plus a relative margin for

@@ -30,7 +30,7 @@ quadratically. The engine shares no numerical code with the quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceFailure, InvalidParameters
 from .model import Oscillation, _from_unit_scale
@@ -90,8 +90,7 @@ def rj(*args, **kwargs):
     raise NotImplementedError("rj is gone; period_elliptic evaluates one Bulirsch cel")
 
 
-@dataclass(frozen=True)
-class QuarticRoots:
+class QuarticRoots(NamedTuple):
     """Roots of the z-space quartic, ascending, plus its leading coefficient.
 
     The quartic is presented with leading coefficient -1/(2*l0); the period

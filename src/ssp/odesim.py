@@ -120,8 +120,9 @@ class Trajectory:
     the full nonlinear model at each sample (meaningful when the acceleration
     was not overridden), +-inf where it is beyond the float range. events
     are the turning times. local_err is the sum over accepted steps of the
-    embedded local error estimates |err_y| + |err_v|/omega0, relative to the
-    displacement scale (see measure_period).
+    embedded local error estimates |err_y| + |err_v|/omega_c, relative to the
+    displacement scale, where omega_c is the chord frequency at that scale
+    (see measure_period).
     """
 
     t: np.ndarray
@@ -229,6 +230,13 @@ def _run(
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
     ay, av = abs(y), abs(v)
+    # velocity errors count as displacement errors at the chord frequency
+    # sqrt(|F(y_scale)|/(m*y_scale)), the root of the model's largest
+    # F(y)/(m*y) on the orbit; omega0 where the force there is 0, overflows
+    # or is NaN
+    omega_c = math.sqrt(abs(accel(y_scale)) / y_scale)
+    if not 0.0 < omega_c < math.inf:
+        omega_c = omega0
 
     ts, ys, vs = [t], [y], [v]
     local = 0.0
@@ -286,7 +294,7 @@ def _run(
             else:
                 event = None
             n_acc += 1
-            local += abs(err_y) + abs(err_v) / omega0
+            local += abs(err_y) + abs(err_v) / omega_c
             t, y, v, k1v = t_new, y_new, v_new, k7v
             ay, av = ay_new, av_new
             ts.append(t)
@@ -369,16 +377,16 @@ def measure_period(traj: Trajectory) -> PeriodEstimate:
     Needs at least three events (one full period).
 
     The error estimate is value * local_err / n_periods. local_err sums the
-    embedded estimates |err_y| + |err_v|/omega0 of the accepted steps,
+    embedded estimates |err_y| + |err_v|/omega_c of the accepted steps,
     relative to the displacement scale: local errors of the fourth-order
     solution, which exceed those of the fifth-order one that is carried
     forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e
     radians, e/(2*pi) of a period, so the estimate covers the accumulated
     phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).
-    omega0, the linear angular frequency, is the smallest of the motion, so
-    the estimate is looser the further the period falls below the linear
-    one.
+    omega_c, the chord frequency sqrt(|F(y_scale)|/(m*y_scale)), sizes the
+    velocity term by the motion's own time scale, so the estimate stays
+    tight where the period falls far below the linear one.
     """
     events = traj.events
     if events.size < 3:

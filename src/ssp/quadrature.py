@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation
+from .model import Oscillation, _from_unit_scale
 
 __all__ = [
     "Method",
@@ -54,8 +54,7 @@ class Method(enum.Enum):
     ELLIPTIC_FALLBACK = "elliptic-fallback"
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
+class PeriodEstimate(NamedTuple):
     """A period value plus the method tag and an error estimate.
 
     err_estimate is an estimated absolute numerical error (same unit as
@@ -90,20 +89,17 @@ def speed(osc: Oscillation, y: float) -> float:
             f"|y| must not exceed the amplitude (|y|={abs(y)!r}, y0={osc.y0!r})"
         )
     # a product of square roots: the radicand itself overflows at large
-    # sigma/m or y0 while the speed is still finite
+    # sigma/m or y0 while the speed is still finite; sigma and m are scaled
+    # into [0.5, 2) first, since 2*sigma alone may overflow
     p = osc.params
     ay = abs(y)
-    return (
-        math.sqrt(2.0 * p.sigma) / math.sqrt(p.mass)
+    return math.ldexp(
+        math.sqrt(2.0 * p._unit_sigma) / math.sqrt(p._unit_mass)
         * math.sqrt(osc.y0 - ay)
         * math.sqrt(osc.y0 + ay)
-        * math.sqrt(radicand_g(osc, y))
+        * math.sqrt(radicand_g(osc, y)),
+        p._sigma_exp - p._mass_exp,
     )
-
-
-def _q(u: float) -> float:
-    """u/(1 - exp(-2u)) for u >= 0, with its limit 1/2 at u = 0."""
-    return u / -math.expm1(-2.0 * u) if u > 0.0 else 0.5
 
 
 # The finest level has 2**_TOP intervals on [0, pi/2].
@@ -169,17 +165,37 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    big_s = math.asinh(osc.y0 / p.l)
+    l0, l, y0 = p.l0, p.l, osc.y0
+    big_s = math.asinh(y0 / l)
+    two_s = 2.0 * big_s
+    # radicand_g's terms that do not depend on the node, formed once
+    z0 = math.hypot(l, y0)
+    gap = (l - l0) * (l + l0)
+    dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    exp, expm1, hypot, sinh, sqrt = math.exp, math.expm1, math.hypot, math.sinh, math.sqrt
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
         # J/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written through
-        # exp(-...) and expm1 so that nothing overflows as S grows
+        # exp(-...) and expm1 so that nothing overflows as S grows;
+        # q(u) = u/(1 - exp(-2u)) with its limit 1/2 at u = 0, and g is
+        # radicand_g(osc, y) with the same operations in the same order
         s = big_s * sin_psi
-        x = 2.0 * big_s * sin2_a
-        q2 = _q(x) * _q(big_s + s)
-        g = radicand_g(osc, p.l * math.sinh(s))
-        return (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(q2 / g)
+        x = two_s * sin2_a
+        u = big_s + s
+        q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
+            u / -expm1(-2.0 * u) if u > 0.0 else 0.5
+        )
+        y = l * sinh(s)
+        z = hypot(l, y)
+        zl = z + l0
+        g = (gap / zl + y * (y / zl) + dz0) / (l0 * (z + z0))
+        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g)
 
     integral, err = trapezoid_ladder(integrand, rel_tol)
-    pref = 4.0 * math.sqrt(p.mass) / math.sqrt(2.0 * p.sigma)
-    return PeriodEstimate(pref * integral, Method.QUADRATURE, pref * err)
+    # 2*sigma alone may overflow: the prefactor is formed on the unit scale
+    pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
+    return PeriodEstimate(
+        _from_unit_scale(p, pref * integral),
+        Method.QUADRATURE,
+        _from_unit_scale(p, pref * err),
+    )

@@ -11,7 +11,7 @@ quartic roots match a general-purpose eigenvalue root finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ LEGENDRE_TOL = 1e-12
 QUARTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """name, sample count, number of violations, worst metric, tolerance.
 
     worst is the largest relative deviation (agreement checks) or the largest
@@ -48,8 +47,7 @@ class CheckResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     seed: int
     samples: int
     checks: tuple[CheckResult, ...]

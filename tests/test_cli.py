@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ def test_period_at_extreme_sigma_over_mass(capsys, sigma, mass):
     row = parse_csv(out)[1][0]
     quad, ode = float(row["period_quadrature"]), float(row["period_ode"])
     assert abs(ode - quad) <= 1e-8 * quad
+
+
+@pytest.mark.parametrize("sigma, mass", [("1e308", "1e-10"), (repr(sys.float_info.max), "1")])
+def test_period_where_twice_sigma_overflows(capsys, sigma, mass):
+    # 2*sigma overflows, sigma/m does not: the quadrature period is finite
+    # and R is formed from it
+    code, out, _ = run_cli(capsys, "period", "--sigma", sigma, "--mass", mass, "--format", "csv")
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert row["pass"] == "true"
+    assert 0.0 < float(row["period_quadrature"]) < float(row["upper"])
 
 
 def _reject_constant(token):

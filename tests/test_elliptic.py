@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -64,13 +64,18 @@ def test_cel_third_kind_matches_mpmath(m, n):
     np.testing.assert_allclose(_cel(math.sqrt(p), 1.0 - n, 1.0, 1.0, CA), want, rtol=CEL_RTOL)
 
 
+@example(kc=1.0, p=1.0, a=0.0, b=2.2250738585e-313, s=math.e)
 @given(cel_args, cel_args, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), positive_scale)
 def test_cel_is_linear_in_a_and_b(kc, p, a, b, s):
-    # period_elliptic factors z0 out of both numerator coefficients
+    # period_elliptic factors z0 out of both numerator coefficients. A
+    # subnormal input or product carries fewer than 53 bits, so each of its
+    # roundings is absolute, up to ulp(0.0), and scales with s and the
+    # kernel; 8 ulps cover the worst of 400k subnormal draws (about 3)
     whole = _cel(kc, p, a * s, b * s, CA)
     parts = s * (_cel(kc, p, a, 0.0, CA) + _cel(kc, p, 0.0, b, CA))
-    scale = s * (abs(a) + abs(b)) * _cel(kc, p, 1.0, 1.0, CA)
-    assert abs(whole - parts) <= 1e-14 * scale
+    kernel = _cel(kc, p, 1.0, 1.0, CA)
+    subnormal = 8.0 * math.ulp(0.0) * (1.0 + s) * max(kernel, 1.0)
+    assert abs(whole - parts) <= 1e-14 * s * (abs(a) + abs(b)) * kernel + subnormal
 
 
 def test_cel_failure_is_a_clean_error():

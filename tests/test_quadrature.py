@@ -1,6 +1,8 @@
 """Singular period integral: stabilized integrand and the trapezoid ladder."""
 
 import math
+import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,7 +25,7 @@ from ssp import (
     rayleigh_period,
 )
 from ssp.quadrature import radicand_g, speed
-from strategies import oscillations
+from strategies import oscillations, string_params
 
 
 def test_radicand_reference_value(reference_osc):
@@ -236,30 +238,84 @@ def test_dense_amplitude_scan_matches_elliptic():
             assert abs(quad - ell) <= 1e-13 * ell, (stretch, rel_amp, quad, ell)
 
 
+def _counting_ladder(monkeypatch, wrap=lambda f, *node: f(*node)):
+    """Route exact_period's integrand through wrap, counting its calls."""
+    real = ssp.quadrature.trapezoid_ladder
+    calls = [0]
+
+    def ladder(f, rel_tol):
+        def counted(*node):
+            calls[0] += 1
+            return wrap(f, *node)
+
+        return real(counted, rel_tol)
+
+    monkeypatch.setattr(ssp.quadrature, "trapezoid_ladder", ladder)
+    return calls
+
+
 def test_integrand_work_count(monkeypatch, reference_params):
     # The ladder evaluates 2**k + 1 nodes and needs two small successive level
     # differences: y0/l = 0.1 and the reference cell (0.4) stop at 8
     # intervals, y0/l = 40 at 16. Any extra pass over the interval shows up
     # here.
-    calls = 0
-    real = ssp.quadrature.radicand_g
-
-    def counted(osc, y):
-        nonlocal calls
-        calls += 1
-        return real(osc, y)
-
-    monkeypatch.setattr(ssp.quadrature, "radicand_g", counted)
+    calls = _counting_ladder(monkeypatch)
 
     def evaluations(rel_amp):
-        nonlocal calls
-        calls = 0
+        calls[0] = 0
         exact_period(Oscillation(reference_params, rel_amp * reference_params.l))
-        return calls
+        return calls[0]
 
     assert evaluations(0.1) == 9
     assert evaluations(0.4) == 9
     assert evaluations(40.0) == 17
+
+
+def _q(u):
+    return u / -math.expm1(-2.0 * u) if u > 0.0 else 0.5
+
+
+def _radicand_integrand(osc):
+    """The integrand as composed from radicand_g, node by node."""
+    p = osc.params
+    big_s = math.asinh(osc.y0 / p.l)
+
+    def integrand(sin_psi, sin2_a):
+        s = big_s * sin_psi
+        x = 2.0 * big_s * sin2_a
+        q2 = _q(x) * _q(big_s + s)
+        g = radicand_g(osc, p.l * math.sinh(s))
+        return (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(q2 / g)
+
+    return integrand
+
+
+_edge_amplitudes = string_params().flatmap(
+    lambda p: st.sampled_from([0.0, 1e-300, 1e300]).map(lambda y0: Oscillation(p, y0))
+)
+
+
+@given(st.one_of(oscillations(rel_amp_hi=100.0), _edge_amplitudes))
+def test_integrand_is_radicand_g_bit_for_bit(osc):
+    # exact_period inlines radicand_g with its node-independent terms formed
+    # once; every node and the period itself keep the bits of the composed
+    # form
+    real = ssp.quadrature.trapezoid_ladder
+    handed = []
+
+    def on_composed(f, rel_tol):
+        handed.append(f)
+        return real(_radicand_integrand(osc), rel_tol)
+
+    new = exact_period(osc)
+    with mock.patch.object(ssp.quadrature, "trapezoid_ladder", on_composed):
+        old = exact_period(osc)
+    assert new.value.hex() == old.value.hex()
+    assert new.err_estimate.hex() == old.err_estimate.hex()
+    composed = _radicand_integrand(osc)
+    for level in ssp.quadrature._NODES:
+        for node in level:
+            assert handed[0](*node).hex() == composed(*node).hex(), node
 
 
 def test_one_accidental_agreement_cannot_stop_the_ladder():
@@ -302,20 +358,28 @@ def test_period_survives_extreme_sigma_over_mass():
         np.testing.assert_allclose(period_elliptic(osc).value, exact.value, rtol=1e-12)
 
 
+@pytest.mark.parametrize("sigma, mass", [(1e308, 1e-10), (sys.float_info.max, 1.0)])
+def test_period_and_speed_where_twice_sigma_overflows(sigma, mass):
+    # 2*sigma overflows while sigma/m is a float: the prefactors are formed
+    # on the unit scale, so neither reads 0 or inf
+    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=sigma, mass=mass), 0.5)
+    exact = exact_period(osc)
+    assert abs(exact.value - period_elliptic(osc).value) <= exact.err_estimate
+    ratio = math.sqrt(sigma) / math.sqrt(mass)
+    np.testing.assert_allclose(exact.value, oracle.P_REF / ratio, rtol=1e-12)
+    np.testing.assert_allclose(speed(osc, 0.0), oracle.SPEED_AT_ZERO * ratio, rtol=1e-14)
+
+
 def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
     # An integrand whose trapezoid sums never settle runs the whole ladder,
     # 2**9 + 1 nodes, and then fails cleanly.
-    calls = 0
+    def rough(f, sin_psi, sin2_a):
+        return f(sin_psi, sin2_a) * (2.0 + math.sin(1e6 * sin_psi))
 
-    def rough(osc, y):
-        nonlocal calls
-        calls += 1
-        return 2.0 + math.sin(1e6 * y)
-
-    monkeypatch.setattr(ssp.quadrature, "radicand_g", rough)
+    calls = _counting_ladder(monkeypatch, rough)
     with pytest.raises(ConvergenceFailure):
         exact_period(reference_osc)
-    assert calls == 2**9 + 1
+    assert calls[0] == 2**9 + 1
 
 
 @pytest.mark.parametrize(
