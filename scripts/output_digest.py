@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of the library's outputs and of fixed CLI runs.
+
+Two trees whose digests match compute the same bits. Each library digest
+covers every field the function returns, in repr form, on the benchmark's
+parameter pools: `perfbench.workloads.draw`, 8000 rows per band, seeds 1-3,
+both amplitude bands (48000 rows). An exception counts as its type name, so
+a row that raises in one tree and not in the other changes the digest. The
+`simulate` digest covers the arrays, counts and `local_err` of 128 runs.
+Each CLI digest covers one command's stdout and exit code, run as a fresh
+`python -m ssp.cli` process.
+
+Run:  python3 scripts/output_digest.py
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+from ssp import bounds, elliptic, odesim, quadrature  # noqa: E402
+
+SEEDS = (1, 2, 3)
+BANDS = (("harmonic", workloads.SMALL), ("anharmonic", workloads.LARGE))
+SIM_RUNS = 64  # per band
+
+CLI_COMMANDS = (
+    ("period",),
+    ("period", "--method", "all", "--format", "csv"),
+    ("period", "--format", "json"),
+    ("period", "--method", "quadrature", "--y0", "3.1"),
+    ("period", "--y0", "40", "--l", "1.01", "--format", "csv"),
+    ("period", "--y0", "1e200", "--method", "quadrature", "--format", "json"),
+    ("period", "--sigma", "1e300", "--mass", "1e-300", "--format", "csv"),
+    ("period", "--l", "1.000000000001", "--y0", "2e-9", "--method", "quadrature"),
+    ("period", "--y0", "0", "--format", "json"),
+    ("period", "--y0", "1e308", "--method", "quadrature"),
+    ("period", "--y0", "1e307", "--method", "elliptic"),
+    ("period", "--bogus"),
+    ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1.0", "--points", "4"),
+    ("sweep", "--sweep", "sigma", "--from", "0.1", "--to", "10", "--points", "3", "--log", "--method", "all"),
+    ("sweep", "--sweep", "l", "--from", "1.1", "--to", "3", "--points", "3", "--method", "elliptic", "--format", "json"),
+    ("sweep", "--sweep", "mass", "--from", "0.5", "--to", "2", "--points", "2"),
+    ("sweep", "--sweep", "l0", "--from", "0.5", "--to", "1.2", "--points", "3"),
+    ("convergence",),
+    ("convergence", "--from", "0.01", "--to", "0.04", "--points", "3", "--format", "json"),
+    ("convergence", "--points", "1"),
+    ("trajectory", "--periods", "2"),
+    ("verify", "--samples", "40", "--seed", "3"),
+    ("verify", "--samples", "0"),
+    ("--help",),
+    ("sweep", "--help"),
+)
+
+
+class Digest:
+    def __init__(self) -> None:
+        self._h = hashlib.sha256()
+
+    def add(self, value: object) -> None:
+        self._h.update(repr(value).encode() + b"\n")
+
+    def call(self, fn, *args) -> object:
+        try:
+            out = fn(*args)
+        except Exception as exc:  # a raise is an output too
+            out = type(exc).__name__
+        self.add(out)
+        return out
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def library_digests() -> dict[str, str]:
+    names = (
+        "exact_period", "period_elliptic", "compute_bounds",
+        "check_sandwich(quadrature)", "check_sandwich(elliptic)", "speed", "radicand_g",
+    )
+    d = {name: Digest() for name in names}
+    for seed in SEEDS:
+        for name, band in BANDS:
+            rng = np.random.default_rng([seed, workloads.WORKLOADS.index(name)])
+            for osc in workloads.draw(rng, workloads.EngineRows.pool, band):
+                quad = d["exact_period"].call(quadrature.exact_period, osc)
+                ell = d["period_elliptic"].call(elliptic.period_elliptic, osc)
+                d["compute_bounds"].call(bounds.compute_bounds, osc)
+                for label, est in (("quadrature", quad), ("elliptic", ell)):
+                    if isinstance(est, str):
+                        d[f"check_sandwich({label})"].add(None)
+                    else:
+                        d[f"check_sandwich({label})"].call(bounds.check_sandwich, osc, est)
+                for y in (0.0, 0.5 * osc.y0, osc.y0):
+                    d["speed"].call(quadrature.speed, osc, y)
+                    d["radicand_g"].call(quadrature.radicand_g, osc, y)
+    return {name: dig.hexdigest() for name, dig in d.items()}
+
+
+def simulate_digest() -> str:
+    d = Digest()
+    rng = np.random.default_rng([1, workloads.WORKLOADS.index("ode")])
+    oscs = workloads.draw(rng, SIM_RUNS, workloads.SMALL) + workloads.draw(rng, SIM_RUNS, workloads.LARGE)
+    for osc in oscs:
+        traj = d.call(odesim.simulate, osc)
+        if isinstance(traj, str):
+            continue
+        arrays = (traj.t, traj.y, traj.v, traj.e, traj.events)
+        d.add(([a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err))
+    return d.hexdigest()
+
+
+def cli_digest(argv: tuple[str, ...]) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SSP_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "ssp.cli", *argv], env=env, capture_output=True, timeout=300
+    )
+    return hashlib.sha256(done.stdout + f"\nexit {done.returncode}\n".encode()).hexdigest()
+
+
+def main() -> None:
+    for name, digest in library_digests().items():
+        print(f"{digest}  {name}")
+    print(f"{simulate_digest()}  simulate")
+    for argv in CLI_COMMANDS:
+        print(f"{cli_digest(argv)}  ssp {' '.join(argv)}")
+
+
+if __name__ == "__main__":
+    main()

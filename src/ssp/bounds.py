@@ -39,6 +39,7 @@ from .model import (
     StringParams,
     _from_unit_scale,
     _linear_stiffness,
+    _unit_scale,
     rayleigh_period,
 )
 from .quadrature import PeriodEstimate, radicand_g
@@ -70,13 +71,27 @@ def upper_bound(params: StringParams) -> float:
 
 
 def lower_bound_corrected(osc: Oscillation) -> float:
-    """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2))."""
+    """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)).
+
+    The stiffness excess goes as 1/length. It is formed on lengths scaled by
+    the power of four that puts l0 in [0.5, 2), where l0*l^2 can neither
+    overflow nor underflow, and scaled back exactly; for l0 already there
+    the scaling is the identity and is skipped. Where a scaling overflows
+    the excess is taken as inf, and the bound as 0, still true.
+    """
     p = osc.params
-    y0_sq = osc.y0 * osc.y0
-    stiff = p._unit_stiffness + p._unit_sigma * y0_sq / (
-        p._unit_mass * p.l0 * (p.l * p.l)
-    )
-    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
+    l0, l, y0 = p.l0, p.l, osc.y0
+    try:
+        if 0.5 <= l0 < 2.0:
+            excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
+        else:
+            l0, e = _unit_scale(l0)
+            l, y0 = math.ldexp(l, -2 * e), math.ldexp(y0, -2 * e)
+            excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
+            excess = math.ldexp(excess, -2 * e)
+    except OverflowError:
+        excess = math.inf
+    return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness + excess))
 
 
 def lower_bound_printed(osc: Oscillation) -> float:

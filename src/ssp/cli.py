@@ -39,15 +39,6 @@ _TOL_MAX = 1e-3
 _METHODS = ("quadrature", "elliptic", "ode")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract reserves 2 for engine
-    failures, so usage errors are remapped to 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _fmt_machine(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -80,32 +71,23 @@ def _write_json(payload: object) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
+def _resolve(explicit: object, env: str, kind: type, fallback: object):
+    """The flag if given, else the environment variable parsed as kind, else
+    the fallback."""
+    if explicit is not None:
+        return explicit
+    raw = os.environ.get(env)
     if raw is None:
-        return None
+        return fallback
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise InvalidParameters(f"{name} is not a number: {raw!r}") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameters(f"{name} is not an integer: {raw!r}") from None
+        what = "a number" if kind is float else "an integer"
+        raise InvalidParameters(f"{env} is not {what}: {raw!r}") from None
 
 
 def _resolve_tol(explicit: float | None, fallback: float) -> float:
-    tol = explicit
-    if tol is None:
-        tol = _env_float("SSP_REL_TOL")
-    if tol is None:
-        tol = fallback
+    tol = _resolve(explicit, "SSP_REL_TOL", float, fallback)
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InvalidParameters(
             f"tol must be in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {tol!r}"
@@ -113,21 +95,10 @@ def _resolve_tol(explicit: float | None, fallback: float) -> float:
     return tol
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    seed = explicit
-    if seed is None:
-        seed = _env_int("SSP_SEED")
-    if seed is None:
-        seed = 0
-    if seed < 0:
-        raise InvalidParameters(f"seed must be >= 0, got {seed!r}")
-    return seed
-
-
-def _oscillation(args: argparse.Namespace) -> Oscillation:
-    return Oscillation(
-        StringParams(l0=args.l0, l=args.l, sigma=args.sigma, mass=args.mass), args.y0
-    )
+def _oscillation(args: argparse.Namespace, **override: float) -> Oscillation:
+    """The oscillation the flags describe, with override's values in place."""
+    v = {**vars(args), **override}
+    return Oscillation(StringParams(v["l0"], v["l"], v["sigma"], v["mass"]), v["y0"])
 
 
 def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
@@ -228,22 +199,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameters("sweep needs both --from and --to")
     quad_tol, sim_cfg, elliptic_tol = _engine_configs(args)
     methods = _selected_methods(args.method)
-    base = {
-        "l0": args.l0,
-        "l": args.l,
-        "sigma": args.sigma,
-        "mass": args.mass,
-        "y0": args.y0,
-    }
-    rows = []
-    for value in _grid(args.low, args.high, args.points, args.log):
-        vals = dict(base)
-        vals[args.sweep] = float(value)
-        osc = Oscillation(
-            StringParams(vals["l0"], vals["l"], vals["sigma"], vals["mass"]),
-            vals["y0"],
+    rows = [
+        _build_row(
+            _oscillation(args, **{args.sweep: float(value)}),
+            methods, quad_tol, sim_cfg, elliptic_tol,
         )
-        rows.append(_build_row(osc, methods, quad_tol, sim_cfg, elliptic_tol))
+        for value in _grid(args.low, args.high, args.points, args.log)
+    ]
     header = list(rows[0].keys())
     if args.format == "json":
         _write_json(rows)
@@ -258,8 +220,6 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     osc = _oscillation(args)
     if osc.y0 == 0.0:
         raise InvalidParameters("trajectory needs y0 > 0")
-    if args.periods < 1:
-        raise InvalidParameters(f"periods must be >= 1, got {args.periods}")
     sim_cfg = _engine_configs(args)[1]
     traj = simulate(osc, replace(sim_cfg, n_periods=args.periods))
     header = ["t", "y", "v", "E"]
@@ -275,10 +235,10 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise InvalidParameters(f"samples must be >= 1, got {args.samples}")
     tol = _resolve_tol(args.tol, 1e-12)
-    seed = _resolve_seed(args.seed)
+    seed = _resolve(args.seed, "SSP_SEED", int, 0)
+    if seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {seed!r}")
     report = run_invariant_suite(samples=args.samples, seed=seed, rel_tol=tol)
     for c in report.checks:
         status = "pass" if c.ok else "FAIL"
@@ -297,38 +257,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    osc_base = Oscillation(
-        StringParams(l0=args.l0, l=args.l, sigma=args.sigma, mass=args.mass), 1.0
-    )
-    p = osc_base.params
-    low = args.low if args.low is not None else 0.01 * p.l
-    high = args.high if args.high is not None else 0.2 * p.l
-    if args.points < 2:
-        raise InvalidParameters(f"points must be >= 2, got {args.points}")
-    if low <= 0.0 or high <= 0.0 or low == high:
-        raise InvalidParameters("convergence needs distinct positive y0 endpoints")
-    quad_tol = _resolve_tol(args.tol, 1e-12)
-    amps = np.geomspace(low, high, args.points)
+    low = args.low if args.low is not None else 0.01 * args.l
+    high = args.high if args.high is not None else 0.2 * args.l
+    if args.points < 2 or low == high:
+        raise InvalidParameters("the slope fit needs two distinct amplitudes or more")
+    configs = _engine_configs(args)
+    amps = _grid(low, high, args.points, log=True)
+    header = ["y0", "period", "R", "R_bound_corrected"]
     rows = []
     for y0 in amps:
-        osc = Oscillation(p, float(y0))
-        period = exact_period(osc, quad_tol).value
-        bounds = compute_bounds(osc)
-        rows.append(
-            {
-                "y0": float(y0),
-                "period": period,
-                "R": (period - bounds.upper) / period,
-                "R_bound_corrected": bounds.rel_error_bound_corrected,
-            }
-        )
+        row = _build_row(_oscillation(args, y0=float(y0)), ("quadrature",), *configs)
+        row["period"] = row["period_quadrature"]
+        rows.append({k: row[k] for k in header})
     slope = float(
         np.polyfit(np.log(amps), np.log([abs(r["R"]) for r in rows]), 1)[0]
     )
     if args.format == "json":
         _write_json({"rows": rows, "slope": slope})
     else:
-        _write_csv(rows, ["y0", "period", "R", "R_bound_corrected"])
+        _write_csv(rows, header)
         print(f"fitted |R| slope: {slope:.7g}", file=sys.stderr)
     return 0
 
@@ -349,8 +296,8 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ssp", description=__doc__.splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ssp", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("period", help="compute the period of one configuration")
@@ -405,8 +352,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error; the contract
+        # reserves 2 for engine failures, so usage errors exit 1
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except InvalidParameters as exc:

@@ -180,4 +180,7 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     integral = 2.0 * (z0 / math.sqrt(ac)) / math.sqrt(bd) * c
     value = 4.0 * math.sqrt(p._unit_mass * l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
+    if not 0.0 < value < math.inf:
+        # near the top of the float range the AGM's e = qc*em overflows
+        raise ConvergenceFailure(f"closed form left the float range at y0={y0!r}: {value!r}")
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

@@ -127,22 +127,34 @@ def tension(p: StringParams, y: float) -> float:
     return p.sigma * (math.hypot(p.l, y) - p.l0) / p.l0
 
 
-def vertical_force(p: StringParams, y: float) -> float:
-    """Net transverse force on the mass (both halves), restoring for y != 0.
+def _force_law(l0: float, l: float, k: float, mass: float) -> Callable[[float], float]:
+    """y -> k*((r - l0)/r)*y/mass with r = hypot(l, y), as a closure over its
+    constants.
 
     The stretch r - l0 is formed as (l-l0)*(l+l0)/(r+l0) + y*(y/(r+l0)),
     the form radicand_g uses, which does not cancel near l = l0 as
     hypot(l, y) - l0 does. y is the last factor, so a subnormal y is not
-    lost to an underflowing y / r. Where the exact force is below half the
-    smallest subnormal it rounds to 0; it is then returned as that
-    subnormal, signed against y, so the force keeps its direction.
+    lost to an underflowing y / r. Where the exact product is below half the
+    smallest subnormal it rounds to 0; it is then taken as that subnormal,
+    signed against y, so a restoring force (k < 0) keeps its direction.
     """
-    r = math.hypot(p.l, y)
-    s = r + p.l0
-    f = -2.0 * p.sigma / p.l0 * (((p.l - p.l0) * (p.l + p.l0) / s + y * (y / s)) / r) * y
-    if f == 0.0 and y != 0.0:
-        return -math.copysign(_TINY, y)
-    return f
+    hypot, copysign = math.hypot, math.copysign
+    gap = (l - l0) * (l + l0)
+
+    def force(y: float) -> float:
+        r = hypot(l, y)
+        s = r + l0
+        f = k * ((gap / s + y * (y / s)) / r) * y
+        if f == 0.0 and y != 0.0:
+            f = -copysign(_TINY, y)
+        return f / mass
+
+    return force
+
+
+def vertical_force(p: StringParams, y: float) -> float:
+    """Net transverse force on the mass (both halves), restoring for y != 0."""
+    return _force_law(p.l0, p.l, -2.0 * p.sigma / p.l0, 1.0)(y)
 
 
 def acceleration(p: StringParams, y: float) -> float:
@@ -151,24 +163,9 @@ def acceleration(p: StringParams, y: float) -> float:
 
 def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
     """acceleration(p, .) with p._unit_sigma and p._unit_mass in place of
-    sigma and mass, as a closure over p's constants, without the two calls
-    and four attribute loads per evaluation. It does the same operations in
-    the same order, so where no intermediate is subnormal each value is
-    acceleration(p, y) times 4**(_mass_exp - _sigma_exp), exactly."""
-    hypot, copysign = math.hypot, math.copysign
-    l, l0, mass = p.l, p.l0, p._unit_mass
-    k = -2.0 * p._unit_sigma / l0
-    gap = (l - l0) * (l + l0)
-
-    def accel(y: float) -> float:
-        r = hypot(l, y)
-        s = r + l0
-        f = k * ((gap / s + y * (y / s)) / r) * y
-        if f == 0.0 and y != 0.0:
-            f = -copysign(_TINY, y)
-        return f / mass
-
-    return accel
+    sigma and mass, bound once. Where no intermediate is subnormal each value
+    is acceleration(p, y) times 4**(_mass_exp - _sigma_exp), exactly."""
+    return _force_law(p.l0, p.l, -2.0 * p._unit_sigma / p.l0, p._unit_mass)
 
 
 def energy(p: StringParams, y: float, v: float) -> float:

@@ -72,14 +72,19 @@ def radicand_g(osc: Oscillation, y: float) -> float:
     Rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
     z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for
     l/l0 - 1 near machine epsilon, and no square of y that could overflow.
+    Every length but the outer l0 is halved first, exactly, which halves
+    both numerator and denominator: z + z0 and dz + dz0 themselves overflow
+    once y and y0 near the top of the float range.
     """
-    l0, l, y0 = osc.params.l0, osc.params.l, osc.y0
-    z = math.hypot(l, y)
-    z0 = math.hypot(l, y0)
-    gap = (l - l0) * (l + l0)
-    dz = gap / (z + l0) + y * (y / (z + l0))
-    dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
-    return (dz + dz0) / (l0 * (z + z0))
+    l0 = osc.params.l0
+    hl0, hl = 0.5 * l0, 0.5 * osc.params.l
+    hy, hy0 = 0.5 * y, 0.5 * osc.y0
+    hz = math.hypot(hl, hy)
+    hz0 = math.hypot(hl, hy0)
+    quarter_gap = (hl - hl0) * (hl + hl0)
+    hdz = quarter_gap / (hz + hl0) + hy * (hy / (hz + hl0))
+    hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
+    return (hdz + hdz0) / (l0 * (hz + hz0))
 
 
 def speed(osc: Oscillation, y: float) -> float:
@@ -90,14 +95,16 @@ def speed(osc: Oscillation, y: float) -> float:
         )
     # a product of square roots: the radicand itself overflows at large
     # sigma/m or y0 while the speed is still finite; sigma and m are scaled
-    # into [0.5, 2) first, since 2*sigma alone may overflow
+    # into [0.5, 2) first, since 2*sigma alone may overflow, and amplitudes
+    # above 1 are quartered, exactly, since y0 + |y| may overflow
     p = osc.params
-    ay = abs(y)
+    c = 0.25 if osc.y0 > 1.0 else 1.0
+    ay = c * abs(y)
     return math.ldexp(
         math.sqrt(2.0 * p._unit_sigma) / math.sqrt(p._unit_mass)
-        * math.sqrt(osc.y0 - ay)
-        * math.sqrt(osc.y0 + ay)
-        * math.sqrt(radicand_g(osc, y)),
+        * math.sqrt(c * osc.y0 - ay)
+        * math.sqrt(c * osc.y0 + ay)
+        * math.sqrt(radicand_g(osc, y)) / c,
         p._sigma_exp - p._mass_exp,
     )
 
@@ -169,9 +176,10 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     big_s = math.asinh(y0 / l)
     two_s = 2.0 * big_s
     # radicand_g's terms that do not depend on the node, formed once
-    z0 = math.hypot(l, y0)
-    gap = (l - l0) * (l + l0)
-    dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    hl0, hl, hy0 = 0.5 * l0, 0.5 * l, 0.5 * y0
+    hz0 = math.hypot(hl, hy0)
+    quarter_gap = (hl - hl0) * (hl + hl0)
+    hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
     exp, expm1, hypot, sinh, sqrt = math.exp, math.expm1, math.hypot, math.sinh, math.sqrt
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
@@ -185,10 +193,10 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
             u / -expm1(-2.0 * u) if u > 0.0 else 0.5
         )
-        y = l * sinh(s)
-        z = hypot(l, y)
-        zl = z + l0
-        g = (gap / zl + y * (y / zl) + dz0) / (l0 * (z + z0))
+        hy = hl * sinh(s)
+        hz = hypot(hl, hy)
+        hzl = hz + hl0
+        g = (quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (l0 * (hz + hz0))
         return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g)
 
     integral, err = trapezoid_ladder(integrand, rel_tol)

@@ -75,13 +75,19 @@ def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
     return out
 
 
+def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
+    """One agreement check: a deviation fails unless it is at most tol, so a
+    NaN fails, and worst is the largest deviation, NaN if any is NaN."""
+    devs = np.asarray(deviations, dtype=float)
+    return CheckResult(name, devs.size, int(np.sum(~(devs <= tol))), float(np.max(devs)), tol)
+
+
 def _check_sandwich_and_cross(
     oscs: list[Oscillation], rel_tol: float, elliptic_tol: float
 ) -> tuple[CheckResult, CheckResult]:
     sand_fail = 0
     sand_worst = 0.0
-    cross_fail = 0
-    cross_worst = 0.0
+    cross = []
     for osc in oscs:
         est = exact_period(osc, rel_tol)
         rep = check_sandwich(osc, est)
@@ -97,23 +103,17 @@ def _check_sandwich_and_cross(
         sand_worst = max(sand_worst, viol / rep.upper)
 
         ell = period_elliptic(osc, elliptic_tol)
-        dev = abs(ell.value - est.value) / est.value
-        cross_worst = max(cross_worst, dev)
-        if dev > CROSS_METHOD_TOL:
-            cross_fail += 1
+        cross.append(abs(ell.value - est.value) / est.value)
     return (
         CheckResult("period-inside-bounds", len(oscs), sand_fail, sand_worst, 0.0),
-        CheckResult(
-            "quadrature-vs-elliptic", len(oscs), cross_fail, cross_worst, CROSS_METHOD_TOL
-        ),
+        _tally("quadrature-vs-elliptic", cross, CROSS_METHOD_TOL),
     )
 
 
 def _check_scaling(
     oscs: list[Oscillation], rng: np.random.Generator, rel_tol: float
 ) -> CheckResult:
-    fail = 0
-    worst = 0.0
+    devs = []
     for osc in oscs:
         k = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         p = osc.params
@@ -124,14 +124,11 @@ def _check_scaling(
         sigma_only = exact_period(
             Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass), osc.y0), rel_tol
         ).value
-        dev = max(
+        devs.append(max(
             abs(joint - base) / base,
             abs(sigma_only * math.sqrt(k) - base) / base,
-        )
-        worst = max(worst, dev)
-        if dev > SCALING_TOL:
-            fail += 1
-    return CheckResult("sigma-mass-scaling", len(oscs), fail, worst, SCALING_TOL)
+        ))
+    return _tally("sigma-mass-scaling", devs, SCALING_TOL)
 
 
 def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
@@ -140,18 +137,14 @@ def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
     The relation is symmetric in k and kc, so angles up to pi/4 cover every
     modulus; k = sin(t) and kc = cos(t) then hold to the rounding level.
     """
-    fail = 0
-    worst = 0.0
+    devs = []
     ca = math.sqrt(1e-13)  # period_elliptic's default stop test
     for t in np.exp(rng.uniform(math.log(1e-6), math.log(0.25 * math.pi), n)):
         k, kc = math.sin(t), math.cos(t)
         big_k, big_kp = _cel(kc, 1.0, 1.0, 1.0, ca), _cel(k, 1.0, 1.0, 1.0, ca)
         big_e, big_ep = _cel(kc, 1.0, 1.0, kc * kc, ca), _cel(k, 1.0, 1.0, k * k, ca)
-        dev = abs((big_e * big_kp + big_ep * big_k - big_k * big_kp) / (0.5 * math.pi) - 1.0)
-        worst = max(worst, dev)
-        if dev > LEGENDRE_TOL:
-            fail += 1
-    return CheckResult("legendre-relation", n, fail, worst, LEGENDRE_TOL)
+        devs.append(abs((big_e * big_kp + big_ep * big_k - big_k * big_kp) / (0.5 * math.pi) - 1.0))
+    return _tally("legendre-relation", devs, LEGENDRE_TOL)
 
 
 def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
@@ -170,21 +163,17 @@ def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
 
 
 def _check_quartic(rng: np.random.Generator, n: int) -> CheckResult:
-    fail = 0
-    worst = 0.0
+    devs = []
     for _ in range(n):
         osc = _draw_separated_roots(rng)
         mine = np.asarray(quartic_roots(osc).roots)
         ref = np.sort(np.roots(quartic_coefficients(osc)).real)
         scale = mine[-1] - mine[0]
-        dev = max(
+        devs.append(max(
             float(np.max(np.abs(mine - ref))) / scale,
             abs(float(np.sum(mine)) - 2.0 * osc.params.l0) / scale,
-        )
-        worst = max(worst, dev)
-        if dev > QUARTIC_TOL:
-            fail += 1
-    return CheckResult("quartic-roots", n, fail, worst, QUARTIC_TOL)
+        ))
+    return _tally("quartic-roots", devs, QUARTIC_TOL)
 
 
 def run_invariant_suite(

@@ -221,6 +221,28 @@ def test_bounds_survive_overflowing_amplitude(reference_params):
     assert check_sandwich(osc, exact_period(osc)).passed
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # l0*l^2 overflows a float; an excess read as 0 would put the lower
+        # bound at upper, 30 times the period
+        (4.398894530172721e112, 4.399043563657894e112, 3.878018549630792e58,
+         2.046270915589734e28, 1.3116629108753288e112),
+        # l0*l^2 underflows to 0
+        (1.7259844105766025e-122, 1.733532760420914e-122, 0.567, 1.536, 3.63e-120),
+        # the excess overflows once scaled back: the bound is 0, still true
+        (1e-100, 2e-100, 1.0, 1.0, 1e50),
+    ],
+)
+def test_corrected_lower_bound_at_extreme_lengths(cell):
+    l0, l, sigma, mass, y0 = cell
+    osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    b = compute_bounds(osc)
+    for est in (exact_period(osc), period_elliptic(osc)):
+        assert b.lower_corrected < est.value < b.upper
+        assert check_sandwich(osc, est).passed
+
+
 def _plain_bounds(osc):
     # the bounds' formulas with sigma and mass themselves, unscaled
     p, y0_sq = osc.params, osc.y0 * osc.y0

@@ -108,6 +108,26 @@ def _reject_constant(token):
     raise ValueError(f"not a JSON number: {token}")
 
 
+def test_period_at_the_top_of_the_float_range(capsys):
+    # z + z0 overflows in g from y0 = 9e307; the quadrature period is still
+    # pi*sqrt(2)
+    code, out, _ = run_cli(
+        capsys, "period", "--y0", "1e308", "--method", "quadrature", "--format", "csv"
+    )
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert row["pass"] == "true"
+    assert abs(float(row["period_quadrature"]) - math.pi * math.sqrt(2.0)) <= 1e-12
+
+
+def test_elliptic_overflow_is_an_engine_failure(capsys):
+    # the closed form's AGM overflows from y0 = 1.353e306: exit 2, not a 0
+    code, out, err = run_cli(capsys, "period", "--y0", "1e307", "--method", "elliptic")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("engine failure:")
+
+
 def test_period_json_stays_valid_at_overflowing_amplitude(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--y0", "1e200", "--method", "quadrature", "--format", "json"
@@ -186,9 +206,12 @@ def test_sweep_rows_in_axis_order(capsys):
     assert "sweep: 4/4 rows pass the sandwich check" in err
 
 
-def test_sweep_single_point_matches_period(capsys):
+@pytest.mark.parametrize("axis", ["l0", "l", "sigma", "mass", "y0"])
+def test_sweep_single_point_matches_period(capsys, axis):
+    # a one-point sweep at the axis's default is the default period row
+    value = {"l0": "1", "l": "1.25", "sigma": "1", "mass": "1", "y0": "0.5"}[axis]
     code, out_sweep, _ = run_cli(
-        capsys, "sweep", "--sweep", "y0", "--from", "0.5", "--to", "0.5",
+        capsys, "sweep", "--sweep", axis, "--from", value, "--to", value,
         "--points", "1", "--format", "csv", "--method", "all",
     )
     assert code == 0
@@ -327,6 +350,37 @@ def test_convergence_json_slope(capsys):
     assert len(payload["rows"]) == 5
 
 
+def test_convergence_rows_match_library(capsys):
+    from ssp import Oscillation, StringParams, compute_bounds, exact_period
+
+    code, out, _ = run_cli(capsys, "convergence", "--format", "json", "--points", "4")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), row["y0"])
+        period = exact_period(osc).value
+        bounds = compute_bounds(osc)
+        assert row["period"] == period
+        assert row["R"] == (period - bounds.upper) / period
+        assert row["R_bound_corrected"] == bounds.rel_error_bound_corrected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convergence", "--points", "1"),
+        ("convergence", "--from", "0.1", "--to", "0.1"),
+        ("trajectory", "--periods", "0"),
+    ],
+)
+def test_degenerate_runs_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_convergence_custom_grid(capsys):
     code, out, _ = run_cli(
         capsys, "convergence", "--from", "0.01", "--to", "0.04",
@@ -351,6 +405,13 @@ def test_invalid_geometry_exits_1(capsys):
 def test_unknown_flag_exits_1(capsys):
     code, _, _ = run_cli(capsys, "period", "--bogus")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: ssp")
 
 
 def test_missing_subcommand_exits_1(capsys):

@@ -87,6 +87,9 @@ def test_cel_failure_is_a_clean_error():
     # at y0 = 1e308 the root difference 2*(z0 - l0) overflows
     with pytest.raises(ConvergenceFailure):
         period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e308))
+    # from y0 = 1.353e306 the AGM's e = qc*em overflows and cel reads 0
+    with pytest.raises(ConvergenceFailure):
+        period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e307))
 
 
 # --- change of variables and the root structure -----------------------------

@@ -104,6 +104,11 @@ def test_speed_survives_extreme_scales():
     np.testing.assert_allclose(speed(heavy, 0.0), oracle.SPEED_AT_ZERO * 1e300, rtol=1e-14)
     far = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 1e200)
     np.testing.assert_allclose(speed(far, 0.0), math.sqrt(2.0) * 1e200, rtol=1e-14)
+    # y0 + |y| overflows here, z + z0 in g as well; the speed is 7.4e307
+    top = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 1.2e308)
+    np.testing.assert_allclose(
+        speed(top, 0.9 * top.y0), math.sqrt(2.0 * 0.19) * top.y0, rtol=1e-14
+    )
 
 
 def test_period_reference_value(reference_osc):
@@ -337,8 +342,9 @@ def test_adaptive_quadrature_exactness():
     # pi*sqrt(2*m*l0/sigma); at y0/l >= 1e20 the difference is below 1e-19.
     p = StringParams(l0=1.0, l=1.25, sigma=3.0, mass=2.0)
     limit = math.pi * math.sqrt(2.0 * p.mass * p.l0 / p.sigma)
-    for rel_amp in (1e20, 1e100, 1e160, 1e300):
-        est = exact_period(Oscillation(p, rel_amp * p.l))
+    # from y0 = 9e307 the sums z + z0 in g overflow unless halved
+    for y0 in (1e20 * p.l, 1e100 * p.l, 1e160 * p.l, 1e300 * p.l, 1e308, sys.float_info.max):
+        est = exact_period(Oscillation(p, y0))
         assert math.isfinite(est.value) and math.isfinite(est.err_estimate)
         np.testing.assert_allclose(est.value, limit, rtol=1e-12)
         assert abs(est.value - limit) <= est.err_estimate <= 1e-12 * est.value

@@ -1,8 +1,12 @@
 """Randomized invariant suite: structure, determinism, and outcomes."""
 
+import math
+
 import pytest
 
-from ssp import InvalidParameters, run_invariant_suite
+import ssp.verify
+from ssp import InvalidParameters, Method, PeriodEstimate, run_invariant_suite
+from ssp.cli import main
 
 
 def test_default_suite_passes():
@@ -18,6 +22,7 @@ def test_default_suite_passes():
         assert check.failures == 0
         assert check.ok
         assert check.worst >= 0.0
+        assert type(check.worst) is float
 
 
 def test_suite_is_deterministic_per_seed():
@@ -35,6 +40,19 @@ def test_cross_method_margin_is_wide():
     cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
     # Dual-route agreement runs about six orders inside its tolerance.
     assert cross.worst < 1e-3 * cross.tolerance
+
+
+def test_nan_deviation_fails(monkeypatch, capsys):
+    # a NaN deviation is no agreement: it fails and shows as the worst
+    nan = PeriodEstimate(math.nan, Method.ELLIPTIC, 0.0)
+    monkeypatch.setattr(ssp.verify, "period_elliptic", lambda osc, tol: nan)
+    report = run_invariant_suite(samples=20, seed=0)
+    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
+    assert cross.failures == 20
+    assert math.isnan(cross.worst)
+    assert not report.passed
+    assert main(["verify", "--samples", "20"]) == 3
+    assert "quadrature-vs-elliptic   samples=20    failures=20   worst=nan" in capsys.readouterr().out
 
 
 def test_sample_count_validation():
