@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Check the ODE engine's error estimate against 40-digit periods and count
+its work.
+
+Runs `simulate` + `measure_period` on the three oracle cells of
+tests/test_odesim.py at rel_tol 1e-6, 1e-10 and 1e-13, and on 256 draws from
+the distribution of `test_error_estimate_covers_random_draws` (same
+generator seed, so its 32 draws come first) at the default rel_tol, against
+`tests/oracle.py`. For each group it prints the worst relative error, the
+smallest err_estimate/actual error (an estimate covers its error where this
+is above 1), the largest err_estimate/value, and the mean and largest
+accepted steps, rejected steps and force evaluations per run. Forces are
+counted through the `accel` hook with the model's own `acceleration`, which
+gives the default run bit for bit.
+
+Run:  python3 scripts/ode_coverage.py   (needs numpy and mpmath)
+"""
+
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import numpy as np  # noqa: E402
+import oracle  # noqa: E402
+
+from ssp import Oscillation, SimConfig, StringParams, measure_period, simulate  # noqa: E402
+from ssp.model import acceleration  # noqa: E402
+
+ORACLE_CELLS = (
+    ((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF),
+    (oracle.ANHARMONIC_PARAMS, oracle.P_ANHARMONIC),
+    (oracle.NEAR_L0_PARAMS, oracle.P_NEAR_L0),
+)
+
+
+def random_draws(n: int = 256) -> list[tuple[tuple[float, ...], float]]:
+    rng = np.random.default_rng(20081)
+    cells = []
+    for _ in range(n):
+        l0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        l = l0 * (1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
+        sigma, mass = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2)))
+        y0 = l * math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))
+        cells.append(((l0, l, sigma, mass, y0), oracle.period_mp(l0, l, sigma, mass, y0)))
+    return cells
+
+
+def report(label: str, cells, rel_tol: float) -> None:
+    rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
+    for cell, period in cells:
+        p = StringParams(*cell[:4])
+        calls = [0]
+
+        def force(y: float) -> float:
+            calls[0] += 1
+            return acceleration(p, y)
+
+        traj = simulate(Oscillation(p, cell[4]), SimConfig(rel_tol=rel_tol), accel=force)
+        est = measure_period(traj)
+        actual = abs(est.value - period)
+        rel_err.append(actual / period)
+        cover.append(est.err_estimate / actual if actual else math.inf)
+        size.append(est.err_estimate / est.value)
+        acc.append(traj.n_accepted)
+        rej.append(traj.n_rejected)
+        forces.append(calls[0])
+    print(
+        f"{label:<28} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
+        f"max est/value {max(size):.3g}  accepted {np.mean(acc):.1f} (max {max(acc)})  "
+        f"rejected {np.mean(rej):.2f} (max {max(rej)})  forces {np.mean(forces):.1f} "
+        f"(max {max(forces)})"
+    )
+
+
+def main() -> None:
+    for rel_tol in (1e-6, 1e-10, 1e-13):
+        report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, rel_tol)
+    report("256 random draws rel_tol=1e-10", random_draws(), SimConfig().rel_tol)
+
+
+if __name__ == "__main__":
+    main()

@@ -70,26 +70,40 @@ def upper_bound(params: StringParams) -> float:
     return rayleigh_period(params)
 
 
+# Where l0, l and y0 lie in this range every product of the two bounds below
+# stays in the normal range, scaled into the unit range or not, so the
+# scaling would move no bit and is skipped.
+_PLAIN_LO, _PLAIN_HI = 2.0**-200, 2.0**200
+
+
+def _unit_lengths(osc: Oscillation) -> tuple[float, float, float, int]:
+    """(l0, l, y0, e): the three lengths over the power of four 4**e that
+    puts l in [0.5, 2), where l0 < l and l*l can neither overflow nor
+    underflow. Exact where nothing lands in the subnormal range. Raises
+    OverflowError where y0 overflows."""
+    p = osc.params
+    l, e = _unit_scale(p.l)
+    return math.ldexp(p.l0, -2 * e), l, math.ldexp(osc.y0, -2 * e), e
+
+
 def lower_bound_corrected(osc: Oscillation) -> float:
     """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)).
 
-    The stiffness excess goes as 1/length. It is formed on lengths scaled by
-    the power of four that puts l0 in [0.5, 2), where l0*l^2 can neither
-    overflow nor underflow, and scaled back exactly; for l0 already there
-    the scaling is the identity and is skipped. Where a scaling overflows
-    the excess is taken as inf, and the bound as 0, still true.
+    The stiffness excess goes as 1/length. Outside the plain range it is
+    formed on lengths scaled into the unit range (_unit_lengths) and scaled
+    back exactly. Where a scaling overflows or l0 underflows to 0 the excess
+    is taken as inf, and the bound as 0, still true.
     """
     p = osc.params
     l0, l, y0 = p.l0, p.l, osc.y0
     try:
-        if 0.5 <= l0 < 2.0:
+        if _PLAIN_LO <= l0 and l <= _PLAIN_HI and _PLAIN_LO <= y0 <= _PLAIN_HI:
             excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
         else:
-            l0, e = _unit_scale(l0)
-            l, y0 = math.ldexp(l, -2 * e), math.ldexp(y0, -2 * e)
+            l0, l, y0, e = _unit_lengths(osc)
             excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
             excess = math.ldexp(excess, -2 * e)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         excess = math.inf
     return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness + excess))
 
@@ -106,10 +120,18 @@ def lower_bound_printed(osc: Oscillation) -> float:
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
     """Bounds on (P - P_lin)/P: within [-y0^2/(4*(l-l0)*l), 0], sigma
-    cancelled from -sigma*y0^2/(4*T*l0*l) so that no extreme sigma moves it."""
+    cancelled from -sigma*y0^2/(4*T*l0*l) so that no extreme sigma moves it.
+    The ratio is free of units; outside the plain range it is formed on the
+    unit-scaled lengths (_unit_lengths), where y0*y0 and l*l overflow only
+    with the ratio."""
     p = osc.params
-    low = -(osc.y0 * osc.y0) / (4.0 * (p.l - p.l0) * p.l)
-    return low, 0.0
+    l0, l, y0 = p.l0, p.l, osc.y0
+    if not (_PLAIN_LO <= l0 and l <= _PLAIN_HI and _PLAIN_LO <= y0 <= _PLAIN_HI):
+        try:
+            l0, l, y0, _ = _unit_lengths(osc)
+        except OverflowError:
+            return -math.inf, 0.0
+    return -(y0 * y0) / (4.0 * (l - l0) * l), 0.0
 
 
 def rel_error_bound_printed(osc: Oscillation) -> float:

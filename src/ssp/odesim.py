@@ -1,20 +1,29 @@
 """Period measurement by direct simulation of the equation of motion.
 
-A Dormand-Prince 5(4) embedded pair (FSAL) integrates (y, v) with
-proportional-integral step-size control. Turning points (v = 0) are located
-inside accepted steps by cubic Hermite interpolation of v, using the stage
-derivatives already available at both step ends, then polished by bisection.
-Consecutive turning times are half periods, so the span from the first to the
-last turning time over the number of periods between them gives the period.
-Its error estimate is the sum of the embedded local error estimates of the
-accepted steps, relative to the amplitude, read as a phase error (see
-measure_period).
+Hairer's Dormand-Prince 8(5,3) pair (code DOP853) integrates y'' = a(y) in
+Nystrom form (ssp._dop853): y' = v, so the stage velocities are never
+formed, and the stage displacements, the update of y and its error
+estimates are weighted sums of the force values alone. The force at the
+step end is the next step's first stage (FSAL), so an accepted step costs
+twelve force values. A proportional-integral controller sizes the steps on
+Hairer's combined error norm e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded
+fifth- and third-order estimates e5 and e3.
+
+Turning points (v = 0) are located inside accepted steps. The root of the
+cubic Hermite interpolant of v, from the forces at both step ends, is the
+first guess; Newton on v(s) itself refines it, each iterate one partial step
+of width s*h from the step start (see _turning_fraction). Consecutive
+turning times are half periods, so the span from the first to the last
+turning time over the number of periods between them gives the period. Its
+error estimate sums over accepted steps the fifth-order local error
+estimate as the combined norm weighs it, relative to the amplitude, read as
+a phase error (see measure_period).
 
 The run is in unit time, in which sigma and mass are replaced by their
 unit-scaled values (model._from_unit_scale), so sigma/mass may lie outside
 the float range. The default force is bound once per run as a closure over
 the string's constants (model._bound_acceleration), because each step makes
-six force evaluations and the calls through `acceleration` and
+twelve force evaluations and the calls through `acceleration` and
 `vertical_force` cost more than their arithmetic; it does the same
 operations in the same order, so every force value is the model's, scaled
 by a power of two.
@@ -33,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _dop853
 from .errors import (
     ConvergenceFailure,
     InsufficientEvents,
@@ -46,47 +56,13 @@ from .quadrature import Method, PeriodEstimate
 
 __all__ = ["SimConfig", "Trajectory", "simulate", "integrate", "measure_period"]
 
-# Dormand-Prince 5(4) coefficients (Dormand & Prince 1980). Stage 7 equals
-# the fifth-order result, so its derivative is reused as stage 1 of the next
-# step (FSAL).
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
-)
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-# fifth-order minus embedded fourth-order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0  # proportional exponent
-_PI_BETA = 0.4 / 5.0  # integral exponent (previous error feedback)
+_PI_ALPHA = 0.7 / 8.0  # proportional exponent
+_PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
+# root mean square over the two components (y, v)
+_RMS = math.sqrt(0.5)
 # absolute error floor of y, relative to the displacement scale
 _ABS_FLOOR = 1e-12
 # attempted steps (accepted plus rejected) before MaxStepsExceeded
@@ -120,9 +96,10 @@ class Trajectory:
     the full nonlinear model at each sample (meaningful when the acceleration
     was not overridden), +-inf where it is beyond the float range. events
     are the turning times. local_err is the sum over accepted steps of the
-    embedded local error estimates |err_y| + |err_v|/omega_c, relative to the
-    displacement scale, where omega_c is the chord frequency at that scale
-    (see measure_period).
+    fifth-order local error estimates |err5_y| + |err5_v|/omega_c, each
+    times the factor e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm
+    weighs it, relative to the displacement scale, where omega_c is the
+    chord frequency at that scale (see measure_period).
     """
 
     t: np.ndarray
@@ -135,37 +112,43 @@ class Trajectory:
     local_err: float
 
 
-def _hermite_v(s: float, h: float, v0: float, a0: float, v1: float, a1: float) -> float:
-    """Cubic Hermite value of v at fraction s of a step of width h."""
-    s2 = s * s
-    s3 = s2 * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * v0
-        + (s3 - 2.0 * s2 + s) * h * a0
-        + (-2.0 * s3 + 3.0 * s2) * v1
-        + (s3 - s2) * h * a1
-    )
-
-
-def _locate_turning(
-    t: float, h: float, v0: float, a0: float, v1: float, a1: float
+def _turning_fraction(
+    accel: Callable[[float], float],
+    y: float,
+    v: float,
+    k0: float,
+    h: float,
+    v1: float,
+    k1: float,
 ) -> float:
-    """Bisect the Hermite interpolant of v for its sign change in (0, 1)."""
-    lo, hi = 0.0, 1.0
-    flo = v0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = _hermite_v(mid, h, v0, a0, v1, a1)
-        if fm == 0.0:
-            lo = hi = mid
+    """Fraction s of the accepted step of width h from (y, v) at which v
+    changes sign on its way to v1 (k0, k1 the forces at the step ends).
+
+    The first guess is the root of the cubic Hermite interpolant of v, by
+    Newton from the secant root. Newton on v(s) itself follows: each iterate
+    is one partial step of width s*h from the step start, whose force at
+    its end gives dv/ds = h*a(y(s)). A partial step with s = 1 is the step.
+    """
+    # the Hermite cubic is v + s*(c1 + s*(c2 + s*c3))
+    c1 = h * k0
+    c2 = 3.0 * (v1 - v) - h * (2.0 * k0 + k1)
+    c3 = 2.0 * (v - v1) + h * (k0 + k1)
+    s = v / (v - v1)
+    for _ in range(3):
+        slope = c1 + s * (2.0 * c2 + 3.0 * s * c3)
+        if slope == 0.0:
             break
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
+        s = min(1.0, max(0.0, s - (v + s * (c1 + s * (c2 + s * c3))) / slope))
+    for _ in range(4):
+        y_s, v_s, *_ = _dop853.step(accel, y, v, k0, s * h)
+        slope = h * accel(y_s)
+        if slope == 0.0:
             break
-    return t + 0.5 * (lo + hi) * h
+        ds = v_s / slope
+        s = min(1.0, max(0.0, s - ds))
+        if abs(ds) <= 1e-15:
+            break
+    return s
 
 
 def _run(
@@ -219,14 +202,13 @@ def _run(
         )
 
     direction = 1.0 if t_end >= t else -1.0
-    h = direction * min(abs(t_end - t), TWO_PI / omega0 / 500.0)
+    h = direction * min(abs(t_end - t), TWO_PI / omega0 / 100.0)
     h_floor = 32.0 * math.ulp(max(abs(t), abs(t_end)))
-    # y' = v, so the y-stage slopes are the stage velocities; only the
-    # v-stage slope k1v is carried over from the last stage (FSAL)
-    k1v = accel(y)
-    if not math.isfinite(k1v):
+    # the force at the step end is the next step's first stage (FSAL)
+    k0 = accel(y)
+    if not math.isfinite(k0):
         raise StepFailure(
-            f"the force per unit mass at y = {y!r} is {k1v!r} "
+            f"the force per unit mass at y = {y!r} is {k0!r} "
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
     ay, av = abs(y), abs(v)
@@ -256,46 +238,30 @@ def _run(
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        y2 = y + h * (_A21 * v)
-        v2 = v + h * (_A21 * k1v)
-        k2v = accel(y2)
-        y3 = y + h * (_A31 * v + _A32 * v2)
-        v3 = v + h * (_A31 * k1v + _A32 * k2v)
-        k3v = accel(y3)
-        y4 = y + h * (_A41 * v + _A42 * v2 + _A43 * v3)
-        v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4v = accel(y4)
-        y5 = y + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
-        v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5v = accel(y5)
-        y6 = y + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
-        v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6v = accel(y6)
-        y_new = y + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
-        v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7v = accel(y_new)
-
-        err_y = h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v_new)
-        err_v = h * (
-            _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v
-        )
+        y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
         # |y| and |v| of the step start carry over from the last accepted step
         ay_new, av_new = abs(y_new), abs(v_new)
         sc_y = abs_y + rel_tol * (ay_new if ay_new > ay else ay)
         sc_v = abs_v + rel_tol * (av_new if av_new > av else av)
-        err = math.sqrt(0.5 * ((err_y / sc_y) ** 2 + (err_v / sc_v) ** 2))
+        e5 = math.hypot(err5_y / sc_y, err5_v / sc_v)
+        e3 = math.hypot(err3_y / sc_y, err3_v / sc_v)
+        # Hairer's combined norm: the fifth-order estimate, shrunk by
+        # e5/sqrt(e5^2 + 0.01*e3^2) where the third-order one is larger
+        shrink = e5 / math.hypot(e5, 0.1 * e3) if e5 > 0.0 else 0.0
+        err = e5 * shrink * _RMS
 
         if err <= 1.0:
             t_new = t + h
+            k_new = accel(y_new)
             if (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
-                event = _locate_turning(t, h, v, k1v, v_new, k7v)
+                event = t + h * _turning_fraction(accel, y, v, k0, h, v_new, k_new)
             elif v_new == 0.0:
                 event = t_new
             else:
                 event = None
             n_acc += 1
-            local += abs(err_y) + abs(err_v) / omega_c
-            t, y, v, k1v = t_new, y_new, v_new, k7v
+            local += (abs(err5_y) + abs(err5_v) / omega_c) * shrink
+            t, y, v, k0 = t_new, y_new, v_new, k_new
             ay, av = ay_new, av_new
             ts.append(t)
             ys.append(y)
@@ -319,7 +285,7 @@ def _run(
             just_rejected = False
         else:
             n_rej += 1
-            h *= min(1.0, max(0.1, _SAFETY * err**-0.2))
+            h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
             just_rejected = True
 
     ya, va = np.asarray(ys), np.asarray(vs)
@@ -377,10 +343,10 @@ def measure_period(traj: Trajectory) -> PeriodEstimate:
     Needs at least three events (one full period).
 
     The error estimate is value * local_err / n_periods. local_err sums the
-    embedded estimates |err_y| + |err_v|/omega_c of the accepted steps,
-    relative to the displacement scale: local errors of the fourth-order
-    solution, which exceed those of the fifth-order one that is carried
-    forward. Over a period an oscillator carries a state error forward by an
+    embedded estimates |err5_y| + |err5_v|/omega_c of the accepted steps, as
+    the step-size control weighs them, relative to the displacement scale:
+    local errors of the fifth-order solution, which exceed those of the
+    eighth-order one that is carried forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e
     radians, e/(2*pi) of a period, so the estimate covers the accumulated
     phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).

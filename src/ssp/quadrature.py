@@ -202,8 +202,10 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     integral, err = trapezoid_ladder(integrand, rel_tol)
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
-    return PeriodEstimate(
-        _from_unit_scale(p, pref * integral),
-        Method.QUADRATURE,
-        _from_unit_scale(p, pref * err),
-    )
+    value = _from_unit_scale(p, pref * integral)
+    if not 0.0 < value < math.inf:
+        # from l ~ 2.7e154 the quarter gap overflows and the integrand reads 0
+        raise ConvergenceFailure(
+            f"quadrature left the float range at l={l!r}, y0={y0!r}: {value!r}"
+        )
+    return PeriodEstimate(value, Method.QUADRATURE, _from_unit_scale(p, pref * err))

@@ -243,6 +243,18 @@ def test_corrected_lower_bound_at_extreme_lengths(cell):
         assert check_sandwich(osc, est).passed
 
 
+def test_bounds_where_lengths_and_amplitude_overflow_when_squared():
+    # l*l and y0*y0 both overflow; on lengths scaled by the power of four
+    # that puts l in [0.5, 2) the ratios are in range: the stiffness is 2 and
+    # the excess 1, so the lower bound is 2*pi/sqrt(3), and the relative
+    # bound is -y0^2/(4*(l - l0)*l) = -1/4 (both were NaN)
+    osc = Oscillation(StringParams(1.0, 1e200, 1.0, 1.0), 1e200)
+    b = compute_bounds(osc)
+    assert b.lower_corrected == pytest.approx(TWO_PI / math.sqrt(3.0), rel=1e-15)
+    assert b.rel_error_bound_corrected == -0.25
+    assert b.lower_corrected < b.upper
+
+
 def _plain_bounds(osc):
     # the bounds' formulas with sigma and mass themselves, unscaled
     p, y0_sq = osc.params, osc.y0 * osc.y0

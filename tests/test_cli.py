@@ -128,6 +128,17 @@ def test_elliptic_overflow_is_an_engine_failure(capsys):
     assert err.startswith("engine failure:")
 
 
+def test_quadrature_overflow_is_an_engine_failure(capsys):
+    # the quadrature's quarter gap overflows at l = 1e200: exit 2, where a
+    # period of 0.0 divided by zero in the row's relative error
+    code, out, err = run_cli(
+        capsys, "period", "--l", "1e200", "--y0", "1e200", "--method", "quadrature"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("engine failure:")
+
+
 def test_period_json_stays_valid_at_overflowing_amplitude(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--y0", "1e200", "--method", "quadrature", "--format", "json"

@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince simulation with turning-point events."""
+"""Adaptive Dormand-Prince 8(5,3) simulation with turning-point events."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 import oracle
-from ssp import odesim
+from ssp import _dop853, odesim
 from ssp import (
     InsufficientEvents,
     InvalidParameters,
@@ -59,9 +59,24 @@ def test_event_count_matches_requested_periods(default_traj):
 
 
 def test_default_run_work_count(default_traj):
-    # one period, where ten took about 2.6k accepted steps
+    # one period of the eighth-order pair, where the 5(4) pair took about
+    # 270 accepted steps and ten periods about 2.6k
     osc, _ = default_traj
-    assert simulate(osc).n_accepted <= 300
+    assert simulate(osc).n_accepted <= 60
+
+
+def test_default_run_force_count(default_traj):
+    # every force value of a run, the events' partial steps among them; the
+    # model's own acceleration gives the default run bit for bit
+    osc, _ = default_traj
+    calls = []
+
+    def force(y):
+        calls.append(y)
+        return acceleration(osc.params, y)
+
+    _same_bytes(simulate(osc, accel=force), simulate(osc))
+    assert len(calls) <= 800
 
 
 def test_energy_drift_within_budget(default_traj):
@@ -126,6 +141,27 @@ def test_linearized_force_recovers_harmonic_period(default_traj):
     traj = simulate(osc, SimConfig(rel_tol=1e-12), accel=lambda y: -k * y)
     est = measure_period(traj)
     np.testing.assert_allclose(est.value, rayleigh_period(osc.params), rtol=1e-9)
+
+
+def test_step_matches_scipy_dop853(default_traj):
+    # one step in Nystrom form against SciPy's DOP853 on (y, v)' = (v, a(y)):
+    # same tableau, so the same eighth-order result up to rounding
+    osc, _ = default_traj
+
+    def accel(y):
+        return acceleration(osc.params, y)
+
+    def rhs(t, s):
+        return [s[1], accel(s[0])]
+
+    y, v, h = 0.31, -0.47, 0.6
+    ref = scipy.integrate.DOP853(
+        rhs, 0.0, [y, v], t_bound=h, first_step=h, rtol=1e-3, atol=1e3
+    )
+    ref.step()
+    assert ref.t == h
+    y1, v1, *_ = _dop853.step(accel, y, v, accel(y), h)
+    np.testing.assert_allclose([y1, v1], ref.y, rtol=1e-14, atol=0.0)
 
 
 def test_against_scipy_rk45(default_traj):
@@ -291,3 +327,14 @@ def test_error_estimate_covers_random_draws():
         ref = oracle.period_mp(l0, l, sigma, mass, y0)
         assert abs(est.value - ref) <= est.err_estimate, osc
         assert est.err_estimate <= 1e-7 * est.value, osc
+
+
+@pytest.mark.parametrize("cell, period", ORACLE_CELLS)
+def test_turning_events_within_estimate(cell, period):
+    # the Newton-refined turning times of the default run are P/2 and P to
+    # within the run's own error estimate; the Hermite cubic alone is not
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    traj = simulate(osc)
+    err = measure_period(traj).err_estimate
+    assert abs(traj.events[1] - 0.5 * period) <= err
+    assert abs(traj.events[2] - period) <= err

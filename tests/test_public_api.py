@@ -1,6 +1,10 @@
 """The package's top-level surface, and where the other names live."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ssp
 
@@ -43,3 +47,18 @@ def test_module_only_names_import_from_their_modules():
         for name in group:
             assert callable(getattr(mod, name)), f"{module}.{name}"
             assert name not in ssp.__all__
+
+
+def test_runtime_needs_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    code = (
+        "import sys, ssp, ssp.cli\n"
+        "assert ssp.cli.main(['period']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(ssp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -364,6 +364,22 @@ def test_period_survives_extreme_sigma_over_mass():
         np.testing.assert_allclose(period_elliptic(osc).value, exact.value, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (1.0, 1e200, 1.0, 1.0, 1e200),
+        (5.905019720959389e148, 4.954278131056503e154, 0.6179010992366014,
+         0.5487463547420953, 3.119604692433344e151),
+    ],
+)
+def test_overflowing_quarter_gap_is_a_clean_failure(cell):
+    # (l/2 - l0/2)*(l/2 + l0/2) overflows from l ~ 2.7e154 and the integrand
+    # reads 0: a ConvergenceFailure, not a period of 0.0
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    with pytest.raises(ConvergenceFailure, match="float range"):
+        exact_period(osc)
+
+
 @pytest.mark.parametrize("sigma, mass", [(1e308, 1e-10), (sys.float_info.max, 1.0)])
 def test_period_and_speed_where_twice_sigma_overflows(sigma, mass):
     # 2*sigma overflows while sigma/m is a float: the prefactors are formed
