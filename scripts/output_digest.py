@@ -6,9 +6,10 @@ covers every field the function returns, in repr form, on the benchmark's
 parameter pools: `perfbench.workloads.draw`, 8000 rows per band, seeds 1-3,
 both amplitude bands (48000 rows). An exception counts as its type name, so
 a row that raises in one tree and not in the other changes the digest. The
-`simulate` digest covers the arrays, counts and `local_err` of 128 runs.
-Each CLI digest covers one command's stdout and exit code, run as a fresh
-`python -m ssp.cli` process.
+`simulate` digest covers the arrays, counts and `local_err` of 128 runs,
+and the `measure_period` digest the period estimates of the same runs.
+Each CLI digest covers one command's stdout, exit code and whether stderr
+holds a traceback, run as a fresh `python -m ssp.cli` process.
 
 Run:  python3 scripts/output_digest.py
 """
@@ -44,6 +45,11 @@ CLI_COMMANDS = (
     ("period", "--y0", "0", "--format", "json"),
     ("period", "--y0", "1e308", "--method", "quadrature"),
     ("period", "--y0", "1e307", "--method", "elliptic"),
+    ("period", "--method", "ode", "--sigma", "1e-300", "--mass", "1e300", "--format", "json"),
+    ("period", "--y0", "50", "--l", "1.01", "--format", "json"),
+    ("period", "--l0", "1e100", "--l", "2e100", "--sigma", "1e-300", "--mass", "1e300", "--y0", "1e99"),
+    ("period", "--l0", "5e-324", "--l", "1e10", "--y0", "1"),
+    ("period", "--l0", "1e150", "--l", "2e150", "--y0", "1e160"),
     ("period", "--bogus"),
     ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1.0", "--points", "4"),
     ("sweep", "--sweep", "sigma", "--from", "0.1", "--to", "10", "--points", "3", "--log", "--method", "all"),
@@ -104,17 +110,19 @@ def library_digests() -> dict[str, str]:
     return {name: dig.hexdigest() for name, dig in d.items()}
 
 
-def simulate_digest() -> str:
-    d = Digest()
+def simulate_digests() -> dict[str, str]:
+    d = {name: Digest() for name in ("simulate", "measure_period")}
     rng = np.random.default_rng([1, workloads.WORKLOADS.index("ode")])
     oscs = workloads.draw(rng, SIM_RUNS, workloads.SMALL) + workloads.draw(rng, SIM_RUNS, workloads.LARGE)
     for osc in oscs:
-        traj = d.call(odesim.simulate, osc)
+        traj = d["simulate"].call(odesim.simulate, osc)
         if isinstance(traj, str):
+            d["measure_period"].add(None)
             continue
         arrays = (traj.t, traj.y, traj.v, traj.e, traj.events)
-        d.add(([a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err))
-    return d.hexdigest()
+        d["simulate"].add(([a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err))
+        d["measure_period"].call(odesim.measure_period, traj)
+    return {name: dig.hexdigest() for name, dig in d.items()}
 
 
 def cli_digest(argv: tuple[str, ...]) -> str:
@@ -123,13 +131,15 @@ def cli_digest(argv: tuple[str, ...]) -> str:
     done = subprocess.run(
         [sys.executable, "-m", "ssp.cli", *argv], env=env, capture_output=True, timeout=300
     )
-    return hashlib.sha256(done.stdout + f"\nexit {done.returncode}\n".encode()).hexdigest()
+    crash = " traceback" if b"Traceback" in done.stderr else ""
+    return hashlib.sha256(done.stdout + f"\nexit {done.returncode}{crash}\n".encode()).hexdigest()
 
 
 def main() -> None:
     for name, digest in library_digests().items():
         print(f"{digest}  {name}")
-    print(f"{simulate_digest()}  simulate")
+    for name, digest in simulate_digests().items():
+        print(f"{digest}  {name}")
     for argv in CLI_COMMANDS:
         print(f"{cli_digest(argv)}  ssp {' '.join(argv)}")
 

@@ -9,7 +9,8 @@ Machine formats use shortest round-trip floats (repr), so CSV and JSON carry
 identical numeric content at 17 significant digits; human summaries use 7.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 ok, 1 invalid
 input, 2 numerical-engine failure, 3 invariant violation (verify only).
-Environment overrides for defaults: SSP_REL_TOL, SSP_SEED.
+Environment overrides for defaults: SSP_REL_TOL, SSP_SEED. period runs
+without numpy, which the other subcommands import where they use it.
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import check_sandwich, compute_bounds
 from .elliptic import period_elliptic
 from .errors import EngineFailure, InvalidParameters
 from .model import Oscillation, StringParams, rayleigh_period
-from .odesim import SimConfig, measure_period, simulate
+from .odesim import SimConfig, _simulated_period, simulate
+from .odesim import measure_period  # noqa: F401  perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate, exact_period
 from .verify import run_invariant_suite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "entrypoint"]
 
@@ -105,7 +108,7 @@ def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
     # the rest state has no turning point to simulate
     if osc.y0 == 0.0:
         return PeriodEstimate(rayleigh_period(osc.params), Method.ODE_SIM, 0.0)
-    return measure_period(simulate(osc, cfg))
+    return _simulated_period(osc, cfg)
 
 
 def _build_row(
@@ -181,6 +184,8 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def _grid(low: float, high: float, points: int, log: bool) -> np.ndarray:
+    import numpy as np
+
     if points < 1:
         raise InvalidParameters(f"points must be >= 1, got {points}")
     if not (math.isfinite(low) and math.isfinite(high)):
@@ -257,6 +262,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
+    import numpy as np
+
     low = args.low if args.low is not None else 0.01 * args.l
     high = args.high if args.high is not None else 0.2 * args.l
     if args.points < 2 or low == high:

@@ -69,6 +69,18 @@ class StringParams:
         object.__setattr__(self, "_mass_exp", b)
         w = _linear_stiffness(self.l0, self.l, s, m)
         object.__setattr__(self, "_unit_stiffness", w)
+        # no period exceeds the linear-limit one, so while that is a positive
+        # finite float no engine's period leaves the float range
+        try:
+            linear = rayleigh_period(self) if w != 0.0 else math.inf
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise InvalidParameters(
+                f"the linear-limit period at l0={self.l0!r}, l={self.l!r}, "
+                f"sigma={self.sigma!r}, mass={self.mass!r} is not a positive "
+                f"finite float (got {linear!r})"
+            )
 
     @property
     def rest_tension(self) -> float:

@@ -28,19 +28,19 @@ twelve force evaluations and the calls through `acceleration` and
 operations in the same order, so every force value is the model's, scaled
 by a power of two.
 
-Every accepted step is recorded. The error weights of (y, v) are
-rel_tol * |value| plus an absolute floor of 1e-12 * y_scale for y and the
-same floor times the linear angular frequency for v, where y_scale is the
-larger of y0 and the initial displacement.
+Every accepted step is recorded, in plain lists; `simulate` and `integrate`
+import numpy where they turn them into a Trajectory's arrays, and the period
+alone (`_simulated_period`, which `ssp period` runs) needs no numpy. The
+error weights of (y, v) are rel_tol * |value| plus an absolute floor of
+1e-12 * y_scale for y and the same floor times the linear angular frequency
+for v, where y_scale is the larger of y0 and the initial displacement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import _dop853
 from .errors import (
@@ -53,6 +53,9 @@ from .errors import (
 from .model import TWO_PI, Oscillation, _bound_acceleration, rayleigh_period
 from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimConfig", "Trajectory", "simulate", "integrate", "measure_period"]
 
@@ -151,6 +154,21 @@ def _turning_fraction(
     return s
 
 
+class _Run(NamedTuple):
+    """What _run records, in unit time: the samples, the turning times, the
+    step counts and local_err (see Trajectory). Physical time is unit time
+    times 2**shift."""
+
+    t: list[float]
+    y: list[float]
+    v: list[float]
+    events: list[float]
+    n_accepted: int
+    n_rejected: int
+    local_err: float
+    shift: int
+
+
 def _run(
     osc: Oscillation,
     t_span: tuple[float, float],
@@ -158,7 +176,7 @@ def _run(
     rel_tol: float,
     accel: Callable[[float], float] | None,
     max_events: int | None = None,
-) -> Trajectory:
+) -> _Run:
     """Integrate (y, v) from state0 over t_span, stopping early once
     max_events (at least 2) turning events are recorded. accel None means
     the model's force law, bound once per run.
@@ -172,8 +190,8 @@ def _run(
     The run is in unit time tau = t * 2**-shift, shift = _mass_exp -
     _sigma_exp, where the force has p._unit_sigma and p._unit_mass in place
     of sigma and mass (see model._from_unit_scale): velocities are scaled by
-    2**shift and accelerations by 4**shift on the way in, and times,
-    velocities and energies back on the way out. Every scaling is by a power
+    2**shift and accelerations by 4**shift on the way in, and the callers
+    scale times, velocities and energies back. Every scaling is by a power
     of two, so where no intermediate is subnormal the run keeps its bits,
     and sigma/mass may overflow or underflow a float.
     """
@@ -288,16 +306,40 @@ def _run(
             h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
             just_rejected = True
 
-    ya, va = np.asarray(ys), np.asarray(vs)
+    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale, shift)
+
+
+def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
+    """The run in physical time, with the energy of each sample, as
+    read-only arrays."""
+    import numpy as np
+
+    p, shift = osc.params, run.shift
+    ya, va = np.asarray(run.y), np.asarray(run.v)
     e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
         ya * ya / (2.0 * p.l0) - np.hypot(p.l, ya)
     )
     with np.errstate(over="ignore"):
         e = np.ldexp(e, -2 * shift)
-    arrays = (np.ldexp(ts, shift), ya, np.ldexp(va, -shift), e, np.ldexp(events, shift))
+    arrays = (np.ldexp(run.t, shift), ya, np.ldexp(va, -shift), e, np.ldexp(run.events, shift))
     for a in arrays:
         a.flags.writeable = False
-    return Trajectory(*arrays, n_acc, n_rej, local / y_scale)
+    return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
+
+
+def _release(
+    osc: Oscillation, cfg: SimConfig, accel: Callable[[float], float] | None
+) -> _Run:
+    """simulate's run, before its arrays are built."""
+    horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
+    want = 2 * cfg.n_periods + 1
+    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
+    if len(run.events) < want:
+        raise ConvergenceFailure(
+            f"expected {want} turning events within {horizon!r} time units, "
+            f"found {len(run.events)}"
+        )
+    return run
 
 
 def simulate(
@@ -314,15 +356,7 @@ def simulate(
     periods always suffices. `accel` overrides the force law (test hook for
     the linearized system); it must map y to d2y/dt2.
     """
-    horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
-    want = 2 * cfg.n_periods + 1
-    traj = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
-    if traj.events.size < want:
-        raise ConvergenceFailure(
-            f"expected {want} turning events within {horizon!r} time units, "
-            f"found {traj.events.size}"
-        )
-    return traj
+    return _trajectory(osc, _release(osc, cfg, accel))
 
 
 def integrate(
@@ -334,7 +368,19 @@ def integrate(
     Turning events are recorded but never stop the run; the trajectory always
     reaches t_span[1] exactly.
     """
-    return _run(osc, t_span, state0, SimConfig().rel_tol, None)
+    return _trajectory(osc, _run(osc, t_span, state0, SimConfig().rel_tol, None))
+
+
+def _period(events: Sequence[float], local_err: float) -> PeriodEstimate:
+    """The period estimate from physical turning times and local_err (see
+    measure_period)."""
+    if len(events) < 3:
+        raise InsufficientEvents(
+            f"need >= 3 turning events to estimate a period, got {len(events)}"
+        )
+    n_periods = 0.5 * (len(events) - 1)
+    value = float(events[-1] - events[0]) / n_periods
+    return PeriodEstimate(value, Method.ODE_SIM, value * local_err / n_periods)
 
 
 def measure_period(traj: Trajectory) -> PeriodEstimate:
@@ -354,11 +400,11 @@ def measure_period(traj: Trajectory) -> PeriodEstimate:
     velocity term by the motion's own time scale, so the estimate stays
     tight where the period falls far below the linear one.
     """
-    events = traj.events
-    if events.size < 3:
-        raise InsufficientEvents(
-            f"need >= 3 turning events to estimate a period, got {events.size}"
-        )
-    n_periods = 0.5 * (events.size - 1)
-    value = float(events[-1] - events[0]) / n_periods
-    return PeriodEstimate(value, Method.ODE_SIM, value * traj.local_err / n_periods)
+    return _period(traj.events, traj.local_err)
+
+
+def _simulated_period(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
+    """measure_period(simulate(osc, cfg)), bit for bit, without the
+    trajectory's arrays (and so without numpy)."""
+    run = _release(osc, cfg, None)
+    return _period([math.ldexp(t, run.shift) for t in run.events], run.local_err)

@@ -199,12 +199,18 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         g = (quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (l0 * (hz + hz0))
         return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g)
 
-    integral, err = trapezoid_ladder(integrand, rel_tol)
+    try:
+        integral, err = trapezoid_ladder(integrand, rel_tol)
+    except ZeroDivisionError:
+        # once l0*y0/2 passes DBL_MAX, g's denominator l0*(hz + hz0)
+        # overflows and g reads 0
+        integral = err = math.inf
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
     value = _from_unit_scale(p, pref * integral)
     if not 0.0 < value < math.inf:
-        # from l ~ 2.7e154 the quarter gap overflows and the integrand reads 0
+        # from l ~ 2.7e154 the quarter gap overflows and the integrand reads
+        # 0; g reading 0 leaves the value inf
         raise ConvergenceFailure(
             f"quadrature left the float range at l={l!r}, y0={y0!r}: {value!r}"
         )

@@ -5,21 +5,24 @@ property that must hold regardless of the numbers drawn: the period sits
 strictly inside its a-priori bounds, the quadrature and elliptic routes
 agree, the period depends on sigma and mass only through their ratio, the
 elliptic engine's cel kernel obeys Legendre's relation, and the closed-form
-quartic roots match a general-purpose eigenvalue root finder.
+quartic roots match a general-purpose eigenvalue root finder. numpy, which
+draws the samples and runs that root finder, is imported by the checks that
+use it, so `import ssp` does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import check_sandwich
 from .elliptic import _cel, period_elliptic, quartic_coefficients, quartic_roots
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
 from .quadrature import exact_period
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
 
@@ -58,6 +61,8 @@ class VerifyReport(NamedTuple):
 
 
 def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
+    import numpy as np
+
     l0 = np.exp(rng.uniform(math.log(0.5), math.log(2.0), n))
     stretch = np.exp(rng.uniform(math.log(1.01), math.log(10.0), n))
     mass = np.exp(rng.uniform(math.log(0.5), math.log(2.0), n))
@@ -78,6 +83,8 @@ def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
 def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
     """One agreement check: a deviation fails unless it is at most tol, so a
     NaN fails, and worst is the largest deviation, NaN if any is NaN."""
+    import numpy as np
+
     devs = np.asarray(deviations, dtype=float)
     return CheckResult(name, devs.size, int(np.sum(~(devs <= tol))), float(np.max(devs)), tol)
 
@@ -113,6 +120,8 @@ def _check_sandwich_and_cross(
 def _check_scaling(
     oscs: list[Oscillation], rng: np.random.Generator, rel_tol: float
 ) -> CheckResult:
+    import numpy as np
+
     devs = []
     for osc in oscs:
         k = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
@@ -137,6 +146,8 @@ def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
     The relation is symmetric in k and kc, so angles up to pi/4 cover every
     modulus; k = sin(t) and kc = cos(t) then hold to the rounding level.
     """
+    import numpy as np
+
     devs = []
     ca = math.sqrt(1e-13)  # period_elliptic's default stop test
     for t in np.exp(rng.uniform(math.log(1e-6), math.log(0.25 * math.pi), n)):
@@ -154,6 +165,8 @@ def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
     so amplitudes keep z0 at least 0.1*l away from the double-root boundary
     z0 = 2*l0 + l and at least 0.2*l of spread above l.
     """
+    import numpy as np
+
     l0 = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
     l = l0 * float(np.exp(rng.uniform(math.log(1.01), math.log(10.0))))
     cap = math.sqrt((2.0 * l0 + 0.9 * l) ** 2 - l * l)
@@ -163,6 +176,8 @@ def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
 
 
 def _check_quartic(rng: np.random.Generator, n: int) -> CheckResult:
+    import numpy as np
+
     devs = []
     for _ in range(n):
         osc = _draw_separated_roots(rng)
@@ -184,6 +199,8 @@ def run_invariant_suite(
     The heavyweight checks (bounds, cross-method) use all `samples` draws;
     the cheap structural ones use fixed subsample sizes.
     """
+    import numpy as np
+
     if samples < 1:
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)

@@ -139,6 +139,27 @@ def test_quadrature_overflow_is_an_engine_failure(capsys):
     assert err.startswith("engine failure:")
 
 
+@pytest.mark.parametrize(
+    "params, code, prefix",
+    [
+        # the linear-limit period overflows; ldexp raised an OverflowError
+        (("--l0", "1e100", "--l", "2e100", "--sigma", "1e-300", "--mass", "1e300", "--y0", "1e99"),
+         1, "error:"),
+        # the unit stiffness overflows; the linear period read 0.0
+        (("--l0", "5e-324", "--l", "1e10", "--y0", "1"), 1, "error:"),
+        # l0*(hz + hz0) overflows in g; the integrand divided by zero
+        (("--l0", "1e150", "--l", "2e150", "--y0", "1e160"), 2, "engine failure:"),
+    ],
+)
+def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix):
+    for method in ("quadrature", "elliptic", "ode", "all"):
+        got, out, err = run_cli(capsys, "period", *params, "--method", method)
+        assert got == code
+        assert out == ""
+        assert err.startswith(prefix) and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 def test_period_json_stays_valid_at_overflowing_amplitude(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--y0", "1e200", "--method", "quadrature", "--format", "json"

@@ -135,6 +135,11 @@ def test_rayleigh_solution_waypoints(reference_params):
         dict(l0=1.0, l=1.25, sigma=1.0, mass=-2.0),
         dict(l0=1.0, l=math.inf, sigma=1.0, mass=1.0),
         dict(l0=1.0, l=1.25, sigma=math.nan, mass=1.0),
+        # the linear-limit period 2*pi*sqrt(m*l0*l/(2*sigma*(l - l0))) is
+        # about 6e350: the final ldexp of every engine overflowed
+        dict(l0=1e100, l=2e100, sigma=1e-300, mass=1e300),
+        # the unit stiffness 2*(l - l0)/(l0*l) overflows: the period read 0.0
+        dict(l0=5e-324, l=1e10, sigma=1.0, mass=1.0),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

@@ -246,6 +246,44 @@ def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     assert np.all(np.isfinite(traj.t)) and np.all(np.isfinite(traj.v))
 
 
+@pytest.mark.parametrize(
+    "cell, n_periods",
+    [
+        ((1.0, 1.25, 1.0, 1.0, 0.5), 1),
+        ((1.0, 1.25, 1.0, 1.0, 0.5), 3),
+        ((1.0, 1.25, 1e300, 1e-300, 0.5), 1),
+        ((1.0, 1.25, 1e-300, 1e300, 0.5), 1),
+        ((1.0, 1.25, 1e-300, 1e300, 1.25e3), 3),
+        ((1.0, 1.25, 1.0, 1.0, 1.25e3), 1),
+        ((1.0, 1.0 + 1e-9, 1.0, 1.0, 1e-6), 1),
+    ],
+)
+def test_period_without_arrays_is_measure_period(cell, n_periods):
+    # ssp period's ODE column skips the trajectory's arrays; it must read
+    # the same bits as measure_period(simulate(...))
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    cfg = SimConfig(n_periods=n_periods)
+    assert odesim._simulated_period(osc, cfg) == measure_period(simulate(osc, cfg))
+
+
+@pytest.mark.parametrize(
+    "cell, error",
+    [
+        # the absolute error floors underflow
+        ((1.0, 1.25, 1.0, 1.0, 5e-324), InvalidParameters),
+        # the force at the release point overflows
+        ((1.0, 1e200, 1.0, 1.0, 1e200), StepFailure),
+    ],
+)
+def test_period_without_arrays_raises_as_simulate(cell, error):
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    with pytest.raises(error) as direct:
+        simulate(osc)
+    with pytest.raises(error) as lean:
+        odesim._simulated_period(osc, SimConfig())
+    assert str(lean.value) == str(direct.value)
+
+
 def test_nonfinite_force_named():
     # the override overflows at the release point; the run says so instead
     # of shrinking its step to nothing

@@ -49,6 +49,16 @@ def test_module_only_names_import_from_their_modules():
             assert name not in ssp.__all__
 
 
+def _last_line_of(code):
+    """The last stdout line of a fresh interpreter that runs code."""
+    src = str(Path(ssp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return done.stdout.splitlines()[-1]
+
+
 def test_runtime_needs_no_scipy():
     # numpy is the only runtime dependency; scipy is for the tests alone
     code = (
@@ -56,9 +66,19 @@ def test_runtime_needs_no_scipy():
         "assert ssp.cli.main(['period']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(ssp.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    assert _last_line_of(code) == "[]"
+
+
+def test_import_and_period_load_no_numpy():
+    # numpy builds the trajectory arrays, the sweep grids and the invariant
+    # suite's draws; the package and every `ssp period` run need none of it
+    code = (
+        "import sys, ssp, ssp.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for extra in ([], ['--format', 'csv'], ['--format', 'json'],\n"
+        "              ['--method', 'ode'], ['--y0', '0']):\n"
+        "    assert ssp.cli.main(['period', *extra]) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _last_line_of(code) == str([False] * 6)

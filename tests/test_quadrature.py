@@ -370,11 +370,14 @@ def test_period_survives_extreme_sigma_over_mass():
         (1.0, 1e200, 1.0, 1.0, 1e200),
         (5.905019720959389e148, 4.954278131056503e154, 0.6179010992366014,
          0.5487463547420953, 3.119604692433344e151),
+        # l0*y0/2 passes DBL_MAX: g's denominator l0*(hz + hz0) overflows
+        (1e150, 2e150, 1.0, 1.0, 1e160),
     ],
 )
 def test_overflowing_quarter_gap_is_a_clean_failure(cell):
     # (l/2 - l0/2)*(l/2 + l0/2) overflows from l ~ 2.7e154 and the integrand
-    # reads 0: a ConvergenceFailure, not a period of 0.0
+    # reads 0, or g reads 0: a ConvergenceFailure, not a period of 0.0 or a
+    # ZeroDivisionError
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     with pytest.raises(ConvergenceFailure, match="float range"):
         exact_period(osc)
