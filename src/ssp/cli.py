@@ -9,8 +9,9 @@ Machine formats use shortest round-trip floats (repr), so CSV and JSON carry
 identical numeric content at 17 significant digits; human summaries use 7.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 ok, 1 invalid
 input, 2 numerical-engine failure, 3 invariant violation (verify only).
-Environment overrides for defaults: SSP_REL_TOL, SSP_SEED. period runs
-without numpy, which the other subcommands import where they use it.
+Environment overrides for defaults: SSP_REL_TOL, SSP_SEED. period, verify
+and linear sweeps run without numpy; sweep --log, convergence and trajectory
+import it where they use it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .bounds import check_sandwich, compute_bounds
 from .elliptic import period_elliptic
@@ -31,9 +32,6 @@ from .odesim import SimConfig, _simulated_period, simulate
 from .odesim import measure_period  # noqa: F401  perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate, exact_period
 from .verify import run_invariant_suite
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["main", "entrypoint"]
 
@@ -183,20 +181,34 @@ def cmd_period(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(low: float, high: float, points: int, log: bool) -> np.ndarray:
-    import numpy as np
+def _grid(low: float, high: float, points: int, log: bool) -> Sequence[float]:
+    """points values from low to high, spaced evenly or, with log, geometrically.
 
+    The linear grid is np.linspace's recipe, bit for bit. The log grid stays
+    np.geomspace, whose SIMD log10 and power differ from libm's in the last
+    bit, so no pure-Python copy would keep log sweeps' outputs.
+    """
     if points < 1:
         raise InvalidParameters(f"points must be >= 1, got {points}")
     if not (math.isfinite(low) and math.isfinite(high)):
         raise InvalidParameters("grid endpoints must be finite")
     if points == 1:
-        return np.asarray([low])
+        return [low]
     if log:
         if low <= 0.0 or high <= 0.0:
             raise InvalidParameters("log grids need positive endpoints")
+        import numpy as np
+
         return np.geomspace(low, high, points)
-    return np.linspace(low, high, points)
+    div = points - 1
+    delta = high - low
+    step = delta / div
+    if step == 0.0:
+        # equal endpoints, or a step that underflows: scale by delta last
+        grid = [i / div * delta + low for i in range(div)]
+    else:
+        grid = [i * step + low for i in range(div)]
+    return [*grid, high]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

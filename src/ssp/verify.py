@@ -5,15 +5,16 @@ property that must hold regardless of the numbers drawn: the period sits
 strictly inside its a-priori bounds, the quadrature and elliptic routes
 agree, the period depends on sigma and mass only through their ratio, the
 elliptic engine's cel kernel obeys Legendre's relation, and the closed-form
-quartic roots match a general-purpose eigenvalue root finder. numpy, which
-draws the samples and runs that root finder, is imported by the checks that
-use it, so `import ssp` does not load it.
+quartic roots match a general-purpose polynomial root finder (Aberth's
+simultaneous iteration on the expanded coefficients). The samples come from
+the standard library's `random.Random`, so the suite runs without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+import random
+from typing import NamedTuple
 
 from .bounds import check_sandwich
 from .elliptic import _cel, period_elliptic, quartic_coefficients, quartic_roots
@@ -21,15 +22,18 @@ from .errors import InvalidParameters
 from .model import Oscillation, StringParams
 from .quadrature import exact_period
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
 
 CROSS_METHOD_TOL = 1e-9
 SCALING_TOL = 1e-12
 LEGENDRE_TOL = 1e-12
 QUARTIC_TOL = 1e-12
+
+# Aberth's iteration converges cubically at simple roots, so once every
+# correction is below sqrt(eps) of the root radius, the error it leaves is
+# at the rounding level. Separated quartic roots take 5 to 10 sweeps.
+_ABERTH_STOP = 2.0**-26
+_ABERTH_MAX_SWEEPS = 50
 
 
 class CheckResult(NamedTuple):
@@ -60,33 +64,32 @@ class VerifyReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def _draw_oscillations(rng: np.random.Generator, n: int) -> list[Oscillation]:
-    import numpy as np
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    l0 = np.exp(rng.uniform(math.log(0.5), math.log(2.0), n))
-    stretch = np.exp(rng.uniform(math.log(1.01), math.log(10.0), n))
-    mass = np.exp(rng.uniform(math.log(0.5), math.log(2.0), n))
-    sig_over_m = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n))
-    amp = np.exp(rng.uniform(math.log(1e-4), math.log(3.0), n))
+
+def _draw_oscillations(rng: random.Random, n: int) -> list[Oscillation]:
     out = []
-    for i in range(n):
-        p = StringParams(
-            l0=float(l0[i]),
-            l=float(l0[i] * stretch[i]),
-            sigma=float(sig_over_m[i] * mass[i]),
-            mass=float(mass[i]),
-        )
-        out.append(Oscillation(p, float(amp[i] * p.l)))
+    for _ in range(n):
+        l0 = _log_uniform(rng, 0.5, 2.0)
+        l = l0 * _log_uniform(rng, 1.01, 10.0)
+        mass = _log_uniform(rng, 0.5, 2.0)
+        sigma = _log_uniform(rng, 1e-2, 1e2) * mass
+        p = StringParams(l0=l0, l=l, sigma=sigma, mass=mass)
+        out.append(Oscillation(p, _log_uniform(rng, 1e-4, 3.0) * l))
     return out
+
+
+def _worst(deviations: list[float]) -> float:
+    """The largest deviation, NaN if any is NaN."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
 def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
     """One agreement check: a deviation fails unless it is at most tol, so a
     NaN fails, and worst is the largest deviation, NaN if any is NaN."""
-    import numpy as np
-
-    devs = np.asarray(deviations, dtype=float)
-    return CheckResult(name, devs.size, int(np.sum(~(devs <= tol))), float(np.max(devs)), tol)
+    failures = sum(not d <= tol for d in deviations)
+    return CheckResult(name, len(deviations), failures, _worst(deviations), tol)
 
 
 def _check_sandwich_and_cross(
@@ -118,13 +121,11 @@ def _check_sandwich_and_cross(
 
 
 def _check_scaling(
-    oscs: list[Oscillation], rng: np.random.Generator, rel_tol: float
+    oscs: list[Oscillation], rng: random.Random, rel_tol: float
 ) -> CheckResult:
-    import numpy as np
-
     devs = []
     for osc in oscs:
-        k = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        k = _log_uniform(rng, 0.1, 10.0)
         p = osc.params
         base = exact_period(osc, rel_tol).value
         joint = exact_period(
@@ -133,24 +134,23 @@ def _check_scaling(
         sigma_only = exact_period(
             Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass), osc.y0), rel_tol
         ).value
-        devs.append(max(
+        devs.append(_worst([
             abs(joint - base) / base,
             abs(sigma_only * math.sqrt(k) - base) / base,
-        ))
+        ]))
     return _tally("sigma-mass-scaling", devs, SCALING_TOL)
 
 
-def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
+def _check_legendre(rng: random.Random, n: int) -> CheckResult:
     """E*K' + E'*K - K*K' = pi/2, with K, E, K', E' each one cel call.
 
     The relation is symmetric in k and kc, so angles up to pi/4 cover every
     modulus; k = sin(t) and kc = cos(t) then hold to the rounding level.
     """
-    import numpy as np
-
     devs = []
     ca = math.sqrt(1e-13)  # period_elliptic's default stop test
-    for t in np.exp(rng.uniform(math.log(1e-6), math.log(0.25 * math.pi), n)):
+    for _ in range(n):
+        t = _log_uniform(rng, 1e-6, 0.25 * math.pi)
         k, kc = math.sin(t), math.cos(t)
         big_k, big_kp = _cel(kc, 1.0, 1.0, 1.0, ca), _cel(k, 1.0, 1.0, 1.0, ca)
         big_e, big_ep = _cel(kc, 1.0, 1.0, kc * kc, ca), _cel(k, 1.0, 1.0, k * k, ca)
@@ -158,36 +158,62 @@ def _check_legendre(rng: np.random.Generator, n: int) -> CheckResult:
     return _tally("legendre-relation", devs, LEGENDRE_TOL)
 
 
-def _draw_separated_roots(rng: np.random.Generator) -> Oscillation:
+def _draw_separated_roots(rng: random.Random) -> Oscillation:
     """A parameter set whose quartic roots stay pairwise well separated.
 
-    The eigenvalue reference (np.roots) loses digits near coincident roots,
+    The Aberth reference slows down and loses digits near coincident roots,
     so amplitudes keep z0 at least 0.1*l away from the double-root boundary
     z0 = 2*l0 + l and at least 0.2*l of spread above l.
     """
-    import numpy as np
-
-    l0 = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
-    l = l0 * float(np.exp(rng.uniform(math.log(1.01), math.log(10.0))))
+    l0 = _log_uniform(rng, 0.5, 2.0)
+    l = l0 * _log_uniform(rng, 1.01, 10.0)
     cap = math.sqrt((2.0 * l0 + 0.9 * l) ** 2 - l * l)
-    hi = min(2.0 * l, cap)
-    amp = float(np.exp(rng.uniform(math.log(0.2 * l), math.log(hi))))
+    amp = _log_uniform(rng, 0.2 * l, min(2.0 * l, cap))
     return Oscillation(StringParams(l0, l, 1.0, 1.0), amp)
 
 
-def _check_quartic(rng: np.random.Generator, n: int) -> CheckResult:
-    import numpy as np
+def _aberth_roots(coeffs: tuple[float, ...]) -> tuple[list[float], int]:
+    """Real parts of a polynomial's roots, ascending, and the sweeps taken.
 
+    Aberth-Ehrlich simultaneous iteration: each root z_k moves by
+    w/(1 - w*sum_{j!=k} 1/(z_k - z_j)), with w = p(z_k)/p'(z_k) its Newton
+    correction, from starts spread on a circle that holds every root
+    (Fujiwara's bound 2*max_k |a_k/a_0|^(1/k)). After _ABERTH_MAX_SWEEPS
+    the roots are returned as they stand.
+    """
+    a = [c / coeffs[0] for c in coeffs]
+    n = len(a) - 1
+    radius = 2.0 * max(abs(c) ** (1.0 / k) for k, c in enumerate(a[1:], 1))
+    # the offset angle keeps the starts off the real axis and off symmetry
+    angles = [2.0 * math.pi * k / n + 0.4 for k in range(n)]
+    z = [radius * complex(math.cos(t), math.sin(t)) for t in angles]
+    for sweep in range(1, _ABERTH_MAX_SWEEPS + 1):
+        step = 0.0
+        for k, zk in enumerate(z):
+            p = dp = 0j
+            for c in a:
+                dp = dp * zk + p
+                p = p * zk + c
+            w = p / dp
+            w /= 1.0 - w * sum(1.0 / (zk - zj) for j, zj in enumerate(z) if j != k)
+            z[k] = zk - w
+            step = max(step, abs(w))
+        if step <= _ABERTH_STOP * radius:
+            break
+    return sorted(r.real for r in z), sweep
+
+
+def _check_quartic(rng: random.Random, n: int) -> CheckResult:
     devs = []
     for _ in range(n):
         osc = _draw_separated_roots(rng)
-        mine = np.asarray(quartic_roots(osc).roots)
-        ref = np.sort(np.roots(quartic_coefficients(osc)).real)
+        mine = quartic_roots(osc).roots
+        ref, _ = _aberth_roots(quartic_coefficients(osc))
         scale = mine[-1] - mine[0]
-        devs.append(max(
-            float(np.max(np.abs(mine - ref))) / scale,
-            abs(float(np.sum(mine)) - 2.0 * osc.params.l0) / scale,
-        ))
+        devs.append(_worst([
+            *(abs(x - y) / scale for x, y in zip(mine, ref)),
+            abs(sum(mine) - 2.0 * osc.params.l0) / scale,
+        ]))
     return _tally("quartic-roots", devs, QUARTIC_TOL)
 
 
@@ -199,11 +225,9 @@ def run_invariant_suite(
     The heavyweight checks (bounds, cross-method) use all `samples` draws;
     the cheap structural ones use fixed subsample sizes.
     """
-    import numpy as np
-
     if samples < 1:
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     oscs = _draw_oscillations(rng, samples)
     elliptic_tol = min(1e-13, rel_tol)
     sandwich, cross = _check_sandwich_and_cross(oscs, rel_tol, elliptic_tol)

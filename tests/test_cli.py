@@ -267,6 +267,26 @@ def test_sweep_other_axis_and_log_spacing(capsys):
     np.testing.assert_allclose(p[0] / p[1], np.sqrt(10.0), rtol=1e-10)
 
 
+def test_linear_grid_is_linspace_bit_for_bit():
+    # linear sweeps print the same y0 column as when numpy built the grid
+    rng = np.random.default_rng(17)
+    cases = [
+        (0.1, 1.0, 2),
+        (-3.0, 3.0, 7),
+        (2.5, 2.5, 4),  # zero step
+        (0.0, 1e-323, 5),  # the step underflows to zero: linspace scales last
+        (0.0, 1e-320, 5),  # subnormal step
+        (-1.7e308, 1.7e308, 2),  # delta overflows; linspace gives nan first
+    ]
+    for _ in range(500):
+        lo, hi = rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(-700.0, 700.0, 2))
+        cases.append((float(lo), float(hi), int(rng.choice([2, 3, 10, int(rng.integers(2, 200))]))))
+    with np.errstate(all="ignore"):
+        for lo, hi, points in cases:
+            mine = np.array(ssp.cli._grid(lo, hi, points, log=False), dtype=float)
+            assert mine.tobytes() == np.linspace(lo, hi, points).tobytes(), (lo, hi, points)
+
+
 def test_sweep_requires_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--sweep", "y0")
     assert code == 1

@@ -70,8 +70,8 @@ def test_runtime_needs_no_scipy():
 
 
 def test_import_and_period_load_no_numpy():
-    # numpy builds the trajectory arrays, the sweep grids and the invariant
-    # suite's draws; the package and every `ssp period` run need none of it
+    # numpy builds the trajectory arrays and the log sweep grids; the package
+    # and every `ssp period` run need none of it
     code = (
         "import sys, ssp, ssp.cli\n"
         "loaded = ['numpy' in sys.modules]\n"
@@ -82,3 +82,20 @@ def test_import_and_period_load_no_numpy():
         "print(loaded)"
     )
     assert _last_line_of(code) == str([False] * 6)
+
+
+def test_verify_and_linear_sweep_load_no_numpy():
+    code = (
+        "import sys, ssp.cli\n"
+        "loaded = []\n"
+        "for argv in (['verify', '--samples', '20'],\n"
+        "             ['sweep', '--sweep', 'y0', '--from', '0.1', '--to', '1', '--points', '3'],\n"
+        "             ['sweep', '--sweep', 'l', '--from', '1.1', '--to', '2', '--points', '2',\n"
+        "              '--method', 'all', '--format', 'json']):\n"
+        "    assert ssp.cli.main(argv) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "# a geometric grid may load it\n"
+        "assert ssp.cli.main(['sweep', '--sweep', 'y0', '--from', '0.1', '--to', '1', '--log']) == 0\n"
+        "print(loaded)"
+    )
+    assert _last_line_of(code) == str([False] * 3)
