@@ -12,7 +12,8 @@ form; it is dimensionally inconsistent and is never asserted against.
 
 The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
-which shrinks quadratically in the amplitude. Once y0*y0 overflows, the
+which shrinks quadratically in the amplitude. Every bound is formed on the
+unit values of model.StringParams and scaled back. Once y0*y0 overflows, the
 lower bounds read 0 and the relative-error bounds -inf: still true, where
 y0**2 would raise.
 
@@ -38,11 +39,10 @@ from .model import (
     Oscillation,
     StringParams,
     _from_unit_scale,
-    _linear_stiffness,
-    _unit_scale,
+    _scaled,
     rayleigh_period,
 )
-from .quadrature import PeriodEstimate, radicand_g
+from .quadrature import PeriodEstimate, _unit_g
 
 __all__ = [
     "PeriodBounds",
@@ -70,74 +70,52 @@ def upper_bound(params: StringParams) -> float:
     return rayleigh_period(params)
 
 
-# Where l0, l and y0 lie in this range every product of the two bounds below
-# stays in the normal range, scaled into the unit range or not, so the
-# scaling would move no bit and is skipped.
-_PLAIN_LO, _PLAIN_HI = 2.0**-200, 2.0**200
-
-
-def _unit_lengths(osc: Oscillation) -> tuple[float, float, float, int]:
-    """(l0, l, y0, e): the three lengths over the power of four 4**e that
-    puts l in [0.5, 2), where l0 < l and l*l can neither overflow nor
-    underflow. Exact where nothing lands in the subnormal range. Raises
-    OverflowError where y0 overflows."""
-    p = osc.params
-    l, e = _unit_scale(p.l)
-    return math.ldexp(p.l0, -2 * e), l, math.ldexp(osc.y0, -2 * e), e
-
-
 def lower_bound_corrected(osc: Oscillation) -> float:
     """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)).
 
-    The stiffness excess goes as 1/length. Outside the plain range it is
-    formed on lengths scaled into the unit range (_unit_lengths) and scaled
-    back exactly. Where a scaling overflows or l0 underflows to 0 the excess
-    is taken as inf, and the bound as 0, still true.
+    Formed on the unit values (see model.StringParams). Where y0*y0
+    overflows the excess is inf, and the bound 0, still true.
     """
     p = osc.params
-    l0, l, y0 = p.l0, p.l, osc.y0
-    try:
-        if _PLAIN_LO <= l0 and l <= _PLAIN_HI and _PLAIN_LO <= y0 <= _PLAIN_HI:
-            excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
-        else:
-            l0, l, y0, e = _unit_lengths(osc)
-            excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
-            excess = math.ldexp(excess, -2 * e)
-    except (OverflowError, ZeroDivisionError):
-        excess = math.inf
+    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
+    excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
     return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness + excess))
 
 
 def lower_bound_printed(osc: Oscillation) -> float:
     """Reported-only variant with sigma*y0^2/(l*l0) in place of the corrected
-    stiffness excess. Not dimensionally consistent; never asserted against."""
+    stiffness excess. Not dimensionally consistent; never asserted against.
+
+    The excess goes as sigma alone: formed on the unit values, it is brought
+    to the unit stiffness's scale, below an ulp of it where that overflows.
+    """
     p = osc.params
-    # proportional to sigma but not to 1/mass: scale sigma alone
-    lin = _linear_stiffness(p.l0, p.l, p._unit_sigma, p.mass)
-    stiff = lin + p._unit_sigma * (osc.y0 * osc.y0) / (p.l * p.l0)
-    return math.ldexp(TWO_PI / math.sqrt(stiff), -p._sigma_exp)
+    y0 = osc._unit_y0
+    excess = p._unit_sigma * (y0 * y0) / (p._unit_l * p._unit_l0)
+    try:
+        stiff = p._unit_stiffness + math.ldexp(excess, 2 * (p._sigma_exp + p._period_exp))
+    except OverflowError:
+        return math.ldexp(TWO_PI / math.sqrt(excess), -p._sigma_exp)
+    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 
 def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
     """Bounds on (P - P_lin)/P: within [-y0^2/(4*(l-l0)*l), 0], sigma
     cancelled from -sigma*y0^2/(4*T*l0*l) so that no extreme sigma moves it.
-    The ratio is free of units; outside the plain range it is formed on the
-    unit-scaled lengths (_unit_lengths), where y0*y0 and l*l overflow only
-    with the ratio."""
+    The ratio is free of units; it is formed on the unit-scaled lengths
+    (see model.StringParams), where y0*y0 overflows only with the ratio."""
     p = osc.params
-    l0, l, y0 = p.l0, p.l, osc.y0
-    if not (_PLAIN_LO <= l0 and l <= _PLAIN_HI and _PLAIN_LO <= y0 <= _PLAIN_HI):
-        try:
-            l0, l, y0, _ = _unit_lengths(osc)
-        except OverflowError:
-            return -math.inf, 0.0
+    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
     return -(y0 * y0) / (4.0 * (l - l0) * l), 0.0
 
 
 def rel_error_bound_printed(osc: Oscillation) -> float:
-    """Reported-only lower bound -y0^2*m / (4*T*l0); see lower_bound_printed."""
+    """Reported-only lower bound -y0^2*m / (4*T*l0); see lower_bound_printed.
+    It goes as a period squared: formed on the unit values and scaled back."""
     p = osc.params
-    return -(osc.y0 * osc.y0) * p.mass / (4.0 * p.rest_tension * p.l0)
+    y0, l0 = osc._unit_y0, p._unit_l0
+    tension = p._unit_sigma * (p._unit_l - l0) / l0
+    return _scaled(-(y0 * y0) * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp)
 
 
 def compute_bounds(osc: Oscillation) -> PeriodBounds:
@@ -180,7 +158,7 @@ def _secant_upper(osc: Oscillation) -> float:
     1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
     """
     p = osc.params
-    stiff = (2.0 * p._unit_sigma / p._unit_mass) * radicand_g(osc, 0.0)
+    stiff = (2.0 * p._unit_sigma / p._unit_mass) * _unit_g(osc, 0.0)
     return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 

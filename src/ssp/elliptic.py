@@ -155,14 +155,14 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     rel_tol, in (0, 1), sets the AGM stop test ca = sqrt(rel_tol), at least
     2**-51. Both root orderings go through the same arithmetic; past
     z0 = 2*l0 + l the complementary modulus kc exceeds 1. At y0 = 0,
-    kc = p = 1 and the closed form is the linear-limit period.
+    kc = p = 1 and the closed form is the linear-limit period. It runs on
+    the unit values (see model.StringParams).
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    l, z0 = to_z_space(osc)
-    l0 = p.l0
-    y0 = osc.y0
+    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
+    z0 = math.hypot(l, y0)
     # pairwise differences of the roots a=z0, b=l, c=2*l0-z0, d=-l, each
     # formed without cancellation and without squaring y0
     dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
@@ -182,5 +182,5 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     value = _from_unit_scale(p, value)
     if not 0.0 < value < math.inf:
         # near the top of the float range the AGM's e = qc*em overflows
-        raise ConvergenceFailure(f"closed form left the float range at y0={y0!r}: {value!r}")
+        raise ConvergenceFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))

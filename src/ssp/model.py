@@ -35,15 +35,18 @@ class StringParams:
     l: float
     sigma: float
     mass: float
-    # Set once in __post_init__: sigma = _unit_sigma * 4**_sigma_exp and
-    # mass = _unit_mass * 4**_mass_exp with both unit values in [0.5, 2),
-    # and _unit_stiffness is linear_stiffness formed from the unit values.
-    # See _from_unit_scale. The class is slotted so that these cached
-    # fields do not add a per-instance __dict__ to the parameter pools.
+    # Set once in __post_init__, the unit values of _from_unit_scale: l0 and l
+    # are _unit_l0 and _unit_l times 4**_length_exp, sigma and mass _unit_sigma
+    # times 4**_sigma_exp and _unit_mass times 4**b, with _unit_l, _unit_sigma,
+    # _unit_mass in [0.5, 2) and _period_exp = b - _sigma_exp + _length_exp.
+    # Slots keep a per-instance __dict__ off the parameter pools.
+    _unit_l0: float = field(init=False, repr=False, compare=False)
+    _unit_l: float = field(init=False, repr=False, compare=False)
     _unit_sigma: float = field(init=False, repr=False, compare=False)
     _unit_mass: float = field(init=False, repr=False, compare=False)
+    _length_exp: int = field(init=False, repr=False, compare=False)
     _sigma_exp: int = field(init=False, repr=False, compare=False)
-    _mass_exp: int = field(init=False, repr=False, compare=False)
+    _period_exp: int = field(init=False, repr=False, compare=False)
     _unit_stiffness: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -61,25 +64,30 @@ class StringParams:
             raise InvalidParameters(f"sigma must be positive, got {self.sigma!r}")
         if self.mass <= 0.0:
             raise InvalidParameters(f"mass must be positive, got {self.mass!r}")
+        l, e = _unit_scale(self.l)
+        l0 = math.ldexp(self.l0, -2 * e)
         s, a = _unit_scale(self.sigma)
         m, b = _unit_scale(self.mass)
+        object.__setattr__(self, "_unit_l0", l0)
+        object.__setattr__(self, "_unit_l", l)
         object.__setattr__(self, "_unit_sigma", s)
         object.__setattr__(self, "_unit_mass", m)
+        object.__setattr__(self, "_length_exp", e)
         object.__setattr__(self, "_sigma_exp", a)
-        object.__setattr__(self, "_mass_exp", b)
-        w = _linear_stiffness(self.l0, self.l, s, m)
+        object.__setattr__(self, "_period_exp", b - a + e)
+        # l0 and l share one power of four, so an l/l0 beyond the float range
+        # leaves the unit l0 subnormal or the unit stiffness inf; either way
+        # the unit linear period, and with it the linear period, reads 0
+        w = _linear_stiffness(l0, l, s, m) if l0 >= 2.0**-1022 else math.inf
         object.__setattr__(self, "_unit_stiffness", w)
         # no period exceeds the linear-limit one, so while that is a positive
         # finite float no engine's period leaves the float range
-        try:
-            linear = rayleigh_period(self) if w != 0.0 else math.inf
-        except OverflowError:
-            linear = math.inf
+        linear = _scaled(TWO_PI / math.sqrt(w), self._period_exp)
         if not 0.0 < linear < math.inf:
             raise InvalidParameters(
                 f"the linear-limit period at l0={self.l0!r}, l={self.l!r}, "
                 f"sigma={self.sigma!r}, mass={self.mass!r} is not a positive "
-                f"finite float (got {linear!r})"
+                f"finite float (got {linear!r}); it reads 0 from l/l0 ~ 2**1021 up"
             )
 
     @property
@@ -104,34 +112,50 @@ def _unit_scale(x: float) -> tuple[float, int]:
 
 
 def _from_unit_scale(p: StringParams, period: float) -> float:
-    """A period formed with p._unit_sigma and p._unit_mass in place of sigma
-    and mass, in the units of p.
+    """A period formed with the unit values of p (see StringParams) in place
+    of l0, l, y0, sigma and mass, in the units of p.
 
-    A period is proportional to sqrt(mass/sigma), so the scaled one is
-    2**(_sigma_exp - _mass_exp) times the true one. All scalings are by
-    powers of two, so where every intermediate of both formulas is a normal
-    float the result keeps its bits. The scaled formula's intermediates
-    depend on the lengths and the amplitude alone, as at sigma = mass = 1,
-    so sigma/mass may overflow or underflow without harm.
+    A period is proportional to sqrt(length*mass/sigma), so the true one is
+    2**_period_exp times the scaled one. All scalings are by powers of two,
+    so where every intermediate of both formulas is a normal float the
+    result keeps its bits. The scaled formula's intermediates depend on the
+    ratios l0 : l : y0 alone, as at l in [0.5, 2) and sigma = mass = 1, so
+    the lengths' scale and sigma/mass may overflow or underflow without harm.
     """
-    return math.ldexp(period, p._mass_exp - p._sigma_exp)
+    return math.ldexp(period, p._period_exp)
 
 
-@dataclass(frozen=True)
+def _scaled(x: float, n: int) -> float:
+    """x * 2**n: exact where the result is a normal float, +-inf where it
+    overflows (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+@dataclass(frozen=True, slots=True)
 class Oscillation:
     """A release-from-rest oscillation: parameters plus initial amplitude.
 
     Negative amplitudes are mapped to their absolute value (the force is odd,
-    so the motion is mirror symmetric).
+    so the motion is mirror symmetric). _unit_y0 is y0 over 4**_length_exp.
     """
 
     params: StringParams
     y0: float
+    _unit_y0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.y0):
             raise InvalidParameters(f"y0 must be finite, got {self.y0!r}")
         object.__setattr__(self, "y0", abs(self.y0))
+        unit = _scaled(self.y0, -2 * self.params._length_exp)
+        if unit == math.inf:
+            raise InvalidParameters(
+                f"y0/l is beyond the float range at y0={self.y0!r}, l={self.params.l!r}"
+            )
+        object.__setattr__(self, "_unit_y0", unit)
 
 
 def tension(p: StringParams, y: float) -> float:
@@ -174,10 +198,10 @@ def acceleration(p: StringParams, y: float) -> float:
 
 
 def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
-    """acceleration(p, .) with p._unit_sigma and p._unit_mass in place of
-    sigma and mass, bound once. Where no intermediate is subnormal each value
-    is acceleration(p, y) times 4**(_mass_exp - _sigma_exp), exactly."""
-    return _force_law(p.l0, p.l, -2.0 * p._unit_sigma / p.l0, p._unit_mass)
+    """acceleration(p, .) on the unit values of p (see StringParams), bound
+    once. Where no intermediate is subnormal its value at y/4**_length_exp
+    is acceleration(p, y) times 4**(_period_exp - _length_exp), exactly."""
+    return _force_law(p._unit_l0, p._unit_l, -2.0 * p._unit_sigma / p._unit_l0, p._unit_mass)
 
 
 def energy(p: StringParams, y: float, v: float) -> float:

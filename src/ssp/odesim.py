@@ -19,14 +19,14 @@ error estimate sums over accepted steps the fifth-order local error
 estimate as the combined norm weighs it, relative to the amplitude, read as
 a phase error (see measure_period).
 
-The run is in unit time, in which sigma and mass are replaced by their
-unit-scaled values (model._from_unit_scale), so sigma/mass may lie outside
-the float range. The default force is bound once per run as a closure over
-the string's constants (model._bound_acceleration), because each step makes
-twelve force evaluations and the calls through `acceleration` and
-`vertical_force` cost more than their arithmetic; it does the same
-operations in the same order, so every force value is the model's, scaled
-by a power of two.
+The run is on the unit values of model.StringParams, in unit time (see
+model._from_unit_scale), so the lengths' scale and sigma/mass may lie
+outside the float range. The default force is bound once per run as a
+closure over the string's constants (model._bound_acceleration), because
+each step makes twelve force evaluations and the calls through
+`acceleration` and `vertical_force` cost more than their arithmetic; it
+does the same operations in the same order, so every force value is the
+model's, scaled by a power of two.
 
 Every accepted step is recorded, in plain lists; `simulate` and `integrate`
 import numpy where they turn them into a Trajectory's arrays, and the period
@@ -50,7 +50,7 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import TWO_PI, Oscillation, _bound_acceleration, rayleigh_period
+from .model import TWO_PI, Oscillation, _bound_acceleration, _scaled, rayleigh_period
 from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
 
@@ -155,9 +155,9 @@ def _turning_fraction(
 
 
 class _Run(NamedTuple):
-    """What _run records, in unit time: the samples, the turning times, the
-    step counts and local_err (see Trajectory). Physical time is unit time
-    times 2**shift."""
+    """What _run records, on the unit values: the samples, the turning times,
+    the step counts and local_err (see Trajectory). Physical time is unit
+    time times 2**_period_exp."""
 
     t: list[float]
     y: list[float]
@@ -166,7 +166,6 @@ class _Run(NamedTuple):
     n_accepted: int
     n_rejected: int
     local_err: float
-    shift: int
 
 
 def _run(
@@ -187,27 +186,30 @@ def _run(
     horizon, the two are equal on every step; on spans where |t| falls
     below |t0|, StepFailure comes in the same cases or earlier.
 
-    The run is in unit time tau = t * 2**-shift, shift = _mass_exp -
-    _sigma_exp, where the force has p._unit_sigma and p._unit_mass in place
-    of sigma and mass (see model._from_unit_scale): velocities are scaled by
-    2**shift and accelerations by 4**shift on the way in, and the callers
-    scale times, velocities and energies back. Every scaling is by a power
-    of two, so where no intermediate is subnormal the run keeps its bits,
-    and sigma/mass may overflow or underflow a float.
+    The run is on the unit values of p (model.StringParams), in unit time
+    tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
+    4**-_length_exp, velocities by 2**(shift - 2*_length_exp) and
+    accelerations by 4**(shift - _length_exp) on the way in, and the callers
+    scale them, times and energies back. Every scaling is by a power of two,
+    so where no intermediate is subnormal the run keeps its bits.
     """
     p = osc.params
-    shift = p._mass_exp - p._sigma_exp
+    e, shift = p._length_exp, p._period_exp
     if accel is None:
         accel = _bound_acceleration(p)
     else:
         physical = accel
 
         def accel(y: float) -> float:
-            return math.ldexp(physical(y), 2 * shift)
+            return math.ldexp(physical(math.ldexp(y, 2 * e)), 2 * (shift - e))
 
-    t, t_end = math.ldexp(t_span[0], -shift), math.ldexp(t_span[1], -shift)
-    y, v = state0[0], math.ldexp(state0[1], shift)
-    y_scale = max(osc.y0, abs(y))
+    t, t_end = _scaled(t_span[0], -shift), _scaled(t_span[1], -shift)
+    y, v = _scaled(state0[0], -2 * e), _scaled(state0[1], shift - 2 * e)
+    if not all(map(math.isfinite, (t, t_end, y, v))):
+        raise InvalidParameters(
+            f"t_span {t_span!r} or state {state0!r} leaves the float range on the unit scale"
+        )
+    y_scale = max(osc._unit_y0, abs(y))
     if y_scale == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude or displacement")
     omega0 = math.sqrt(p._unit_stiffness)
@@ -215,8 +217,8 @@ def _run(
     abs_v = abs_y * omega0
     if abs_y == 0.0 or abs_v == 0.0:
         raise InvalidParameters(
-            f"cannot simulate at amplitude {y_scale!r} with l0 = {p.l0!r}, "
-            f"l = {p.l!r}: an absolute error floor underflows to 0"
+            f"cannot simulate at amplitude {max(osc.y0, abs(state0[0]))!r} with "
+            f"l0 = {p.l0!r}, l = {p.l!r}: an absolute error floor underflows to 0"
         )
 
     direction = 1.0 if t_end >= t else -1.0
@@ -226,7 +228,7 @@ def _run(
     k0 = accel(y)
     if not math.isfinite(k0):
         raise StepFailure(
-            f"the force per unit mass at y = {y!r} is {k0!r} "
+            f"the force per unit mass at y = {state0[0]!r} is {k0!r} "
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
     ay, av = abs(y), abs(v)
@@ -306,7 +308,7 @@ def _run(
             h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
             just_rejected = True
 
-    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale, shift)
+    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale)
 
 
 def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
@@ -314,14 +316,16 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     read-only arrays."""
     import numpy as np
 
-    p, shift = osc.params, run.shift
+    p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
     ya, va = np.asarray(run.y), np.asarray(run.v)
-    e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
-        ya * ya / (2.0 * p.l0) - np.hypot(p.l, ya)
-    )
+    # energy goes as velocity squared, 4**(2*_length_exp - shift)
     with np.errstate(over="ignore"):
-        e = np.ldexp(e, -2 * shift)
-    arrays = (np.ldexp(run.t, shift), ya, np.ldexp(va, -shift), e, np.ldexp(run.events, shift))
+        e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
+            ya * ya / (2.0 * p._unit_l0) - np.hypot(p._unit_l, ya)
+        )
+        e = np.ldexp(e, 4 * le - 2 * shift)
+        y, v = np.ldexp(ya, 2 * le), np.ldexp(va, 2 * le - shift)
+        arrays = (np.ldexp(run.t, shift), y, v, e, np.ldexp(run.events, shift))
     for a in arrays:
         a.flags.writeable = False
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
@@ -407,4 +411,4 @@ def _simulated_period(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
     """measure_period(simulate(osc, cfg)), bit for bit, without the
     trajectory's arrays (and so without numpy)."""
     run = _release(osc, cfg, None)
-    return _period([math.ldexp(t, run.shift) for t in run.events], run.local_err)
+    return _period([math.ldexp(t, osc.params._period_exp) for t in run.events], run.local_err)

@@ -33,7 +33,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation, _from_unit_scale
+from .model import Oscillation, _from_unit_scale, _scaled
 
 __all__ = [
     "Method",
@@ -69,16 +69,29 @@ class PeriodEstimate(NamedTuple):
 def radicand_g(osc: Oscillation, y: float) -> float:
     """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably.
 
-    Rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
+    g goes as 1/length: it is formed on the unit lengths (model.StringParams),
+    y scaled in and the result scaled back, exactly (see _unit_g). Where y/l
+    is beyond the float range, g is 1/l0 to within rounding.
+    """
+    e = osc.params._length_exp
+    y = _scaled(y, -2 * e)
+    if math.isinf(y):
+        return 1.0 / osc.params.l0
+    return math.ldexp(_unit_g(osc, y), -2 * e)
+
+
+def _unit_g(osc: Oscillation, y: float) -> float:
+    """radicand_g on the unit lengths, y among them, rewritten as
+    ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
     z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for
     l/l0 - 1 near machine epsilon, and no square of y that could overflow.
     Every length but the outer l0 is halved first, exactly, which halves
     both numerator and denominator: z + z0 and dz + dz0 themselves overflow
     once y and y0 near the top of the float range.
     """
-    l0 = osc.params.l0
-    hl0, hl = 0.5 * l0, 0.5 * osc.params.l
-    hy, hy0 = 0.5 * y, 0.5 * osc.y0
+    l0 = osc.params._unit_l0
+    hl0, hl = 0.5 * l0, 0.5 * osc.params._unit_l
+    hy, hy0 = 0.5 * y, 0.5 * osc._unit_y0
     hz = math.hypot(hl, hy)
     hz0 = math.hypot(hl, hy0)
     quarter_gap = (hl - hl0) * (hl + hl0)
@@ -94,18 +107,20 @@ def speed(osc: Oscillation, y: float) -> float:
             f"|y| must not exceed the amplitude (|y|={abs(y)!r}, y0={osc.y0!r})"
         )
     # a product of square roots: the radicand itself overflows at large
-    # sigma/m or y0 while the speed is still finite; sigma and m are scaled
-    # into [0.5, 2) first, since 2*sigma alone may overflow, and amplitudes
-    # above 1 are quartered, exactly, since y0 + |y| may overflow
+    # sigma/m or y0 while the speed is still finite. It is formed on the unit
+    # values, since 2*sigma alone may overflow, and goes as length/period;
+    # amplitudes above 1 are quartered, exactly, since y0 + |y| may overflow;
+    # a speed beyond the float range reads inf
     p = osc.params
-    c = 0.25 if osc.y0 > 1.0 else 1.0
+    y0, y = osc._unit_y0, math.ldexp(y, -2 * p._length_exp)
+    c = 0.25 if y0 > 1.0 else 1.0
     ay = c * abs(y)
-    return math.ldexp(
+    return _scaled(
         math.sqrt(2.0 * p._unit_sigma) / math.sqrt(p._unit_mass)
-        * math.sqrt(c * osc.y0 - ay)
-        * math.sqrt(c * osc.y0 + ay)
-        * math.sqrt(radicand_g(osc, y)) / c,
-        p._sigma_exp - p._mass_exp,
+        * math.sqrt(c * y0 - ay)
+        * math.sqrt(c * y0 + ay)
+        * math.sqrt(_unit_g(osc, y)) / c,
+        2 * p._length_exp - p._period_exp,
     )
 
 
@@ -167,15 +182,15 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
 
     rel_tol, in (0, 1), is the ladder's relative tolerance. The same
     formula covers every amplitude down to y0 = 0, where it gives the
-    linear-limit period.
+    linear-limit period. It runs on the unit values (see model.StringParams).
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    l0, l, y0 = p.l0, p.l, osc.y0
+    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
     big_s = math.asinh(y0 / l)
     two_s = 2.0 * big_s
-    # radicand_g's terms that do not depend on the node, formed once
+    # _unit_g's terms that do not depend on the node, formed once
     hl0, hl, hy0 = 0.5 * l0, 0.5 * l, 0.5 * y0
     hz0 = math.hypot(hl, hy0)
     quarter_gap = (hl - hl0) * (hl + hl0)
@@ -186,7 +201,7 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         # J/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written through
         # exp(-...) and expm1 so that nothing overflows as S grows;
         # q(u) = u/(1 - exp(-2u)) with its limit 1/2 at u = 0, and g is
-        # radicand_g(osc, y) with the same operations in the same order
+        # _unit_g(osc, y) with the same operations in the same order
         s = big_s * sin_psi
         x = two_s * sin2_a
         u = big_s + s
@@ -209,9 +224,8 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
     value = _from_unit_scale(p, pref * integral)
     if not 0.0 < value < math.inf:
-        # from l ~ 2.7e154 the quarter gap overflows and the integrand reads
-        # 0; g reading 0 leaves the value inf
+        # g reading 0 leaves the value inf
         raise ConvergenceFailure(
-            f"quadrature left the float range at l={l!r}, y0={y0!r}: {value!r}"
+            f"quadrature left the float range at l={p.l!r}, y0={osc.y0!r}: {value!r}"
         )
     return PeriodEstimate(value, Method.QUADRATURE, _from_unit_scale(p, pref * err))

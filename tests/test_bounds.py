@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from ssp import (
@@ -288,3 +290,54 @@ def test_bounds_keep_the_bits_of_the_plain_formulas(p, y0):
     assert b.lower_corrected < exact.value < b.upper
     assert check_sandwich(osc, exact).passed
     np.testing.assert_allclose(period_elliptic(osc).value, exact.value, rtol=1e-12)
+
+
+_wide_scale = st.floats(math.log(1e-150), math.log(1e150)).map(math.exp)
+
+
+@settings(max_examples=500)
+@given(
+    _wide_scale,
+    _wide_scale,
+    _wide_scale,
+    _wide_scale,
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+)
+def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_amp):
+    # the engines see lengths, sigma and mass through their ratios alone;
+    # on raw lengths about 3 in 100 such draws raised ConvergenceFailure or
+    # a raw ZeroDivisionError. No draw here is refused: l/l0 and y0/l stay
+    # below 1e300, and the linear period within 1e+-225
+    l0, l = sorted((a, b))
+    y0 = rel_amp * l
+    assume(l0 < l and math.isfinite(y0))
+    osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    for engine in (exact_period, period_elliptic):
+        est = engine(osc)
+        assert 0.0 < est.value < math.inf
+        assert check_sandwich(osc, est).passed, (engine.__name__, est)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # l*l0 and y0*y0 underflow to 0 on raw lengths: 0/0
+        (1e-201, 1e-200, 1.0, 1.0, 1e-200),
+        # mass*l underflows to 0 on raw values
+        (1e-31, 1e-30, 1.0, 1e-300, 1e-31),
+        # 4*T*l0 underflows to 0 on raw values
+        (1e-30, 2e-30, 1e-300, 1.0, 1e-30),
+        # sigma*y0^2/(l*l0) = 5e19 where y0*y0 overflows on raw lengths
+        (1e150, 2e150, 1.0, 1.0, 1e160),
+    ],
+)
+def test_printed_bounds_on_unit_values(cell):
+    # the printed formulas raised ZeroDivisionError or read 0 on raw values
+    l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in cell)
+    with mpmath.workdps(30):
+        omega0_sq = 2 * sigma * (l - l0) / (mass * l0 * l)
+        lower = 2 * mpmath.pi / mpmath.sqrt(omega0_sq + sigma * y0**2 / (l * l0))
+        rel = -(y0**2) * mass / (4 * sigma * (l - l0))
+    b = compute_bounds(Oscillation(StringParams(*cell[:4]), cell[4]))
+    assert b.lower_printed == pytest.approx(float(lower), rel=1e-14)
+    assert b.rel_error_bound_printed == pytest.approx(float(rel), rel=1e-14)

@@ -129,10 +129,11 @@ def test_elliptic_overflow_is_an_engine_failure(capsys):
 
 
 def test_quadrature_overflow_is_an_engine_failure(capsys):
-    # the quadrature's quarter gap overflows at l = 1e200: exit 2, where a
-    # period of 0.0 divided by zero in the row's relative error
+    # g's denominator l0*(hz + hz0) overflows once l0*y0/2 passes DBL_MAX on
+    # the unit-scaled lengths and g reads 0: exit 2, not a period of inf
     code, out, err = run_cli(
-        capsys, "period", "--l", "1e200", "--y0", "1e200", "--method", "quadrature"
+        capsys, "period", "--l0", "1.5", "--l", "1.9", "--y0", "1.7e308",
+        "--method", "quadrature",
     )
     assert code == 2
     assert out == ""
@@ -145,10 +146,10 @@ def test_quadrature_overflow_is_an_engine_failure(capsys):
         # the linear-limit period overflows; ldexp raised an OverflowError
         (("--l0", "1e100", "--l", "2e100", "--sigma", "1e-300", "--mass", "1e300", "--y0", "1e99"),
          1, "error:"),
-        # the unit stiffness overflows; the linear period read 0.0
+        # the unit l0 underflows to 0; the linear period reads 0.0
         (("--l0", "5e-324", "--l", "1e10", "--y0", "1"), 1, "error:"),
-        # l0*(hz + hz0) overflows in g; the integrand divided by zero
-        (("--l0", "1e150", "--l", "2e150", "--y0", "1e160"), 2, "engine failure:"),
+        # l0*(hz + hz0) overflows in g, the cel AGM and the force overflow
+        (("--l0", "1.5", "--l", "1.9", "--y0", "1.7e308"), 2, "engine failure:"),
     ],
 )
 def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix):
@@ -157,6 +158,25 @@ def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix)
         assert got == code
         assert out == ""
         assert err.startswith(prefix) and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # on raw lengths l0*(hz + hz0) overflowed in g: exit 2
+        ("--l0", "1e150", "--l", "2e150", "--y0", "1e160"),
+        # on raw lengths the quarter gap overflowed: exit 2
+        ("--l0", "1", "--l", "1e300", "--y0", "1"),
+        # on raw lengths g's denominator underflowed: exit 2
+        ("--l0", "1e-201", "--l", "1e-200", "--y0", "1e-200"),
+    ],
+)
+def test_cells_at_extreme_lengths_answer(capsys, params):
+    for method in ("quadrature", "elliptic", "ode", "all"):
+        code, out, err = run_cli(capsys, "period", *params, "--method", method, "--format", "csv")
+        assert code == 0, err
+        assert parse_csv(out)[1][0]["pass"] == "true"
         assert "Traceback" not in err
 
 

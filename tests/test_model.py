@@ -138,13 +138,39 @@ def test_rayleigh_solution_waypoints(reference_params):
         # the linear-limit period 2*pi*sqrt(m*l0*l/(2*sigma*(l - l0))) is
         # about 6e350: the final ldexp of every engine overflowed
         dict(l0=1e100, l=2e100, sigma=1e-300, mass=1e300),
-        # the unit stiffness 2*(l - l0)/(l0*l) overflows: the period read 0.0
+        # the unit l0 underflows to 0: the linear period reads 0.0
         dict(l0=5e-324, l=1e10, sigma=1.0, mass=1.0),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(InvalidParameters):
         StringParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "l0, l",
+    [
+        # l/l0 = 2e333: the unit l0 is 0
+        (5e-324, 1e10),
+        # the unit l0 is 2**-1024, subnormal
+        (1.0, 1.7e308),
+    ],
+)
+def test_length_ratio_beyond_the_float_range_refused(l0, l):
+    with pytest.raises(InvalidParameters, match="l/l0"):
+        StringParams(l0, l, 1.0, 1.0)
+
+
+def test_length_ratio_inside_the_float_range_accepted():
+    # the unit l0 is 2**-996, normal; the linear period is 2*pi*sqrt(1/2)
+    p = StringParams(1.0, 1e300, 1.0, 1.0)
+    assert rayleigh_period(p) == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15)
+
+
+def test_amplitude_ratio_beyond_the_float_range_refused():
+    # y0/l = 1e310: the unit amplitude overflows
+    with pytest.raises(InvalidParameters, match="y0/l"):
+        Oscillation(StringParams(1e-301, 1e-300, 1.0, 1.0), 1e10)
 
 
 def test_negative_amplitude_folded(reference_params):

@@ -1,6 +1,7 @@
 """Adaptive Dormand-Prince 8(5,3) simulation with turning-point events."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ def test_underflowing_error_floor_rejected(l, y0):
         simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
 
 
+@pytest.mark.parametrize(
+    "t_span, state0",
+    [
+        ((0.0, 1e-150), (1e10, 0.0)),
+        ((0.0, 1e-150), (1e-300, 1e300)),
+        ((0.0, 1e200), (1e-300, 0.0)),
+    ],
+)
+def test_state_beyond_the_unit_range_refused(t_span, state0):
+    # on the unit lengths of l = 1e-300 these displacements, velocities and
+    # times overflow: a clean refusal, not an OverflowError
+    osc = Oscillation(StringParams(1e-301, 1e-300, 1.0, 1.0), 1e-300)
+    with pytest.raises(InvalidParameters, match="float range"):
+        integrate(osc, t_span, state0)
+
+
 @pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
 def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     # sigma/m = 1e600 overflows a float and 1e-600 underflows; the run is in
@@ -244,6 +261,26 @@ def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     est = measure_period(traj)
     assert abs(est.value - exact_period(osc).value) <= est.err_estimate
     assert np.all(np.isfinite(traj.t)) and np.all(np.isfinite(traj.v))
+
+
+@pytest.mark.parametrize(
+    "cell, finite_energy",
+    [
+        # on raw lengths y*y overflowed in the energy with a RuntimeWarning
+        ((1e150, 2e150, 1.0, 1.0, 1e160), True),
+        # on raw lengths the force at the release point overflowed; the
+        # energy, about 5e399, is beyond the float range and reads inf
+        ((1.0, 1e200, 1.0, 1.0, 1e200), False),
+    ],
+)
+def test_huge_lengths_simulate_on_unit_lengths(cell, finite_energy):
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(osc)
+    assert check_sandwich(osc, measure_period(traj)).passed
+    assert np.all(np.isfinite(traj.e)) == finite_energy
+    assert traj.y[0] == osc.y0
 
 
 @pytest.mark.parametrize(
@@ -271,8 +308,8 @@ def test_period_without_arrays_is_measure_period(cell, n_periods):
     [
         # the absolute error floors underflow
         ((1.0, 1.25, 1.0, 1.0, 5e-324), InvalidParameters),
-        # the force at the release point overflows
-        ((1.0, 1e200, 1.0, 1.0, 1e200), StepFailure),
+        # the force at the release point, about 2e310, overflows
+        ((1e-300, 1.0, 1.0, 1.0, 1e10), StepFailure),
     ],
 )
 def test_period_without_arrays_raises_as_simulate(cell, error):

@@ -25,6 +25,7 @@ from ssp import (
     rayleigh_period,
 )
 from ssp.quadrature import radicand_g, speed
+from ssp.verify import CROSS_METHOD_TOL
 from strategies import oscillations, string_params
 
 
@@ -281,15 +282,16 @@ def _q(u):
 
 
 def _radicand_integrand(osc):
-    """The integrand as composed from radicand_g, node by node."""
+    """The integrand as composed from radicand_g on the unit-scaled lengths
+    that exact_period runs on, node by node."""
     p = osc.params
-    big_s = math.asinh(osc.y0 / p.l)
+    big_s = math.asinh(osc._unit_y0 / p._unit_l)
 
     def integrand(sin_psi, sin2_a):
         s = big_s * sin_psi
         x = 2.0 * big_s * sin2_a
         q2 = _q(x) * _q(big_s + s)
-        g = radicand_g(osc, p.l * math.sinh(s))
+        g = ssp.quadrature._unit_g(osc, p._unit_l * math.sinh(s))
         return (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(q2 / g)
 
     return integrand
@@ -370,17 +372,47 @@ def test_period_survives_extreme_sigma_over_mass():
         (1.0, 1e200, 1.0, 1.0, 1e200),
         (5.905019720959389e148, 4.954278131056503e154, 0.6179010992366014,
          0.5487463547420953, 3.119604692433344e151),
-        # l0*y0/2 passes DBL_MAX: g's denominator l0*(hz + hz0) overflows
+        # l0*y0/2 passes DBL_MAX: on raw lengths g's denominator overflowed
         (1e150, 2e150, 1.0, 1.0, 1e160),
+        (1.0, 1e300, 1.0, 1.0, 1.0),
     ],
 )
-def test_overflowing_quarter_gap_is_a_clean_failure(cell):
-    # (l/2 - l0/2)*(l/2 + l0/2) overflows from l ~ 2.7e154 and the integrand
-    # reads 0, or g reads 0: a ConvergenceFailure, not a period of 0.0 or a
-    # ZeroDivisionError
+def test_cells_past_the_quarter_gap_overflow_answer(cell):
+    # on raw lengths (l/2 - l0/2)*(l/2 + l0/2) overflowed from l ~ 2.7e154,
+    # or g read 0, and exact_period raised ConvergenceFailure; on the
+    # unit-scaled lengths both closed forms answer inside their bounds
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
-    with pytest.raises(ConvergenceFailure, match="float range"):
-        exact_period(osc)
+    quad, ell = exact_period(osc), period_elliptic(osc)
+    for est in (quad, ell):
+        assert 0.0 < est.value < math.inf
+        assert check_sandwich(osc, est).passed
+    assert abs(quad.value - ell.value) <= CROSS_METHOD_TOL * quad.value
+
+
+def test_g_and_speed_at_huge_lengths_are_not_silent_zeros():
+    # l0*(hz + hz0) overflowed on raw lengths and both read 0.0; the true
+    # g(0) is about 1e-150
+    l0, l, y0 = 1e150, 2e150, 1e160
+    osc = Oscillation(StringParams(l0, l, 1.0, 1.0), y0)
+    g0 = 1.0 / l0 - 2.0 / (l + math.hypot(l, y0))
+    g, v = radicand_g(osc, 0.0), speed(osc, 0.0)
+    assert 0.0 < g < math.inf and 0.0 < v < math.inf
+    np.testing.assert_allclose(g, g0, rtol=1e-12)
+    # speed(0)^2 = (2*sigma/m) * y0^2 * g(0)
+    np.testing.assert_allclose(v, math.sqrt(2.0 * g0) * y0, rtol=1e-12)
+
+
+def test_speed_beyond_the_float_range_reads_inf():
+    # sqrt(2*sigma/m)*y0*sqrt(g(0)) is about 1e427; the final scaling raised
+    # OverflowError
+    osc = Oscillation(StringParams(1e-190, 1e95, 1e88, 1e-253), 1e164)
+    assert speed(osc, 0.0) == math.inf
+
+
+def test_g_where_y_over_l_leaves_the_float_range():
+    # y/l = 1e310 has no unit length; g is 1/l0 - 2/(z + z0) with z ~ 1e10
+    osc = Oscillation(StringParams(1e-301, 1e-300, 1.0, 1.0), 1e-300)
+    assert radicand_g(osc, 1e10) == pytest.approx(1e301, rel=1e-15)
 
 
 @pytest.mark.parametrize("sigma, mass", [(1e308, 1e-10), (sys.float_info.max, 1.0)])
