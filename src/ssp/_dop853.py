@@ -6,6 +6,11 @@ displacements are y + h*(c_i*v + h*sum_k (A^2)_ik k_k), and the weights of
 k_k in the y update and in its error estimates are b*A, e5*A and e3*A (e5
 and e3 sum to 0, so v drops out of the errors). The stage velocities are
 never formed: `step` works on the force values k alone.
+
+The code's continuous extension of v over an accepted step is a weighted
+sum of the step's forces, the force at its end and three more stages;
+`velocity_root` finds where it is 0, which locates a turning point at the
+price of three force values.
 """
 
 from __future__ import annotations
@@ -16,13 +21,22 @@ from typing import Callable
 # The tableau, with literals as in Hairer's dop853.f and in SciPy's
 # scipy/integrate/_ivp/dop853_coefficients.py (BSD-3). Row i of
 # _A_ROWS gives the nonzero a_ij of stage i >= 1; stage 0 is the step start.
+
+# eighth-order weights
+_B_ROW = {
+    0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+    6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+    8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+    10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2,
+}
 _C = (
     0.0, 0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
     0.281649658092772603273242802490, 0.333333333333333333333333333333,
     0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6,
-    0.857142857142857142857142857142, 1.0,
+    0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778,
 )
 _A_ROWS = (
     {},
@@ -54,14 +68,22 @@ _A_ROWS = (
      6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
      8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
      10: 6.43392746015763530355970484046e-1},
+    # stage 12 is the step end, whose force is the next step's k0 (FSAL);
+    # stages 13 to 15 serve the continuous extension alone
+    _B_ROW,
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 )
-# eighth-order weights
-_B_ROW = {
-    0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-    6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-    8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
-    10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2,
-}
 # eighth-order minus embedded fifth-order weights
 _E5_ROW = {
     0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e1,
@@ -75,6 +97,34 @@ _B3_ROW = {
     8: 0.733846688281611857341361741547,
     11: 0.220588235294117647058823529412e-1,
 }
+# the continuous extension's coefficients of degree 3 to 6, row j giving
+# the weights of the stage forces in F_{3+j}
+_D_ROWS = (
+    {0: -0.84289382761090128651353491142e1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e1, 7: 0.23846676565120698287728149680e1,
+     8: 0.21170345824450282767155149946e1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e2,
+     14: -0.91946323924783554000451984436e1, 15: -0.44360363875948939664310572000e1},
+    {0: 0.10427508642579134603413151009e2, 5: 0.24228349177525818288430175319e3,
+     6: 0.16520045171727028198505394887e3, 7: -0.37454675472269020279518312152e3,
+     8: -0.22113666853125306036270938578e2, 9: 0.77334326684722638389603898808e1,
+     10: -0.30674084731089398182061213626e2, 11: -0.93321305264302278729567221706e1,
+     12: 0.15697238121770843886131091075e2, 13: -0.31139403219565177677282850411e2,
+     14: -0.93529243588444783865713862664e1, 15: 0.35816841486394083752465898540e2},
+    {0: 0.19985053242002433820987653617e2, 5: -0.38703730874935176555105901742e3,
+     6: -0.18917813819516756882830838328e3, 7: 0.52780815920542364900561016686e3,
+     8: -0.11573902539959630126141871134e2, 9: 0.68812326946963000169666922661e1,
+     10: -0.10006050966910838403183860980e1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e1, 13: -0.60196695231264120758267380846e2,
+     14: 0.84320405506677161018159903784e2, 15: 0.11992291136182789328035130030e2},
+    {0: -0.25693933462703749003312586129e2, 5: -0.15418974869023643374053993627e3,
+     6: -0.23152937917604549567536039109e3, 7: 0.35763911791061412378285349910e3,
+     8: 0.93405324183624310003907691704e2, 9: -0.37458323136451633156875139351e2,
+     10: 0.10409964950896230045147246184e3, 11: 0.29840293426660503123344363579e2,
+     12: -0.43533456590011143754432175058e2, 13: 0.96324553959188282948394950600e2,
+     14: -0.39177261675615439165231486172e2, 15: -0.14972683625798562581422125276e3},
+)
 
 
 def _dense(row: dict[int, float]) -> tuple[float, ...]:
@@ -92,11 +142,12 @@ def _times_a(w: tuple[float, ...]) -> tuple[float, ...]:
 # `step` reads them as globals: _Pi_k = (A^2)_ik (0 from k = i - 1 on), and
 # the weights of k_j in the (y, v) update _BYj, _BVj, in the fifth-order
 # error _E5Yj, _E5Vj and in the third-order error _E3Yj, _E3Vj. The entries
-# bound to _ are 0.
+# bound to _ are 0. The continuous extension reads _Pi_k for stages 13 to
+# 15 and its own weights _Dn_j in the same way.
 _B = _dense(_B_ROW)
 _E5 = _dense(_E5_ROW)
 _E3 = tuple(b - b3 for b, b3 in zip(_B, _dense(_B3_ROW)))
-_C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = _C[1:]
+_C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = _C[1:12]
 _A2 = [_times_a(_dense(r))[: i - 1] for i, r in enumerate(_A_ROWS)]
 (_P2_0,) = _A2[2]
 _P3_0, _P3_1 = _A2[3]
@@ -108,21 +159,37 @@ _P8_0, _, _P8_2, _P8_3, _P8_4, _P8_5, _P8_6 = _A2[8]
 _P9_0, _, _P9_2, _P9_3, _P9_4, _P9_5, _P9_6, _P9_7 = _A2[9]
 _P10_0, _, _P10_2, _P10_3, _P10_4, _P10_5, _P10_6, _P10_7, _P10_8 = _A2[10]
 _P11_0, _, _P11_2, _P11_3, _P11_4, _P11_5, _P11_6, _P11_7, _P11_8, _P11_9 = _A2[11]
-_BY0, _, _, _BY3, _BY4, _BY5, _BY6, _BY7, _BY8, _BY9, _BY10, _ = _times_a(_B)
-_E5Y0, _, _, _E5Y3, _E5Y4, _E5Y5, _E5Y6, _E5Y7, _E5Y8, _E5Y9, _E5Y10, _ = _times_a(_E5)
-_E3Y0, _, _, _E3Y3, _E3Y4, _E3Y5, _E3Y6, _E3Y7, _E3Y8, _E3Y9, _E3Y10, _ = _times_a(_E3)
-_BV0, _, _, _, _, _BV5, _BV6, _BV7, _BV8, _BV9, _BV10, _BV11 = _B
-_E5V0, _, _, _, _, _E5V5, _E5V6, _E5V7, _E5V8, _E5V9, _E5V10, _E5V11 = _E5
-_E3V0, _, _, _, _, _E3V5, _E3V6, _E3V7, _E3V8, _E3V9, _E3V10, _E3V11 = _E3
+_BY0, _, _, _BY3, _BY4, _BY5, _BY6, _BY7, _BY8, _BY9, _BY10, *_ = _times_a(_B)
+_E5Y0, _, _, _E5Y3, _E5Y4, _E5Y5, _E5Y6, _E5Y7, _E5Y8, _E5Y9, _E5Y10, *_ = _times_a(_E5)
+_E3Y0, _, _, _E3Y3, _E3Y4, _E3Y5, _E3Y6, _E3Y7, _E3Y8, _E3Y9, _E3Y10, *_ = _times_a(_E3)
+_BV0, _, _, _, _, _BV5, _BV6, _BV7, _BV8, _BV9, _BV10, _BV11, *_ = _B
+_E5V0, _, _, _, _, _E5V5, _E5V6, _E5V7, _E5V8, _E5V9, _E5V10, _E5V11, *_ = _E5
+_E3V0, _, _, _, _, _E3V5, _E3V6, _E3V7, _E3V8, _E3V9, _E3V10, _E3V11, *_ = _E3
+_C13, _C14, _C15 = _C[13:]
+_P13_0, _, _, _P13_3, _P13_4, _P13_5, _P13_6, _P13_7, _P13_8, _P13_9, _P13_10, _P13_11 = _A2[13]
+(_P14_0, _, _, _P14_3, _P14_4, _P14_5, _P14_6, _P14_7, _P14_8, _P14_9, _P14_10, _P14_11,
+ _P14_12) = _A2[14]
+(_P15_0, _, _, _P15_3, _P15_4, _P15_5, _P15_6, _P15_7, _P15_8, _P15_9, _P15_10, _P15_11,
+ _P15_12, _P15_13) = _A2[15]
+# _Dn_j: the weight of k_j in the extension's coefficient Fn
+(_D3_0, _, _, _, _, _D3_5, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13,
+ _D3_14, _D3_15) = _dense(_D_ROWS[0])
+(_D4_0, _, _, _, _, _D4_5, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13,
+ _D4_14, _D4_15) = _dense(_D_ROWS[1])
+(_D5_0, _, _, _, _, _D5_5, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13,
+ _D5_14, _D5_15) = _dense(_D_ROWS[2])
+(_D6_0, _, _, _, _, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13,
+ _D6_14, _D6_15) = _dense(_D_ROWS[3])
 
 
 def step(
     accel: Callable[[float], float], y: float, v: float, k0: float, h: float
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float, tuple[float, ...]]:
     """One step of width h from (y, v), where k0 = accel(y).
 
     Returns the eighth-order (y, v) at the step end, then the fifth- and
-    third-order error estimates (err5_y, err5_v, err3_y, err3_v).
+    third-order error estimates (err5_y, err5_v, err3_y, err3_v), then the
+    stage forces (k0, ..., k11) for velocity_root.
     """
     k1 = accel(y + h * (_C1 * v))
     k2 = accel(y + h * (_C2 * v + h * (_P2_0 * k0)))
@@ -175,4 +242,132 @@ def step(
         + _E3V10 * k10 + _E3V11 * k11
     )
     hh = h * h
-    return y + h * (v + h * q_y), v + h * q_v, hh * q5_y, h * q5_v, hh * q3_y, h * q3_v
+    return (
+        y + h * (v + h * q_y), v + h * q_v, hh * q5_y, h * q5_v, hh * q3_y, h * q3_v,
+        (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11),
+    )
+
+
+# a correction of at most 4 ulps of 1 leaves x as exact as the rounding of
+# the extension allows; Newton from the secant root stops after 2 or 3
+# iterations on the benchmark's pools, and never needs to bisect there
+_ROOT_STOP = 2.0**-50
+_ROOT_MAX_ITER = 20
+
+
+def _extension(
+    accel: Callable[[float], float],
+    y: float,
+    v: float,
+    h: float,
+    v1: float,
+    ks: tuple[float, ...],
+    k12: float,
+) -> tuple[float, ...]:
+    """The coefficients F0..F6 of the continuous extension of v over the
+    step of width h from (y, v) to velocity v1, where ks are the step's
+    stage forces and k12 the force at the step end.
+
+    Stages 13 to 15 cost three force values. With d = v1 - v, F0 = d,
+    F1 = h*k0 - d, F2 = 2*d - h*(k12 + k0) and F3..F6 = h * D.(k0..k15); the
+    extension is v(x) = v + x*(F0 + (1-x)*(F1 + x*(F2 + ... + x*F6))), of
+    seventh order in h (Hairer, Norsett & Wanner, Solving ODEs I, II.6, and
+    contd8 in dop853.f).
+    """
+    k0, _, _, k3, k4, k5, k6, k7, k8, k9, k10, k11 = ks
+    q = (
+        _P13_0 * k0 + _P13_3 * k3 + _P13_4 * k4 + _P13_5 * k5 + _P13_6 * k6 + _P13_7 * k7
+        + _P13_8 * k8 + _P13_9 * k9 + _P13_10 * k10 + _P13_11 * k11
+    )
+    k13 = accel(y + h * (_C13 * v + h * q))
+    q = (
+        _P14_0 * k0 + _P14_3 * k3 + _P14_4 * k4 + _P14_5 * k5 + _P14_6 * k6 + _P14_7 * k7
+        + _P14_8 * k8 + _P14_9 * k9 + _P14_10 * k10 + _P14_11 * k11 + _P14_12 * k12
+    )
+    k14 = accel(y + h * (_C14 * v + h * q))
+    q = (
+        _P15_0 * k0 + _P15_3 * k3 + _P15_4 * k4 + _P15_5 * k5 + _P15_6 * k6 + _P15_7 * k7
+        + _P15_8 * k8 + _P15_9 * k9 + _P15_10 * k10 + _P15_11 * k11 + _P15_12 * k12
+        + _P15_13 * k13
+    )
+    k15 = accel(y + h * (_C15 * v + h * q))
+    d = v1 - v
+    f3 = (
+        _D3_0 * k0 + _D3_5 * k5 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8 + _D3_9 * k9
+        + _D3_10 * k10 + _D3_11 * k11 + _D3_12 * k12 + _D3_13 * k13 + _D3_14 * k14
+        + _D3_15 * k15
+    )
+    f4 = (
+        _D4_0 * k0 + _D4_5 * k5 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9
+        + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14
+        + _D4_15 * k15
+    )
+    f5 = (
+        _D5_0 * k0 + _D5_5 * k5 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9
+        + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14
+        + _D5_15 * k15
+    )
+    f6 = (
+        _D6_0 * k0 + _D6_5 * k5 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9
+        + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14
+        + _D6_15 * k15
+    )
+    return d, h * k0 - d, 2.0 * d - h * (k12 + k0), h * f3, h * f4, h * f5, h * f6
+
+
+def _extension_at(fs: tuple[float, ...], x: float) -> tuple[float, float]:
+    """v(x) - v and its slope in x, for the coefficients fs of _extension,
+    by Horner from the innermost factor out (p_j and its slope d_j)."""
+    f0, f1, f2, f3, f4, f5, f6 = fs
+    w = 1.0 - x
+    p5 = f5 + x * f6
+    p4 = f4 + w * p5
+    d4 = w * f6 - p5
+    p3 = f3 + x * p4
+    d3 = x * d4 + p4
+    p2 = f2 + w * p3
+    d2 = w * d3 - p3
+    p1 = f1 + x * p2
+    d1 = x * d2 + p2
+    p0 = f0 + w * p1
+    d0 = w * d1 - p1
+    return x * p0, x * d0 + p0
+
+
+def velocity_root(
+    accel: Callable[[float], float],
+    y: float,
+    v: float,
+    h: float,
+    v1: float,
+    ks: tuple[float, ...],
+    k12: float,
+) -> float:
+    """The fraction x of the step at which the continuous extension of v
+    (see _extension, same arguments) is 0, where v and v1 have opposite
+    signs.
+
+    v(0) = v and v(1) = v1 bracket the root. Newton starts from the secant
+    root; a Newton step that leaves the bracket bisects it instead, and the
+    iteration stops at a correction of at most _ROOT_STOP, at a zero of the
+    extension, or after _ROOT_MAX_ITER iterations.
+    """
+    fs = _extension(accel, y, v, h, v1, ks, k12)
+    lo, hi = 0.0, 1.0  # v(lo) has the sign of v, v(hi) that of v1
+    x = v / (v - v1)
+    for _ in range(_ROOT_MAX_ITER):
+        p, slope = _extension_at(fs, x)
+        vx = v + p
+        if vx == 0.0:
+            break
+        if (vx < 0.0) == (v < 0.0):
+            lo = x
+        else:
+            hi = x
+        x_new = x - vx / slope if slope != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x, dx = x_new, x_new - x
+        if abs(dx) <= _ROOT_STOP:
+            break
+    return x

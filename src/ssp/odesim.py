@@ -9,10 +9,9 @@ twelve force values. A proportional-integral controller sizes the steps on
 Hairer's combined error norm e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded
 fifth- and third-order estimates e5 and e3.
 
-Turning points (v = 0) are located inside accepted steps. The root of the
-cubic Hermite interpolant of v, from the forces at both step ends, is the
-first guess; Newton on v(s) itself refines it, each iterate one partial step
-of width s*h from the step start (see _turning_fraction). Consecutive
+Turning points (v = 0) are located inside accepted steps, as the root of
+DOP853's seventh-order continuous extension of v over the step
+(_dop853.velocity_root), at three force values each. Consecutive
 turning times are half periods, so the span from the first to the last
 turning time over the number of periods between them gives the period. Its
 error estimate sums over accepted steps the fifth-order local error
@@ -113,45 +112,6 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
     local_err: float
-
-
-def _turning_fraction(
-    accel: Callable[[float], float],
-    y: float,
-    v: float,
-    k0: float,
-    h: float,
-    v1: float,
-    k1: float,
-) -> float:
-    """Fraction s of the accepted step of width h from (y, v) at which v
-    changes sign on its way to v1 (k0, k1 the forces at the step ends).
-
-    The first guess is the root of the cubic Hermite interpolant of v, by
-    Newton from the secant root. Newton on v(s) itself follows: each iterate
-    is one partial step of width s*h from the step start, whose force at
-    its end gives dv/ds = h*a(y(s)). A partial step with s = 1 is the step.
-    """
-    # the Hermite cubic is v + s*(c1 + s*(c2 + s*c3))
-    c1 = h * k0
-    c2 = 3.0 * (v1 - v) - h * (2.0 * k0 + k1)
-    c3 = 2.0 * (v - v1) + h * (k0 + k1)
-    s = v / (v - v1)
-    for _ in range(3):
-        slope = c1 + s * (2.0 * c2 + 3.0 * s * c3)
-        if slope == 0.0:
-            break
-        s = min(1.0, max(0.0, s - (v + s * (c1 + s * (c2 + s * c3))) / slope))
-    for _ in range(4):
-        y_s, v_s, *_ = _dop853.step(accel, y, v, k0, s * h)
-        slope = h * accel(y_s)
-        if slope == 0.0:
-            break
-        ds = v_s / slope
-        s = min(1.0, max(0.0, s - ds))
-        if abs(ds) <= 1e-15:
-            break
-    return s
 
 
 class _Run(NamedTuple):
@@ -258,7 +218,7 @@ def _run(
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
+        y_new, v_new, err5_y, err5_v, err3_y, err3_v, ks = _dop853.step(accel, y, v, k0, h)
         # |y| and |v| of the step start carry over from the last accepted step
         ay_new, av_new = abs(y_new), abs(v_new)
         sc_y = abs_y + rel_tol * (ay_new if ay_new > ay else ay)
@@ -274,7 +234,7 @@ def _run(
             t_new = t + h
             k_new = accel(y_new)
             if (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
-                event = t + h * _turning_fraction(accel, y, v, k0, h, v_new, k_new)
+                event = t + h * _dop853.velocity_root(accel, y, v, h, v_new, ks, k_new)
             elif v_new == 0.0:
                 event = t_new
             else:

@@ -85,19 +85,19 @@ def _unit_g(osc: Oscillation, y: float) -> float:
     ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
     z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for
     l/l0 - 1 near machine epsilon, and no square of y that could overflow.
-    Every length but the outer l0 is halved first, exactly, which halves
-    both numerator and denominator: z + z0 and dz + dz0 themselves overflow
-    once y and y0 near the top of the float range.
+    Every length is halved first, exactly: z + z0 and dz + dz0 themselves
+    overflow once y and y0 near the top of the float range, and so does
+    l0*(z + z0)/2 where l0 > 1. The numerator is then half of dz + dz0 and
+    the denominator a quarter of l0*(z + z0), so the quotient is halved.
     """
-    l0 = osc.params._unit_l0
-    hl0, hl = 0.5 * l0, 0.5 * osc.params._unit_l
+    hl0, hl = 0.5 * osc.params._unit_l0, 0.5 * osc.params._unit_l
     hy, hy0 = 0.5 * y, 0.5 * osc._unit_y0
     hz = math.hypot(hl, hy)
     hz0 = math.hypot(hl, hy0)
     quarter_gap = (hl - hl0) * (hl + hl0)
     hdz = quarter_gap / (hz + hl0) + hy * (hy / (hz + hl0))
     hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
-    return (hdz + hdz0) / (l0 * (hz + hz0))
+    return 0.5 * ((hdz + hdz0) / (hl0 * (hz + hz0)))
 
 
 def speed(osc: Oscillation, y: float) -> float:
@@ -211,20 +211,14 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         hy = hl * sinh(s)
         hz = hypot(hl, hy)
         hzl = hz + hl0
-        g = (quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (l0 * (hz + hz0))
+        g = 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))
         return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g)
 
-    try:
-        integral, err = trapezoid_ladder(integrand, rel_tol)
-    except ZeroDivisionError:
-        # once l0*y0/2 passes DBL_MAX, g's denominator l0*(hz + hz0)
-        # overflows and g reads 0
-        integral = err = math.inf
+    integral, err = trapezoid_ladder(integrand, rel_tol)
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
     value = _from_unit_scale(p, pref * integral)
     if not 0.0 < value < math.inf:
-        # g reading 0 leaves the value inf
         raise ConvergenceFailure(
             f"quadrature left the float range at l={p.l!r}, y0={osc.y0!r}: {value!r}"
         )

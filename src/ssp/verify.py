@@ -5,9 +5,9 @@ property that must hold regardless of the numbers drawn: the period sits
 strictly inside its a-priori bounds, the quadrature and elliptic routes
 agree, the period depends on sigma and mass only through their ratio, the
 elliptic engine's cel kernel obeys Legendre's relation, and the closed-form
-quartic roots match a general-purpose polynomial root finder (Aberth's
-simultaneous iteration on the expanded coefficients). The samples come from
-the standard library's `random.Random`, so the suite runs without numpy.
+quartic roots reproduce the expanded coefficients through Vieta's formulas.
+The samples come from the standard library's `random.Random`, so the suite
+runs without numpy.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ CROSS_METHOD_TOL = 1e-9
 SCALING_TOL = 1e-12
 LEGENDRE_TOL = 1e-12
 QUARTIC_TOL = 1e-12
-
-# Aberth's iteration converges cubically at simple roots, so once every
-# correction is below sqrt(eps) of the root radius, the error it leaves is
-# at the rounding level. Separated quartic roots take 5 to 10 sweeps.
-_ABERTH_STOP = 2.0**-26
-_ABERTH_MAX_SWEEPS = 50
 
 
 class CheckResult(NamedTuple):
@@ -158,61 +152,24 @@ def _check_legendre(rng: random.Random, n: int) -> CheckResult:
     return _tally("legendre-relation", devs, LEGENDRE_TOL)
 
 
-def _draw_separated_roots(rng: random.Random) -> Oscillation:
-    """A parameter set whose quartic roots stay pairwise well separated.
-
-    The Aberth reference slows down and loses digits near coincident roots,
-    so amplitudes keep z0 at least 0.1*l away from the double-root boundary
-    z0 = 2*l0 + l and at least 0.2*l of spread above l.
-    """
-    l0 = _log_uniform(rng, 0.5, 2.0)
-    l = l0 * _log_uniform(rng, 1.01, 10.0)
-    cap = math.sqrt((2.0 * l0 + 0.9 * l) ** 2 - l * l)
-    amp = _log_uniform(rng, 0.2 * l, min(2.0 * l, cap))
-    return Oscillation(StringParams(l0, l, 1.0, 1.0), amp)
-
-
-def _aberth_roots(coeffs: tuple[float, ...]) -> tuple[list[float], int]:
-    """Real parts of a polynomial's roots, ascending, and the sweeps taken.
-
-    Aberth-Ehrlich simultaneous iteration: each root z_k moves by
-    w/(1 - w*sum_{j!=k} 1/(z_k - z_j)), with w = p(z_k)/p'(z_k) its Newton
-    correction, from starts spread on a circle that holds every root
-    (Fujiwara's bound 2*max_k |a_k/a_0|^(1/k)). After _ABERTH_MAX_SWEEPS
-    the roots are returned as they stand.
-    """
-    a = [c / coeffs[0] for c in coeffs]
-    n = len(a) - 1
-    radius = 2.0 * max(abs(c) ** (1.0 / k) for k, c in enumerate(a[1:], 1))
-    # the offset angle keeps the starts off the real axis and off symmetry
-    angles = [2.0 * math.pi * k / n + 0.4 for k in range(n)]
-    z = [radius * complex(math.cos(t), math.sin(t)) for t in angles]
-    for sweep in range(1, _ABERTH_MAX_SWEEPS + 1):
-        step = 0.0
-        for k, zk in enumerate(z):
-            p = dp = 0j
-            for c in a:
-                dp = dp * zk + p
-                p = p * zk + c
-            w = p / dp
-            w /= 1.0 - w * sum(1.0 / (zk - zj) for j, zj in enumerate(z) if j != k)
-            z[k] = zk - w
-            step = max(step, abs(w))
-        if step <= _ABERTH_STOP * radius:
-            break
-    return sorted(r.real for r in z), sweep
-
-
-def _check_quartic(rng: random.Random, n: int) -> CheckResult:
+def _check_quartic(oscs: list[Oscillation]) -> CheckResult:
+    """Vieta's formulas: the elementary symmetric functions e1..e4 of
+    quartic_roots are -a3/a4, a2/a4, -a1/a4 and a0/a4 of
+    quartic_coefficients. Each deviation is over max|root|**k, the size of
+    the terms of e_k, so every root enters at the rounding level; the sum
+    alone would miss a change of roots that keeps it."""
     devs = []
-    for _ in range(n):
-        osc = _draw_separated_roots(rng)
-        mine = quartic_roots(osc).roots
-        ref, _ = _aberth_roots(quartic_coefficients(osc))
-        scale = mine[-1] - mine[0]
+    for osc in oscs:
+        roots = quartic_roots(osc).roots
+        a4, a3, a2, a1, a0 = quartic_coefficients(osc)
+        e = [1.0, 0.0, 0.0, 0.0, 0.0]
+        for r in roots:
+            for k in (4, 3, 2, 1):
+                e[k] += r * e[k - 1]
+        big = max(map(abs, roots))
         devs.append(_worst([
-            *(abs(x - y) / scale for x, y in zip(mine, ref)),
-            abs(sum(mine) - 2.0 * osc.params.l0) / scale,
+            abs(ek - want) / big**k
+            for k, (ek, want) in enumerate(zip(e[1:], (-a3 / a4, a2 / a4, -a1 / a4, a0 / a4)), 1)
         ]))
     return _tally("quartic-roots", devs, QUARTIC_TOL)
 
@@ -233,5 +190,5 @@ def run_invariant_suite(
     sandwich, cross = _check_sandwich_and_cross(oscs, rel_tol, elliptic_tol)
     scaling = _check_scaling(oscs[: min(50, samples)], rng, rel_tol)
     legendre = _check_legendre(rng, 200)
-    quartic = _check_quartic(rng, 100)
+    quartic = _check_quartic(_draw_oscillations(rng, 100))
     return VerifyReport(seed, samples, (sandwich, cross, scaling, legendre, quartic))

@@ -128,16 +128,18 @@ def test_elliptic_overflow_is_an_engine_failure(capsys):
     assert err.startswith("engine failure:")
 
 
-def test_quadrature_overflow_is_an_engine_failure(capsys):
-    # g's denominator l0*(hz + hz0) overflows once l0*y0/2 passes DBL_MAX on
-    # the unit-scaled lengths and g reads 0: exit 2, not a period of inf
-    code, out, err = run_cli(
-        capsys, "period", "--l0", "1.5", "--l", "1.9", "--y0", "1.7e308",
-        "--method", "quadrature",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("engine failure:")
+# l0*y0/2 passes DBL_MAX on the unit lengths
+TOP_CELL = ("--l0", "1.5", "--l", "1.9", "--y0", "1.7e308")
+
+
+def test_quadrature_answers_where_l0_times_y0_passes_dbl_max(capsys):
+    # g's denominator is formed on l0/2, so it no longer overflows to a g of
+    # 0; the period is the limit pi*sqrt(2*m*l0/sigma)
+    code, out, _ = run_cli(capsys, "period", *TOP_CELL, "--method", "quadrature", "--format", "csv")
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert row["pass"] == "true"
+    assert abs(float(row["period_quadrature"]) - math.pi * math.sqrt(3.0)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -148,12 +150,13 @@ def test_quadrature_overflow_is_an_engine_failure(capsys):
          1, "error:"),
         # the unit l0 underflows to 0; the linear period reads 0.0
         (("--l0", "5e-324", "--l", "1e10", "--y0", "1"), 1, "error:"),
-        # l0*(hz + hz0) overflows in g, the cel AGM and the force overflow
-        (("--l0", "1.5", "--l", "1.9", "--y0", "1.7e308"), 2, "engine failure:"),
+        # the cel AGM and the force overflow; the quadrature answers
+        (TOP_CELL, 2, "engine failure:"),
     ],
 )
 def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix):
-    for method in ("quadrature", "elliptic", "ode", "all"):
+    methods = ("quadrature", "elliptic", "ode", "all")
+    for method in methods[1:] if params == TOP_CELL else methods:
         got, out, err = run_cli(capsys, "period", *params, "--method", method)
         assert got == code
         assert out == ""

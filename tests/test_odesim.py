@@ -67,8 +67,11 @@ def test_default_run_work_count(default_traj):
 
 
 def test_default_run_force_count(default_traj):
-    # every force value of a run, the events' partial steps among them; the
-    # model's own acceleration gives the default run bit for bit
+    # every force value of a run: twelve per accepted step, eleven per
+    # rejected one, three per turning point located on the continuous
+    # extension, and two at the start (the first stage and the chord
+    # frequency's); no partial step remains. The model's own acceleration
+    # gives the default run bit for bit.
     osc, _ = default_traj
     calls = []
 
@@ -76,8 +79,10 @@ def test_default_run_force_count(default_traj):
         calls.append(y)
         return acceleration(osc.params, y)
 
-    _same_bytes(simulate(osc, accel=force), simulate(osc))
-    assert len(calls) <= 800
+    traj = simulate(osc, accel=force)
+    _same_bytes(traj, simulate(osc))
+    located = len(traj.events) - 1  # the event at t = 0 is the release
+    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 500
 
 
 def test_energy_drift_within_budget(default_traj):
@@ -152,17 +157,57 @@ def test_step_matches_scipy_dop853(default_traj):
     def accel(y):
         return acceleration(osc.params, y)
 
-    def rhs(t, s):
-        return [s[1], accel(s[0])]
-
     y, v, h = 0.31, -0.47, 0.6
+    y1, v1, *_ = _dop853.step(accel, y, v, accel(y), h)
+    np.testing.assert_allclose([y1, v1], _scipy_step(accel, y, v, h).y, rtol=1e-14, atol=0.0)
+
+
+def _scipy_step(accel, y, v, h):
+    """SciPy's DOP853 after one step of width h on (y, v)' = (v, a(y))."""
     ref = scipy.integrate.DOP853(
-        rhs, 0.0, [y, v], t_bound=h, first_step=h, rtol=1e-3, atol=1e3
+        lambda t, s: [s[1], accel(s[0])], 0.0, [y, v], t_bound=h, first_step=h,
+        rtol=1e-3, atol=1e3,
     )
     ref.step()
     assert ref.t == h
-    y1, v1, *_ = _dop853.step(accel, y, v, accel(y), h)
-    np.testing.assert_allclose([y1, v1], ref.y, rtol=1e-14, atol=0.0)
+    return ref
+
+
+def test_velocity_extension_matches_scipy_dense_output(default_traj):
+    # the v component of SciPy's Dop853DenseOutput, whose stage derivatives
+    # are the forces: same coefficients, so the same v(x) up to rounding
+    osc, _ = default_traj
+
+    def accel(y):
+        return acceleration(osc.params, y)
+
+    y, v, h = 0.31, -0.47, 0.6
+    dense = _scipy_step(accel, y, v, h).dense_output()
+    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
+    fs = _dop853._extension(accel, y, v, h, v1, ks, accel(y1))
+    for x in (0.05, 0.2, 0.37, 0.5, 0.81, 0.99):
+        ext, _ = _dop853._extension_at(fs, x)
+        np.testing.assert_allclose(v + ext, dense(x * h)[1], rtol=1e-14, atol=0.0)
+
+
+def test_velocity_root_is_the_extension_root(default_traj):
+    # a step across the turning point near y = 0.5: the root fraction zeroes
+    # SciPy's dense output of v, and the Newton slope is h*a(y(x)) to the
+    # extension's order (6e-10 off at this h)
+    osc, _ = default_traj
+
+    def accel(y):
+        return acceleration(osc.params, y)
+
+    y, v, h = 0.49, 0.05, 0.3
+    dense = _scipy_step(accel, y, v, h).dense_output()
+    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
+    assert v1 < 0.0
+    x = _dop853.velocity_root(accel, y, v, h, v1, ks, accel(y1))
+    assert 0.0 < x < 1.0
+    assert abs(dense(x * h)[1]) <= 1e-15
+    _, slope = _dop853._extension_at(_dop853._extension(accel, y, v, h, v1, ks, accel(y1)), x)
+    np.testing.assert_allclose(slope, h * accel(dense(x * h)[0]), rtol=1e-8)
 
 
 def test_against_scipy_rk45(default_traj):
@@ -406,8 +451,9 @@ def test_error_estimate_covers_random_draws():
 
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
 def test_turning_events_within_estimate(cell, period):
-    # the Newton-refined turning times of the default run are P/2 and P to
-    # within the run's own error estimate; the Hermite cubic alone is not
+    # the turning times of the default run, roots of DOP853's seventh-order
+    # continuous extension of v, are P/2 and P to within the run's own
+    # error estimate
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     traj = simulate(osc)
     err = measure_period(traj).err_estimate

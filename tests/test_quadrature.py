@@ -402,6 +402,18 @@ def test_g_and_speed_at_huge_lengths_are_not_silent_zeros():
     np.testing.assert_allclose(v, math.sqrt(2.0 * g0) * y0, rtol=1e-12)
 
 
+def test_g_and_speed_where_l0_times_y0_passes_dbl_max():
+    # l0*(hz + hz0) overflowed once l0*y0/2 passed DBL_MAX, and both read 0;
+    # the denominator is formed on l0/2. g = 1/l0 - 2/(z + z0) is 1/l0 to
+    # rounding, and speed(y)^2 = (2*sigma/m)*(y0^2 - y^2)*g
+    osc = Oscillation(StringParams(1.5, 1.9, 1.0, 1.0), 1.7e308)
+    g = radicand_g(osc, 0.9 * osc.y0)
+    assert g == pytest.approx(1.0 / 1.5, rel=1e-15)
+    np.testing.assert_allclose(
+        speed(osc, 0.9 * osc.y0), math.sqrt(2.0 * 0.19 * g) * osc.y0, rtol=1e-14
+    )
+
+
 def test_speed_beyond_the_float_range_reads_inf():
     # sqrt(2*sigma/m)*y0*sqrt(g(0)) is about 1e427; the final scaling raised
     # OverflowError

@@ -1,15 +1,13 @@
 """Randomized invariant suite: structure, determinism, and outcomes."""
 
 import math
-import random
 
-import numpy as np
 import pytest
 
 import ssp.verify
 from ssp import InvalidParameters, Method, PeriodEstimate, run_invariant_suite
 from ssp.cli import main
-from ssp.elliptic import QuarticRoots, quartic_coefficients, quartic_roots
+from ssp.elliptic import QuarticRoots, quartic_roots
 
 
 def test_default_suite_passes():
@@ -65,19 +63,6 @@ def test_sample_count_validation():
         run_invariant_suite(samples=-5)
 
 
-def test_aberth_reference_matches_the_eigensolver():
-    # the suite's root finder against numpy's companion-matrix eigenvalues,
-    # in few sweeps on every separated draw
-    rng = random.Random(0)
-    for _ in range(100):
-        osc = ssp.verify._draw_separated_roots(rng)
-        coeffs = quartic_coefficients(osc)
-        roots, sweeps = ssp.verify._aberth_roots(coeffs)
-        ref = np.sort(np.roots(coeffs).real)
-        assert sweeps <= 12
-        assert np.max(np.abs(np.array(roots) - ref)) <= 1e-13 * (ref[-1] - ref[0])
-
-
 def test_quartic_check_catches_a_perturbed_root(monkeypatch):
     # 1e-10 of the largest root is at least 5e-11 of the spread: every draw fails
     def nudged(osc):
@@ -85,6 +70,22 @@ def test_quartic_check_catches_a_perturbed_root(monkeypatch):
         return QuarticRoots((*r.roots[:3], r.roots[3] * (1.0 + 1e-10)), r.leading)
 
     monkeypatch.setattr(ssp.verify, "quartic_roots", nudged)
+    report = run_invariant_suite(samples=1, seed=0)
+    quartic = next(c for c in report.checks if c.name == "quartic-roots")
+    assert quartic.failures == quartic.samples == 100
+    assert not report.passed
+
+
+def test_quartic_check_catches_roots_that_keep_their_sum(monkeypatch):
+    # the outer roots move apart by 1e-10 of the largest root: the sum
+    # holds, but e2 moves by more than 1e-10 of max|root|**2 on every draw,
+    # since the smallest root is negative
+    def spread(osc):
+        r = quartic_roots(osc)
+        eps = 1e-10 * r.roots[3]
+        return QuarticRoots((r.roots[0] - eps, *r.roots[1:3], r.roots[3] + eps), r.leading)
+
+    monkeypatch.setattr(ssp.verify, "quartic_roots", spread)
     report = run_invariant_suite(samples=1, seed=0)
     quartic = next(c for c in report.checks if c.name == "quartic-roots")
     assert quartic.failures == quartic.samples == 100
