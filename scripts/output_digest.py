@@ -9,13 +9,15 @@ a row that raises in one tree and not in the other changes the digest. The
 `simulate` digest covers the arrays, counts and `local_err` of 128 runs,
 and the `measure_period` digest the period estimates of the same runs.
 Each CLI digest covers one command's stdout, exit code and whether stderr
-holds a traceback, run as a fresh `python -m ssp.cli` process.
+holds a traceback or a Python warning, run as a fresh `python -m ssp.cli`
+process.
 
 Run:  python3 scripts/output_digest.py
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +61,7 @@ CLI_COMMANDS = (
     ("convergence",),
     ("convergence", "--from", "0.01", "--to", "0.04", "--points", "3", "--format", "json"),
     ("convergence", "--points", "1"),
+    ("convergence", "--from", "1e-12", "--to", "1e-11"),
     ("trajectory", "--periods", "2"),
     ("verify", "--samples", "40", "--seed", "3"),
     ("verify", "--samples", "0"),
@@ -132,7 +135,10 @@ def cli_digest(argv: tuple[str, ...]) -> str:
         [sys.executable, "-m", "ssp.cli", *argv], env=env, capture_output=True, timeout=300
     )
     crash = " traceback" if b"Traceback" in done.stderr else ""
-    return hashlib.sha256(done.stdout + f"\nexit {done.returncode}{crash}\n".encode()).hexdigest()
+    # warnings.showwarning's "file:line: Category: message"
+    warned = " warning" if re.search(rb":\d+: \w*Warning: ", done.stderr) else ""
+    tail = f"\nexit {done.returncode}{crash}{warned}\n"
+    return hashlib.sha256(done.stdout + tail.encode()).hexdigest()
 
 
 def main() -> None:

@@ -133,9 +133,12 @@ def _dense(row: dict[int, float]) -> tuple[float, ...]:
 
 def _times_a(w: tuple[float, ...]) -> tuple[float, ...]:
     """The row vector w times the stage matrix A, each entry correctly
-    rounded from the products."""
-    a = [_dense(r) for r in _A_ROWS]
-    return tuple(math.fsum(wi * ai[k] for wi, ai in zip(w, a)) for k in range(len(_C)))
+    rounded from the nonzero products."""
+    products: list[list[float]] = [[] for _ in _C]
+    for wi, row in zip(w, _A_ROWS):
+        for k, a in row.items():
+            products[k].append(wi * a)
+    return tuple(map(math.fsum, products))
 
 
 # The products of the Nystrom form, one name per nonzero entry, so that

@@ -17,11 +17,9 @@ import it where they use it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .bounds import check_sandwich, compute_bounds
@@ -68,6 +66,8 @@ def _json_ready(value: object) -> object:
 
 
 def _write_json(payload: object) -> None:
+    import json
+
     text = json.dumps(_json_ready(payload), indent=2, allow_nan=False)
     sys.stdout.write(text + "\n")
 
@@ -238,7 +238,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if osc.y0 == 0.0:
         raise InvalidParameters("trajectory needs y0 > 0")
     sim_cfg = _engine_configs(args)[1]
-    traj = simulate(osc, replace(sim_cfg, n_periods=args.periods))
+    traj = simulate(osc, SimConfig(sim_cfg.rel_tol, args.periods))
     header = ["t", "y", "v", "E"]
     rows = [
         {"t": float(t), "y": float(y), "v": float(v), "E": float(e)}
@@ -286,6 +286,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     rows = []
     for y0 in amps:
         row = _build_row(_oscillation(args, y0=float(y0)), ("quadrature",), *configs)
+        if row["R"] == 0.0:
+            raise InvalidParameters(f"|R| is 0 at y0={row['y0']!r}; the slope fit needs |R| > 0")
         row["period"] = row["period_quadrature"]
         rows.append({k: row[k] for k in header})
     slope = float(

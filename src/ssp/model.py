@@ -11,7 +11,6 @@ Hookean. All quantities assume one coherent unit system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InvalidParameters
@@ -21,8 +20,34 @@ TWO_PI = 2.0 * math.pi
 _TINY = math.ulp(0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class StringParams:
+class _Frozen:
+    """An immutable value object with slots that pickles, copies, compares,
+    hashes and prints as the call that rebuilds it: its class on its public
+    fields, named in _fields. Other slots hold values derived from those."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class StringParams(_Frozen):
     """Static parameters of the string-mass system.
 
     l0    unstretched half-length, > 0
@@ -35,21 +60,20 @@ class StringParams:
     l: float
     sigma: float
     mass: float
-    # Set once in __post_init__, the unit values of _from_unit_scale: l0 and l
+    # Set once in __init__, the unit values of _from_unit_scale: l0 and l
     # are _unit_l0 and _unit_l times 4**_length_exp, sigma and mass _unit_sigma
     # times 4**_sigma_exp and _unit_mass times 4**b, with _unit_l, _unit_sigma,
     # _unit_mass in [0.5, 2) and _period_exp = b - _sigma_exp + _length_exp.
     # Slots keep a per-instance __dict__ off the parameter pools.
-    _unit_l0: float = field(init=False, repr=False, compare=False)
-    _unit_l: float = field(init=False, repr=False, compare=False)
-    _unit_sigma: float = field(init=False, repr=False, compare=False)
-    _unit_mass: float = field(init=False, repr=False, compare=False)
-    _length_exp: int = field(init=False, repr=False, compare=False)
-    _sigma_exp: int = field(init=False, repr=False, compare=False)
-    _period_exp: int = field(init=False, repr=False, compare=False)
-    _unit_stiffness: float = field(init=False, repr=False, compare=False)
+    _fields = ("l0", "l", "sigma", "mass")
+    __slots__ = _fields + ("_unit_l0", "_unit_l", "_unit_sigma", "_unit_mass", "_length_exp",
+                           "_sigma_exp", "_period_exp", "_unit_stiffness")
 
-    def __post_init__(self) -> None:
+    def __init__(self, l0: float, l: float, sigma: float, mass: float) -> None:
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mass", mass)
         for name in ("l0", "l", "sigma", "mass"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -134,8 +158,7 @@ def _scaled(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
-@dataclass(frozen=True, slots=True)
-class Oscillation:
+class Oscillation(_Frozen):
     """A release-from-rest oscillation: parameters plus initial amplitude.
 
     Negative amplitudes are mapped to their absolute value (the force is odd,
@@ -144,9 +167,12 @@ class Oscillation:
 
     params: StringParams
     y0: float
-    _unit_y0: float = field(init=False, repr=False, compare=False)
+    _fields = ("params", "y0")
+    __slots__ = _fields + ("_unit_y0",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, params: StringParams, y0: float) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "y0", y0)
         if not math.isfinite(self.y0):
             raise InvalidParameters(f"y0 must be finite, got {self.y0!r}")
         object.__setattr__(self, "y0", abs(self.y0))

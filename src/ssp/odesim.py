@@ -38,7 +38,6 @@ for v, where y_scale is the larger of y0 and the initial displacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import _dop853
@@ -49,7 +48,7 @@ from .errors import (
     MaxStepsExceeded,
     StepFailure,
 )
-from .model import TWO_PI, Oscillation, _bound_acceleration, _scaled, rayleigh_period
+from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled, rayleigh_period
 from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
 from .quadrature import Method, PeriodEstimate
 
@@ -71,26 +70,25 @@ _ABS_FLOOR = 1e-12
 _MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Frozen):
     """Relative step tolerance and run length of `simulate`.
 
     The default run is one period. A longer run reads the same period, to
     within its error estimate, at proportionally more steps.
     """
 
-    rel_tol: float = 1e-10
-    n_periods: int = 1
+    __slots__ = _fields = ("rel_tol", "n_periods")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rel_tol: float = 1e-10, n_periods: int = 1) -> None:
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "n_periods", n_periods)
         if not (0.0 < self.rel_tol < 1e-2):
             raise InvalidParameters(f"rel_tol must be in (0, 1e-2), got {self.rel_tol!r}")
         if self.n_periods < 1:
             raise InvalidParameters(f"n_periods must be >= 1, got {self.n_periods!r}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Recorded samples of one integration run. Arrays are read-only views.
 
     t, y, v are the sample times, displacements, and velocities, one sample

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +457,28 @@ def test_degenerate_runs_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("--from", "1e-12", "--to", "1e-11"), "1e-12"),
+        (("--from", "1e-9", "--to", "1e-8", "--format", "json"), "1e-09"),
+    ],
+)
+def test_convergence_refuses_a_zero_r(argv, first):
+    # where the period rounds to the linear-limit one, R is 0 and its log
+    # is -inf; the command names the amplitude instead of fitting a nan
+    src = str(Path(ssp.cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "ssp.cli", "convergence", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: |R| is 0 at y0=" + first + ";")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Warning" not in done.stderr
 
 
 def test_convergence_custom_grid(capsys):

@@ -99,3 +99,21 @@ def test_verify_and_linear_sweep_load_no_numpy():
         "print(loaded)"
     )
     assert _last_line_of(code) == str([False] * 3)
+
+
+def test_cli_runs_load_no_dataclasses_or_inspect():
+    # each CLI process would pay about 14 ms to import them
+    code = (
+        "import sys, ssp\n"
+        "def loaded():\n"
+        "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
+        "import ssp.cli\n"
+        "seen.append(loaded())\n"
+        "for argv in (['period'], ['period', '--format', 'json'], ['verify', '--samples', '20'],\n"
+        "             ['sweep', '--sweep', 'y0', '--from', '0.1', '--to', '1', '--points', '3']):\n"
+        "    assert ssp.cli.main(argv) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen)"
+    )
+    assert _last_line_of(code) == str([[]] * 6)

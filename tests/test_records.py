@@ -9,6 +9,7 @@ from ssp import (
     PeriodEstimate,
     SandwichReport,
     StringParams,
+    Trajectory,
     VerifyReport,
     check_sandwich,
     compute_bounds,
@@ -65,6 +66,9 @@ FIELDS = {
     QuarticRoots: ("roots", "leading"),
     CheckResult: ("name", "samples", "failures", "worst", "tolerance"),
     VerifyReport: ("seed", "samples", "checks"),
+    Trajectory: (
+        "t", "y", "v", "e", "events", "n_accepted", "n_rejected", "local_err",
+    ),
 }
 
 
