@@ -136,6 +136,23 @@ def nonstandard_periods():
     return rows
 
 
+# Strings stretched by 1e-12 and 1e-9 of their length, (l0, l, sigma, y),
+# where hypot(l, y) - l0 cancels.
+TENSION_NEAR_L0_CELLS = [
+    (1.0, 1.0 + 1e-12, 1.0, 1e-7),
+    (1.0, 1.0 + 1e-9, 1.0, 1e-5),
+]
+
+
+def tension_near_l0():
+    """40-digit tensions sigma*(sqrt(l^2+y^2) - l0)/l0 on TENSION_NEAR_L0_CELLS."""
+    rows = []
+    for cell in TENSION_NEAR_L0_CELLS:
+        l0, l, sigma, y = (mp.mpf(v) for v in cell)  # exact binary inputs
+        rows.append((cell, sigma * (z_of(y, l) - l0) / l0))
+    return rows
+
+
 def show(name, value, digits=20):
     print(f"{name:<28s} {mp.nstr(mp.mpf(value), digits)}")
 
@@ -153,6 +170,9 @@ def main():
     show("vertical_force(y=0.5)", vforce_half)
     show("acceleration(y=0.5, m=2)", vforce_half / 2)
     show("rest tension T", t_rest)
+    print("tension near l = l0 (oracle.TENSION_NEAR_L0):")
+    for cell, t in tension_near_l0():
+        print(f"    ({cell!r}, {float(t)!r}),  # {mp.nstr(t, 30, min_fixed=0, max_fixed=0)}")
     show("energy(0,0)", 2 * SIGMA / MASS * (0 - z_of(mp.mpf(0))))
     show("rayleigh period", rayleigh_period())
     show("g(0)", radicand_g(mp.mpf(0)))

@@ -185,8 +185,14 @@ class Oscillation(_Frozen):
 
 
 def tension(p: StringParams, y: float) -> float:
-    """Tension of one half at displacement y: sigma*(sqrt(l^2+y^2)-l0)/l0."""
-    return p.sigma * (math.hypot(p.l, y) - p.l0) / p.l0
+    """Tension of one half at displacement y: sigma*(sqrt(l^2+y^2)-l0)/l0.
+
+    The stretch is formed as (l - l0) + y*(y/(sqrt(l^2+y^2) + l)), a sum of
+    non-negative terms, which does not cancel near l = l0 as
+    sqrt(l^2+y^2) - l0 does, and is l - l0 exactly at y = 0.
+    """
+    stretch = (p.l - p.l0) + y * (y / (math.hypot(p.l, y) + p.l))
+    return p.sigma * stretch / p.l0
 
 
 def _force_law(l0: float, l: float, k: float, mass: float) -> Callable[[float], float]:
@@ -252,5 +258,13 @@ def rayleigh_period(p: StringParams) -> float:
 
 
 def rayleigh_solution(p: StringParams, y0: float, t: float) -> float:
-    """Harmonic-approximation trajectory y(t) = y0*cos(omega0*t)."""
-    return y0 * math.cos(math.sqrt(p.linear_stiffness) * t)
+    """Harmonic-approximation trajectory y(t) = y0*cos(omega0*t).
+
+    The phase omega0*t is formed as 2*pi*(t/P) on the linear-limit period P,
+    which is finite where sigma/mass and omega0 leave the float range.
+    """
+    period = rayleigh_period(p)
+    phase = TWO_PI * (t / period)
+    if not math.isfinite(phase):
+        raise InvalidParameters(f"t/P leaves the float range at t={t!r}, P={period!r}")
+    return y0 * math.cos(phase)

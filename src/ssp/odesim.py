@@ -27,9 +27,10 @@ each step makes twelve force evaluations and the calls through
 does the same operations in the same order, so every force value is the
 model's, scaled by a power of two.
 
-Every accepted step is recorded, in plain lists; `simulate` and `integrate`
-import numpy where they turn them into a Trajectory's arrays, and the period
-alone (`_simulated_period`, which `ssp period` runs) needs no numpy. The
+Every accepted step is recorded, in plain lists, the turning times in
+physical time; `simulate` and `integrate` import numpy where they turn them
+into a Trajectory's arrays. measure_period alone reads the period off the
+turning times, from the lists as well, so the period needs no numpy. The
 error weights of (y, v) are rel_tol * |value| plus an absolute floor of
 1e-12 * y_scale for y and the same floor times the linear angular frequency
 for v, where y_scale is the larger of y0 and the initial displacement.
@@ -38,7 +39,7 @@ for v, where y_scale is the larger of y0 and the initial displacement.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import _dop853
 from .errors import (
@@ -113,9 +114,9 @@ class Trajectory(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """What _run records, on the unit values: the samples, the turning times,
-    the step counts and local_err (see Trajectory). Physical time is unit
-    time times 2**_period_exp."""
+    """What _run records: the samples on the unit values, where physical time
+    is unit time times 2**_period_exp, the turning times in physical time,
+    the step counts and local_err (see Trajectory)."""
 
     t: list[float]
     y: list[float]
@@ -147,9 +148,10 @@ def _run(
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
     4**-_length_exp, velocities by 2**(shift - 2*_length_exp) and
-    accelerations by 4**(shift - _length_exp) on the way in, and the callers
-    scale them, times and energies back. Every scaling is by a power of two,
-    so where no intermediate is subnormal the run keeps its bits.
+    accelerations by 4**(shift - _length_exp) on the way in, and turning
+    times are recorded in physical time; the callers scale the samples and
+    energies back. Every scaling is by a power of two, so where no
+    intermediate is subnormal the run keeps its bits.
     """
     p = osc.params
     e, shift = p._length_exp, p._period_exp
@@ -200,7 +202,7 @@ def _run(
 
     ts, ys, vs = [t], [y], [v]
     local = 0.0
-    events: list[float] = [t] if v == 0.0 else []
+    events: list[float] = [_scaled(t, shift)] if v == 0.0 else []
     err_prev = 1e-4
     n_acc = 0
     n_rej = 0
@@ -245,7 +247,7 @@ def _run(
             ys.append(y)
             vs.append(v)
             if event is not None:
-                events.append(event)
+                events.append(_scaled(event, shift))
                 if len(events) == max_events:
                     break
             if err == 0.0:
@@ -283,7 +285,7 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
         )
         e = np.ldexp(e, 4 * le - 2 * shift)
         y, v = np.ldexp(ya, 2 * le), np.ldexp(va, 2 * le - shift)
-        arrays = (np.ldexp(run.t, shift), y, v, e, np.ldexp(run.events, shift))
+        arrays = (np.ldexp(run.t, shift), y, v, e, np.asarray(run.events))
     for a in arrays:
         a.flags.writeable = False
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
@@ -333,19 +335,7 @@ def integrate(
     return _trajectory(osc, _run(osc, t_span, state0, SimConfig().rel_tol, None))
 
 
-def _period(events: Sequence[float], local_err: float) -> PeriodEstimate:
-    """The period estimate from physical turning times and local_err (see
-    measure_period)."""
-    if len(events) < 3:
-        raise InsufficientEvents(
-            f"need >= 3 turning events to estimate a period, got {len(events)}"
-        )
-    n_periods = 0.5 * (len(events) - 1)
-    value = float(events[-1] - events[0]) / n_periods
-    return PeriodEstimate(value, Method.ODE_SIM, value * local_err / n_periods)
-
-
-def measure_period(traj: Trajectory) -> PeriodEstimate:
+def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """Period from turning events: the time from the first to the last
     over the number of periods between them, n_periods = (events.size - 1)/2.
     Needs at least three events (one full period).
@@ -360,13 +350,14 @@ def measure_period(traj: Trajectory) -> PeriodEstimate:
     phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).
     omega_c, the chord frequency sqrt(|F(y_scale)|/(m*y_scale)), sizes the
     velocity term by the motion's own time scale, so the estimate stays
-    tight where the period falls far below the linear one.
+    tight where the period falls far below the linear one. traj may also be
+    simulate's run before its arrays are built (_release).
     """
-    return _period(traj.events, traj.local_err)
-
-
-def _simulated_period(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
-    """measure_period(simulate(osc, cfg)), bit for bit, without the
-    trajectory's arrays (and so without numpy)."""
-    run = _release(osc, cfg, None)
-    return _period([math.ldexp(t, osc.params._period_exp) for t in run.events], run.local_err)
+    events = traj.events
+    if len(events) < 3:
+        raise InsufficientEvents(
+            f"need >= 3 turning events to estimate a period, got {len(events)}"
+        )
+    n_periods = 0.5 * (len(events) - 1)
+    value = float(events[-1] - events[0]) / n_periods
+    return PeriodEstimate(value, Method.ODE_SIM, value * traj.local_err / n_periods)

@@ -26,6 +26,12 @@ GAP_HARMONIC_REF = 1.2499999765625005e-08  # 1.2499999765625004883e-8
 Z0_REF = 1.346291201783626         # sqrt(l^2 + y0^2)
 ROOT_SECOND_REF = 0.653708798216374  # 2*l0 - z0
 TENSION_AT_HALF = 0.346291201783626
+# Tension where hypot(l, y) - l0 cancels: ((l0, l, sigma, y), tension) from
+# tension_near_l0() in scripts/compute_reference_values.py.
+TENSION_NEAR_L0 = [
+    ((1.0, 1.000000000001, 1.0, 1e-07), 1.005088900582336e-12),  # 1.0050889005823359982165856182e-12
+    ((1.0, 1.000000001, 1.0, 1e-05), 1.050000082689121e-09),  # 1.05000008268912100318747285747e-9
+]
 VFORCE_AT_HALF = -0.25721864729179256
 ACCEL_AT_HALF_M2 = -0.12860932364589627  # same pull, mass=2
 G_AT_ZERO = 0.22967038573099194    # radicand factor at y=0

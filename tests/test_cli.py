@@ -248,6 +248,33 @@ def test_period_values_match_library(capsys, reference_osc):
     assert payload["upper"] == compute_bounds(reference_osc).upper
 
 
+def test_pass_is_the_library_verdict(capsys, monkeypatch, reference_osc):
+    # a period at upper lies within slack of it, but at y0 = 0.5 the
+    # secant bound is far below upper, so the strict verdict fails it
+    from ssp import check_sandwich, compute_bounds
+
+    def at_upper(osc, tol):
+        return PeriodEstimate(compute_bounds(osc).upper, Method.QUADRATURE, 0.0)
+
+    report = check_sandwich(reference_osc, at_upper(reference_osc, None))
+    assert report.lower_ok and report.upper_ok and not report.passed
+    monkeypatch.setattr(ssp.cli, "exact_period", at_upper)
+    code, out, _ = run_cli(capsys, "period", "--format", "csv")
+    assert code == 0
+    assert parse_csv(out)[1][0]["pass"] == "false"
+    code, out, _ = run_cli(capsys, "period", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pass"] is False
+    code, out, _ = run_cli(capsys, "period")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{'sandwich':<20s}FAIL"
+    code, _, err = run_cli(
+        capsys, "sweep", "--sweep", "y0", "--from", "0.25", "--to", "0.5", "--points", "2"
+    )
+    assert code == 0
+    assert "sweep: 0/2 rows pass the sandwich check" in err
+
+
 # --- sweep -------------------------------------------------------------------
 
 

@@ -26,6 +26,14 @@ def test_tension_reference_value(reference_params):
     )
 
 
+@pytest.mark.parametrize("cell, want", oracle.TENSION_NEAR_L0)
+def test_tension_near_rest_length(cell, want):
+    # hypot(l, y) - l0 cancels here, to 1e-4 relative at l = 1 + 1e-12
+    l0, l, sigma, y = cell
+    got = tension(StringParams(l0, l, sigma, 1.0), y)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+
+
 @given(string_params(), displacements)
 def test_tension_even(p, y):
     assert tension(p, y) == tension(p, -y)
@@ -123,6 +131,25 @@ def test_rayleigh_solution_waypoints(reference_params):
     assert rayleigh_solution(p, y0, 0.0) == y0
     np.testing.assert_allclose(rayleigh_solution(p, y0, 0.5 * period), -y0, rtol=1e-12)
     assert abs(rayleigh_solution(p, y0, 0.25 * period)) < 1e-12 * y0
+
+
+@pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_rayleigh_solution_at_extreme_sigma_over_mass(sigma, mass):
+    # omega0**2 = 2T/(m*l) overflows in the first cell and underflows in
+    # the second, while the period is a finite float in both
+    p = StringParams(1.0, 1.25, sigma, mass)
+    y0 = 0.5
+    period = rayleigh_period(p)
+    assert rayleigh_solution(p, y0, 0.0) == y0
+    assert abs(rayleigh_solution(p, y0, 0.25 * period)) < 1e-15 * y0
+    for t in (0.5 * period, 3.5 * period):
+        np.testing.assert_allclose(rayleigh_solution(p, y0, t), -y0, rtol=1e-15)
+
+
+def test_rayleigh_solution_refuses_a_phase_beyond_the_float_range():
+    p = StringParams(1.0, 1.25, 1e300, 1e-300)  # period about 1e-299
+    with pytest.raises(InvalidParameters, match="t/P"):
+        rayleigh_solution(p, 0.5, 1e300)
 
 
 @pytest.mark.parametrize(

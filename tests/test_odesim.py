@@ -308,6 +308,18 @@ def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     assert np.all(np.isfinite(traj.t)) and np.all(np.isfinite(traj.v))
 
 
+@pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_turning_times_are_physical_times(sigma, mass):
+    # the run is in unit time, 2**_period_exp times the physical one; a
+    # release from rest at t = P turns at P, 1.5P and 2P all the same
+    osc = Oscillation(StringParams(1.0, 1.25, sigma, mass), 0.5)
+    assert osc.params._period_exp != 0
+    big_p = exact_period(osc).value
+    traj = integrate(osc, (big_p, 2.25 * big_p), (osc.y0, 0.0))
+    assert traj.events[0] == big_p
+    np.testing.assert_allclose(traj.events, [big_p, 1.5 * big_p, 2.0 * big_p], rtol=1e-9)
+
+
 @pytest.mark.parametrize(
     "cell, finite_energy",
     [
@@ -341,11 +353,12 @@ def test_huge_lengths_simulate_on_unit_lengths(cell, finite_energy):
     ],
 )
 def test_period_without_arrays_is_measure_period(cell, n_periods):
-    # ssp period's ODE column skips the trajectory's arrays; it must read
-    # the same bits as measure_period(simulate(...))
+    # ssp period's ODE column measures simulate's run before its arrays are
+    # built; it must read the same bits as measure_period(simulate(...))
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     cfg = SimConfig(n_periods=n_periods)
-    assert odesim._simulated_period(osc, cfg) == measure_period(simulate(osc, cfg))
+    run = odesim._release(osc, cfg, None)
+    assert measure_period(run) == measure_period(simulate(osc, cfg))
 
 
 @pytest.mark.parametrize(
@@ -362,7 +375,7 @@ def test_period_without_arrays_raises_as_simulate(cell, error):
     with pytest.raises(error) as direct:
         simulate(osc)
     with pytest.raises(error) as lean:
-        odesim._simulated_period(osc, SimConfig())
+        measure_period(odesim._release(osc, SimConfig(), None))
     assert str(lean.value) == str(direct.value)
 
 

@@ -5,9 +5,9 @@ import math
 import pytest
 
 import ssp.verify
-from ssp import InvalidParameters, Method, PeriodEstimate, run_invariant_suite
+from ssp import InvalidParameters, Method, PeriodEstimate, exact_period, run_invariant_suite
 from ssp.cli import main
-from ssp.elliptic import QuarticRoots, quartic_roots
+from ssp.elliptic import QuarticRoots, period_elliptic, quartic_roots
 
 
 def test_default_suite_passes():
@@ -41,6 +41,50 @@ def test_cross_method_margin_is_wide():
     cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
     # Dual-route agreement runs about six orders inside its tolerance.
     assert cross.worst < 1e-3 * cross.tolerance
+
+
+def test_cross_method_tolerance_follows_tol(capsys):
+    # the quadrature is accurate to --tol, so the engines need only agree
+    # to that; a 1e-9 tolerance read 3 false failures here
+    report = run_invariant_suite(samples=200, seed=0, rel_tol=1e-3)
+    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
+    assert cross.tolerance == 1e-3
+    assert report.passed
+    assert main(["verify", "--samples", "200", "--tol", "1e-3"]) == 0
+    assert "all invariants hold" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-3])
+def test_cross_method_check_catches_a_nudged_period(monkeypatch, capsys, rel_tol):
+    # an elliptic period off by 10 times the check's tolerance fails on
+    # every draw, at the default --tol and at the loosest one
+    tol = max(ssp.verify.CROSS_METHOD_TOL, rel_tol)
+
+    def nudged(osc, elliptic_tol):
+        est = period_elliptic(osc, elliptic_tol)
+        return est._replace(value=est.value * (1.0 + 10.0 * tol))
+
+    monkeypatch.setattr(ssp.verify, "period_elliptic", nudged)
+    report = run_invariant_suite(samples=20, seed=0, rel_tol=rel_tol)
+    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
+    assert cross.tolerance == tol
+    assert cross.failures == cross.samples == 20
+    assert main(["verify", "--samples", "20", "--tol", repr(rel_tol)]) == 3
+
+
+def test_each_draw_is_integrated_once(monkeypatch):
+    # the scaling check reuses the sandwich check's periods of its 50 draws,
+    # and integrates only its two rescaled strings
+    calls = []
+
+    def counted(osc, rel_tol):
+        calls.append(osc)
+        return exact_period(osc, rel_tol)
+
+    monkeypatch.setattr(ssp.verify, "exact_period", counted)
+    run_invariant_suite(samples=200, seed=0)
+    assert len(calls) == 200 + 2 * 50
+    assert len(set(calls)) == len(calls)
 
 
 def test_nan_deviation_fails(monkeypatch, capsys):
