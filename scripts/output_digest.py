@@ -58,6 +58,8 @@ CLI_COMMANDS = (
     ("period", "--l0", "1e100", "--l", "2e100", "--sigma", "1e-300", "--mass", "1e300", "--y0", "1e99"),
     ("period", "--l0", "5e-324", "--l", "1e10", "--y0", "1"),
     ("period", "--l0", "1e150", "--l", "2e150", "--y0", "1e160"),
+    ("period", "--l", "1.05", "--sigma", "10", "--y0", "2.1", "--method", "elliptic", "--format", "csv"),
+    ("period", "--l0", "0.25", "--l", "0.5", "--y0", "1e308", "--method", "quadrature"),
     ("period", "--bogus"),
     ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1.0", "--points", "4"),
     ("sweep", "--sweep", "sigma", "--from", "0.1", "--to", "10", "--points", "3", "--log", "--method", "all"),

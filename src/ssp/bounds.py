@@ -164,16 +164,14 @@ def _secant_upper(osc: Oscillation) -> float:
 
 # Rounding allowance of the strictness test, in ulps of the upper bound.
 _STRICT_ULPS = 2.0
+# Margin of the non-strict inequalities, relative to the upper bound.
+_REL_SLACK = 1e-9
 
 
-def check_sandwich(
-    osc: Oscillation,
-    estimate: PeriodEstimate,
-    rel_slack: float = 1e-9,
-) -> SandwichReport:
+def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport:
     lower = lower_bound_corrected(osc)
     upper = upper_bound(osc.params)
-    slack = rel_slack * upper + estimate.err_estimate
+    slack = _REL_SLACK * upper + estimate.err_estimate
     value = estimate.value
     lower_ok = value >= lower - slack
     upper_ok = value <= upper + slack

@@ -113,7 +113,6 @@ def _build_row(
     methods: Sequence[str],
     quad_tol: float,
     sim_cfg: SimConfig,
-    elliptic_tol: float,
 ) -> dict[str, object]:
     """One output record; the quadrature period anchors R and the verdict."""
     p = osc.params
@@ -128,7 +127,7 @@ def _build_row(
     if "quadrature" in methods:
         row["period_quadrature"] = quad.value
     if "elliptic" in methods:
-        row["period_elliptic"] = period_elliptic(osc, elliptic_tol).value
+        row["period_elliptic"] = period_elliptic(osc).value
     if "ode" in methods:
         row["period_ode"] = _ode_estimate(osc, sim_cfg).value
     bounds = compute_bounds(osc)
@@ -145,18 +144,18 @@ def _selected_methods(raw: str) -> tuple[str, ...]:
     return _METHODS if raw == "all" else (raw,)
 
 
-def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig, float]:
-    """Quadrature tolerance, simulation config and elliptic tolerance."""
+def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig]:
+    """Quadrature tolerance and simulation config."""
     tol = _resolve_tol(args.tol, 1e-12)
     sim_tol = max(_resolve_tol(args.tol, 1e-10), 1e-13)
-    return tol, SimConfig(rel_tol=sim_tol), min(1e-13, tol)
+    return tol, SimConfig(rel_tol=sim_tol)
 
 
 def cmd_period(args: argparse.Namespace) -> int:
     osc = _oscillation(args)
-    quad_tol, sim_cfg, elliptic_tol = _engine_configs(args)
+    quad_tol, sim_cfg = _engine_configs(args)
     methods = _selected_methods(args.method)
-    row = _build_row(osc, methods, quad_tol, sim_cfg, elliptic_tol)
+    row = _build_row(osc, methods, quad_tol, sim_cfg)
     header = list(row.keys())
     if args.format == "csv":
         _write_csv([row], header)
@@ -212,13 +211,10 @@ def _grid(low: float, high: float, points: int, log: bool) -> Sequence[float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.low is None or args.high is None:
         raise InvalidParameters("sweep needs both --from and --to")
-    quad_tol, sim_cfg, elliptic_tol = _engine_configs(args)
+    quad_tol, sim_cfg = _engine_configs(args)
     methods = _selected_methods(args.method)
     rows = [
-        _build_row(
-            _oscillation(args, **{args.sweep: float(value)}),
-            methods, quad_tol, sim_cfg, elliptic_tol,
-        )
+        _build_row(_oscillation(args, **{args.sweep: float(value)}), methods, quad_tol, sim_cfg)
         for value in _grid(args.low, args.high, args.points, args.log)
     ]
     header = list(rows[0].keys())

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceFailure, InvalidParameters
+from .errors import ConvergenceFailure
 from .model import Oscillation, _from_unit_scale
 from .quadrature import Method, PeriodEstimate
 from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
@@ -48,19 +48,22 @@ __all__ = [
 # Each step of the AGM doubles the digits; kc within 1e+-300 of 1 takes at
 # most 14 steps. An overflowed or NaN input never meets the stop test.
 _MAX_AGM_STEPS = 40
-# the floating-point AGM may settle with its two means one ulp apart
-_CA_FLOOR = 2.0**-51
+# AGM stop test: its truncation error _CA**2/8 = 2**-53 is half an ulp
+_CA = 2.0**-25
+# err_estimate of period_elliptic, relative to the period: about 400 times
+# the worst error measured against 40-digit mpmath, so it stays honest
+_REL_ERR = 4.01e-13
 
 
-def _cel(kc: float, p: float, a: float, b: float, ca: float) -> float:
+def _cel(kc: float, p: float, a: float, b: float) -> float:
     """Bulirsch's generalized complete elliptic integral, for kc > 0, p > 0:
 
         cel(kc, p, a, b) = int_0^{pi/2} (a*cos^2 + b*sin^2)
                            / ((cos^2 + p*sin^2) * sqrt(cos^2 + kc^2*sin^2)).
 
-    The Landen/AGM loop stops once its two means agree to ca, which leaves a
-    relative truncation error of about ca^2/8 (R. Bulirsch, Numer. Math. 13
-    (1969) 305-315; Numerical Recipes, 2nd ed., section 6.11).
+    The Landen/AGM loop stops once its two means agree to _CA, which leaves a
+    relative truncation error of about _CA^2/8, half an ulp (R. Bulirsch,
+    Numer. Math. 13 (1969) 305-315; Numerical Recipes, 2nd ed., section 6.11).
     """
     qc = e = kc
     em = 1.0
@@ -74,7 +77,7 @@ def _cel(kc: float, p: float, a: float, b: float, ca: float) -> float:
         p += g
         g = em
         em += qc
-        if abs(g - qc) <= g * ca:
+        if abs(g - qc) <= g * _CA:
             return 0.5 * math.pi * (b + a * em) / (em * (em + p))
         qc = 2.0 * math.sqrt(e)
         e = qc * em
@@ -149,17 +152,14 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
     )
 
 
-def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
+def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     """Exact period via the closed form, one cel call for every amplitude.
 
-    rel_tol, in (0, 1), sets the AGM stop test ca = sqrt(rel_tol), at least
-    2**-51. Both root orderings go through the same arithmetic; past
-    z0 = 2*l0 + l the complementary modulus kc exceeds 1. At y0 = 0,
-    kc = p = 1 and the closed form is the linear-limit period. It runs on
-    the unit values (see model.StringParams).
+    The AGM runs to half an ulp (see _cel). Both root orderings go through
+    the same arithmetic; past z0 = 2*l0 + l the complementary modulus kc
+    exceeds 1. At y0 = 0, kc = p = 1 and the closed form is the linear-limit
+    period. It runs on the unit values (see model.StringParams).
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
     l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
     z0 = math.hypot(l, y0)
@@ -175,12 +175,11 @@ def period_elliptic(osc: Oscillation, rel_tol: float = 1e-13) -> PeriodEstimate:
     # d*K + (a-d)*Pi = cel(kc, 1 - n, z0, z0 - ab/2) with n = -ab/bd <= 0;
     # cel is linear in its last two arguments, so z0 is factored out
     kc = math.sqrt(ad / ac) * math.sqrt(bc / bd)
-    ca = max(math.sqrt(rel_tol), _CA_FLOOR)
-    c = _cel(kc, 1.0 + ab / bd, 1.0, 1.0 - ab / (2.0 * z0), ca)
+    c = _cel(kc, 1.0 + ab / bd, 1.0, 1.0 - ab / (2.0 * z0))
     integral = 2.0 * (z0 / math.sqrt(ac)) / math.sqrt(bd) * c
     value = 4.0 * math.sqrt(p._unit_mass * l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
     if not 0.0 < value < math.inf:
         # near the top of the float range the AGM's e = qc*em overflows
         raise ConvergenceFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
-    return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * (4.0 * rel_tol + 1e-15))
+    return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * _REL_ERR)

@@ -87,7 +87,7 @@ def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
 
 
 def _check_sandwich_and_cross(
-    oscs: list[Oscillation], rel_tol: float, elliptic_tol: float
+    oscs: list[Oscillation], rel_tol: float
 ) -> tuple[CheckResult, CheckResult, list[float]]:
     """The sandwich and cross-method checks, and the quadrature periods. The
     engines agree to the quadrature's accuracy rel_tol, or CROSS_METHOD_TOL."""
@@ -110,7 +110,7 @@ def _check_sandwich_and_cross(
             viol = max(viol, est.value - rep.upper)
         sand_worst = max(sand_worst, viol / rep.upper)
 
-        ell = period_elliptic(osc, elliptic_tol)
+        ell = period_elliptic(osc)
         cross.append(abs(ell.value - est.value) / est.value)
     return (
         CheckResult("period-inside-bounds", len(oscs), sand_fail, sand_worst, 0.0),
@@ -148,12 +148,11 @@ def _check_legendre(rng: random.Random, n: int) -> CheckResult:
     modulus; k = sin(t) and kc = cos(t) then hold to the rounding level.
     """
     devs = []
-    ca = math.sqrt(1e-13)  # period_elliptic's default stop test
     for _ in range(n):
         t = _log_uniform(rng, 1e-6, 0.25 * math.pi)
         k, kc = math.sin(t), math.cos(t)
-        big_k, big_kp = _cel(kc, 1.0, 1.0, 1.0, ca), _cel(k, 1.0, 1.0, 1.0, ca)
-        big_e, big_ep = _cel(kc, 1.0, 1.0, kc * kc, ca), _cel(k, 1.0, 1.0, k * k, ca)
+        big_k, big_kp = _cel(kc, 1.0, 1.0, 1.0), _cel(k, 1.0, 1.0, 1.0)
+        big_e, big_ep = _cel(kc, 1.0, 1.0, kc * kc), _cel(k, 1.0, 1.0, k * k)
         devs.append(abs((big_e * big_kp + big_ep * big_k - big_k * big_kp) / (0.5 * math.pi) - 1.0))
     return _tally("legendre-relation", devs, LEGENDRE_TOL)
 
@@ -192,8 +191,7 @@ def run_invariant_suite(
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
     rng = random.Random(seed)
     oscs = _draw_oscillations(rng, samples)
-    elliptic_tol = min(1e-13, rel_tol)
-    sandwich, cross, periods = _check_sandwich_and_cross(oscs, rel_tol, elliptic_tol)
+    sandwich, cross, periods = _check_sandwich_and_cross(oscs, rel_tol)
     scaling = _check_scaling(oscs[:50], periods, rng, rel_tol)
     legendre = _check_legendre(rng, 200)
     quartic = _check_quartic(_draw_oscillations(rng, 100))

@@ -81,7 +81,7 @@ def test_criterion_2_randomized_sandwich():
     rng = np.random.default_rng(0)
     failures = 0
     for osc in _draw_oscillations(rng, 1000):
-        report = check_sandwich(osc, exact_period(osc), rel_slack=1e-9)
+        report = check_sandwich(osc, exact_period(osc))
         if not (report.passed and report.value < report.upper):
             failures += 1
     ok = failures == 0

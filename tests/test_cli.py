@@ -131,6 +131,16 @@ def test_elliptic_overflow_is_an_engine_failure(capsys):
     assert err.startswith("engine failure:")
 
 
+def test_quadrature_answers_where_y0_over_l_overflows(capsys):
+    # asinh(y0/l) read asinh(inf): exit 2, "level difference nan of nan"
+    params = ("--l0", "0.25", "--l", "0.5", "--y0", "1e308", "--format", "csv")
+    code, out, err = run_cli(capsys, "period", *params, "--method", "quadrature")
+    assert code == 0, err
+    row = parse_csv(out)[1][0]
+    assert row["pass"] == "true"
+    assert abs(float(row["period_quadrature"]) - math.pi * math.sqrt(0.5)) <= 1e-12
+
+
 # l0*y0/2 passes DBL_MAX on the unit lengths
 TOP_CELL = ("--l0", "1.5", "--l", "1.9", "--y0", "1.7e308")
 

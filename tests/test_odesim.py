@@ -111,7 +111,7 @@ def test_gap_scatter_small(default_traj):
 
 def test_measured_period_sits_inside_bounds(default_traj):
     osc, traj = default_traj
-    report = check_sandwich(osc, measure_period(traj), rel_slack=1e-6)
+    report = check_sandwich(osc, measure_period(traj))
     assert report.passed
 
 

@@ -439,6 +439,27 @@ def test_period_and_speed_where_twice_sigma_overflows(sigma, mass):
     np.testing.assert_allclose(speed(osc, 0.0), oracle.SPEED_AT_ZERO * ratio, rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "l0, l, y0",
+    [
+        # y0/l overflows: asinh(inf) gave NaN nodes and ConvergenceFailure
+        (0.25, 0.5, 1e308),
+        (0.25, 0.5, 1.7e308),
+        # y0/l = 1.4e308 stays a float; it answered before too
+        (0.3, 0.7, 1e308),
+        # the end node's y rounded above y0 and y/2 + y0/2 overflowed
+        (0.25, 0.5, sys.float_info.max),
+        (0.2040488592069382, 1.096930799211095, sys.float_info.max),
+    ],
+)
+def test_period_where_y0_over_l_leaves_the_float_range(l0, l, y0):
+    # P -> P_inf*(1 + 2*l0/(pi*y0)), P_inf = pi*sqrt(2*m*l0/sigma), as y0/l
+    # grows; the correction is far below an ulp here
+    est = exact_period(Oscillation(StringParams(l0, l, 1.0, 1.0), y0))
+    limit = math.pi * math.sqrt(2.0 * l0) * (1.0 + 2.0 * l0 / (math.pi * y0))
+    assert abs(est.value - limit) <= est.err_estimate
+
+
 def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
     # An integrand whose trapezoid sums never settle runs the whole ladder,
     # 2**9 + 1 nodes, and then fails cleanly.

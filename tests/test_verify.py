@@ -60,8 +60,8 @@ def test_cross_method_check_catches_a_nudged_period(monkeypatch, capsys, rel_tol
     # every draw, at the default --tol and at the loosest one
     tol = max(ssp.verify.CROSS_METHOD_TOL, rel_tol)
 
-    def nudged(osc, elliptic_tol):
-        est = period_elliptic(osc, elliptic_tol)
+    def nudged(osc):
+        est = period_elliptic(osc)
         return est._replace(value=est.value * (1.0 + 10.0 * tol))
 
     monkeypatch.setattr(ssp.verify, "period_elliptic", nudged)
@@ -90,7 +90,7 @@ def test_each_draw_is_integrated_once(monkeypatch):
 def test_nan_deviation_fails(monkeypatch, capsys):
     # a NaN deviation is no agreement: it fails and shows as the worst
     nan = PeriodEstimate(math.nan, Method.ELLIPTIC, 0.0)
-    monkeypatch.setattr(ssp.verify, "period_elliptic", lambda osc, tol: nan)
+    monkeypatch.setattr(ssp.verify, "period_elliptic", lambda osc: nan)
     report = run_invariant_suite(samples=20, seed=0)
     cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
     assert cross.failures == 20
