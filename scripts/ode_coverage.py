@@ -13,6 +13,10 @@ accepted steps, rejected steps and force evaluations per run. Forces are
 counted through the `accel` hook with the model's own `acceleration`, which
 gives the default run bit for bit.
 
+Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
+the smallest is not finite: an estimate that fails to cover its error, a NaN,
+or a group whose every error reads exactly 0 and so tests nothing.
+
 Run:  python3 scripts/ode_coverage.py   (needs numpy and mpmath)
 """
 
@@ -49,7 +53,8 @@ def random_draws(n: int = 256) -> list[tuple[tuple[float, ...], float]]:
     return cells
 
 
-def report(label: str, cells, rel_tol: float) -> None:
+def report(label: str, cells, rel_tol: float) -> bool:
+    """Print the group's row; True where every estimate covers its error."""
     rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
     for cell, period in cells:
         p = StringParams(*cell[:4])
@@ -74,13 +79,20 @@ def report(label: str, cells, rel_tol: float) -> None:
         f"rejected {np.mean(rej):.2f} (max {max(rej)})  forces {np.mean(forces):.1f} "
         f"(max {max(forces)})"
     )
+    return all(c > 1.0 for c in cover) and math.isfinite(min(cover))
 
 
-def main() -> None:
-    for rel_tol in (1e-6, 1e-10, 1e-13):
+def main() -> int:
+    covered = [
         report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, rel_tol)
-    report("256 random draws rel_tol=1e-10", random_draws(), SimConfig().rel_tol)
+        for rel_tol in (1e-6, 1e-10, 1e-13)
+    ]
+    covered.append(report("256 random draws rel_tol=1e-10", random_draws(), SimConfig().rel_tol))
+    if not all(covered):
+        print("FAIL: an err_estimate does not cover its actual error", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

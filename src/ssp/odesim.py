@@ -13,10 +13,12 @@ Turning points (v = 0) are located inside accepted steps, as the root of
 DOP853's seventh-order continuous extension of v over the step
 (_dop853.velocity_root), at three force values each. Consecutive
 turning times are half periods, so the span from the first to the last
-turning time over the number of periods between them gives the period. Its
-error estimate sums over accepted steps the fifth-order local error
-estimate as the combined norm weighs it, relative to the amplitude, read as
-a phase error (see measure_period).
+turning time over the number of periods between them gives the period. The
+force is odd in y, so a release from rest at y0 first turns at -y0, at
+exactly half a period: the default run ends at the second event and reads
+the period as twice its span. Its error estimate sums over accepted steps
+the fifth-order local error estimate as the combined norm weighs it,
+relative to the amplitude, read as a phase error (see measure_period).
 
 The run is on the unit values of model.StringParams, in unit time (see
 model._from_unit_scale), so the lengths' scale and sigma/mass may lie
@@ -74,19 +76,28 @@ _MAX_STEPS = 10_000_000
 class SimConfig(_Frozen):
     """Relative step tolerance and run length of `simulate`.
 
-    The default run is one period. A longer run reads the same period, to
-    within its error estimate, at proportionally more steps.
+    n_periods is a positive multiple of 1/2. The default run is half a
+    period: it ends at the second event, the first turning after release.
+    A half-integer n_periods assumes an odd force, as the model's is, so
+    that a half period is the span between opposite turning points; a
+    `simulate` caller whose `accel` is not odd passes a whole number. A
+    longer run reads the same period, to within its error estimate, at
+    proportionally more steps.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
 
-    def __init__(self, rel_tol: float = 1e-10, n_periods: int = 1) -> None:
+    def __init__(self, rel_tol: float = 1e-10, n_periods: float = 0.5) -> None:
         object.__setattr__(self, "rel_tol", rel_tol)
         object.__setattr__(self, "n_periods", n_periods)
         if not (0.0 < self.rel_tol < 1e-2):
             raise InvalidParameters(f"rel_tol must be in (0, 1e-2), got {self.rel_tol!r}")
-        if self.n_periods < 1:
-            raise InvalidParameters(f"n_periods must be >= 1, got {self.n_periods!r}")
+        # refuses nan and inf too: nan fails both tests, inf % 1 is nan
+        twice = 2 * self.n_periods
+        if not (twice >= 1 and twice % 1 == 0):
+            raise InvalidParameters(
+                f"n_periods must be a positive multiple of 0.5, got {self.n_periods!r}"
+            )
 
 
 class Trajectory(NamedTuple):
@@ -296,7 +307,7 @@ def _release(
 ) -> _Run:
     """simulate's run, before its arrays are built."""
     horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
-    want = 2 * cfg.n_periods + 1
+    want = int(2 * cfg.n_periods) + 1
     run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
     if len(run.events) < want:
         raise ConvergenceFailure(
@@ -314,11 +325,13 @@ def simulate(
     """Release from rest at y0 and integrate until n_periods have elapsed.
 
     Each period contributes two turning events; the run stops once
-    2*n_periods events follow the initial one, so the default run ends at
-    the third event (t = 0, P/2, P). The true period never exceeds
-    the linear-limit period, so the time horizon (n_periods + 2) linear
-    periods always suffices. `accel` overrides the force law (test hook for
-    the linearized system); it must map y to d2y/dt2.
+    2*n_periods events follow the initial one, so the default run
+    (n_periods = 0.5) ends at the second event (t = 0, P/2). The true
+    period never exceeds the linear-limit period, so the time horizon
+    (n_periods + 2) linear periods always suffices. `accel` overrides the
+    force law (test hook for the linearized system); it must map y to
+    d2y/dt2, and be odd in y where n_periods is a half-integer, the
+    default included (see SimConfig).
     """
     return _trajectory(osc, _release(osc, cfg, accel))
 
@@ -338,11 +351,14 @@ def integrate(
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """Period from turning events: the time from the first to the last
     over the number of periods between them, n_periods = (events.size - 1)/2.
-    Needs at least three events (one full period).
+    Needs at least two events. The default run ends at the second event,
+    so the period is 2*(e1 - e0): two events span half a period where the
+    force is odd in y (see SimConfig).
 
-    The error estimate is value * local_err / n_periods. local_err sums the
-    embedded estimates |err5_y| + |err5_v|/omega_c of the accepted steps, as
-    the step-size control weighs them, relative to the displacement scale:
+    The error estimate is value * local_err / n_periods, 2*value*local_err
+    on the default run. local_err sums the embedded estimates
+    |err5_y| + |err5_v|/omega_c of the accepted steps, as the step-size
+    control weighs them, relative to the displacement scale:
     local errors of the fifth-order solution, which exceed those of the
     eighth-order one that is carried forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e
@@ -354,9 +370,9 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     simulate's run before its arrays are built (_release).
     """
     events = traj.events
-    if len(events) < 3:
+    if len(events) < 2:
         raise InsufficientEvents(
-            f"need >= 3 turning events to estimate a period, got {len(events)}"
+            f"need >= 2 turning events to estimate a period, got {len(events)}"
         )
     n_periods = 0.5 * (len(events) - 1)
     value = float(events[-1] - events[0]) / n_periods

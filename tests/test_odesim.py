@@ -55,15 +55,15 @@ def test_event_count_matches_requested_periods(default_traj):
     osc, traj = default_traj
     # Release from rest: one event seeds t=0, then two turnings per period.
     assert len(traj.events) == 2 * 10 + 1
-    # the default run is one period: t = 0, P/2 and P
-    assert len(simulate(osc).events) == 3
+    # the default run is half a period: t = 0 and P/2
+    assert len(simulate(osc).events) == 2
 
 
 def test_default_run_work_count(default_traj):
-    # one period of the eighth-order pair, where the 5(4) pair took about
-    # 270 accepted steps and ten periods about 2.6k
+    # half a period of the eighth-order pair, where the 5(4) pair took about
+    # 270 accepted steps for a whole period and ten periods about 2.6k
     osc, _ = default_traj
-    assert simulate(osc).n_accepted <= 60
+    assert simulate(osc).n_accepted <= 30
 
 
 def test_default_run_force_count(default_traj):
@@ -82,7 +82,8 @@ def test_default_run_force_count(default_traj):
     traj = simulate(osc, accel=force)
     _same_bytes(traj, simulate(osc))
     located = len(traj.events) - 1  # the event at t = 0 is the release
-    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 500
+    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 269
+    assert (traj.n_accepted, traj.n_rejected) == (22, 0)
 
 
 def test_energy_drift_within_budget(default_traj):
@@ -350,6 +351,11 @@ def test_huge_lengths_simulate_on_unit_lengths(cell, finite_energy):
         ((1.0, 1.25, 1e-300, 1e300, 1.25e3), 3),
         ((1.0, 1.25, 1.0, 1.0, 1.25e3), 1),
         ((1.0, 1.0 + 1e-9, 1.0, 1.0, 1e-6), 1),
+        ((1.0, 1.25, 1.0, 1.0, 0.5), 0.5),
+        ((1.0, 1.25, 1e300, 1e-300, 0.5), 0.5),
+        ((1.0, 1.25, 1e-300, 1e300, 1.25e3), 0.5),
+        ((1.0, 1.25, 1.0, 1.0, 1.25e3), 0.5),
+        ((1.0, 1.0 + 1e-9, 1.0, 1.0, 1e-6), 0.5),
     ],
 )
 def test_period_without_arrays_is_measure_period(cell, n_periods):
@@ -394,19 +400,22 @@ def test_step_budget_enforced(default_traj, monkeypatch):
         simulate(osc)
 
 
-def test_period_needs_three_events():
+def test_period_needs_two_events():
     traj = Trajectory(
         t=np.array([0.0, 1.0]),
         y=np.array([0.5, 0.4]),
         v=np.array([0.0, -0.1]),
         e=np.array([-2.44, -2.44]),
-        events=np.array([0.0, 1.0]),
+        events=np.array([0.25]),
         n_accepted=2,
         n_rejected=0,
         local_err=1e-10,
     )
-    with pytest.raises(InsufficientEvents):
+    with pytest.raises(InsufficientEvents, match="need >= 2 turning events"):
         measure_period(traj)
+    # two events span half a period
+    est = measure_period(traj._replace(events=np.array([0.25, 1.0])))
+    assert est == (2 * (1.0 - 0.25), Method.ODE_SIM, 2 * 1.5 * 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -417,6 +426,10 @@ def test_period_needs_three_events():
         dict(rel_tol=1e-2),
         dict(rel_tol=float("nan")),
         dict(n_periods=0),
+        dict(n_periods=-3),
+        dict(n_periods=1.3),
+        dict(n_periods=float("nan")),
+        dict(n_periods=float("inf")),
     ],
 )
 def test_invalid_config_rejected(kwargs):
@@ -435,7 +448,7 @@ ORACLE_CELLS = [
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13])
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
 def test_error_estimate_covers_oracle(cell, period, rel_tol):
-    # the summed local error estimates bound the error of one simulated
+    # the summed local error estimates bound the error of the simulated
     # period; near l = l0 this needs the stretch formed without cancellation
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     est = measure_period(simulate(osc, SimConfig(rel_tol=rel_tol)))
@@ -464,11 +477,14 @@ def test_error_estimate_covers_random_draws():
 
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
 def test_turning_events_within_estimate(cell, period):
-    # the turning times of the default run, roots of DOP853's seventh-order
-    # continuous extension of v, are P/2 and P to within the run's own
-    # error estimate
+    # the turning times, roots of DOP853's seventh-order continuous
+    # extension of v, are P/2 (the default run) and P (a whole period) to
+    # within the run's own error estimate; the default run's is that of
+    # twice its span, so half of it covers the turning time
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     traj = simulate(osc)
+    assert abs(traj.events[1] - 0.5 * period) <= 0.5 * measure_period(traj).err_estimate
+    traj = simulate(osc, SimConfig(n_periods=1))
     err = measure_period(traj).err_estimate
     assert abs(traj.events[1] - 0.5 * period) <= err
     assert abs(traj.events[2] - period) <= err

@@ -27,9 +27,9 @@ VALUES = [
     ),
     (
         SimConfig(),
-        SimConfig(n_periods=1, rel_tol=1e-10),
+        SimConfig(n_periods=0.5, rel_tol=1e-10),
         ("rel_tol", "n_periods"),
-        "SimConfig(rel_tol=1e-10, n_periods=1)",
+        "SimConfig(rel_tol=1e-10, n_periods=0.5)",
     ),
 ]
 IDS = ["StringParams", "Oscillation", "SimConfig"]
@@ -91,8 +91,11 @@ def test_pickle_and_copy_round_trips(value, same, fields, text, round_trip):
         (dict(rel_tol=0.0), "rel_tol must be in (0, 1e-2), got 0.0"),
         (dict(rel_tol=1e-2), "rel_tol must be in (0, 1e-2), got 0.01"),
         (dict(rel_tol=float("nan")), "rel_tol must be in (0, 1e-2), got nan"),
-        (dict(n_periods=0), "n_periods must be >= 1, got 0"),
-        (dict(rel_tol=1e-9, n_periods=-3), "n_periods must be >= 1, got -3"),
+        (dict(n_periods=0), "n_periods must be a positive multiple of 0.5, got 0"),
+        (dict(rel_tol=1e-9, n_periods=-3), "n_periods must be a positive multiple of 0.5, got -3"),
+        (dict(n_periods=1.3), "n_periods must be a positive multiple of 0.5, got 1.3"),
+        (dict(n_periods=float("nan")), "n_periods must be a positive multiple of 0.5, got nan"),
+        (dict(n_periods=float("inf")), "n_periods must be a positive multiple of 0.5, got inf"),
     ],
 )
 def test_sim_config_refusal_messages(kwargs, message):
@@ -104,4 +107,4 @@ def test_sim_config_refusal_messages(kwargs, message):
 def test_sim_config_defaults_and_positional_order():
     assert SimConfig(1e-8, 3) == SimConfig(rel_tol=1e-8, n_periods=3)
     cfg = SimConfig()
-    assert (cfg.rel_tol, cfg.n_periods) == (1e-10, 1)
+    assert (cfg.rel_tol, cfg.n_periods) == (1e-10, 0.5)
