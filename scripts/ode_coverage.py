@@ -6,12 +6,15 @@ Runs `simulate` + `measure_period` on the three oracle cells of
 tests/test_odesim.py at rel_tol 1e-6, 1e-10 and 1e-13, and on 256 draws from
 the distribution of `test_error_estimate_covers_random_draws` (same
 generator seed, so its 32 draws come first) at the default rel_tol, against
-`tests/oracle.py`. For each group it prints the worst relative error, the
-smallest err_estimate/actual error (an estimate covers its error where this
-is above 1), the largest err_estimate/value, and the mean and largest
-accepted steps, rejected steps and force evaluations per run. Forces are
-counted through the `accel` hook with the model's own `acceleration`, which
-gives the default run bit for bit.
+`tests/oracle.py`. The draws run twice: as the default run, which stops at
+its first zero crossing and reads the period off the turning at twice that
+time, and with n_periods=1, which reads it off turning events located on
+the continuous extension of v. For each group it prints the worst relative
+error, the smallest err_estimate/actual error (an estimate covers its error
+where this is above 1), the largest err_estimate/value, and the mean and
+largest accepted steps, rejected steps and force evaluations per run. Forces
+are counted through the `accel` hook with the model's own `acceleration`,
+which gives each run bit for bit.
 
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
 the smallest is not finite: an estimate that fails to cover its error, a NaN,
@@ -53,7 +56,7 @@ def random_draws(n: int = 256) -> list[tuple[tuple[float, ...], float]]:
     return cells
 
 
-def report(label: str, cells, rel_tol: float) -> bool:
+def report(label: str, cells, cfg: SimConfig) -> bool:
     """Print the group's row; True where every estimate covers its error."""
     rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
     for cell, period in cells:
@@ -64,7 +67,7 @@ def report(label: str, cells, rel_tol: float) -> bool:
             calls[0] += 1
             return acceleration(p, y)
 
-        traj = simulate(Oscillation(p, cell[4]), SimConfig(rel_tol=rel_tol), accel=force)
+        traj = simulate(Oscillation(p, cell[4]), cfg, accel=force)
         est = measure_period(traj)
         actual = abs(est.value - period)
         rel_err.append(actual / period)
@@ -84,10 +87,12 @@ def report(label: str, cells, rel_tol: float) -> bool:
 
 def main() -> int:
     covered = [
-        report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, rel_tol)
+        report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, SimConfig(rel_tol=rel_tol))
         for rel_tol in (1e-6, 1e-10, 1e-13)
     ]
-    covered.append(report("256 random draws rel_tol=1e-10", random_draws(), SimConfig().rel_tol))
+    draws = random_draws()
+    covered.append(report("256 random draws rel_tol=1e-10", draws, SimConfig()))
+    covered.append(report("256 random draws n_periods=1", draws, SimConfig(n_periods=1)))
     if not all(covered):
         print("FAIL: an err_estimate does not cover its actual error", file=sys.stderr)
         return 1

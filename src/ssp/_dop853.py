@@ -8,9 +8,11 @@ and e3 sum to 0, so v drops out of the errors). The stage velocities are
 never formed: `step` works on the force values k alone.
 
 The code's continuous extension of v over an accepted step is a weighted
-sum of the step's forces, the force at its end and three more stages;
-`velocity_root` finds where it is 0, which locates a turning point at the
-price of three force values.
+sum of the step's forces, the force at its end and three more stages, at
+the price of three force values. `velocity_root` finds where it is 0, which
+locates a turning point, and `position_root` where its antiderivative, the
+displacement over the step, is 0, which locates a zero crossing of y; both
+run one bracketed Newton iteration (`_root`).
 """
 
 from __future__ import annotations
@@ -337,6 +339,32 @@ def _extension_at(fs: tuple[float, ...], x: float) -> tuple[float, float]:
     return x * p0, x * d0 + p0
 
 
+def _root(at: Callable[[float], tuple[float, float]], negative_at_0: bool, x: float) -> float:
+    """The fraction x in [0, 1] at which f is 0, where at(x) = (f(x), f'(x)),
+    f(0) < 0 exactly where negative_at_0, and f(1) has the other sign.
+
+    Newton starts from x; a Newton step that leaves the bracket bisects it
+    instead, and the iteration stops at a correction of at most _ROOT_STOP,
+    at a zero of f, or after _ROOT_MAX_ITER iterations.
+    """
+    lo, hi = 0.0, 1.0  # f(lo) has the sign of f(0), f(hi) that of f(1)
+    for _ in range(_ROOT_MAX_ITER):
+        f, slope = at(x)
+        if f == 0.0:
+            break
+        if (f < 0.0) == negative_at_0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - f / slope if slope != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x, dx = x_new, x_new - x
+        if abs(dx) <= _ROOT_STOP:
+            break
+    return x
+
+
 def velocity_root(
     accel: Callable[[float], float],
     y: float,
@@ -348,29 +376,52 @@ def velocity_root(
 ) -> float:
     """The fraction x of the step at which the continuous extension of v
     (see _extension, same arguments) is 0, where v and v1 have opposite
-    signs.
-
-    v(0) = v and v(1) = v1 bracket the root. Newton starts from the secant
-    root; a Newton step that leaves the bracket bisects it instead, and the
-    iteration stops at a correction of at most _ROOT_STOP, at a zero of the
-    extension, or after _ROOT_MAX_ITER iterations.
+    signs. v(0) = v and v(1) = v1 bracket the root, and Newton starts from
+    the secant root (see _root).
     """
     fs = _extension(accel, y, v, h, v1, ks, k12)
-    lo, hi = 0.0, 1.0  # v(lo) has the sign of v, v(hi) that of v1
-    x = v / (v - v1)
-    for _ in range(_ROOT_MAX_ITER):
+
+    def at(x: float) -> tuple[float, float]:
         p, slope = _extension_at(fs, x)
-        vx = v + p
-        if vx == 0.0:
-            break
-        if (vx < 0.0) == (v < 0.0):
-            lo = x
-        else:
-            hi = x
-        x_new = x - vx / slope if slope != 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x, dx = x_new, x_new - x
-        if abs(dx) <= _ROOT_STOP:
-            break
-    return x
+        return v + p, slope
+
+    return _root(at, v < 0.0, v / (v - v1))
+
+
+def position_root(
+    accel: Callable[[float], float],
+    y: float,
+    v: float,
+    h: float,
+    y1: float,
+    v1: float,
+    ks: tuple[float, ...],
+    k12: float,
+) -> float:
+    """The fraction x of the step at which y is 0 on the antiderivative of
+    the continuous extension of v, where y and y1 have opposite signs; the
+    other arguments are _extension's.
+
+    Expanded in powers of x, the extension is v(x) = v + c1*x + ... +
+    c7*x**7, so the displacement over the step is
+    y(x) = y + h*x*(v + c1*x/2 + ... + c7*x**7/8), of degree 8, with slope
+    h*v(x) in x; Horner reads both in one pass. y(0) = y and y(1), within
+    the extension's error of y1, bracket the root, and Newton starts from
+    the secant root (see _root).
+    """
+    f0, f1, f2, f3, f4, f5, f6 = _extension(accel, y, v, h, v1, ks, k12)
+    c1 = f0 + f1
+    c2 = f2 + f3 - f1
+    c3 = f4 + f5 - f2 - 2.0 * f3
+    c4 = f3 + f6 - 2.0 * f4 - 3.0 * f5
+    c5 = f4 + 3.0 * f5 - 3.0 * f6
+    c6 = 3.0 * f6 - f5
+    c7 = -f6
+    b1, b2, b3, b4, b5, b6, b7 = c1 / 2, c2 / 3, c3 / 4, c4 / 5, c5 / 6, c6 / 7, c7 / 8
+
+    def at(x: float) -> tuple[float, float]:
+        s = v + x * (b1 + x * (b2 + x * (b3 + x * (b4 + x * (b5 + x * (b6 + x * b7))))))
+        d = v + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * (c6 + x * c7))))))
+        return y + h * (x * s), h * d
+
+    return _root(at, y < 0.0, y / (y - y1))

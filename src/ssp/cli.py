@@ -339,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = subs.add_parser("trajectory", help="simulate and export t,y,v,E samples")
     _add_params(tr)
-    tr.add_argument("--periods", type=int, default=10)
+    tr.add_argument("--periods", type=float, default=10)
     _add_format(tr)
     tr.set_defaults(func=cmd_trajectory)
 

@@ -14,10 +14,15 @@ DOP853's seventh-order continuous extension of v over the step
 (_dop853.velocity_root), at three force values each. Consecutive
 turning times are half periods, so the span from the first to the last
 turning time over the number of periods between them gives the period. The
-force is odd in y, so a release from rest at y0 first turns at -y0, at
-exactly half a period: the default run ends at the second event and reads
-the period as twice its span. Its error estimate sums over accepted steps
-the fifth-order local error estimate as the combined norm weighs it,
+force is odd in y, so a release from rest at y0 is mirror-symmetric about
+its first zero crossing t_q, at exactly a quarter period:
+y(t_q + s) = -y(t_q - s) and v(t_q + s) = v(t_q - s), and it first turns at
+-y0 at 2*t_q, half a period. The default run stops on the step where y
+first changes sign, locates t_q as the root of the antiderivative of the
+same extension (_dop853.position_root, three force values), and records
+the turning at 2*t_q as its second event; measure_period reads the period
+as twice the span of the two events. Its error estimate sums over accepted
+steps the fifth-order local error estimate as the combined norm weighs it,
 relative to the amplitude, read as a phase error (see measure_period).
 
 The run is on the unit values of model.StringParams, in unit time (see
@@ -31,8 +36,10 @@ model's, scaled by a power of two.
 
 Every accepted step is recorded, in plain lists, the turning times in
 physical time; `simulate` and `integrate` import numpy where they turn them
-into a Trajectory's arrays. measure_period alone reads the period off the
-turning times, from the lists as well, so the period needs no numpy. The
+into a Trajectory's arrays, and for the default run they complete the half
+period there with the mirror images of the samples before t_q.
+measure_period alone reads the period off the turning times, from the
+lists as well, so the period needs no numpy and no mirror images. The
 error weights of (y, v) are rel_tol * |value| plus an absolute floor of
 1e-12 * y_scale for y and the same floor times the linear angular frequency
 for v, where y_scale is the larger of y0 and the initial displacement.
@@ -77,12 +84,13 @@ class SimConfig(_Frozen):
     """Relative step tolerance and run length of `simulate`.
 
     n_periods is a positive multiple of 1/2. The default run is half a
-    period: it ends at the second event, the first turning after release.
-    A half-integer n_periods assumes an odd force, as the model's is, so
-    that a half period is the span between opposite turning points; a
-    `simulate` caller whose `accel` is not odd passes a whole number. A
-    longer run reads the same period, to within its error estimate, at
-    proportionally more steps.
+    period: its second event is the first turning after release, at twice
+    the first zero crossing, where the run stops. A half-integer n_periods
+    assumes an odd force, as the model's is, so that a half period is the
+    span between opposite turning points (and, for n_periods = 0.5, twice
+    the time to the first zero crossing); a `simulate` caller whose `accel`
+    is not odd passes a whole number. A longer run reads the same period,
+    to within its error estimate, at proportionally more steps.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -103,8 +111,11 @@ class SimConfig(_Frozen):
 class Trajectory(NamedTuple):
     """Recorded samples of one integration run. Arrays are read-only views.
 
-    t, y, v are the sample times, displacements, and velocities, one sample
-    per accepted step plus the initial state; e holds the conserved energy of
+    t, y, v are the sample times, displacements, and velocities: one
+    sample per accepted step plus the initial state, except on the
+    n_periods = 0.5 run, which keeps the samples before its zero crossing
+    t_q and appends their mirror images (2*t_q - t, -y, v) in reverse
+    order, ending at its last event; e holds the conserved energy of
     the full nonlinear model at each sample (meaningful when the acceleration
     was not overridden), +-inf where it is beyond the float range. events
     are the turning times. local_err is the sum over accepted steps of the
@@ -127,7 +138,8 @@ class Trajectory(NamedTuple):
 class _Run(NamedTuple):
     """What _run records: the samples on the unit values, where physical time
     is unit time times 2**_period_exp, the turning times in physical time,
-    the step counts and local_err (see Trajectory)."""
+    the step counts, local_err (see Trajectory) and, where the run stopped
+    at its first zero crossing, the unit time t_q of that crossing."""
 
     t: list[float]
     y: list[float]
@@ -136,6 +148,7 @@ class _Run(NamedTuple):
     n_accepted: int
     n_rejected: int
     local_err: float
+    t_q: float | None
 
 
 def _run(
@@ -145,10 +158,16 @@ def _run(
     rel_tol: float,
     accel: Callable[[float], float] | None,
     max_events: int | None = None,
+    mirror: bool = False,
 ) -> _Run:
     """Integrate (y, v) from state0 over t_span, stopping early once
     max_events (at least 2) turning events are recorded. accel None means
     the model's force law, bound once per run.
+
+    With mirror set, the run is a release from rest at y0 > 0 under an odd
+    force, and it stops on the step where y first reaches 0, at t_q: the
+    motion is mirror-symmetric about t_q, so it records the turning at
+    2*t_q as its event and t_q (in unit time) as _Run.t_q.
 
     A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure. Every t
     of the run lies between t0 and t_end, so this floor is never below 32
@@ -218,6 +237,7 @@ def _run(
     n_acc = 0
     n_rej = 0
     just_rejected = False
+    t_q = None
 
     while (t - t_end) * direction < 0.0:
         if n_acc + n_rej >= _MAX_STEPS:
@@ -244,7 +264,14 @@ def _run(
         if err <= 1.0:
             t_new = t + h
             k_new = accel(y_new)
-            if (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
+            crossing = mirror and y_new <= 0.0
+            if crossing:
+                if y_new == 0.0:
+                    t_q = t_new
+                else:
+                    t_q = t + h * _dop853.position_root(accel, y, v, h, y_new, v_new, ks, k_new)
+                event = t_q + t_q
+            elif (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
                 event = t + h * _dop853.velocity_root(accel, y, v, h, v_new, ks, k_new)
             elif v_new == 0.0:
                 event = t_new
@@ -259,7 +286,7 @@ def _run(
             vs.append(v)
             if event is not None:
                 events.append(_scaled(event, shift))
-                if len(events) == max_events:
+                if crossing or len(events) == max_events:
                     break
             if err == 0.0:
                 factor = _MAX_FACTOR
@@ -279,16 +306,29 @@ def _run(
             h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
             just_rejected = True
 
-    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale)
+    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale, t_q)
 
 
 def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     """The run in physical time, with the energy of each sample, as
-    read-only arrays."""
+    read-only arrays. A run that stopped at its zero crossing t_q keeps its
+    samples with t < t_q and appends their mirror images
+    (2*t_q - t, -y, v) in reverse order, so it ends on its event, at
+    (2*t_q, -y0, 0)."""
     import numpy as np
 
     p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
-    ya, va = np.asarray(run.y), np.asarray(run.v)
+    ts, ys, vs = run.t, run.y, run.v
+    if run.t_q is not None:
+        n = len(ts)
+        while ts[n - 1] >= run.t_q:
+            n -= 1
+        ts, ys, vs = ts[:n], ys[:n], vs[:n]
+        two_t_q = run.t_q + run.t_q
+        ts += [two_t_q - t for t in reversed(ts)]
+        ys += [-y for y in reversed(ys)]
+        vs += vs[::-1]
+    ya, va = np.asarray(ys), np.asarray(vs)
     # energy goes as velocity squared, 4**(2*_length_exp - shift)
     with np.errstate(over="ignore"):
         e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
@@ -296,7 +336,7 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
         )
         e = np.ldexp(e, 4 * le - 2 * shift)
         y, v = np.ldexp(ya, 2 * le), np.ldexp(va, 2 * le - shift)
-        arrays = (np.ldexp(run.t, shift), y, v, e, np.asarray(run.events))
+        arrays = (np.ldexp(ts, shift), y, v, e, np.asarray(run.events))
     for a in arrays:
         a.flags.writeable = False
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
@@ -308,7 +348,8 @@ def _release(
     """simulate's run, before its arrays are built."""
     horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
     want = int(2 * cfg.n_periods) + 1
-    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
+    mirror = cfg.n_periods == 0.5
+    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want, mirror)
     if len(run.events) < want:
         raise ConvergenceFailure(
             f"expected {want} turning events within {horizon!r} time units, "
@@ -325,8 +366,10 @@ def simulate(
     """Release from rest at y0 and integrate until n_periods have elapsed.
 
     Each period contributes two turning events; the run stops once
-    2*n_periods events follow the initial one, so the default run
-    (n_periods = 0.5) ends at the second event (t = 0, P/2). The true
+    2*n_periods events follow the initial one. The default run
+    (n_periods = 0.5) stops at its first zero crossing t_q = P/4 instead,
+    records the turning at 2*t_q as its second event (t = 0, P/2), and its
+    samples after t_q are the mirror images of those before it. The true
     period never exceeds the linear-limit period, so the time horizon
     (n_periods + 2) linear periods always suffices. `accel` overrides the
     force law (test hook for the linearized system); it must map y to
@@ -351,9 +394,9 @@ def integrate(
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """Period from turning events: the time from the first to the last
     over the number of periods between them, n_periods = (events.size - 1)/2.
-    Needs at least two events. The default run ends at the second event,
-    so the period is 2*(e1 - e0): two events span half a period where the
-    force is odd in y (see SimConfig).
+    Needs at least two events. The default run has two, the second at
+    twice its first zero crossing, so the period is 2*(e1 - e0): two events
+    span half a period where the force is odd in y (see SimConfig).
 
     The error estimate is value * local_err / n_periods, 2*value*local_err
     on the default run. local_err sums the embedded estimates

@@ -387,6 +387,26 @@ def test_trajectory_contract(capsys):
     assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-8
 
 
+def test_trajectory_half_period_is_mirrored(capsys):
+    # --periods 0.5 is the default run: the samples before the zero crossing
+    # and their mirror images, ending at rest at -y0
+    code, out, _ = run_cli(capsys, "trajectory", "--periods", "0.5", "--format", "csv")
+    assert code == 0
+    _, rows = parse_csv(out)
+    t = np.array([float(r["t"]) for r in rows])
+    y = np.array([float(r["y"]) for r in rows])
+    assert np.all(np.diff(t) > 0.0)
+    assert np.array_equal(y[::-1], -y)
+    assert (float(rows[-1]["y"]), float(rows[-1]["v"])) == (-0.5, 0.0)
+
+
+def test_trajectory_refuses_a_period_count_off_the_half_grid(capsys):
+    code, out, err = run_cli(capsys, "trajectory", "--periods", "1.3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_periods must be a positive multiple of 0.5, got 1.3\n"
+
+
 def test_trajectory_rejects_zero_amplitude(capsys):
     code, _, err = run_cli(capsys, "trajectory", "--y0", "0")
     assert code == 1

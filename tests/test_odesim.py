@@ -60,18 +60,19 @@ def test_event_count_matches_requested_periods(default_traj):
 
 
 def test_default_run_work_count(default_traj):
-    # half a period of the eighth-order pair, where the 5(4) pair took about
-    # 270 accepted steps for a whole period and ten periods about 2.6k
+    # a quarter period of the eighth-order pair, mirrored into half a
+    # period, where the 5(4) pair took about 270 accepted steps for a whole
+    # period and ten periods about 2.6k
     osc, _ = default_traj
-    assert simulate(osc).n_accepted <= 30
+    assert simulate(osc).n_accepted <= 16
 
 
 def test_default_run_force_count(default_traj):
     # every force value of a run: twelve per accepted step, eleven per
-    # rejected one, three per turning point located on the continuous
-    # extension, and two at the start (the first stage and the chord
-    # frequency's); no partial step remains. The model's own acceleration
-    # gives the default run bit for bit.
+    # rejected one, three per event located on the continuous extension
+    # (the default run's one zero crossing), and two at the start (the
+    # first stage and the chord frequency's); no partial step remains. The
+    # model's own acceleration gives the default run bit for bit.
     osc, _ = default_traj
     calls = []
 
@@ -82,8 +83,35 @@ def test_default_run_force_count(default_traj):
     traj = simulate(osc, accel=force)
     _same_bytes(traj, simulate(osc))
     located = len(traj.events) - 1  # the event at t = 0 is the release
-    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 269
-    assert (traj.n_accepted, traj.n_rejected) == (22, 0)
+    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 161
+    assert (traj.n_accepted, traj.n_rejected) == (13, 0)
+
+
+def test_default_run_is_mirrored_about_its_zero_crossing(default_traj):
+    # the run stops at the first zero crossing t_q and appends the mirror
+    # images (2*t_q - t, -y, v) of its earlier samples: t rises strictly and
+    # the last sample is the turning event at 2*t_q, at -y0 and at rest
+    osc, _ = default_traj
+    traj = simulate(osc)
+    assert np.all(np.diff(traj.t) > 0.0)
+    assert traj.t[-1].hex() == traj.events[-1].hex()
+    assert (traj.y[-1], traj.v[-1]) == (-osc.y0, 0.0)
+    n = len(traj.t) // 2
+    assert len(traj.t) == 2 * n and n <= traj.n_accepted
+    first, second = slice(0, n), slice(None, n - 1, -1)
+    assert np.all(traj.t[first] < 0.5 * traj.events[-1])
+    assert np.array_equal(traj.t[second], traj.events[-1] - traj.t[first])
+    assert np.array_equal(traj.y[second], -traj.y[first])
+    assert np.array_equal(traj.v[second], traj.v[first])
+    assert np.array_equal(traj.e[second], traj.e[first])
+
+
+def test_default_run_energy_drift_within_budget(default_traj):
+    osc, _ = default_traj
+    traj = simulate(osc)
+    drift = np.max(np.abs(traj.e - traj.e[0])) / abs(traj.e[0])
+    assert drift < 1e-8
+    assert drift < 100 * SimConfig().rel_tol
 
 
 def test_energy_drift_within_budget(default_traj):
@@ -189,6 +217,29 @@ def test_velocity_extension_matches_scipy_dense_output(default_traj):
     for x in (0.05, 0.2, 0.37, 0.5, 0.81, 0.99):
         ext, _ = _dop853._extension_at(fs, x)
         np.testing.assert_allclose(v + ext, dense(x * h)[1], rtol=1e-14, atol=0.0)
+
+
+def test_position_root_is_the_extension_root(default_traj):
+    # a step across y = 0: the root fraction zeroes y + h*(integral of the
+    # extension of v from 0 to x), here by 4-point Gauss-Legendre, exact on
+    # its degree 7, and SciPy's dense output of y, its own extension of y,
+    # to the extensions' order (1.2e-14 off at this h)
+    osc, _ = default_traj
+
+    def accel(y):
+        return acceleration(osc.params, y)
+
+    y, v, h = 0.05, -1.1, 0.09
+    dense = _scipy_step(accel, y, v, h).dense_output()
+    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
+    assert y1 < 0.0
+    x = _dop853.position_root(accel, y, v, h, y1, v1, ks, accel(y1))
+    assert 0.0 < x < 1.0
+    fs = _dop853._extension(accel, y, v, h, v1, ks, accel(y1))
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    ext = [v + _dop853._extension_at(fs, 0.5 * x * (1.0 + s))[0] for s in nodes]
+    assert abs(y + h * 0.5 * x * np.dot(weights, ext)) <= 4 * math.ulp(y)
+    assert abs(dense(x * h)[0]) <= 1e-13
 
 
 def test_velocity_root_is_the_extension_root(default_traj):
@@ -477,13 +528,15 @@ def test_error_estimate_covers_random_draws():
 
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
 def test_turning_events_within_estimate(cell, period):
-    # the turning times, roots of DOP853's seventh-order continuous
-    # extension of v, are P/2 (the default run) and P (a whole period) to
-    # within the run's own error estimate; the default run's is that of
-    # twice its span, so half of it covers the turning time
+    # the default run's zero crossing events[1]/2, a root of y on DOP853's
+    # continuous extension, is P/4 to within a quarter of the run's error
+    # estimate, which is that of four times the crossing time; the turning
+    # times of a whole period, roots of the extension of v, are P/2 and P
+    # to within the run's own error estimate
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     traj = simulate(osc)
-    assert abs(traj.events[1] - 0.5 * period) <= 0.5 * measure_period(traj).err_estimate
+    err = measure_period(traj).err_estimate
+    assert abs(0.5 * traj.events[1] - 0.25 * period) <= 0.25 * err
     traj = simulate(osc, SimConfig(n_periods=1))
     err = measure_period(traj).err_estimate
     assert abs(traj.events[1] - 0.5 * period) <= err
