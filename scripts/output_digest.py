@@ -8,8 +8,13 @@ both amplitude bands (48000 rows); the `tension` and `rayleigh_solution`
 digests also cover one string each at sigma/m = 1e600 and 1e-600. An
 exception counts as its type name, so a row that raises in one tree and not
 in the other changes the digest. The
-`simulate` digest covers the arrays, counts and `local_err` of 128 runs,
-and the `measure_period` digest the period estimates of the same runs.
+`simulate` digest covers the arrays, counts and `local_err` of 128 default
+runs, which stop at their first zero crossing, and the `measure_period`
+digest the period estimates of the same runs. On the same 128 strings,
+`simulate(n_periods=1)` covers the arrays, counts, `local_err` and period
+estimate of a one-period run, and `integrate` the turning events of a run
+over 1.25 linear periods from rest at y0: both read their events off the
+velocity root of the continuous extension.
 Each CLI digest covers one command's stdout, exit code and whether stderr
 holds a traceback or a Python warning, run as a fresh `python -m ssp.cli`
 process.
@@ -135,18 +140,34 @@ def library_digests() -> dict[str, str]:
     return {name: dig.hexdigest() for name, dig in d.items()}
 
 
+def trajectory_fields(traj: odesim.Trajectory) -> tuple:
+    arrays = (traj.t, traj.y, traj.v, traj.e, traj.events)
+    return [a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err
+
+
+def events_over(osc: Oscillation, periods: float) -> bytes:
+    span = (0.0, periods * model.rayleigh_period(osc.params))
+    return odesim.integrate(osc, span, (osc.y0, 0.0)).events.tobytes()
+
+
 def simulate_digests() -> dict[str, str]:
-    d = {name: Digest() for name in ("simulate", "measure_period")}
+    names = ("simulate", "measure_period", "simulate(n_periods=1)", "integrate")
+    d = {name: Digest() for name in names}
     rng = np.random.default_rng([1, workloads.WORKLOADS.index("ode")])
     oscs = workloads.draw(rng, SIM_RUNS, workloads.SMALL) + workloads.draw(rng, SIM_RUNS, workloads.LARGE)
+    one_period = odesim.SimConfig(n_periods=1)
     for osc in oscs:
         traj = d["simulate"].call(odesim.simulate, osc)
         if isinstance(traj, str):
             d["measure_period"].add(None)
-            continue
-        arrays = (traj.t, traj.y, traj.v, traj.e, traj.events)
-        d["simulate"].add(([a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err))
-        d["measure_period"].call(odesim.measure_period, traj)
+        else:
+            d["simulate"].add(trajectory_fields(traj))
+            d["measure_period"].call(odesim.measure_period, traj)
+        traj = d["simulate(n_periods=1)"].call(odesim.simulate, osc, one_period)
+        if not isinstance(traj, str):
+            d["simulate(n_periods=1)"].add(trajectory_fields(traj))
+            d["simulate(n_periods=1)"].call(odesim.measure_period, traj)
+        d["integrate"].call(events_over, osc, 1.25)
     return {name: dig.hexdigest() for name, dig in d.items()}
 
 

@@ -7,12 +7,13 @@ k_k in the y update and in its error estimates are b*A, e5*A and e3*A (e5
 and e3 sum to 0, so v drops out of the errors). The stage velocities are
 never formed: `step` works on the force values k alone.
 
-The code's continuous extension of v over an accepted step is a weighted
-sum of the step's forces, the force at its end and three more stages, at
-the price of three force values. `velocity_root` finds where it is 0, which
-locates a turning point, and `position_root` where its antiderivative, the
-displacement over the step, is 0, which locates a zero crossing of y; both
-run one bracketed Newton iteration (`_root`).
+The code's continuous extension of v over an accepted step weighs the
+step's forces, the force at its end and three more stages (three force
+values); `_extension` expands it once into v + c1*x + ... + c7*x**7 in the
+step fraction x. `velocity_root` finds its root, a turning point, and
+`position_root` that of its antiderivative, the displacement over the
+step, a zero crossing of y; both read the c's by Horner's rule in one
+bracketed Newton iteration (`_root`).
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def step(
 
     Returns the eighth-order (y, v) at the step end, then the fifth- and
     third-order error estimates (err5_y, err5_v, err3_y, err3_v), then the
-    stage forces (k0, ..., k11) for velocity_root.
+    stage forces (k0, ..., k11) for the continuous extension.
     """
     k1 = accel(y + h * (_C1 * v))
     k2 = accel(y + h * (_C2 * v + h * (_P2_0 * k0)))
@@ -269,15 +270,16 @@ def _extension(
     ks: tuple[float, ...],
     k12: float,
 ) -> tuple[float, ...]:
-    """The coefficients F0..F6 of the continuous extension of v over the
-    step of width h from (y, v) to velocity v1, where ks are the step's
-    stage forces and k12 the force at the step end.
+    """The coefficients c1..c7 of the continuous extension of v over the
+    step of width h from (y, v) to velocity v1: v(x) = v + c1*x + ... +
+    c7*x**7 at the step fraction x. ks are the step's stage forces and k12
+    the force at the step end; stages 13 to 15 cost three force values.
 
-    Stages 13 to 15 cost three force values. With d = v1 - v, F0 = d,
-    F1 = h*k0 - d, F2 = 2*d - h*(k12 + k0) and F3..F6 = h * D.(k0..k15); the
-    extension is v(x) = v + x*(F0 + (1-x)*(F1 + x*(F2 + ... + x*F6))), of
-    seventh order in h (Hairer, Norsett & Wanner, Solving ODEs I, II.6, and
-    contd8 in dop853.f).
+    The c's expand the code's own form, of seventh order in h,
+    v + x*(F0 + w*(F1 + x*(F2 + w*(F3 + x*(F4 + w*(F5 + x*F6)))))), w = 1 - x,
+    where F0 = d = v1 - v, F1 = h*k0 - d, F2 = 2*d - h*(k12 + k0) and
+    F3..F6 = h * D.(k0..k15) (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6, and contd8 in dop853.f).
     """
     k0, _, _, k3, k4, k5, k6, k7, k8, k9, k10, k11 = ks
     q = (
@@ -297,46 +299,32 @@ def _extension(
     )
     k15 = accel(y + h * (_C15 * v + h * q))
     d = v1 - v
-    f3 = (
+    f1 = h * k0 - d
+    f2 = 2.0 * d - h * (k12 + k0)
+    f3 = h * (
         _D3_0 * k0 + _D3_5 * k5 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8 + _D3_9 * k9
         + _D3_10 * k10 + _D3_11 * k11 + _D3_12 * k12 + _D3_13 * k13 + _D3_14 * k14
         + _D3_15 * k15
     )
-    f4 = (
+    f4 = h * (
         _D4_0 * k0 + _D4_5 * k5 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9
         + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14
         + _D4_15 * k15
     )
-    f5 = (
+    f5 = h * (
         _D5_0 * k0 + _D5_5 * k5 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9
         + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14
         + _D5_15 * k15
     )
-    f6 = (
+    f6 = h * (
         _D6_0 * k0 + _D6_5 * k5 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9
         + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14
         + _D6_15 * k15
     )
-    return d, h * k0 - d, 2.0 * d - h * (k12 + k0), h * f3, h * f4, h * f5, h * f6
-
-
-def _extension_at(fs: tuple[float, ...], x: float) -> tuple[float, float]:
-    """v(x) - v and its slope in x, for the coefficients fs of _extension,
-    by Horner from the innermost factor out (p_j and its slope d_j)."""
-    f0, f1, f2, f3, f4, f5, f6 = fs
-    w = 1.0 - x
-    p5 = f5 + x * f6
-    p4 = f4 + w * p5
-    d4 = w * f6 - p5
-    p3 = f3 + x * p4
-    d3 = x * d4 + p4
-    p2 = f2 + w * p3
-    d2 = w * d3 - p3
-    p1 = f1 + x * p2
-    d1 = x * d2 + p2
-    p0 = f0 + w * p1
-    d0 = w * d1 - p1
-    return x * p0, x * d0 + p0
+    return (
+        d + f1, f2 + f3 - f1, f4 + f5 - f2 - 2.0 * f3, f3 + f6 - 2.0 * f4 - 3.0 * f5,
+        f4 + 3.0 * f5 - 3.0 * f6, 3.0 * f6 - f5, -f6,
+    )
 
 
 def _root(at: Callable[[float], tuple[float, float]], negative_at_0: bool, x: float) -> float:
@@ -379,11 +367,12 @@ def velocity_root(
     signs. v(0) = v and v(1) = v1 bracket the root, and Newton starts from
     the secant root (see _root).
     """
-    fs = _extension(accel, y, v, h, v1, ks, k12)
+    c1, c2, c3, c4, c5, c6, c7 = _extension(accel, y, v, h, v1, ks, k12)
+    d2, d3, d4, d5, d6, d7 = 2.0 * c2, 3.0 * c3, 4.0 * c4, 5.0 * c5, 6.0 * c6, 7.0 * c7
 
     def at(x: float) -> tuple[float, float]:
-        p, slope = _extension_at(fs, x)
-        return v + p, slope
+        f = v + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * (c6 + x * c7))))))
+        return f, c1 + x * (d2 + x * (d3 + x * (d4 + x * (d5 + x * (d6 + x * d7)))))
 
     return _root(at, v < 0.0, v / (v - v1))
 
@@ -402,21 +391,12 @@ def position_root(
     the continuous extension of v, where y and y1 have opposite signs; the
     other arguments are _extension's.
 
-    Expanded in powers of x, the extension is v(x) = v + c1*x + ... +
-    c7*x**7, so the displacement over the step is
-    y(x) = y + h*x*(v + c1*x/2 + ... + c7*x**7/8), of degree 8, with slope
-    h*v(x) in x; Horner reads both in one pass. y(0) = y and y(1), within
-    the extension's error of y1, bracket the root, and Newton starts from
-    the secant root (see _root).
+    The displacement over the step is y(x) = y + h*x*(v + c1*x/2 + ... +
+    c7*x**7/8), of degree 8, with slope h*v(x) in x. y(0) = y and y(1),
+    within the extension's error of y1, bracket the root, and Newton starts
+    from the secant root (see _root).
     """
-    f0, f1, f2, f3, f4, f5, f6 = _extension(accel, y, v, h, v1, ks, k12)
-    c1 = f0 + f1
-    c2 = f2 + f3 - f1
-    c3 = f4 + f5 - f2 - 2.0 * f3
-    c4 = f3 + f6 - 2.0 * f4 - 3.0 * f5
-    c5 = f4 + 3.0 * f5 - 3.0 * f6
-    c6 = 3.0 * f6 - f5
-    c7 = -f6
+    c1, c2, c3, c4, c5, c6, c7 = _extension(accel, y, v, h, v1, ks, k12)
     b1, b2, b3, b4, b5, b6, b7 = c1 / 2, c2 / 3, c3 / 4, c4 / 5, c5 / 6, c6 / 7, c7 / 8
 
     def at(x: float) -> tuple[float, float]:

@@ -199,6 +199,8 @@ def _grid(low: float, high: float, points: int, log: bool) -> Sequence[float]:
         return np.geomspace(low, high, points)
     div = points - 1
     delta = high - low
+    if not math.isfinite(delta):
+        raise InvalidParameters(f"grid span {high!r} - {low!r} overflows")
     step = delta / div
     if step == 0.0:
         # equal endpoints, or a step that underflows: scale by delta last

@@ -152,6 +152,15 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
     )
 
 
+def _root_gaps(l0: float, l: float, y0: float) -> tuple[float, ...]:
+    """z0 and the differences ab, ac, ad, bc, bd of the roots a = z0, b = l,
+    c = 2*l0 - z0, d = -l, each formed without cancellation and without
+    squaring y0."""
+    z0 = math.hypot(l, y0)
+    dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    return z0, y0 * (y0 / (z0 + l)), 2.0 * dz0, z0 + l, dz0 + (l - l0), 2.0 * l
+
+
 def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     """Exact period via the closed form, one cel call for every amplitude.
 
@@ -161,23 +170,13 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     period. It runs on the unit values (see model.StringParams).
     """
     p = osc.params
-    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    z0 = math.hypot(l, y0)
-    # pairwise differences of the roots a=z0, b=l, c=2*l0-z0, d=-l, each
-    # formed without cancellation and without squaring y0
-    dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
-    ab = y0 * (y0 / (z0 + l))
-    ac = 2.0 * dz0
-    ad = z0 + l
-    bc = dz0 + (l - l0)
-    bd = 2.0 * l
-
+    z0, ab, ac, ad, bc, bd = _root_gaps(p._unit_l0, p._unit_l, osc._unit_y0)
     # d*K + (a-d)*Pi = cel(kc, 1 - n, z0, z0 - ab/2) with n = -ab/bd <= 0;
     # cel is linear in its last two arguments, so z0 is factored out
     kc = math.sqrt(ad / ac) * math.sqrt(bc / bd)
     c = _cel(kc, 1.0 + ab / bd, 1.0, 1.0 - ab / (2.0 * z0))
     integral = 2.0 * (z0 / math.sqrt(ac)) / math.sqrt(bd) * c
-    value = 4.0 * math.sqrt(p._unit_mass * l0 / (2.0 * p._unit_sigma)) * integral
+    value = 4.0 * math.sqrt(p._unit_mass * p._unit_l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
     if not 0.0 < value < math.inf:
         # near the top of the float range the AGM's e = qc*em overflows

@@ -9,21 +9,19 @@ twelve force values. A proportional-integral controller sizes the steps on
 Hairer's combined error norm e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded
 fifth- and third-order estimates e5 and e3.
 
-Turning points (v = 0) are located inside accepted steps, as the root of
-DOP853's seventh-order continuous extension of v over the step
-(_dop853.velocity_root), at three force values each. Consecutive
-turning times are half periods, so the span from the first to the last
-turning time over the number of periods between them gives the period. The
-force is odd in y, so a release from rest at y0 is mirror-symmetric about
-its first zero crossing t_q, at exactly a quarter period:
-y(t_q + s) = -y(t_q - s) and v(t_q + s) = v(t_q - s), and it first turns at
--y0 at 2*t_q, half a period. The default run stops on the step where y
-first changes sign, locates t_q as the root of the antiderivative of the
-same extension (_dop853.position_root, three force values), and records
-the turning at 2*t_q as its second event; measure_period reads the period
-as twice the span of the two events. Its error estimate sums over accepted
-steps the fifth-order local error estimate as the combined norm weighs it,
-relative to the amplitude, read as a phase error (see measure_period).
+Events are roots, inside accepted steps, of one polynomial in the step
+fraction: DOP853's seventh-order continuous extension of v over the step,
+expanded once at three force values (_dop853._extension). A turning point
+(v = 0) is its root (_dop853.velocity_root); turning times are half a
+period apart. The force is odd in y, so a release from rest at y0 is
+mirror-symmetric about its first zero crossing t_q, at exactly a quarter
+period: y(t_q + s) = -y(t_q - s) and v(t_q + s) = v(t_q - s), and it
+first turns at -y0 at 2*t_q. The default run stops on the step where y
+first changes sign, locates t_q as the root of the polynomial's
+antiderivative (_dop853.position_root), and records the turning at 2*t_q
+as its second event. measure_period reads the period off the events; its
+error estimate sums the accepted steps' fifth-order local error estimates
+as the combined norm weighs them, read as a phase error.
 
 The run is on the unit values of model.StringParams, in unit time (see
 model._from_unit_scale), so the lengths' scale and sigma/mass may lie
@@ -36,10 +34,9 @@ model's, scaled by a power of two.
 
 Every accepted step is recorded, in plain lists, the turning times in
 physical time; `simulate` and `integrate` import numpy where they turn them
-into a Trajectory's arrays, and for the default run they complete the half
-period there with the mirror images of the samples before t_q.
-measure_period alone reads the period off the turning times, from the
-lists as well, so the period needs no numpy and no mirror images. The
+into a Trajectory's arrays, and complete the default run's half period
+with the mirror images of the samples before t_q. measure_period reads the
+period off the lists, so it needs neither numpy nor the mirror images. The
 error weights of (y, v) are rel_tol * |value| plus an absolute floor of
 1e-12 * y_scale for y and the same floor times the linear angular frequency
 for v, where y_scale is the larger of y0 and the initial displacement.
@@ -158,16 +155,16 @@ def _run(
     rel_tol: float,
     accel: Callable[[float], float] | None,
     max_events: int | None = None,
-    mirror: bool = False,
 ) -> _Run:
     """Integrate (y, v) from state0 over t_span, stopping early once
     max_events (at least 2) turning events are recorded. accel None means
     the model's force law, bound once per run.
 
-    With mirror set, the run is a release from rest at y0 > 0 under an odd
-    force, and it stops on the step where y first reaches 0, at t_q: the
-    motion is mirror-symmetric about t_q, so it records the turning at
-    2*t_q as its event and t_q (in unit time) as _Run.t_q.
+    max_events = 2 is half a period of a release from rest at y0 > 0 under
+    an odd force: the run stops on the step where y first reaches 0, at
+    t_q, and records the turning at 2*t_q, its mirror image, as its second
+    event and t_q (in unit time) as _Run.t_q. t_q and the turning points
+    are roots of the step's one polynomial extension (see _dop853).
 
     A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure. Every t
     of the run lies between t0 and t_end, so this floor is never below 32
@@ -264,8 +261,7 @@ def _run(
         if err <= 1.0:
             t_new = t + h
             k_new = accel(y_new)
-            crossing = mirror and y_new <= 0.0
-            if crossing:
+            if max_events == 2 and y_new <= 0.0:
                 if y_new == 0.0:
                     t_q = t_new
                 else:
@@ -286,7 +282,7 @@ def _run(
             vs.append(v)
             if event is not None:
                 events.append(_scaled(event, shift))
-                if crossing or len(events) == max_events:
+                if len(events) == max_events:
                     break
             if err == 0.0:
                 factor = _MAX_FACTOR
@@ -348,8 +344,7 @@ def _release(
     """simulate's run, before its arrays are built."""
     horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
     want = int(2 * cfg.n_periods) + 1
-    mirror = cfg.n_periods == 0.5
-    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want, mirror)
+    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
     if len(run.events) < want:
         raise ConvergenceFailure(
             f"expected {want} turning events within {horizon!r} time units, "

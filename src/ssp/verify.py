@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .bounds import check_sandwich
-from .elliptic import _cel, period_elliptic, quartic_coefficients, quartic_roots
+from .elliptic import _cel, _root_gaps, period_elliptic, quartic_coefficients, quartic_roots
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
 from .quadrature import exact_period
@@ -158,24 +158,33 @@ def _check_legendre(rng: random.Random, n: int) -> CheckResult:
 
 
 def _check_quartic(oscs: list[Oscillation]) -> CheckResult:
-    """Vieta's formulas: the elementary symmetric functions e1..e4 of
-    quartic_roots are -a3/a4, a2/a4, -a1/a4 and a0/a4 of
-    quartic_coefficients. Each deviation is over max|root|**k, the size of
-    the terms of e_k, so every root enters at the rounding level; the sum
-    alone would miss a change of roots that keeps it."""
+    """The closed form's root differences and Vieta's formulas.
+
+    The differences ab, ac, ad, bc, bd that period_elliptic forms
+    (elliptic._root_gaps) must match those of quartic_roots, each over
+    max|root|, with each root matched to its identity (a = z0, b = l,
+    c = 2*l0 - z0, d = -l) and not to its sorted position, since c drops
+    below d past z0 = 2*l0 + l. The elementary symmetric functions e1..e4 of
+    quartic_roots must be -a3/a4, a2/a4, -a1/a4 and a0/a4 of
+    quartic_coefficients, each over max|root|**k, the size of the terms of
+    e_k, so every root enters at the rounding level; the sum alone would
+    miss a change of roots that keeps it."""
     devs = []
     for osc in oscs:
         roots = quartic_roots(osc).roots
+        big = max(map(abs, roots))
+        l0, l = osc.params.l0, osc.params.l
+        z0, *gaps = _root_gaps(l0, l, osc.y0)
+        ids = (z0, l, 2.0 * l0 - z0, -l)
+        a, b, c, d = (min(roots, key=lambda r: abs(r - x)) for x in ids)
+        diffs = [abs(g - r) / big for g, r in zip(gaps, (a - b, a - c, a - d, b - c, b - d))]
         a4, a3, a2, a1, a0 = quartic_coefficients(osc)
         e = [1.0, 0.0, 0.0, 0.0, 0.0]
         for r in roots:
             for k in (4, 3, 2, 1):
                 e[k] += r * e[k - 1]
-        big = max(map(abs, roots))
-        devs.append(_worst([
-            abs(ek - want) / big**k
-            for k, (ek, want) in enumerate(zip(e[1:], (-a3 / a4, a2 / a4, -a1 / a4, a0 / a4)), 1)
-        ]))
+        vieta = (-a3 / a4, a2 / a4, -a1 / a4, a0 / a4)
+        devs.append(_worst(diffs + [abs(e[k] - vieta[k - 1]) / big**k for k in (1, 2, 3, 4)]))
     return _tally("quartic-roots", devs, QUARTIC_TOL)
 
 

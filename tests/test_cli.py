@@ -339,7 +339,6 @@ def test_linear_grid_is_linspace_bit_for_bit():
         (2.5, 2.5, 4),  # zero step
         (0.0, 1e-323, 5),  # the step underflows to zero: linspace scales last
         (0.0, 1e-320, 5),  # subnormal step
-        (-1.7e308, 1.7e308, 2),  # delta overflows; linspace gives nan first
     ]
     for _ in range(500):
         lo, hi = rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(-700.0, 700.0, 2))
@@ -348,6 +347,15 @@ def test_linear_grid_is_linspace_bit_for_bit():
         for lo, hi, points in cases:
             mine = np.array(ssp.cli._grid(lo, hi, points, log=False), dtype=float)
             assert mine.tobytes() == np.linspace(lo, hi, points).tobytes(), (lo, hi, points)
+
+
+def test_sweep_refuses_a_span_that_overflows(capsys):
+    # high - low overflows, where linspace's recipe would make NaN points
+    code, out, err = run_cli(
+        capsys, "sweep", "--sweep", "y0", "--from=-1e308", "--to", "1e308", "--points", "3"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: grid span 1e+308 - -1e+308 overflows\n"
 
 
 def test_sweep_requires_range(capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from numpy.polynomial.polynomial import polyder, polyval
 
 import oracle
 from ssp import _dop853, odesim
@@ -213,10 +214,9 @@ def test_velocity_extension_matches_scipy_dense_output(default_traj):
     y, v, h = 0.31, -0.47, 0.6
     dense = _scipy_step(accel, y, v, h).dense_output()
     y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
-    fs = _dop853._extension(accel, y, v, h, v1, ks, accel(y1))
+    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
     for x in (0.05, 0.2, 0.37, 0.5, 0.81, 0.99):
-        ext, _ = _dop853._extension_at(fs, x)
-        np.testing.assert_allclose(v + ext, dense(x * h)[1], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(polyval(x, ext), dense(x * h)[1], rtol=1e-14, atol=0.0)
 
 
 def test_position_root_is_the_extension_root(default_traj):
@@ -235,10 +235,10 @@ def test_position_root_is_the_extension_root(default_traj):
     assert y1 < 0.0
     x = _dop853.position_root(accel, y, v, h, y1, v1, ks, accel(y1))
     assert 0.0 < x < 1.0
-    fs = _dop853._extension(accel, y, v, h, v1, ks, accel(y1))
+    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
     nodes, weights = np.polynomial.legendre.leggauss(4)
-    ext = [v + _dop853._extension_at(fs, 0.5 * x * (1.0 + s))[0] for s in nodes]
-    assert abs(y + h * 0.5 * x * np.dot(weights, ext)) <= 4 * math.ulp(y)
+    vs = polyval(0.5 * x * (1.0 + nodes), ext)
+    assert abs(y + h * 0.5 * x * np.dot(weights, vs)) <= 4 * math.ulp(y)
     assert abs(dense(x * h)[0]) <= 1e-13
 
 
@@ -258,7 +258,8 @@ def test_velocity_root_is_the_extension_root(default_traj):
     x = _dop853.velocity_root(accel, y, v, h, v1, ks, accel(y1))
     assert 0.0 < x < 1.0
     assert abs(dense(x * h)[1]) <= 1e-15
-    _, slope = _dop853._extension_at(_dop853._extension(accel, y, v, h, v1, ks, accel(y1)), x)
+    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
+    slope = polyval(x, polyder(ext))
     np.testing.assert_allclose(slope, h * accel(dense(x * h)[0]), rtol=1e-8)
 
 

@@ -134,3 +134,19 @@ def test_quartic_check_catches_roots_that_keep_their_sum(monkeypatch):
     quartic = next(c for c in report.checks if c.name == "quartic-roots")
     assert quartic.failures == quartic.samples == 100
     assert not report.passed
+
+
+def test_quartic_check_catches_a_sign_slip_in_the_closed_form(monkeypatch):
+    # period_elliptic's bc = dz0 + (l - l0) slipped to dz0 - (l - l0) is off
+    # by 2*(l - l0), above 6e-4 of max|root| on the suite's draws
+    gaps = ssp.elliptic._root_gaps
+
+    def slipped(l0, l, y0):
+        z0, ab, ac, ad, _, bd = gaps(l0, l, y0)
+        return z0, ab, ac, ad, 0.5 * ac - (l - l0), bd
+
+    monkeypatch.setattr(ssp.verify, "_root_gaps", slipped)
+    report = run_invariant_suite(samples=1, seed=0)
+    quartic = next(c for c in report.checks if c.name == "quartic-roots")
+    assert quartic.failures == quartic.samples == 100
+    assert not report.passed
