@@ -22,11 +22,11 @@ resolvable. The potential is convex in y^2, so its chord through 0 gives a
 second upper bound, the secant-energy period
 2*pi/sqrt((2*sigma/m)*(1/l0 - 2/(r+l))) with r = hypot(l, y0). It lies
 below the linear-limit period by about (y0/l)^2/(8*(l/l0 - 1)) of it. Where
-that distance exceeds the estimate's error plus two ulps of upper, a
-correct estimate must fall below upper. Elsewhere the strict test is the
-slack test: the gap drops under the engines' resolution near y0/l = 4e-9
-at l/l0 = 1.01 and near 1e-5 at l/l0 = 1e5, and at y0 = 0 the secant bound
-is the linear-limit period itself.
+that distance exceeds the sandwich's slack, a correct estimate must fall
+below upper. Elsewhere the strict test is the slack test: the gap drops
+under the engines' resolution near y0/l = 4e-9 at l/l0 = 1.01 and near
+1e-5 at l/l0 = 1e5, and at y0 = 0 the secant bound is the linear-limit
+period itself.
 """
 
 from __future__ import annotations
@@ -132,10 +132,10 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
 class SandwichReport(NamedTuple):
     """Outcome of checking one period estimate against the a-priori bounds.
 
-    slack absorbs the engine's own error estimate plus a relative margin for
-    the non-strict inequalities. strict_upper_ok demands value < upper
-    where the gap below upper is resolvable (see the module docstring), and
-    equals upper_ok elsewhere.
+    slack is the engine's own error estimate plus the bounds' rounding,
+    _BOUND_ULPS ulps of upper; it widens both inequalities. strict_upper_ok
+    demands value < upper where the secant bound lies more than slack below
+    upper (see the module docstring), and equals upper_ok elsewhere.
     """
 
     lower: float
@@ -150,6 +150,13 @@ class SandwichReport(NamedTuple):
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok and self.strict_upper_ok
 
+    @property
+    def violation(self) -> float:
+        """How far value lies outside what the verdict allows, over upper."""
+        strictness = 0.0 if self.strict_upper_ok else self.value - self.upper
+        below = self.lower - self.slack - self.value
+        return max(below, self.value - self.upper - self.slack, 0.0, strictness) / self.upper
+
 
 def _secant_upper(osc: Oscillation) -> float:
     """Secant-energy bound 2*pi/sqrt((2*sigma/m)*g(0)) >= P.
@@ -162,24 +169,25 @@ def _secant_upper(osc: Oscillation) -> float:
     return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 
-# Rounding allowance of the strictness test, in ulps of the upper bound.
-_STRICT_ULPS = 2.0
-# Margin of the non-strict inequalities, relative to the upper bound.
-_REL_SLACK = 1e-9
+# Rounding of the bounds, in ulps of upper. Each is a chain of roundings on
+# exact unit values that never cancels: l - l0 has exact operands and sums
+# add positive terms. Count TWO_PI and each +, -, *, / and sqrt as one, hypot
+# as two and the power-of-two scalings as none; a product or quotient adds
+# its operands' counts, a sum takes the larger, sqrt halves. upper counts 5.5,
+# lower_corrected 6.5, _secant_upper 11, and a count n bounds the relative
+# error by gamma_n = n*u/(1 - n*u) (Higham, Accuracy and Stability, 3.1),
+# under n ulps of upper; one more ulp covers the rounding of the comparisons.
+_BOUND_ULPS = 12.0
 
 
 def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport:
     lower = lower_bound_corrected(osc)
     upper = upper_bound(osc.params)
-    slack = _REL_SLACK * upper + estimate.err_estimate
+    slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value
     lower_ok = value >= lower - slack
     upper_ok = value <= upper + slack
     # the period lies at or below the secant bound, so a correct estimate
-    # may reach upper only where that bound sits within err of it
-    strict = value < upper or (
-        upper_ok
-        and upper - _secant_upper(osc)
-        <= estimate.err_estimate + _STRICT_ULPS * math.ulp(upper)
-    )
+    # may reach upper only where that bound sits within slack of it
+    strict = value < upper or (upper_ok and upper - _secant_upper(osc) <= slack)
     return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok, strict)

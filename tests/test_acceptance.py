@@ -77,7 +77,8 @@ def test_criterion_1_cross_method_grid():
 
 def test_criterion_2_randomized_sandwich():
     # 1000 random configurations: lower - slack <= P <= upper + slack with
-    # relative slack 1e-9, and strictly P < upper whenever y0 > 0.
+    # slack the estimate's err_estimate plus the bounds' rounding,
+    # bounds._BOUND_ULPS ulps of upper, and strictly P < upper whenever y0 > 0.
     rng = np.random.default_rng(0)
     failures = 0
     for osc in _draw_oscillations(rng, 1000):

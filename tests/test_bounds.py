@@ -21,6 +21,7 @@ from ssp import (
     rayleigh_period,
 )
 from ssp.bounds import (
+    _BOUND_ULPS,
     _secant_upper,
     lower_bound_corrected,
     lower_bound_printed,
@@ -151,11 +152,22 @@ def test_sandwich_rejects_corrupted_estimate(reference_osc):
     assert not check_sandwich(reference_osc, deflated).lower_ok
 
 
-def test_sandwich_slack_respects_error_estimate(reference_osc):
+def test_sandwich_slack_is_the_error_estimate_plus_the_bounds_rounding(reference_osc):
     est = exact_period(reference_osc)
     report = check_sandwich(reference_osc, est)
-    assert report.slack >= 1e-9 * report.upper
-    assert report.slack >= est.err_estimate
+    assert report.slack == est.err_estimate + _BOUND_ULPS * math.ulp(report.upper)
+
+
+def test_sandwich_refuses_a_period_just_below_the_lower_bound(reference_osc):
+    # err_estimate plus 2*_BOUND_ULPS ulps of upper below the corrected lower
+    # bound lies _BOUND_ULPS ulps outside the slack
+    err = exact_period(reference_osc).err_estimate
+    gap = err + 2.0 * _BOUND_ULPS * math.ulp(upper_bound(reference_osc.params))
+    below = lower_bound_corrected(reference_osc) - gap
+    report = check_sandwich(reference_osc, PeriodEstimate(below, Method.QUADRATURE, err))
+    assert not report.lower_ok
+    assert not report.passed
+    assert report.violation > 0.0
 
 
 def test_degenerate_amplitude_sandwich(reference_params):
@@ -316,6 +328,38 @@ def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_am
         est = engine(osc)
         assert 0.0 < est.value < math.inf
         assert check_sandwich(osc, est).passed, (engine.__name__, est)
+
+
+@settings(max_examples=300)
+@given(
+    _wide_scale,
+    _wide_scale,
+    _wide_scale,
+    _wide_scale,
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+)
+def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
+    # each bound lies within _BOUND_ULPS ulps of upper of its 40-digit value,
+    # the rounding check_sandwich allows. Where y0*y0 overflows on the unit
+    # lengths the lower bound reads 0, below an ulp of upper from its value
+    l0, l = sorted((a, b))
+    y0 = rel_amp * l
+    assume(l0 < l and math.isfinite(y0))
+    osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    upper = upper_bound(osc.params)
+    computed = {"upper": upper, "lower": lower_bound_corrected(osc), "secant": _secant_upper(osc)}
+    with mpmath.workdps(40):
+        l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
+        linear = 2 * sigma * (l - l0) / (mass * l0 * l)
+        secant = 2 * sigma / mass * (1 / l0 - 2 / (l + mpmath.hypot(l, y0)))
+        exact = {
+            "upper": 2 * mpmath.pi / mpmath.sqrt(linear),
+            "lower": 2 * mpmath.pi / mpmath.sqrt(linear + sigma * y0**2 / (mass * l0 * l**2)),
+            "secant": 2 * mpmath.pi / mpmath.sqrt(secant),
+        }
+        for name, value in computed.items():
+            ulps = abs(value - exact[name]) / math.ulp(upper)
+            assert ulps <= _BOUND_ULPS, (name, float(ulps))
 
 
 @pytest.mark.parametrize(

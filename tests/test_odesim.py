@@ -509,6 +509,18 @@ def test_error_estimate_covers_oracle(cell, period, rel_tol):
         assert est.err_estimate <= 1e-7 * est.value
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_error_estimate_covers_a_crossing_at_large_amplitude():
+    # y0/l = 2.3e6: the default run's crossing step jumps the force's turn
+    # within about l of y = 0, and its err_estimate 2.43e-11 covers 0.74 of
+    # the error 3.28e-11 against oracle.period_mp's 40-digit period; a run
+    # of n_periods = 1 covers its own
+    cell = (0.537257629026983, 0.8569792876054433, 8.910949636189251, 1.1260845962478585)
+    osc = Oscillation(StringParams(*cell), 1986777.7807562645)
+    est = measure_period(simulate(osc))
+    assert abs(est.value - 1.1576566083190627) <= est.err_estimate
+
+
 def test_error_estimate_covers_random_draws():
     # log-uniform over the stretch, the amplitude and sigma/m, against
     # 40-digit quadrature. Velocity errors are scaled by the chord frequency

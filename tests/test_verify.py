@@ -6,6 +6,7 @@ import pytest
 
 import ssp.verify
 from ssp import InvalidParameters, Method, PeriodEstimate, exact_period, run_invariant_suite
+from ssp.bounds import check_sandwich, lower_bound_corrected
 from ssp.cli import main
 from ssp.elliptic import QuarticRoots, period_elliptic, quartic_roots
 
@@ -98,6 +99,39 @@ def test_nan_deviation_fails(monkeypatch, capsys):
     assert not report.passed
     assert main(["verify", "--samples", "20"]) == 3
     assert "quadrature-vs-elliptic   samples=20    failures=20   worst=nan" in capsys.readouterr().out
+
+
+def test_sandwich_check_catches_a_period_below_the_lower_bound(monkeypatch, capsys):
+    # a quadrature period 1e-6 below the corrected lower bound fails on every
+    # draw, and worst is the largest violation its SandwichReports state
+    reports = []
+
+    def below(osc, rel_tol):
+        est = exact_period(osc, rel_tol)
+        return est._replace(value=lower_bound_corrected(osc) * (1.0 - 1e-6))
+
+    def recorded(osc, est):
+        reports.append(check_sandwich(osc, est))
+        return reports[-1]
+
+    monkeypatch.setattr(ssp.verify, "exact_period", below)
+    monkeypatch.setattr(ssp.verify, "check_sandwich", recorded)
+    report = run_invariant_suite(samples=20, seed=0)
+    sandwich = next(c for c in report.checks if c.name == "period-inside-bounds")
+    assert sandwich.failures == sandwich.samples == len(reports) == 20
+    assert sandwich.worst == max(r.violation for r in reports) > 0.0
+    assert not report.passed
+    assert main(["verify", "--samples", "20"]) == 3
+    assert "period-inside-bounds     samples=20    failures=20" in capsys.readouterr().out
+
+
+def test_nan_period_fails_the_sandwich_with_worst_nan(monkeypatch):
+    nan = PeriodEstimate(math.nan, Method.QUADRATURE, 0.0)
+    monkeypatch.setattr(ssp.verify, "exact_period", lambda osc, rel_tol: nan)
+    report = run_invariant_suite(samples=5, seed=0)
+    sandwich = next(c for c in report.checks if c.name == "period-inside-bounds")
+    assert sandwich.failures == 5
+    assert math.isnan(sandwich.worst)
 
 
 def test_sample_count_validation():
