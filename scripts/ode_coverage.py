@@ -13,8 +13,9 @@ the continuous extension of v. For each group it prints the worst relative
 error, the smallest err_estimate/actual error (an estimate covers its error
 where this is above 1), the largest err_estimate/value, and the mean and
 largest accepted steps, rejected steps and force evaluations per run. Forces
-are counted through the `accel` hook with the model's own `acceleration`,
-which gives each run bit for bit.
+are computed from each run's step and event counts: twelve per accepted step,
+eleven per rejected one, three per located event and two at the start, the
+identity tests/test_odesim.py::test_default_run_force_count pins.
 
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
 the smallest is not finite: an estimate that fails to cover its error, a NaN,
@@ -35,7 +36,6 @@ import numpy as np  # noqa: E402
 import oracle  # noqa: E402
 
 from ssp import Oscillation, SimConfig, StringParams, measure_period, simulate  # noqa: E402
-from ssp.model import acceleration  # noqa: E402
 
 ORACLE_CELLS = (
     ((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF),
@@ -60,14 +60,7 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
     """Print the group's row; True where every estimate covers its error."""
     rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
     for cell, period in cells:
-        p = StringParams(*cell[:4])
-        calls = [0]
-
-        def force(y: float) -> float:
-            calls[0] += 1
-            return acceleration(p, y)
-
-        traj = simulate(Oscillation(p, cell[4]), cfg, accel=force)
+        traj = simulate(Oscillation(StringParams(*cell[:4]), cell[4]), cfg)
         est = measure_period(traj)
         actual = abs(est.value - period)
         rel_err.append(actual / period)
@@ -75,7 +68,8 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
         size.append(est.err_estimate / est.value)
         acc.append(traj.n_accepted)
         rej.append(traj.n_rejected)
-        forces.append(calls[0])
+        located = traj.events.size - 1  # the event at t = 0 is the release
+        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2)
     print(
         f"{label:<28} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
         f"max est/value {max(size):.3g}  accepted {np.mean(acc):.1f} (max {max(acc)})  "

@@ -105,7 +105,7 @@ def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
     # the rest state has no turning point to simulate
     if osc.y0 == 0.0:
         return PeriodEstimate(rayleigh_period(osc.params), Method.ODE_SIM, 0.0)
-    return measure_period(_release(osc, cfg, None))
+    return measure_period(_release(osc, cfg))
 
 
 def _build_row(

@@ -25,7 +25,7 @@ as the combined norm weighs them, read as a phase error.
 
 The run is on the unit values of model.StringParams, in unit time (see
 model._from_unit_scale), so the lengths' scale and sigma/mass may lie
-outside the float range. The default force is bound once per run as a
+outside the float range. The force is the model's, bound once per run as a
 closure over the string's constants (model._bound_acceleration), because
 each step makes twelve force evaluations and the calls through
 `acceleration` and `vertical_force` cost more than their arithmetic; it
@@ -45,7 +45,7 @@ for v, where y_scale is the larger of y0 and the initial displacement.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _dop853
 from .errors import (
@@ -82,12 +82,11 @@ class SimConfig(_Frozen):
 
     n_periods is a positive multiple of 1/2. The default run is half a
     period: its second event is the first turning after release, at twice
-    the first zero crossing, where the run stops. A half-integer n_periods
-    assumes an odd force, as the model's is, so that a half period is the
-    span between opposite turning points (and, for n_periods = 0.5, twice
-    the time to the first zero crossing); a `simulate` caller whose `accel`
-    is not odd passes a whole number. A longer run reads the same period,
-    to within its error estimate, at proportionally more steps.
+    the first zero crossing, where the run stops. The model's force is odd,
+    so a half period is the span between opposite turning points (and,
+    for n_periods = 0.5, twice the time to the first zero crossing). A
+    longer run reads the same period, to within its error estimate, at
+    proportionally more steps.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -112,14 +111,14 @@ class Trajectory(NamedTuple):
     sample per accepted step plus the initial state, except on the
     n_periods = 0.5 run, which keeps the samples before its zero crossing
     t_q and appends their mirror images (2*t_q - t, -y, v) in reverse
-    order, ending at its last event; e holds the conserved energy of
-    the full nonlinear model at each sample (meaningful when the acceleration
-    was not overridden), +-inf where it is beyond the float range. events
-    are the turning times. local_err is the sum over accepted steps of the
-    fifth-order local error estimates |err5_y| + |err5_v|/omega_c, each
-    times the factor e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm
-    weighs it, relative to the displacement scale, where omega_c is the
-    chord frequency at that scale (see measure_period).
+    order, ending at its last event; e holds the conserved energy of the
+    full nonlinear model at each sample, +-inf where it is beyond the float
+    range. events are the turning times. local_err is the sum over accepted
+    steps of the fifth-order local error estimates
+    |err5_y| + |err5_v|/omega_c, each times the factor
+    e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm weighs it,
+    relative to the displacement scale, where omega_c is the chord
+    frequency at that scale (see measure_period).
     """
 
     t: np.ndarray
@@ -153,15 +152,13 @@ def _run(
     t_span: tuple[float, float],
     state0: tuple[float, float],
     rel_tol: float,
-    accel: Callable[[float], float] | None,
     max_events: int | None = None,
 ) -> _Run:
-    """Integrate (y, v) from state0 over t_span, stopping early once
-    max_events (at least 2) turning events are recorded. accel None means
-    the model's force law, bound once per run.
+    """Integrate (y, v) under the model's force from state0 over t_span,
+    stopping early once max_events (at least 2) turning events are recorded.
 
-    max_events = 2 is half a period of a release from rest at y0 > 0 under
-    an odd force: the run stops on the step where y first reaches 0, at
+    max_events = 2 is half a period of a release from rest at y0 > 0: the
+    force is odd, so the run stops on the step where y first reaches 0, at
     t_q, and records the turning at 2*t_q, its mirror image, as its second
     event and t_q (in unit time) as _Run.t_q. t_q and the turning points
     are roots of the step's one polynomial extension (see _dop853).
@@ -182,14 +179,7 @@ def _run(
     """
     p = osc.params
     e, shift = p._length_exp, p._period_exp
-    if accel is None:
-        accel = _bound_acceleration(p)
-    else:
-        physical = accel
-
-        def accel(y: float) -> float:
-            return math.ldexp(physical(math.ldexp(y, 2 * e)), 2 * (shift - e))
-
+    accel = _bound_acceleration(p)
     t, t_end = _scaled(t_span[0], -shift), _scaled(t_span[1], -shift)
     y, v = _scaled(state0[0], -2 * e), _scaled(state0[1], shift - 2 * e)
     if not all(map(math.isfinite, (t, t_end, y, v))):
@@ -338,13 +328,11 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
 
 
-def _release(
-    osc: Oscillation, cfg: SimConfig, accel: Callable[[float], float] | None
-) -> _Run:
+def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     """simulate's run, before its arrays are built."""
     horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
     want = int(2 * cfg.n_periods) + 1
-    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, accel, want)
+    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, want)
     if len(run.events) < want:
         raise ConvergenceFailure(
             f"expected {want} turning events within {horizon!r} time units, "
@@ -353,11 +341,7 @@ def _release(
     return run
 
 
-def simulate(
-    osc: Oscillation,
-    cfg: SimConfig = SimConfig(),
-    accel: Callable[[float], float] | None = None,
-) -> Trajectory:
+def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     """Release from rest at y0 and integrate until n_periods have elapsed.
 
     Each period contributes two turning events; the run stops once
@@ -366,12 +350,9 @@ def simulate(
     records the turning at 2*t_q as its second event (t = 0, P/2), and its
     samples after t_q are the mirror images of those before it. The true
     period never exceeds the linear-limit period, so the time horizon
-    (n_periods + 2) linear periods always suffices. `accel` overrides the
-    force law (test hook for the linearized system); it must map y to
-    d2y/dt2, and be odd in y where n_periods is a half-integer, the
-    default included (see SimConfig).
+    (n_periods + 2) linear periods always suffices.
     """
-    return _trajectory(osc, _release(osc, cfg, accel))
+    return _trajectory(osc, _release(osc, cfg))
 
 
 def integrate(
@@ -383,7 +364,7 @@ def integrate(
     Turning events are recorded but never stop the run; the trajectory always
     reaches t_span[1] exactly.
     """
-    return _trajectory(osc, _run(osc, t_span, state0, SimConfig().rel_tol, None))
+    return _trajectory(osc, _run(osc, t_span, state0, SimConfig().rel_tol))
 
 
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
@@ -391,7 +372,7 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     over the number of periods between them, n_periods = (events.size - 1)/2.
     Needs at least two events. The default run has two, the second at
     twice its first zero crossing, so the period is 2*(e1 - e0): two events
-    span half a period where the force is odd in y (see SimConfig).
+    span half a period, as the force is odd in y (see SimConfig).
 
     The error estimate is value * local_err / n_periods, 2*value*local_err
     on the default run. local_err sums the embedded estimates

@@ -71,14 +71,15 @@ def radicand_g(osc: Oscillation, y: float) -> float:
     """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably.
 
     g goes as 1/length: it is formed on the unit lengths (model.StringParams),
-    y scaled in and the result scaled back, exactly (see _unit_g). Where y/l
-    is beyond the float range, g is 1/l0 to within rounding.
+    y scaled in and the result scaled back, exactly (see _unit_g); it reads
+    +inf where g is beyond the float range. Where y/l is beyond the float
+    range, g is 1/l0 to within rounding.
     """
     e = osc.params._length_exp
     y = _scaled(y, -2 * e)
     if math.isinf(y):
         return 1.0 / osc.params.l0
-    return math.ldexp(_unit_g(osc, y), -2 * e)
+    return _scaled(_unit_g(osc, y), -2 * e)
 
 
 def _unit_g(osc: Oscillation, y: float) -> float:

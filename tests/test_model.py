@@ -60,6 +60,15 @@ def test_vertical_force_odd_and_restoring(p, y):
         assert (f < 0.0) == (y > 0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_force_where_the_stretch_product_underflows():
+    # (l - l0)*(l + l0) is about 3e-400 and underflows, so both read
+    # -0.27639; the 40-digit value is -1.105572809000084
+    p = StringParams(1e-200, 2e-200, 1.0, 1.0)
+    for kernel in (vertical_force, acceleration):
+        np.testing.assert_allclose(kernel(p, 1e-200), -1.105572809000084, rtol=1e-14)
+
+
 def test_acceleration_scales_inversely_with_mass(reference_params):
     heavy = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=2.0)
     np.testing.assert_allclose(

@@ -68,24 +68,44 @@ def test_default_run_work_count(default_traj):
     assert simulate(osc).n_accepted <= 16
 
 
-def test_default_run_force_count(default_traj):
+@pytest.mark.parametrize(
+    "y0, n_periods, steps, forces",
+    [
+        pytest.param(0.5, 0.5, (13, 0), 161, id="reference"),
+        pytest.param(50.0, 0.5, (15, 5), 240, id="rejected-steps"),
+        # turnings located by velocity_root
+        pytest.param(0.5, 1, (41, 0), 500, id="n_periods=1"),
+        pytest.param(0.5, 3, (117, 0), 1424, id="n_periods=3"),
+    ],
+)
+def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     # every force value of a run: twelve per accepted step, eleven per
     # rejected one, three per event located on the continuous extension
-    # (the default run's one zero crossing), and two at the start (the
-    # first stage and the chord frequency's); no partial step remains. The
-    # model's own acceleration gives the default run bit for bit.
-    osc, _ = default_traj
+    # (the default run's zero crossing, or a turning point), and two at the
+    # start (the first stage and the chord frequency's); no partial step
+    # remains. scripts/ode_coverage.py counts forces by this identity.
+    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), y0)
+    cfg = SimConfig(n_periods=n_periods)
+    plain = simulate(osc, cfg)
     calls = []
+    bound = odesim._bound_acceleration
 
-    def force(y):
-        calls.append(y)
-        return acceleration(osc.params, y)
+    def counting(p):
+        force = bound(p)
 
-    traj = simulate(osc, accel=force)
-    _same_bytes(traj, simulate(osc))
+        def count(y):
+            calls.append(y)
+            return force(y)
+
+        return count
+
+    monkeypatch.setattr(odesim, "_bound_acceleration", counting)
+    traj = simulate(osc, cfg)
+    _same_bytes(traj, plain)
     located = len(traj.events) - 1  # the event at t = 0 is the release
-    assert len(calls) == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2 == 161
-    assert (traj.n_accepted, traj.n_rejected) == (13, 0)
+    assert len(calls) == forces
+    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2
+    assert (traj.n_accepted, traj.n_rejected) == steps
 
 
 def test_default_run_is_mirrored_about_its_zero_crossing(default_traj):
@@ -171,10 +191,13 @@ def test_time_reversal_symmetry(default_traj):
     assert abs(back.v[-1]) < 1e-8 * v_scale
 
 
-def test_linearized_force_recovers_harmonic_period(default_traj):
+def test_linearized_force_recovers_harmonic_period(default_traj, monkeypatch):
+    # the linear force -k*y/m, on the unit values the run integrates
     osc, _ = default_traj
-    k = osc.params.linear_stiffness
-    traj = simulate(osc, SimConfig(rel_tol=1e-12), accel=lambda y: -k * y)
+    monkeypatch.setattr(
+        odesim, "_bound_acceleration", lambda p: lambda y: -p._unit_stiffness * y
+    )
+    traj = simulate(osc, SimConfig(rel_tol=1e-12))
     est = measure_period(traj)
     np.testing.assert_allclose(est.value, rayleigh_period(osc.params), rtol=1e-9)
 
@@ -286,10 +309,14 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("rel_amp", [1e-3, 0.4, 40.0])
 def test_default_force_is_the_model_force_bit_for_bit(rel_amp):
+    # the run's force, scaled back from the unit values, is acceleration's;
     # sigma and mass are not powers of two, so a reordered force rounds apart
     p = StringParams(l0=0.9, l=1.3, sigma=2.3, mass=0.7)
-    osc = Oscillation(p, rel_amp * p.l)
-    _same_bytes(simulate(osc), simulate(osc, accel=lambda y: acceleration(osc.params, y)))
+    e, shift = p._length_exp, p._period_exp
+    force = odesim._bound_acceleration(p)
+    for y in np.linspace(0.0, rel_amp * p.l, 41).tolist():
+        unit = math.ldexp(force(math.ldexp(y, -2 * e)), 2 * (e - shift))
+        assert unit.hex() == acceleration(p, y).hex(), y
 
 
 @pytest.mark.parametrize("n_periods", [1, 3])
@@ -415,7 +442,7 @@ def test_period_without_arrays_is_measure_period(cell, n_periods):
     # built; it must read the same bits as measure_period(simulate(...))
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     cfg = SimConfig(n_periods=n_periods)
-    run = odesim._release(osc, cfg, None)
+    run = odesim._release(osc, cfg)
     assert measure_period(run) == measure_period(simulate(osc, cfg))
 
 
@@ -433,16 +460,16 @@ def test_period_without_arrays_raises_as_simulate(cell, error):
     with pytest.raises(error) as direct:
         simulate(osc)
     with pytest.raises(error) as lean:
-        measure_period(odesim._release(osc, SimConfig(), None))
+        measure_period(odesim._release(osc, SimConfig()))
     assert str(lean.value) == str(direct.value)
 
 
 def test_nonfinite_force_named():
-    # the override overflows at the release point; the run says so instead
-    # of shrinking its step to nothing
-    osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    # the force at the release point, about -2e310, overflows; the run says
+    # so instead of shrinking its step to nothing
+    osc = Oscillation(StringParams(1e-300, 1.0, 1.0, 1.0), 1e10)
     with pytest.raises(StepFailure, match=r"force .* is -inf"):
-        simulate(osc, accel=lambda y: -math.inf)
+        simulate(osc)
 
 
 def test_step_budget_enforced(default_traj, monkeypatch):

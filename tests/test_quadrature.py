@@ -427,6 +427,12 @@ def test_g_where_y_over_l_leaves_the_float_range():
     assert radicand_g(osc, 1e10) == pytest.approx(1e301, rel=1e-15)
 
 
+def test_g_beyond_the_float_range_reads_inf():
+    # g(0) is about 1/l0 = 1e310; the final scaling raised OverflowError
+    osc = Oscillation(StringParams(1e-310, 1e-307, 1.0, 1.0), 1e-307)
+    assert radicand_g(osc, 0.0) == math.inf
+
+
 @pytest.mark.parametrize("sigma, mass", [(1e308, 1e-10), (sys.float_info.max, 1.0)])
 def test_period_and_speed_where_twice_sigma_overflows(sigma, mass):
     # 2*sigma overflows while sigma/m is a float: the prefactors are formed
