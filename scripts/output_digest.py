@@ -66,6 +66,10 @@ CLI_COMMANDS = (
     ("period", "--l", "1.05", "--sigma", "10", "--y0", "2.1", "--method", "elliptic", "--format", "csv"),
     ("period", "--l0", "0.25", "--l", "0.5", "--y0", "1e308", "--method", "quadrature"),
     ("period", "--bogus"),
+    # the closed forms' amplitude cap, y0 = 2**60*l, at and above it
+    ("period", "--y0", "1e308", "--method", "elliptic", "--format", "json"),
+    ("period", "--y0", repr(2.0**60 * 1.25), "--method", "all", "--format", "json"),
+    ("period", "--y0", repr(2.0**61 * 1.25), "--method", "all", "--format", "json"),
     ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1.0", "--points", "4"),
     ("sweep", "--sweep", "sigma", "--from", "0.1", "--to", "10", "--points", "3", "--log", "--method", "all"),
     ("sweep", "--sweep", "l", "--from", "1.1", "--to", "3", "--points", "3", "--method", "elliptic", "--format", "json"),

@@ -33,9 +33,9 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceFailure
-from .model import Oscillation, _from_unit_scale
+from .model import _Y0_CAP, Oscillation, _from_unit_scale
 from .quadrature import Method, PeriodEstimate
-from .quadrature import exact_period  # noqa: F401  no longer called; perfbench --trace wraps this name
+from .quadrature import adaptive_gk as rf, adaptive_gk as rj, exact_period  # noqa: F401  tracer-only
 
 __all__ = [
     "QuarticRoots",
@@ -45,8 +45,9 @@ __all__ = [
     "period_elliptic",
 ]
 
-# Each step of the AGM doubles the digits; kc within 1e+-300 of 1 takes at
-# most 14 steps. An overflowed or NaN input never meets the stop test.
+# Each step of the AGM doubles the digits. period_elliptic's kc lies in
+# [sqrt(1/2), about 2**29] (y0/l is at most model._Y0_CAP) and takes at most 8
+# steps. An overflowed or NaN input never meets the stop test.
 _MAX_AGM_STEPS = 40
 # AGM stop test: its truncation error _CA**2/8 = 2**-53 is half an ulp
 _CA = 2.0**-25
@@ -82,15 +83,6 @@ def _cel(kc: float, p: float, a: float, b: float) -> float:
         qc = 2.0 * math.sqrt(e)
         e = qc * em
     raise ConvergenceFailure(f"cel AGM did not converge at kc={kc!r}")
-
-
-# no longer called; perfbench --trace still wraps these names
-def rf(*args, **kwargs):
-    raise NotImplementedError("rf is gone; period_elliptic evaluates one Bulirsch cel")
-
-
-def rj(*args, **kwargs):
-    raise NotImplementedError("rj is gone; period_elliptic evaluates one Bulirsch cel")
 
 
 class QuarticRoots(NamedTuple):
@@ -170,7 +162,10 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     period. It runs on the unit values (see model.StringParams).
     """
     p = osc.params
-    z0, ab, ac, ad, bc, bd = _root_gaps(p._unit_l0, p._unit_l, osc._unit_y0)
+    # above the amplitude cap the period is its value at the cap (see
+    # model._Y0_CAP, which also says why the error estimate stands as it is)
+    y0 = min(osc._unit_y0, _Y0_CAP * p._unit_l)
+    z0, ab, ac, ad, bc, bd = _root_gaps(p._unit_l0, p._unit_l, y0)
     # d*K + (a-d)*Pi = cel(kc, 1 - n, z0, z0 - ab/2) with n = -ab/bd <= 0;
     # cel is linear in its last two arguments, so z0 is factored out
     kc = math.sqrt(ad / ac) * math.sqrt(bc / bd)
@@ -179,6 +174,5 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     value = 4.0 * math.sqrt(p._unit_mass * p._unit_l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
     if not 0.0 < value < math.inf:
-        # near the top of the float range the AGM's e = qc*em overflows
         raise ConvergenceFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * _REL_ERR)

@@ -18,6 +18,13 @@ from .errors import InvalidParameters
 TWO_PI = 2.0 * math.pi
 # the smallest positive (subnormal) float, 5e-324
 _TINY = math.ulp(0.0)
+# The closed-form engines evaluate every period above y0 = _Y0_CAP*l at
+# y0 = _Y0_CAP*l. For y0 > 2*l0, z + z0 > y0 on [0, y0], so
+# (1 - 2*l0/y0)/l0 < g(y) <= 1/l0 and P_inf <= P(y0) < P_inf/sqrt(1 - 2*l0/y0),
+# P_inf = pi*sqrt(2*m*l0/sigma): above the cap, all periods lie within 2**-59
+# of P_inf, under 1/64 of an ulp. That is far below both engines' error
+# floors (4 ulps per node, 4.01e-13), so neither err_estimate changes.
+_Y0_CAP = 2.0**60
 
 
 class _Frozen:

@@ -56,7 +56,7 @@ from .errors import (
     StepFailure,
 )
 from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled, rayleigh_period
-from .model import acceleration  # noqa: F401  no longer called; perfbench --trace wraps this name
+from .model import acceleration  # noqa: F401  tracer-only: perfbench --trace wraps it
 from .quadrature import Method, PeriodEstimate
 
 if TYPE_CHECKING:
@@ -163,11 +163,12 @@ def _run(
     event and t_q (in unit time) as _Run.t_q. t_q and the turning points
     are roots of the step's one polynomial extension (see _dop853).
 
-    A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure. Every t
-    of the run lies between t0 and t_end, so this floor is never below 32
-    ulps of max(|t|, |t_end|). For simulate, which runs from 0 up to its
-    horizon, the two are equal on every step; on spans where |t| falls
-    below |t0|, StepFailure comes in the same cases or earlier.
+    A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure, and a
+    nonempty span whose first step is already below it InvalidParameters.
+    Every t of the run lies between t0 and t_end, so this floor is never
+    below 32 ulps of max(|t|, |t_end|). For simulate, which runs from 0 up
+    to its horizon, the two are equal on every step; on spans where |t|
+    falls below |t0|, StepFailure comes in the same cases or earlier.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -201,6 +202,11 @@ def _run(
     direction = 1.0 if t_end >= t else -1.0
     h = direction * min(abs(t_end - t), TWO_PI / omega0 / 100.0)
     h_floor = 32.0 * math.ulp(max(abs(t), abs(t_end)))
+    if t != t_end and abs(h) < h_floor:
+        raise InvalidParameters(
+            f"t_span {t_span!r} cannot be stepped: its first step, {_scaled(h, shift)!r}, "
+            f"is below the step floor of 32 ulps of its larger end"
+        )
     # the force at the step end is the next step's first stage (FSAL)
     k0 = accel(y)
     if not math.isfinite(k0):
@@ -220,7 +226,7 @@ def _run(
     ts, ys, vs = [t], [y], [v]
     local = 0.0
     events: list[float] = [_scaled(t, shift)] if v == 0.0 else []
-    err_prev = 1e-4
+    err = err_prev = 1e-4
     n_acc = 0
     n_rej = 0
     just_rejected = False
@@ -232,7 +238,12 @@ def _run(
                 f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
             )
         if abs(h) < h_floor:
-            raise StepFailure(f"step size underflowed at t = {t!r} (h = {h!r})")
+            # a last trial step that is not finite had its stage sums overflow
+            why = "step size underflowed" if math.isfinite(err) else (
+                f"the trial steps were not finite (the force per unit mass at the "
+                f"step start, y = {_scaled(y, 2 * e)!r}, is {_scaled(k0, 2 * (e - shift))!r})"
+            )
+            raise StepFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 

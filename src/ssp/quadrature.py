@@ -20,21 +20,21 @@ ladder returns the linear-limit period. The integrand is analytic and even
 about both ends of [0, pi/2], so the trapezoid rule with half-weighted
 endpoints is the trapezoid rule over a whole period, and it converges
 geometrically: each halving of the step roughly squares the error
-(Trefethen & Weideman, SIAM Review 56 (2014) 385-458). At rel_tol = 1e-12
-the ladder stops at 4 to 16 intervals for y0/l <= 1 and at 8 to 64 up to
-y0/l = 1e8; beyond, the integrand's feature near psi = pi/2 narrows like
-1/sqrt(S), and it needs up to 256 out to y0/l = 1e306.
+(Trefethen & Weideman, SIAM Review 56 (2014) 385-458). Above y0/l = 2**60
+the period is taken at y0 = 2**60*l, which it matches to under 1/64 of an
+ulp (model._Y0_CAP), so S stays below 42.3. At rel_tol = 1e-12 the ladder
+stops at 4 to 16 intervals for y0/l <= 1 and at 8 to 64 beyond, where the
+integrand's feature near psi = pi/2 narrows like 1/sqrt(S).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import ConvergenceFailure, InvalidParameters
-from .model import Oscillation, _from_unit_scale, _scaled
+from .model import _Y0_CAP, Oscillation, _from_unit_scale, _scaled
 
 __all__ = [
     "Method",
@@ -130,9 +130,6 @@ def speed(osc: Oscillation, y: float) -> float:
 _TOP = 9
 # Rounding floor of err_estimate: this many ulps of the value per node.
 _ULPS_PER_NODE = 4.0
-# Above this amplitude, a rounding of S of up to 2**-40 relative could carry
-# the end node's y past y0 and y/2 + y0/2 past the float range.
-_Y0_EDGE = sys.float_info.max * (1.0 - 2.0**-40)
 
 
 def _node(k: int, n: int) -> tuple[float, float]:
@@ -147,9 +144,9 @@ _NODES = [[_node(0, 1), _node(1, 1)]] + [
 ]
 
 
-# no longer called; perfbench --trace still wraps this name
+# tracer-only: perfbench --trace wraps it here and as elliptic.rf and elliptic.rj
 def adaptive_gk(*args, **kwargs):
-    raise NotImplementedError("adaptive_gk is gone; exact_period runs a trapezoid ladder")
+    raise NotImplementedError("a removed engine: this name is kept only for tracing")
 
 
 def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
@@ -192,7 +189,9 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameters(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     p = osc.params
-    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
+    # above the amplitude cap the period is its value at the cap (see
+    # model._Y0_CAP, which also says why err_estimate stands as it is)
+    l0, l, y0 = p._unit_l0, p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
     # _unit_g's terms that do not depend on the node, formed once
     hl0, hl, hy0 = 0.5 * l0, 0.5 * l, 0.5 * y0
     hz0 = math.hypot(hl, hy0)
@@ -200,21 +199,6 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
     exp, expm1, hypot, sinh, sqrt = math.exp, math.expm1, math.hypot, math.sinh, math.sqrt
     big_s = math.asinh(y0 / l)
-    # a node's y/2 is sinh_factor*sinh(s)
-    sinh_factor = hl
-    if big_s == math.inf or y0 > _Y0_EDGE:
-        # y0/l is beyond the float range (unit l < 1), or y0 so near the top
-        # that y/2 + y0/2 overflows where the end node's y rounds above y0.
-        # asinh(x) = log(2*x) here, and sinh(s) may overflow near S, so y/2
-        # is formed as 4 times hl*sinh(s)/4 = hl*sinh(s/2)*cosh(s/2)/2, at
-        # most y0/8: the factor is a power of two, so y never exceeds y0
-        big_s = math.log(0.5 * y0 / l) + math.log(4.0)
-        sinh_factor = 4.0
-        top = 0.25 * hy0
-
-        def sinh(s: float) -> float:
-            return min(hl * math.sinh(0.5 * s) * (0.5 * math.cosh(0.5 * s)), top)
-
     two_s = 2.0 * big_s
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
@@ -228,7 +212,7 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
             u / -expm1(-2.0 * u) if u > 0.0 else 0.5
         )
-        hy = sinh_factor * sinh(s)
+        hy = hl * sinh(s)
         hz = hypot(hl, hy)
         hzl = hz + hl0
         g = 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))

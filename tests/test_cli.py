@@ -123,12 +123,18 @@ def test_period_at_the_top_of_the_float_range(capsys):
     assert abs(float(row["period_quadrature"]) - math.pi * math.sqrt(2.0)) <= 1e-12
 
 
-def test_elliptic_overflow_is_an_engine_failure(capsys):
-    # the closed form's AGM overflows from y0 = 1.353e306: exit 2, not a 0
-    code, out, err = run_cli(capsys, "period", "--y0", "1e307", "--method", "elliptic")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("engine failure:")
+def test_elliptic_answers_at_the_top_of_the_float_range(capsys):
+    # the closed form's AGM overflowed from y0 = 1.353e306 (exit 2); it now
+    # runs at most at y0 = 2**60*l, where the period is pi*sqrt(2*m*l0/sigma)
+    # to under an ulp
+    for params in (("--y0", "1e307"), ("--l0", "1", "--l", "2", "--y0", "1e308")):
+        code, out, err = run_cli(
+            capsys, "period", *params, "--method", "elliptic", "--format", "csv"
+        )
+        assert code == 0, err
+        row = parse_csv(out)[1][0]
+        assert row["pass"] == "true"
+        assert abs(float(row["period_elliptic"]) - math.pi * math.sqrt(2.0)) <= 1e-12
 
 
 def test_quadrature_answers_where_y0_over_l_overflows(capsys):
@@ -163,13 +169,13 @@ def test_quadrature_answers_where_l0_times_y0_passes_dbl_max(capsys):
          1, "error:"),
         # the unit l0 underflows to 0; the linear period reads 0.0
         (("--l0", "5e-324", "--l", "1e10", "--y0", "1"), 1, "error:"),
-        # the cel AGM and the force overflow; the quadrature answers
+        # the force overflows; both closed forms answer
         (TOP_CELL, 2, "engine failure:"),
     ],
 )
 def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix):
     methods = ("quadrature", "elliptic", "ode", "all")
-    for method in methods[1:] if params == TOP_CELL else methods:
+    for method in methods[2:] if params == TOP_CELL else methods:
         got, out, err = run_cli(capsys, "period", *params, "--method", method)
         assert got == code
         assert out == ""
@@ -413,6 +419,24 @@ def test_trajectory_refuses_a_period_count_off_the_half_grid(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: n_periods must be a positive multiple of 0.5, got 1.3\n"
+
+
+@pytest.mark.parametrize("periods", ["1e20", "1e300"])
+def test_trajectory_refuses_a_span_below_the_step_floor(capsys, periods):
+    # the horizon's step floor exceeds the first step: exit 1, not the
+    # engine failure "step size underflowed" before any step was tried
+    code, out, err = run_cli(capsys, "trajectory", "--periods", periods)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: t_span (0.0, ") and "cannot be stepped" in err
+
+
+def test_period_names_the_overflowing_trial_steps(capsys):
+    # the closed forms answer at y0 = 1e307; the ODE's trial steps overflow
+    code, out, err = run_cli(capsys, "period", "--y0", "1e307")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("engine failure: the trial steps were not finite")
 
 
 def test_trajectory_rejects_zero_amplitude(capsys):

@@ -82,12 +82,11 @@ def test_cel_failure_is_a_clean_error():
         _cel(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ConvergenceFailure):
         _cel(math.nan, 1.0, 1.0, 1.0)
-    # at y0 = 1e308 the root difference 2*(z0 - l0) overflows
-    with pytest.raises(ConvergenceFailure):
-        period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e308))
-    # from y0 = 1.353e306 the AGM's e = qc*em overflows and cel reads 0
-    with pytest.raises(ConvergenceFailure):
-        period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 1e307))
+    # the root difference 2*(z0 - l0) overflowed at y0 = 1e308 and the AGM's
+    # e = qc*em from y0 = 1.353e306; at most at y0 = 2**60*l, neither does
+    for y0 in (1e307, 1e308):
+        got = period_elliptic(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), y0)).value
+        assert abs(got - math.pi * math.sqrt(2.0)) <= 1e-15 * got
 
 
 # --- change of variables and the root structure -----------------------------

@@ -472,6 +472,27 @@ def test_nonfinite_force_named():
         simulate(osc)
 
 
+def test_overflowing_trial_steps_named():
+    # at y0 = 1e307 the release force, about -2e307, is finite, but every
+    # trial step's weighted force sums overflow; the run says so and names
+    # the force instead of reporting an underflowed step size
+    p = StringParams(1.0, 1.25, 1.0, 1.0)
+    with pytest.raises(StepFailure, match=r"^the trial steps were not finite .* y = 1e\+307, is -2e\+307\)"):
+        simulate(Oscillation(p, 1e307))
+    est = measure_period(simulate(Oscillation(p, 1e306)))
+    assert abs(est.value - math.pi * math.sqrt(2.0)) <= est.err_estimate
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1e20), (1e300, 0.0), (1.0, 1.0 + 2.0**-50)])
+def test_span_below_the_step_floor_refused(t_span):
+    # the step floor, 32 ulps of the span's larger end, exceeds the first
+    # step; the run said "step size underflowed" before trying any step
+    osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    with pytest.raises(InvalidParameters, match=r"^t_span .* cannot be stepped"):
+        integrate(osc, t_span, (osc.y0, 0.0))
+    assert integrate(osc, (1e20, 1e20), (osc.y0, 0.0)).t.tolist() == [1e20]
+
+
 def test_step_budget_enforced(default_traj, monkeypatch):
     osc, _ = default_traj
     monkeypatch.setattr(odesim, "_MAX_STEPS", 10)

@@ -283,8 +283,9 @@ def _q(u):
 
 def _radicand_integrand(osc):
     """The integrand as composed from radicand_g on the unit-scaled lengths
-    that exact_period runs on, node by node."""
+    that exact_period runs on, node by node, at most at the amplitude cap."""
     p = osc.params
+    osc = Oscillation(p, min(osc.y0, ssp.model._Y0_CAP * p.l))
     big_s = math.asinh(osc._unit_y0 / p._unit_l)
 
     def integrand(sin_psi, sin2_a):
