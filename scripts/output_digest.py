@@ -176,8 +176,7 @@ def simulate_digests() -> dict[str, str]:
 
 
 def cli_digest(argv: tuple[str, ...]) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SSP_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-m", "ssp.cli", *argv], env=env, capture_output=True, timeout=300
     )

@@ -10,15 +10,7 @@ quartic_roots, upper_bound, ...) are imported from their own modules.
 
 from .bounds import PeriodBounds, SandwichReport, check_sandwich, compute_bounds
 from .elliptic import period_elliptic
-from .errors import (
-    ConvergenceFailure,
-    EngineFailure,
-    InsufficientEvents,
-    InvalidParameters,
-    MaxStepsExceeded,
-    SspError,
-    StepFailure,
-)
+from .errors import EngineFailure, InvalidParameters, SspError
 from .model import Oscillation, StringParams, rayleigh_period
 from .odesim import SimConfig, Trajectory, integrate, measure_period, simulate
 from .quadrature import Method, PeriodEstimate, exact_period
@@ -28,11 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "ConvergenceFailure",
     "EngineFailure",
-    "InsufficientEvents",
     "InvalidParameters",
-    "MaxStepsExceeded",
     "Method",
     "Oscillation",
     "PeriodBounds",
@@ -40,7 +29,6 @@ __all__ = [
     "SandwichReport",
     "SimConfig",
     "SspError",
-    "StepFailure",
     "StringParams",
     "Trajectory",
     "VerifyReport",

@@ -42,7 +42,7 @@ from .model import (
     _scaled,
     rayleigh_period,
 )
-from .quadrature import PeriodEstimate, _unit_g
+from .quadrature import PeriodEstimate, _unit_radicand
 
 __all__ = [
     "PeriodBounds",
@@ -165,7 +165,7 @@ def _secant_upper(osc: Oscillation) -> float:
     1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
     """
     p = osc.params
-    stiff = (2.0 * p._unit_sigma / p._unit_mass) * _unit_g(osc, 0.0)
+    stiff = (2.0 * p._unit_sigma / p._unit_mass) * _unit_radicand(p, osc._unit_y0)(0.0)
     return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
 
 

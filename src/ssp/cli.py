@@ -9,9 +9,9 @@ Machine formats use shortest round-trip floats (repr), so CSV and JSON carry
 identical numeric content at 17 significant digits; human summaries use 7.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 ok, 1 invalid
 input, 2 numerical-engine failure, 3 invariant violation (verify only).
-Environment overrides for defaults: SSP_REL_TOL, SSP_SEED. period, verify
-and linear sweeps run without numpy; sweep --log, convergence and trajectory
-import it where they use it.
+Flags are the only settings; no environment variable changes a result.
+period, verify and linear sweeps run without numpy; sweep --log, convergence
+and trajectory import it where they use it.
 """
 
 from __future__ import annotations
@@ -71,23 +71,9 @@ def _write_json(payload: object) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _resolve(explicit: object, env: str, kind: type, fallback: object):
-    """The flag if given, else the environment variable parsed as kind, else
-    the fallback."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(env)
-    if raw is None:
-        return fallback
-    try:
-        return kind(raw)
-    except ValueError:
-        what = "a number" if kind is float else "an integer"
-        raise InvalidParameters(f"{env} is not {what}: {raw!r}") from None
-
-
-def _resolve_tol(explicit: float | None, fallback: float) -> float:
-    tol = _resolve(explicit, "SSP_REL_TOL", float, fallback)
+def _checked_tol(explicit: float | None, fallback: float) -> float:
+    """--tol if given, else the fallback, refused outside [_TOL_MIN, _TOL_MAX]."""
+    tol = fallback if explicit is None else explicit
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InvalidParameters(
             f"tol must be in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {tol!r}"
@@ -146,8 +132,8 @@ def _selected_methods(raw: str) -> tuple[str, ...]:
 
 def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig]:
     """Quadrature tolerance and simulation config."""
-    tol = _resolve_tol(args.tol, 1e-12)
-    sim_tol = max(_resolve_tol(args.tol, 1e-10), 1e-13)
+    tol = _checked_tol(args.tol, 1e-12)
+    sim_tol = max(_checked_tol(args.tol, 1e-10), 1e-13)
     return tol, SimConfig(rel_tol=sim_tol)
 
 
@@ -248,11 +234,10 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol, 1e-12)
-    seed = _resolve(args.seed, "SSP_SEED", int, 0)
-    if seed < 0:
-        raise InvalidParameters(f"seed must be >= 0, got {seed!r}")
-    report = run_invariant_suite(samples=args.samples, seed=seed, rel_tol=tol)
+    tol = _checked_tol(args.tol, 1e-12)
+    if args.seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {args.seed!r}")
+    report = run_invariant_suite(samples=args.samples, seed=args.seed, rel_tol=tol)
     for c in report.checks:
         status = "pass" if c.ok else "FAIL"
         print(
@@ -304,9 +289,7 @@ def _add_params(sub: argparse.ArgumentParser, with_y0: bool = True) -> None:
     sub.add_argument("--mass", type=float, default=1.0, help="particle mass")
     if with_y0:
         sub.add_argument("--y0", type=float, default=0.5, help="release amplitude")
-    sub.add_argument(
-        "--tol", type=float, default=None, help="relative tolerance (SSP_REL_TOL)"
-    )
+    sub.add_argument("--tol", type=float, default=None, help="relative tolerance")
 
 
 def _add_format(sub: argparse.ArgumentParser) -> None:
@@ -347,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ve = subs.add_parser("verify", help="run the randomized invariant suite")
     ve.add_argument("--samples", type=int, default=1000)
-    ve.add_argument("--seed", type=int, default=None, help="RNG seed (SSP_SEED)")
+    ve.add_argument("--seed", type=int, default=0, help="RNG seed")
     ve.add_argument("--tol", type=float, default=None)
     ve.set_defaults(func=cmd_verify)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceFailure
+from .errors import EngineFailure
 from .model import _Y0_CAP, Oscillation, _from_unit_scale
 from .quadrature import Method, PeriodEstimate
 from .quadrature import adaptive_gk as rf, adaptive_gk as rj, exact_period  # noqa: F401  tracer-only
@@ -82,7 +82,7 @@ def _cel(kc: float, p: float, a: float, b: float) -> float:
             return 0.5 * math.pi * (b + a * em) / (em * (em + p))
         qc = 2.0 * math.sqrt(e)
         e = qc * em
-    raise ConvergenceFailure(f"cel AGM did not converge at kc={kc!r}")
+    raise EngineFailure(f"cel AGM did not converge at kc={kc!r}")
 
 
 class QuarticRoots(NamedTuple):
@@ -174,5 +174,5 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     value = 4.0 * math.sqrt(p._unit_mass * p._unit_l0 / (2.0 * p._unit_sigma)) * integral
     value = _from_unit_scale(p, value)
     if not 0.0 < value < math.inf:
-        raise ConvergenceFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
+        raise EngineFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * _REL_ERR)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The split matters for the CLI exit-code contract: InvalidParameters maps to
-exit 1, EngineFailure subclasses map to exit 2, invariant violations found by
-`ssp verify` map to exit 3 (no exception; reported through the suite result).
+One type per CLI exit code: InvalidParameters maps to exit 1, EngineFailure
+to exit 2; invariant violations found by `ssp verify` map to exit 3 (no
+exception; reported through the suite result). An EngineFailure's message
+names the engine and what went wrong.
 """
 
 
@@ -16,19 +17,3 @@ class InvalidParameters(SspError, ValueError):
 
 class EngineFailure(SspError, RuntimeError):
     """A numerical engine could not produce a result at the requested quality."""
-
-
-class ConvergenceFailure(EngineFailure):
-    """An iterative scheme exhausted its budget before meeting tolerance."""
-
-
-class StepFailure(EngineFailure):
-    """Adaptive step size underflowed; the step controller cannot proceed."""
-
-
-class MaxStepsExceeded(EngineFailure):
-    """The integrator hit its step budget before reaching the stop condition."""
-
-
-class InsufficientEvents(EngineFailure):
-    """Too few turning events were recorded to estimate a period."""

@@ -111,14 +111,22 @@ class StringParams(_Frozen):
         # the unit linear period, and with it the linear period, reads 0
         w = _linear_stiffness(l0, l, s, m) if l0 >= 2.0**-1022 else math.inf
         object.__setattr__(self, "_unit_stiffness", w)
-        # no period exceeds the linear-limit one, so while that is a positive
-        # finite float no engine's period leaves the float range
+        # every period lies in [P_inf, linear], P_inf = pi*sqrt(2*m*l0/sigma)
+        # (see _Y0_CAP), so while linear is finite and P_inf a normal float
+        # no engine's period leaves the float range
         linear = _scaled(TWO_PI / math.sqrt(w), self._period_exp)
         if not 0.0 < linear < math.inf:
             raise InvalidParameters(
                 f"the linear-limit period at l0={self.l0!r}, l={self.l!r}, "
                 f"sigma={self.sigma!r}, mass={self.mass!r} is not a positive "
                 f"finite float (got {linear!r}); it reads 0 from l/l0 ~ 2**1021 up"
+            )
+        p_inf = _scaled(math.pi * math.sqrt(2.0 * m * l0 / s), self._period_exp)
+        if p_inf < 2.0**-1022:
+            raise InvalidParameters(
+                f"the large-amplitude period pi*sqrt(2*mass*l0/sigma) at l0={self.l0!r}, "
+                f"sigma={self.sigma!r}, mass={self.mass!r} is below the normal floats "
+                f"(got {p_inf!r})"
             )
 
     @property

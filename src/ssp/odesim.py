@@ -48,13 +48,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _dop853
-from .errors import (
-    ConvergenceFailure,
-    InsufficientEvents,
-    InvalidParameters,
-    MaxStepsExceeded,
-    StepFailure,
-)
+from .errors import EngineFailure, InvalidParameters
 from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled, rayleigh_period
 from .model import acceleration  # noqa: F401  tracer-only: perfbench --trace wraps it
 from .quadrature import Method, PeriodEstimate
@@ -73,7 +67,7 @@ _PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
 _RMS = math.sqrt(0.5)
 # absolute error floor of y, relative to the displacement scale
 _ABS_FLOOR = 1e-12
-# attempted steps (accepted plus rejected) before MaxStepsExceeded
+# attempted steps (accepted plus rejected) before the run gives up
 _MAX_STEPS = 10_000_000
 
 
@@ -163,12 +157,12 @@ def _run(
     event and t_q (in unit time) as _Run.t_q. t_q and the turning points
     are roots of the step's one polynomial extension (see _dop853).
 
-    A step below 32 ulps of max(|t0|, |t_end|) raises StepFailure, and a
+    A step below 32 ulps of max(|t0|, |t_end|) raises EngineFailure, and a
     nonempty span whose first step is already below it InvalidParameters.
     Every t of the run lies between t0 and t_end, so this floor is never
     below 32 ulps of max(|t|, |t_end|). For simulate, which runs from 0 up
     to its horizon, the two are equal on every step; on spans where |t|
-    falls below |t0|, StepFailure comes in the same cases or earlier.
+    falls below |t0|, EngineFailure comes in the same cases or earlier.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -210,7 +204,7 @@ def _run(
     # the force at the step end is the next step's first stage (FSAL)
     k0 = accel(y)
     if not math.isfinite(k0):
-        raise StepFailure(
+        raise EngineFailure(
             f"the force per unit mass at y = {state0[0]!r} is {k0!r} "
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
@@ -234,7 +228,7 @@ def _run(
 
     while (t - t_end) * direction < 0.0:
         if n_acc + n_rej >= _MAX_STEPS:
-            raise MaxStepsExceeded(
+            raise EngineFailure(
                 f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
             )
         if abs(h) < h_floor:
@@ -243,7 +237,7 @@ def _run(
                 f"the trial steps were not finite (the force per unit mass at the "
                 f"step start, y = {_scaled(y, 2 * e)!r}, is {_scaled(k0, 2 * (e - shift))!r})"
             )
-            raise StepFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
+            raise EngineFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
@@ -345,7 +339,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     want = int(2 * cfg.n_periods) + 1
     run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, want)
     if len(run.events) < want:
-        raise ConvergenceFailure(
+        raise EngineFailure(
             f"expected {want} turning events within {horizon!r} time units, "
             f"found {len(run.events)}"
         )
@@ -401,7 +395,7 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """
     events = traj.events
     if len(events) < 2:
-        raise InsufficientEvents(
+        raise EngineFailure(
             f"need >= 2 turning events to estimate a period, got {len(events)}"
         )
     n_periods = 0.5 * (len(events) - 1)

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import ConvergenceFailure, InvalidParameters
-from .model import _Y0_CAP, Oscillation, _from_unit_scale, _scaled
+from .errors import EngineFailure, InvalidParameters
+from .model import _Y0_CAP, Oscillation, StringParams, _from_unit_scale, _scaled
 
 __all__ = [
     "Method",
@@ -71,20 +71,21 @@ def radicand_g(osc: Oscillation, y: float) -> float:
     """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably.
 
     g goes as 1/length: it is formed on the unit lengths (model.StringParams),
-    y scaled in and the result scaled back, exactly (see _unit_g); it reads
-    +inf where g is beyond the float range. Where y/l is beyond the float
-    range, g is 1/l0 to within rounding.
+    y scaled in and the result scaled back, exactly (see _unit_radicand); it
+    reads +inf where g is beyond the float range. Where y/l is beyond the
+    float range, g is 1/l0 to within rounding.
     """
     e = osc.params._length_exp
     y = _scaled(y, -2 * e)
     if math.isinf(y):
         return 1.0 / osc.params.l0
-    return _scaled(_unit_g(osc, y), -2 * e)
+    return _scaled(_unit_radicand(osc.params, osc._unit_y0)(0.5 * y), -2 * e)
 
 
-def _unit_g(osc: Oscillation, y: float) -> float:
-    """radicand_g on the unit lengths, y among them, rewritten as
-    ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
+def _unit_radicand(p: StringParams, y0: float) -> Callable[[float], float]:
+    """radicand_g on the unit lengths of p, y0 among them, as a function of
+    hy = y/2. The terms that do not depend on y are formed once. g is
+    rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
     z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for
     l/l0 - 1 near machine epsilon, and no square of y that could overflow.
     Every length is halved first, exactly: z + z0 and dz + dz0 themselves
@@ -92,14 +93,18 @@ def _unit_g(osc: Oscillation, y: float) -> float:
     l0*(z + z0)/2 where l0 > 1. The numerator is then half of dz + dz0 and
     the denominator a quarter of l0*(z + z0), so the quotient is halved.
     """
-    hl0, hl = 0.5 * osc.params._unit_l0, 0.5 * osc.params._unit_l
-    hy, hy0 = 0.5 * y, 0.5 * osc._unit_y0
-    hz = math.hypot(hl, hy)
+    hl0, hl, hy0 = 0.5 * p._unit_l0, 0.5 * p._unit_l, 0.5 * y0
     hz0 = math.hypot(hl, hy0)
     quarter_gap = (hl - hl0) * (hl + hl0)
-    hdz = quarter_gap / (hz + hl0) + hy * (hy / (hz + hl0))
     hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
-    return 0.5 * ((hdz + hdz0) / (hl0 * (hz + hz0)))
+    hypot = math.hypot
+
+    def g(hy: float) -> float:
+        hz = hypot(hl, hy)
+        hzl = hz + hl0
+        return 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))
+
+    return g
 
 
 def speed(osc: Oscillation, y: float) -> float:
@@ -121,7 +126,7 @@ def speed(osc: Oscillation, y: float) -> float:
         math.sqrt(2.0 * p._unit_sigma) / math.sqrt(p._unit_mass)
         * math.sqrt(c * y0 - ay)
         * math.sqrt(c * y0 + ay)
-        * math.sqrt(_unit_g(osc, y)) / c,
+        * math.sqrt(_unit_radicand(p, osc._unit_y0)(0.5 * y)) / c,
         2 * p._length_exp - p._period_exp,
     )
 
@@ -156,7 +161,7 @@ def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
     reuse every node. The ladder stops at the first N with |T_N - T_{N/2}| <=
     rel_tol*T_N and |T_{N/2} - T_{N/4}| <= sqrt(rel_tol)*T_N, so one
     accidental agreement of two levels cannot end it, and raises
-    ConvergenceFailure past N = 2**_TOP. Returns (T_N, error estimate): the
+    EngineFailure past N = 2**_TOP. Returns (T_N, error estimate): the
     last level difference plus a rounding floor of a few ulps per node.
     """
     acc = 0.5 * (f(*_NODES[0][0]) + f(*_NODES[0][1]))
@@ -173,7 +178,7 @@ def trapezoid_ladder(f, rel_tol: float) -> tuple[float, float]:
         total = acc * h
         if diff <= rel_tol * total and prev_diff <= math.sqrt(rel_tol) * total:
             return total, diff + _ULPS_PER_NODE * nodes * math.ulp(total)
-    raise ConvergenceFailure(
+    raise EngineFailure(
         f"trapezoid ladder did not converge at {nodes - 1} intervals: "
         f"level difference {diff:.3e} of {total:.6e}"
     )
@@ -191,39 +196,30 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     p = osc.params
     # above the amplitude cap the period is its value at the cap (see
     # model._Y0_CAP, which also says why err_estimate stands as it is)
-    l0, l, y0 = p._unit_l0, p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
-    # _unit_g's terms that do not depend on the node, formed once
-    hl0, hl, hy0 = 0.5 * l0, 0.5 * l, 0.5 * y0
-    hz0 = math.hypot(hl, hy0)
-    quarter_gap = (hl - hl0) * (hl + hl0)
-    hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
-    exp, expm1, hypot, sinh, sqrt = math.exp, math.expm1, math.hypot, math.sinh, math.sqrt
-    big_s = math.asinh(y0 / l)
+    hl, y0 = 0.5 * p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
+    g = _unit_radicand(p, y0)
+    exp, expm1, sinh, sqrt = math.exp, math.expm1, math.sinh, math.sqrt
+    big_s = math.asinh(y0 / p._unit_l)
     two_s = 2.0 * big_s
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
         # J/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written through
         # exp(-...) and expm1 so that nothing overflows as S grows;
-        # q(u) = u/(1 - exp(-2u)) with its limit 1/2 at u = 0, and g is
-        # _unit_g(osc, y) with the same operations in the same order
+        # q(u) = u/(1 - exp(-2u)) with its limit 1/2 at u = 0
         s = big_s * sin_psi
         x = two_s * sin2_a
         u = big_s + s
         q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
             u / -expm1(-2.0 * u) if u > 0.0 else 0.5
         )
-        hy = hl * sinh(s)
-        hz = hypot(hl, hy)
-        hzl = hz + hl0
-        g = 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))
-        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g)
+        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g(hl * sinh(s)))
 
     integral, err = trapezoid_ladder(integrand, rel_tol)
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
     value = _from_unit_scale(p, pref * integral)
     if not 0.0 < value < math.inf:
-        raise ConvergenceFailure(
+        raise EngineFailure(
             f"quadrature left the float range at l={p.l!r}, y0={osc.y0!r}: {value!r}"
         )
     return PeriodEstimate(value, Method.QUADRATURE, _from_unit_scale(p, pref * err))

@@ -317,7 +317,7 @@ _wide_scale = st.floats(math.log(1e-150), math.log(1e150)).map(math.exp)
 )
 def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_amp):
     # the engines see lengths, sigma and mass through their ratios alone;
-    # on raw lengths about 3 in 100 such draws raised ConvergenceFailure or
+    # on raw lengths about 3 in 100 such draws raised EngineFailure or
     # a raw ZeroDivisionError. No draw here is refused: l/l0 and y0/l stay
     # below 1e300, and the linear period within 1e+-225
     l0, l = sorted((a, b))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from ssp import (
-    ConvergenceFailure,
+    EngineFailure,
     Method,
     Oscillation,
     StringParams,
@@ -78,9 +78,9 @@ def test_cel_is_linear_in_a_and_b(kc, p, a, b, s):
 
 def test_cel_failure_is_a_clean_error():
     # an overflowed or NaN kc never meets the stop test
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(EngineFailure, match=r"^cel AGM did not converge at kc=0\.0$"):
         _cel(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(EngineFailure, match=r"^cel AGM did not converge at kc=nan$"):
         _cel(math.nan, 1.0, 1.0, 1.0)
     # the root difference 2*(z0 - l0) overflowed at y0 = 1e308 and the AGM's
     # e = qc*em from y0 = 1.353e306; at most at y0 = 2**60*l, neither does

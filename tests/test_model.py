@@ -176,6 +176,10 @@ def test_rayleigh_solution_refuses_a_phase_beyond_the_float_range():
         dict(l0=1e100, l=2e100, sigma=1e-300, mass=1e300),
         # the unit l0 underflows to 0: the linear period reads 0.0
         dict(l0=5e-324, l=1e10, sigma=1.0, mass=1.0),
+        # the linear period reads 5e-324, but P_inf = pi*sqrt(2*m*l0/sigma),
+        # the large-amplitude limit, is about 1.4e-324: both closed forms
+        # gave 5e-324 with err_estimate 0.0 at y0 = 1e-172 and failed from 1e-171
+        dict(l0=1e-172, l=1.1e-172, sigma=1e177, mass=1e-300),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

@@ -14,8 +14,7 @@ SUPPORTED = [
     "SimConfig", "Trajectory", "simulate", "integrate", "measure_period",
     "PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich",
     "CheckResult", "VerifyReport", "run_invariant_suite",
-    "SspError", "InvalidParameters", "EngineFailure", "ConvergenceFailure",
-    "StepFailure", "MaxStepsExceeded", "InsufficientEvents",
+    "SspError", "InvalidParameters", "EngineFailure",
 ]
 
 # kernels and single bounds: importable from their modules, not re-exported
@@ -33,7 +32,7 @@ MODULE_ONLY = {
 
 
 def test_all_is_the_supported_surface():
-    assert len(SUPPORTED) == 26
+    assert len(SUPPORTED) == 22
     assert sorted(ssp.__all__) == sorted(SUPPORTED)
     for name in ssp.__all__:
         assert getattr(ssp, name) is not None

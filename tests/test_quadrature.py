@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracle
 import ssp.quadrature
 from ssp import (
-    ConvergenceFailure,
+    EngineFailure,
     InvalidParameters,
     Method,
     Oscillation,
@@ -286,13 +286,17 @@ def _radicand_integrand(osc):
     that exact_period runs on, node by node, at most at the amplitude cap."""
     p = osc.params
     osc = Oscillation(p, min(osc.y0, ssp.model._Y0_CAP * p.l))
+    # the same string on its unit values, which radicand_g does not rescale
+    unit = Oscillation(
+        StringParams(p._unit_l0, p._unit_l, p._unit_sigma, p._unit_mass), osc._unit_y0
+    )
     big_s = math.asinh(osc._unit_y0 / p._unit_l)
 
     def integrand(sin_psi, sin2_a):
         s = big_s * sin_psi
         x = 2.0 * big_s * sin2_a
         q2 = _q(x) * _q(big_s + s)
-        g = ssp.quadrature._unit_g(osc, p._unit_l * math.sinh(s))
+        g = radicand_g(unit, p._unit_l * math.sinh(s))
         return (1.0 + math.exp(-2.0 * s)) * math.exp(-x) * math.sqrt(q2 / g)
 
     return integrand
@@ -305,9 +309,9 @@ _edge_amplitudes = string_params().flatmap(
 
 @given(st.one_of(oscillations(rel_amp_hi=100.0), _edge_amplitudes))
 def test_integrand_is_radicand_g_bit_for_bit(osc):
-    # exact_period inlines radicand_g with its node-independent terms formed
-    # once; every node and the period itself keep the bits of the composed
-    # form
+    # exact_period and radicand_g share one kernel, quadrature._unit_radicand,
+    # with its node-independent terms formed once; every node and the period
+    # itself keep the bits of the form composed from radicand_g
     real = ssp.quadrature.trapezoid_ladder
     handed = []
 
@@ -380,7 +384,7 @@ def test_period_survives_extreme_sigma_over_mass():
 )
 def test_cells_past_the_quarter_gap_overflow_answer(cell):
     # on raw lengths (l/2 - l0/2)*(l/2 + l0/2) overflowed from l ~ 2.7e154,
-    # or g read 0, and exact_period raised ConvergenceFailure; on the
+    # or g read 0, and exact_period raised EngineFailure; on the
     # unit-scaled lengths both closed forms answer inside their bounds
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     quad, ell = exact_period(osc), period_elliptic(osc)
@@ -449,7 +453,7 @@ def test_period_and_speed_where_twice_sigma_overflows(sigma, mass):
 @pytest.mark.parametrize(
     "l0, l, y0",
     [
-        # y0/l overflows: asinh(inf) gave NaN nodes and ConvergenceFailure
+        # y0/l overflows: asinh(inf) gave NaN nodes and EngineFailure
         (0.25, 0.5, 1e308),
         (0.25, 0.5, 1.7e308),
         # y0/l = 1.4e308 stays a float; it answered before too
@@ -474,7 +478,7 @@ def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
         return f(sin_psi, sin2_a) * (2.0 + math.sin(1e6 * sin_psi))
 
     calls = _counting_ladder(monkeypatch, rough)
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(EngineFailure, match="^trapezoid ladder did not converge at 512 intervals"):
         exact_period(reference_osc)
     assert calls[0] == 2**9 + 1
 
