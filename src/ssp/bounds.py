@@ -1,5 +1,10 @@
 """A-priori period bounds and the relative-error corollary.
 
+compute_bounds forms every bound of one oscillation in one body and returns
+them as the fields of PeriodBounds, which says which are rigorous; that
+record is the only public way to them. check_sandwich tests an estimate
+against the rigorous ones.
+
 The linear-limit period is an upper bound for every amplitude. Two lower
 bounds are provided. The corrected one is the period of a linear spring of
 stiffness omega0^2 + sigma*y0^2/(m*l0*l^2). It is rigorous for all
@@ -44,20 +49,20 @@ from .model import (
 )
 from .quadrature import PeriodEstimate, _unit_radicand
 
-__all__ = [
-    "PeriodBounds",
-    "SandwichReport",
-    "upper_bound",
-    "lower_bound_corrected",
-    "lower_bound_printed",
-    "relative_error_bounds",
-    "rel_error_bound_printed",
-    "compute_bounds",
-    "check_sandwich",
-]
+__all__ = ["PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich"]
 
 
 class PeriodBounds(NamedTuple):
+    """The a-priori bounds of one oscillation, omega0^2 = 2*T/(m*l) and
+    T = sigma*(l - l0)/l0 the rest tension:
+
+    lower_corrected            2*pi/sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)), rigorous
+    lower_printed              2*pi/sqrt(omega0^2 + sigma*y0^2/(l*l0)), report-only
+    upper                      2*pi/omega0, the linear-limit period, rigorous
+    rel_error_bound_corrected  -y0^2/(4*(l - l0)*l) <= (P - upper)/P, rigorous
+    rel_error_bound_printed    -y0^2*m/(4*T*l0), report-only
+    """
+
     lower_corrected: float
     lower_printed: float
     upper: float
@@ -65,67 +70,37 @@ class PeriodBounds(NamedTuple):
     rel_error_bound_printed: float
 
 
-def upper_bound(params: StringParams) -> float:
-    """The linear-limit period; the exact period never exceeds it."""
-    return rayleigh_period(params)
-
-
-def lower_bound_corrected(osc: Oscillation) -> float:
-    """Rigorous lower bound 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)).
-
-    Formed on the unit values (see model.StringParams). Where y0*y0
-    overflows the excess is inf, and the bound 0, still true.
-    """
-    p = osc.params
-    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    excess = p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
+def _lower_corrected(p: StringParams, y0_sq: float) -> float:
+    """PeriodBounds.lower_corrected on the unit values, y0_sq the unit y0
+    squared. Where y0_sq overflows the excess is inf, and the bound 0, still
+    true."""
+    l0, l = p._unit_l0, p._unit_l
+    excess = p._unit_sigma * y0_sq / (p._unit_mass * l0 * (l * l))
     return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness + excess))
 
 
-def lower_bound_printed(osc: Oscillation) -> float:
-    """Reported-only variant with sigma*y0^2/(l*l0) in place of the corrected
-    stiffness excess. Not dimensionally consistent; never asserted against.
-
-    The excess goes as sigma alone: formed on the unit values, it is brought
-    to the unit stiffness's scale, below an ulp of it where that overflows.
-    """
+def compute_bounds(osc: Oscillation) -> PeriodBounds:
     p = osc.params
-    y0 = osc._unit_y0
-    excess = p._unit_sigma * (y0 * y0) / (p._unit_l * p._unit_l0)
+    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
+    y0_sq = y0 * y0
+    # the printed excess goes as sigma alone; it is brought to the unit
+    # stiffness's scale, below an ulp of it where that overflows
+    excess = p._unit_sigma * y0_sq / (l * l0)
     try:
         stiff = p._unit_stiffness + math.ldexp(excess, 2 * (p._sigma_exp + p._period_exp))
     except OverflowError:
-        return math.ldexp(TWO_PI / math.sqrt(excess), -p._sigma_exp)
-    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
-
-
-def relative_error_bounds(osc: Oscillation) -> tuple[float, float]:
-    """Bounds on (P - P_lin)/P: within [-y0^2/(4*(l-l0)*l), 0], sigma
-    cancelled from -sigma*y0^2/(4*T*l0*l) so that no extreme sigma moves it.
-    The ratio is free of units; it is formed on the unit-scaled lengths
-    (see model.StringParams), where y0*y0 overflows only with the ratio."""
-    p = osc.params
-    l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    return -(y0 * y0) / (4.0 * (l - l0) * l), 0.0
-
-
-def rel_error_bound_printed(osc: Oscillation) -> float:
-    """Reported-only lower bound -y0^2*m / (4*T*l0); see lower_bound_printed.
-    It goes as a period squared: formed on the unit values and scaled back."""
-    p = osc.params
-    y0, l0 = osc._unit_y0, p._unit_l0
-    tension = p._unit_sigma * (p._unit_l - l0) / l0
-    return _scaled(-(y0 * y0) * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp)
-
-
-def compute_bounds(osc: Oscillation) -> PeriodBounds:
-    low, _ = relative_error_bounds(osc)
+        lower_printed = math.ldexp(TWO_PI / math.sqrt(excess), -p._sigma_exp)
+    else:
+        lower_printed = _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
+    # sigma cancels from the corrected -sigma*y0^2/(4*T*l0*l), which is free
+    # of units; the printed one goes as a period squared and is scaled back
+    tension = p._unit_sigma * (l - l0) / l0
     return PeriodBounds(
-        lower_corrected=lower_bound_corrected(osc),
-        lower_printed=lower_bound_printed(osc),
-        upper=upper_bound(osc.params),
-        rel_error_bound_corrected=low,
-        rel_error_bound_printed=rel_error_bound_printed(osc),
+        _lower_corrected(p, y0_sq),
+        lower_printed,
+        rayleigh_period(p),
+        -y0_sq / (4.0 * (l - l0) * l),
+        _scaled(-y0_sq * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp),
     )
 
 
@@ -181,8 +156,9 @@ _BOUND_ULPS = 12.0
 
 
 def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport:
-    lower = lower_bound_corrected(osc)
-    upper = upper_bound(osc.params)
+    y0 = osc._unit_y0
+    lower = _lower_corrected(osc.params, y0 * y0)
+    upper = rayleigh_period(osc.params)
     slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value
     lower_ok = value >= lower - slack

@@ -235,8 +235,6 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _checked_tol(args.tol, 1e-12)
-    if args.seed < 0:
-        raise InvalidParameters(f"seed must be >= 0, got {args.seed!r}")
     report = run_invariant_suite(samples=args.samples, seed=args.seed, rel_tol=tol)
     for c in report.checks:
         status = "pass" if c.ok else "FAIL"
@@ -363,6 +361,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EngineFailure as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the pipe mid-write.
         devnull = os.open(os.devnull, os.O_WRONLY)

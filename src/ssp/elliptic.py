@@ -39,7 +39,6 @@ from .quadrature import adaptive_gk as rf, adaptive_gk as rj, exact_period  # no
 
 __all__ = [
     "QuarticRoots",
-    "to_z_space",
     "quartic_roots",
     "quartic_coefficients",
     "period_elliptic",
@@ -90,8 +89,7 @@ class QuarticRoots(NamedTuple):
 
     The quartic is presented with leading coefficient -1/(2*l0); the period
     integrand's radicand (1/l0)*(z^2-l^2)*(z0-z)*(z+z0-2*l0) is exactly twice
-    it. ``evaluate`` gives the quartic, ``radicand`` the doubled form the
-    integrand actually uses.
+    the value ``evaluate`` gives.
     """
 
     roots: tuple[float, float, float, float]
@@ -101,18 +99,6 @@ class QuarticRoots(NamedTuple):
         r1, r2, r3, r4 = self.roots
         return self.leading * (z - r1) * (z - r2) * (z - r3) * (z - r4)
 
-    def radicand(self, z: float) -> float:
-        """Radicand of the period integrand: twice the quartic value."""
-        return 2.0 * self.evaluate(z)
-
-
-def to_z_space(osc: Oscillation) -> tuple[float, float]:
-    """Map the oscillation to stretched coordinates: returns (l, z0).
-
-    z0 = sqrt(l^2 + y0^2) is the turning-point half-length; z0 = l at y0 = 0.
-    """
-    return osc.params.l, math.hypot(osc.params.l, osc.y0)
-
 
 def quartic_roots(osc: Oscillation) -> QuarticRoots:
     """Roots {-l, 2*l0 - z0, l, z0} in ascending order.
@@ -121,8 +107,9 @@ def quartic_roots(osc: Oscillation) -> QuarticRoots:
     the standard one; for z0 >= 2*l0 + l the second root drops below -l and
     the tuple is sorted accordingly.
     """
-    l, z0 = to_z_space(osc)
-    l0 = osc.params.l0
+    l0, l = osc.params.l0, osc.params.l
+    # z0 = sqrt(l^2 + y0^2), the turning-point half-length
+    z0 = math.hypot(l, osc.y0)
     roots = sorted((-l, 2.0 * l0 - z0, l, z0))
     return QuarticRoots(tuple(roots), -0.5 / l0)
 
@@ -133,8 +120,8 @@ def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, 
     Independent of the root-product form; exists so a generic polynomial
     root-finder can cross-check quartic_roots.
     """
-    l, z0 = to_z_space(osc)
-    l0 = osc.params.l0
+    l0, l = osc.params.l0, osc.params.l
+    z0 = math.hypot(l, osc.y0)
     return (
         -0.5 / l0,
         1.0,

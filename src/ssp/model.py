@@ -130,11 +130,6 @@ class StringParams(_Frozen):
             )
 
     @property
-    def rest_tension(self) -> float:
-        """Tension of either half at y = 0: sigma * (l - l0) / l0."""
-        return self.sigma * (self.l - self.l0) / self.l0
-
-    @property
     def linear_stiffness(self) -> float:
         """Squared angular frequency of the linearized motion, 2T/(m*l)."""
         return _linear_stiffness(self.l0, self.l, self.sigma, self.mass)

@@ -109,7 +109,7 @@ def _unit_radicand(p: StringParams, y0: float) -> Callable[[float], float]:
 
 def speed(osc: Oscillation, y: float) -> float:
     """|dy/dt| at displacement y for release from rest at y0."""
-    if abs(y) > osc.y0:
+    if not abs(y) <= osc.y0:
         raise InvalidParameters(
             f"|y| must not exceed the amplitude (|y|={abs(y)!r}, y0={osc.y0!r})"
         )

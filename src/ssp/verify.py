@@ -189,6 +189,9 @@ def run_invariant_suite(
     """
     if samples < 1:
         raise InvalidParameters(f"samples must be at least 1, got {samples!r}")
+    # Random(-n) seeds the same stream as Random(n)
+    if seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {seed!r}")
     rng = random.Random(seed)
     oscs = _draw_oscillations(rng, samples)
     sandwich, cross, periods = _check_sandwich_and_cross(oscs, rel_tol)

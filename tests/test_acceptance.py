@@ -27,7 +27,6 @@ from ssp import (
     rayleigh_period,
     simulate,
 )
-from ssp.bounds import relative_error_bounds, upper_bound
 from ssp.elliptic import quartic_coefficients, quartic_roots
 
 REFERENCE = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0)
@@ -121,9 +120,9 @@ def test_criterion_4_error_corollary_scaling():
     for rel in rel_amps:
         osc = Oscillation(REFERENCE, rel * REFERENCE.l)
         period = exact_period(osc).value
-        r = (period - upper_bound(REFERENCE)) / period
-        low, high = relative_error_bounds(osc)
-        ordered = ordered and low <= r <= high
+        bounds = compute_bounds(osc)
+        r = (period - bounds.upper) / period
+        ordered = ordered and bounds.rel_error_bound_corrected <= r <= 0.0
         r_vals.append(r)
     slope = np.polyfit(np.log(np.array(rel_amps) * REFERENCE.l), np.log(np.abs(r_vals)), 1)[0]
     ok = ordered and abs(slope - 2.0) <= 0.1

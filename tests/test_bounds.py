@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from ssp import (
+    InvalidParameters,
     Method,
     Oscillation,
     PeriodEstimate,
@@ -20,37 +21,28 @@ from ssp import (
     period_elliptic,
     rayleigh_period,
 )
-from ssp.bounds import (
-    _BOUND_ULPS,
-    _secant_upper,
-    lower_bound_corrected,
-    lower_bound_printed,
-    rel_error_bound_printed,
-    relative_error_bounds,
-    upper_bound,
-)
+from ssp.bounds import _BOUND_ULPS, _secant_upper
 from ssp.model import TWO_PI
 from strategies import oscillations
 
 
 def test_upper_bound_is_harmonic_period(reference_params):
-    assert upper_bound(reference_params) == rayleigh_period(reference_params)
-    np.testing.assert_allclose(upper_bound(reference_params), oracle.UPPER_REF, rtol=1e-15)
+    for y0 in (0.0, 0.5, 1e200):
+        upper = compute_bounds(Oscillation(reference_params, y0)).upper
+        assert upper == rayleigh_period(reference_params)
+    np.testing.assert_allclose(upper, oracle.UPPER_REF, rtol=1e-15)
 
 
 def test_lower_bounds_reference_values(reference_osc):
-    np.testing.assert_allclose(
-        lower_bound_corrected(reference_osc), oracle.LOWER_CORR_REF, rtol=1e-14
-    )
-    np.testing.assert_allclose(
-        lower_bound_printed(reference_osc), oracle.LOWER_PRINTED_REF, rtol=1e-14
-    )
+    b = compute_bounds(reference_osc)
+    np.testing.assert_allclose(b.lower_corrected, oracle.LOWER_CORR_REF, rtol=1e-14)
+    np.testing.assert_allclose(b.lower_printed, oracle.LOWER_PRINTED_REF, rtol=1e-14)
 
 
 def test_lower_bound_corrected_plain_formula(reference_osc):
     # 2*pi / sqrt(omega0^2 + sigma*y0^2/(m*l0*l^2)): 0.4 + 0.16 here.
     np.testing.assert_allclose(
-        lower_bound_corrected(reference_osc),
+        compute_bounds(reference_osc).lower_corrected,
         2.0 * math.pi / math.sqrt(0.56),
         rtol=1e-15,
     )
@@ -61,41 +53,61 @@ def test_bounds_coincide_at_zero_amplitude(reference_params):
     b = compute_bounds(osc)
     assert b.lower_corrected == b.upper
     assert b.lower_printed == b.upper
-    assert relative_error_bounds(osc) == (0.0, 0.0)
+    assert b.rel_error_bound_corrected == 0.0
+    assert b.rel_error_bound_printed == 0.0
 
 
 def test_relative_error_bounds_reference(reference_osc):
-    low, high = relative_error_bounds(reference_osc)
+    low = compute_bounds(reference_osc).rel_error_bound_corrected
     assert low == oracle.R_BOUND_CORR_REF
-    assert high == 0.0
     # The measured relative deviation sits inside the corollary's window.
-    assert low <= oracle.R_REF <= high
+    assert low <= oracle.R_REF <= 0.0
 
 
 def test_relative_error_bound_does_not_depend_on_sigma():
     # sigma cancels from sigma*y0^2/(4*T*l0*l); a sigma left in overflows to
     # -inf at sigma = 1e300, y0 = 1e5 and loses bits at subnormal sigma.
     for y0, expected in ((1.0, -0.8), (1e5, -8e9)):
-        ref = relative_error_bounds(Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), y0))
-        assert ref == (expected, 0.0)
+        osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), y0)
+        assert compute_bounds(osc).rel_error_bound_corrected == expected
         for sigma in (1e300, 1e-310):
             osc = Oscillation(StringParams(1.0, 1.25, sigma, 1.0), y0)
-            assert relative_error_bounds(osc) == ref
+            assert compute_bounds(osc).rel_error_bound_corrected == expected
 
 
 def test_printed_error_variant_computes(reference_osc):
     # Reported for comparison only; its scaling differs from the corrected
     # form, so no ordering against the true deviation is asserted.
-    assert rel_error_bound_printed(reference_osc) == -0.25
+    assert compute_bounds(reference_osc).rel_error_bound_printed == -0.25
 
 
-def test_compute_bounds_is_consistent(reference_osc):
-    b = compute_bounds(reference_osc)
-    assert b.upper == upper_bound(reference_osc.params)
-    assert b.lower_corrected == lower_bound_corrected(reference_osc)
-    assert b.lower_printed == lower_bound_printed(reference_osc)
-    assert b.rel_error_bound_corrected == relative_error_bounds(reference_osc)[0]
-    assert b.rel_error_bound_printed == rel_error_bound_printed(reference_osc)
+def test_compute_bounds_is_consistent(reference_params):
+    # the sandwich reads the record's rigorous bounds, bit for bit
+    for y0 in (0.0, 0.5, 1e200):
+        osc = Oscillation(reference_params, y0)
+        b = compute_bounds(osc)
+        report = check_sandwich(osc, exact_period(osc))
+        assert (report.lower, report.upper) == (b.lower_corrected, b.upper)
+
+
+_any_length = st.floats(5e-324, 1.7e308)
+
+
+@settings(max_examples=300)
+@given(_any_length, _any_length, _any_length, _any_length, st.floats(0.0, 1.7e308))
+def test_sandwich_bounds_are_the_records_across_the_float_range(a, b, sigma, mass, y0):
+    # check_sandwich and compute_bounds form the corrected lower bound
+    # through one helper and upper through rayleigh_period; no draw may
+    # split them, whatever over- or underflows
+    l0, l = sorted((a, b))
+    assume(l0 < l)
+    try:
+        osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    except InvalidParameters:
+        assume(False)
+    bounds = compute_bounds(osc)
+    report = check_sandwich(osc, PeriodEstimate(bounds.upper, Method.QUADRATURE, 0.0))
+    assert (report.lower, report.upper) == (bounds.lower_corrected, bounds.upper)
 
 
 def test_bracket_widens_with_amplitude(reference_params):
@@ -121,7 +133,7 @@ def test_bracket_closes_quadratically(reference_params):
 def test_error_bound_scales_quadratically(reference_params):
     amps = np.array([0.01, 0.02, 0.05, 0.1, 0.2]) * reference_params.l
     bound_mags = [
-        -relative_error_bounds(Oscillation(reference_params, a))[0] for a in amps
+        -compute_bounds(Oscillation(reference_params, a)).rel_error_bound_corrected for a in amps
     ]
     slope = np.polyfit(np.log(amps), np.log(bound_mags), 1)[0]
     np.testing.assert_allclose(slope, 2.0, atol=1e-12)
@@ -140,15 +152,12 @@ def test_sandwich_holds_for_the_real_period(osc):
 
 def test_sandwich_rejects_corrupted_estimate(reference_osc):
     honest = exact_period(reference_osc)
-    inflated = PeriodEstimate(
-        1.01 * upper_bound(reference_osc.params), Method.QUADRATURE, honest.err_estimate
-    )
+    b = compute_bounds(reference_osc)
+    inflated = PeriodEstimate(1.01 * b.upper, Method.QUADRATURE, honest.err_estimate)
     report = check_sandwich(reference_osc, inflated)
     assert not report.upper_ok
     assert not report.passed
-    deflated = PeriodEstimate(
-        0.99 * lower_bound_corrected(reference_osc), Method.QUADRATURE, 0.0
-    )
+    deflated = PeriodEstimate(0.99 * b.lower_corrected, Method.QUADRATURE, 0.0)
     assert not check_sandwich(reference_osc, deflated).lower_ok
 
 
@@ -162,8 +171,9 @@ def test_sandwich_refuses_a_period_just_below_the_lower_bound(reference_osc):
     # err_estimate plus 2*_BOUND_ULPS ulps of upper below the corrected lower
     # bound lies _BOUND_ULPS ulps outside the slack
     err = exact_period(reference_osc).err_estimate
-    gap = err + 2.0 * _BOUND_ULPS * math.ulp(upper_bound(reference_osc.params))
-    below = lower_bound_corrected(reference_osc) - gap
+    b = compute_bounds(reference_osc)
+    gap = err + 2.0 * _BOUND_ULPS * math.ulp(b.upper)
+    below = b.lower_corrected - gap
     report = check_sandwich(reference_osc, PeriodEstimate(below, Method.QUADRATURE, err))
     assert not report.lower_ok
     assert not report.passed
@@ -202,15 +212,16 @@ def test_sandwich_passes_periods_at_the_upper_bound(l, y0):
 @pytest.mark.parametrize("rel_amp", [1e-4, 0.4])
 def test_estimate_at_upper_bound_fails_strict(reference_params, rel_amp):
     osc = Oscillation(reference_params, rel_amp * reference_params.l)
+    upper = compute_bounds(osc).upper
     for engine in (exact_period, period_elliptic):
         est = engine(osc)
-        at_upper = PeriodEstimate(upper_bound(reference_params), est.method, est.err_estimate)
+        at_upper = PeriodEstimate(upper, est.method, est.err_estimate)
         report = check_sandwich(osc, at_upper)
         assert report.upper_ok
         assert not report.strict_upper_ok
     # an error estimate wider than the gap below upper waives strictness
-    gap = upper_bound(reference_params) - exact_period(osc).value
-    loose = PeriodEstimate(upper_bound(reference_params), Method.QUADRATURE, 2.0 * gap)
+    gap = upper - exact_period(osc).value
+    loose = PeriodEstimate(upper, Method.QUADRATURE, 2.0 * gap)
     assert check_sandwich(osc, loose).strict_upper_ok
 
 
@@ -220,7 +231,7 @@ def test_secant_bound_lies_between_period_and_upper(osc):
     est = exact_period(osc)
     secant = _secant_upper(osc)
     assert est.value <= secant + est.err_estimate
-    assert secant <= upper_bound(osc.params) * (1.0 + 1e-15)
+    assert secant <= compute_bounds(osc).upper * (1.0 + 1e-15)
 
 
 def test_bounds_survive_overflowing_amplitude(reference_params):
@@ -229,7 +240,7 @@ def test_bounds_survive_overflowing_amplitude(reference_params):
     osc = Oscillation(reference_params, 1e200)
     b = compute_bounds(osc)
     assert (b.lower_corrected, b.lower_printed) == (0.0, 0.0)
-    assert b.upper == upper_bound(reference_params)
+    assert b.upper == rayleigh_period(reference_params)
     assert b.rel_error_bound_corrected == -math.inf
     assert b.rel_error_bound_printed == -math.inf
     assert check_sandwich(osc, exact_period(osc)).passed
@@ -346,8 +357,9 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
     y0 = rel_amp * l
     assume(l0 < l and math.isfinite(y0))
     osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
-    upper = upper_bound(osc.params)
-    computed = {"upper": upper, "lower": lower_bound_corrected(osc), "secant": _secant_upper(osc)}
+    b = compute_bounds(osc)
+    upper = b.upper
+    computed = {"upper": upper, "lower": b.lower_corrected, "secant": _secant_upper(osc)}
     with mpmath.workdps(40):
         l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
         linear = 2 * sigma * (l - l0) / (mass * l0 * l)

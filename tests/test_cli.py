@@ -548,6 +548,25 @@ def test_degenerate_runs_exit_1(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    assert run_cli(capsys, "verify", "--seed", "-1") == (1, "", "error: seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--sweep", "y0", "--log", "--from", "0.1", "--to", "1", "--points", str(10**15)),
+        ("convergence", "--points", str(10**15)),
+    ],
+)
+def test_an_unallocatable_log_grid_exits_1(capsys, argv):
+    # numpy refuses 7.11 PiB at once, without allocating
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv, first",
     [

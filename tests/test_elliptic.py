@@ -20,7 +20,7 @@ from ssp import (
     period_elliptic,
     rayleigh_period,
 )
-from ssp.elliptic import _cel, quartic_coefficients, quartic_roots, to_z_space
+from ssp.elliptic import _cel, quartic_coefficients, quartic_roots
 from strategies import oscillations, positive_scale
 
 # cel's truncation error is half an ulp; this covers its rounding
@@ -92,15 +92,21 @@ def test_cel_failure_is_a_clean_error():
 # --- change of variables and the root structure -----------------------------
 
 
+def _z_space(osc):
+    """(l, z0): the clamp half-length and the turning-point half-length."""
+    return osc.params.l, math.hypot(osc.params.l, osc.y0)
+
+
 def test_z_space_reference(reference_osc):
-    l, z0 = to_z_space(reference_osc)
-    assert l == reference_osc.params.l
+    # the two largest roots are l and z0 = hypot(l, y0), bit for bit
+    l, z0 = quartic_roots(reference_osc).roots[2:]
+    assert (l, z0) == _z_space(reference_osc)
     np.testing.assert_allclose(z0, oracle.Z0_REF, rtol=1e-15)
 
 
 def test_z_space_at_zero_amplitude(reference_params):
     l = reference_params.l
-    assert to_z_space(Oscillation(reference_params, 0.0)) == (l, l)
+    assert quartic_roots(Oscillation(reference_params, 0.0)).roots[2:] == (l, l)
 
 
 def test_quartic_roots_reference(reference_osc):
@@ -118,7 +124,7 @@ def test_quartic_root_sum(osc):
     qr = quartic_roots(osc)
     total = math.fsum(qr.roots)
     np.testing.assert_allclose(total, 2.0 * osc.params.l0, rtol=1e-13)
-    l, z0 = to_z_space(osc)
+    l, z0 = _z_space(osc)
     standard = z0 < 2.0 * osc.params.l0 + l
     assert qr.roots[0] < qr.roots[1] < qr.roots[2] < qr.roots[3] or not standard
 
@@ -127,7 +133,7 @@ def test_factored_form_matches_direct_product(reference_osc):
     # -(1/(2 l0)) * prod(z - r_i) against (1/(2 l0)) (z^2-l^2)(z0-z)(z+z0-2 l0)
     osc = reference_osc
     l0 = osc.params.l0
-    l, z0 = to_z_space(osc)
+    l, z0 = _z_space(osc)
     qr = quartic_roots(osc)
     rng = np.random.default_rng(7)
     scale = (l + z0) ** 4 / (2.0 * l0)
@@ -141,30 +147,31 @@ def test_expanded_coefficients_match_roots(reference_osc):
     qr = quartic_roots(reference_osc)
     assert coeffs[0] == qr.leading
     rng = np.random.default_rng(11)
-    _, z0 = to_z_space(reference_osc)
+    _, z0 = _z_space(reference_osc)
     scale = abs(qr.leading) * (2.0 * z0) ** 4
     for z in rng.uniform(-z0, 2.0 * z0, size=50):
         assert abs(np.polyval(coeffs, z) - qr.evaluate(z)) <= 1e-12 * scale
 
 
 def test_radicand_sign_structure(reference_osc):
+    # the period integrand's radicand is twice the quartic, so shares its sign
     qr = quartic_roots(reference_osc)
-    l, z0 = to_z_space(reference_osc)
-    assert qr.radicand(l) == 0.0
-    assert qr.radicand(z0) == 0.0
+    l, z0 = _z_space(reference_osc)
+    assert qr.evaluate(l) == 0.0
+    assert qr.evaluate(z0) == 0.0
     for frac in (0.1, 0.5, 0.9):
-        assert qr.radicand(l + frac * (z0 - l)) > 0.0
+        assert qr.evaluate(l + frac * (z0 - l)) > 0.0
     # Leaves the oscillation interval: radicand negative just outside.
-    assert qr.radicand(z0 + 0.1 * (z0 - l)) < 0.0
+    assert qr.evaluate(z0 + 0.1 * (z0 - l)) < 0.0
 
 
 def test_radicand_vanishes_linearly_at_the_edges(reference_osc):
     qr = quartic_roots(reference_osc)
-    l, z0 = to_z_space(reference_osc)
+    l, z0 = _z_space(reference_osc)
     width = z0 - l
     for delta in (1e-4 * width, 1e-6 * width):
-        ratio_l = qr.radicand(l + delta) / delta
-        ratio_l2 = qr.radicand(l + 0.5 * delta) / (0.5 * delta)
+        ratio_l = 2.0 * qr.evaluate(l + delta) / delta
+        ratio_l2 = 2.0 * qr.evaluate(l + 0.5 * delta) / (0.5 * delta)
         np.testing.assert_allclose(ratio_l, ratio_l2, rtol=1e-3)
 
 
@@ -232,9 +239,9 @@ def _huge_amplitude_osc():
 def test_nonstandard_ordering_detected():
     # The roots order as -l < 2*l0 - z0 < l < z0 only while z0 < 2*l0 + l.
     osc = _huge_amplitude_osc()
-    l, z0 = to_z_space(osc)
+    l, z0 = _z_space(osc)
     assert not z0 < 2.0 * osc.params.l0 + l
-    l, z0 = to_z_space(Oscillation(osc.params, 0.5))
+    l, z0 = _z_space(Oscillation(osc.params, 0.5))
     assert z0 < 2.0 * osc.params.l0 + l
 
 

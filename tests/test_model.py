@@ -16,8 +16,8 @@ displacements = st.floats(-5.0, 5.0, allow_nan=False)
 
 
 def test_rest_tension_value(reference_params):
-    assert reference_params.rest_tension == 0.25
-    assert tension(reference_params, 0.0) == reference_params.rest_tension
+    # sigma*(l - l0)/l0, exactly
+    assert tension(reference_params, 0.0) == 0.25
 
 
 def test_tension_reference_value(reference_params):
@@ -41,7 +41,7 @@ def test_tension_even(p, y):
 
 @given(string_params(), displacements)
 def test_tension_at_least_rest_value(p, y):
-    assert tension(p, y) >= p.rest_tension
+    assert tension(p, y) >= tension(p, 0.0)
 
 
 def test_vertical_force_reference_value(reference_params):

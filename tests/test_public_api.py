@@ -17,17 +17,11 @@ SUPPORTED = [
     "SspError", "InvalidParameters", "EngineFailure",
 ]
 
-# kernels and single bounds: importable from their modules, not re-exported
+# kernels: importable from their modules, not re-exported
 MODULE_ONLY = {
     "ssp.model": ["acceleration", "energy", "tension", "vertical_force", "rayleigh_solution"],
     "ssp.quadrature": ["radicand_g", "speed"],
-    "ssp.elliptic": [
-        "QuarticRoots", "quartic_roots", "quartic_coefficients", "to_z_space",
-    ],
-    "ssp.bounds": [
-        "upper_bound", "lower_bound_corrected", "lower_bound_printed",
-        "relative_error_bounds", "rel_error_bound_printed",
-    ],
+    "ssp.elliptic": ["QuarticRoots", "quartic_roots", "quartic_coefficients"],
 }
 
 
@@ -40,12 +34,24 @@ def test_all_is_the_supported_surface():
 
 def test_module_only_names_import_from_their_modules():
     names = [n for group in MODULE_ONLY.values() for n in group]
-    assert len(names) == 16
+    assert len(names) == 10
     for module, group in MODULE_ONLY.items():
         mod = importlib.import_module(module)
         for name in group:
             assert callable(getattr(mod, name)), f"{module}.{name}"
             assert name not in ssp.__all__
+
+
+def test_bounds_are_reached_through_the_record_alone():
+    bounds, elliptic, model = ssp.bounds, ssp.elliptic, ssp.model
+    assert bounds.__all__ == ["PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich"]
+    gone = (
+        (bounds, "upper_bound"), (bounds, "lower_bound_corrected"),
+        (bounds, "lower_bound_printed"), (bounds, "relative_error_bounds"),
+        (bounds, "rel_error_bound_printed"), (model.StringParams, "rest_tension"),
+        (elliptic, "to_z_space"), (elliptic.QuarticRoots, "radicand"),
+    )
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
 
 
 def _last_line_of(code):

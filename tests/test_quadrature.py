@@ -83,8 +83,10 @@ def test_speed_vanishes_at_turning_points(reference_osc):
 
 def test_speed_even_and_domain_checked(reference_osc):
     assert speed(reference_osc, 0.3) == speed(reference_osc, -0.3)
-    with pytest.raises(InvalidParameters):
-        speed(reference_osc, 1.01 * reference_osc.y0)
+    # a NaN displacement lies on no orbit either
+    for y in (1.01 * reference_osc.y0, math.inf, math.nan):
+        with pytest.raises(InvalidParameters):
+            speed(reference_osc, y)
 
 
 def test_speed_consistent_with_energy(reference_osc):

@@ -6,7 +6,7 @@ import pytest
 
 import ssp.verify
 from ssp import InvalidParameters, Method, PeriodEstimate, exact_period, run_invariant_suite
-from ssp.bounds import check_sandwich, lower_bound_corrected
+from ssp.bounds import check_sandwich, compute_bounds
 from ssp.cli import main
 from ssp.elliptic import QuarticRoots, period_elliptic, quartic_roots
 
@@ -88,6 +88,12 @@ def test_each_draw_is_integrated_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_negative_seed_is_refused():
+    # Random(-7) seeds Random(7)'s stream, which would run under seed=-7
+    with pytest.raises(InvalidParameters, match=r"^seed must be >= 0, got -7$"):
+        run_invariant_suite(samples=30, seed=-7)
+
+
 def test_nan_deviation_fails(monkeypatch, capsys):
     # a NaN deviation is no agreement: it fails and shows as the worst
     nan = PeriodEstimate(math.nan, Method.ELLIPTIC, 0.0)
@@ -108,7 +114,7 @@ def test_sandwich_check_catches_a_period_below_the_lower_bound(monkeypatch, caps
 
     def below(osc, rel_tol):
         est = exact_period(osc, rel_tol)
-        return est._replace(value=lower_bound_corrected(osc) * (1.0 - 1e-6))
+        return est._replace(value=compute_bounds(osc).lower_corrected * (1.0 - 1e-6))
 
     def recorded(osc, est):
         reports.append(check_sandwich(osc, est))
