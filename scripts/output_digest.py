@@ -12,8 +12,7 @@ in the other changes the digest. The
 runs, which stop at their first zero crossing, and the `measure_period`
 digest the period estimates of the same runs. On the same 128 strings,
 `simulate(n_periods=1)` covers the arrays, counts, `local_err` and period
-estimate of a one-period run, and `integrate` the turning events of a run
-over 1.25 linear periods from rest at y0: both read their events off the
+estimate of a one-period run, which reads its turning events off the
 velocity root of the continuous extension.
 Each CLI digest covers one command's stdout, exit code and whether stderr
 holds a traceback or a Python warning, run as a fresh `python -m ssp.cli`
@@ -149,13 +148,8 @@ def trajectory_fields(traj: odesim.Trajectory) -> tuple:
     return [a.tobytes() for a in arrays], traj.n_accepted, traj.n_rejected, traj.local_err
 
 
-def events_over(osc: Oscillation, periods: float) -> bytes:
-    span = (0.0, periods * model.rayleigh_period(osc.params))
-    return odesim.integrate(osc, span, (osc.y0, 0.0)).events.tobytes()
-
-
 def simulate_digests() -> dict[str, str]:
-    names = ("simulate", "measure_period", "simulate(n_periods=1)", "integrate")
+    names = ("simulate", "measure_period", "simulate(n_periods=1)")
     d = {name: Digest() for name in names}
     rng = np.random.default_rng([1, workloads.WORKLOADS.index("ode")])
     oscs = workloads.draw(rng, SIM_RUNS, workloads.SMALL) + workloads.draw(rng, SIM_RUNS, workloads.LARGE)
@@ -171,7 +165,6 @@ def simulate_digests() -> dict[str, str]:
         if not isinstance(traj, str):
             d["simulate(n_periods=1)"].add(trajectory_fields(traj))
             d["simulate(n_periods=1)"].call(odesim.measure_period, traj)
-        d["integrate"].call(events_over, osc, 1.25)
     return {name: dig.hexdigest() for name, dig in d.items()}
 
 

@@ -12,7 +12,7 @@ from .bounds import PeriodBounds, SandwichReport, check_sandwich, compute_bounds
 from .elliptic import period_elliptic
 from .errors import EngineFailure, InvalidParameters, SspError
 from .model import Oscillation, StringParams, rayleigh_period
-from .odesim import SimConfig, Trajectory, integrate, measure_period, simulate
+from .odesim import SimConfig, Trajectory, measure_period, simulate
 from .quadrature import Method, PeriodEstimate, exact_period
 from .verify import CheckResult, VerifyReport, run_invariant_suite
 
@@ -35,7 +35,6 @@ __all__ = [
     "check_sandwich",
     "compute_bounds",
     "exact_period",
-    "integrate",
     "measure_period",
     "period_elliptic",
     "rayleigh_period",

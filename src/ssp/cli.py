@@ -217,8 +217,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     osc = _oscillation(args)
-    if osc.y0 == 0.0:
-        raise InvalidParameters("trajectory needs y0 > 0")
     sim_cfg = _engine_configs(args)[1]
     traj = simulate(osc, SimConfig(sim_cfg.rel_tol, args.periods))
     header = ["t", "y", "v", "E"]

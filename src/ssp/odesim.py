@@ -33,13 +33,13 @@ does the same operations in the same order, so every force value is the
 model's, scaled by a power of two.
 
 Every accepted step is recorded, in plain lists, the turning times in
-physical time; `simulate` and `integrate` import numpy where they turn them
-into a Trajectory's arrays, and complete the default run's half period
-with the mirror images of the samples before t_q. measure_period reads the
-period off the lists, so it needs neither numpy nor the mirror images. The
-error weights of (y, v) are rel_tol * |value| plus an absolute floor of
-1e-12 * y_scale for y and the same floor times the linear angular frequency
-for v, where y_scale is the larger of y0 and the initial displacement.
+physical time; `simulate` imports numpy where it turns them into a
+Trajectory's arrays, and completes the default run's half period with the
+mirror images of the samples before t_q. measure_period reads the period
+off the lists, so it needs neither numpy nor the mirror images. The error
+weights of (y, v) are rel_tol * |value| plus an absolute floor of
+1e-12 * y0 for y and the same floor times the linear angular frequency
+for v.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .quadrature import Method, PeriodEstimate
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["SimConfig", "Trajectory", "simulate", "integrate", "measure_period"]
+__all__ = ["SimConfig", "Trajectory", "simulate", "measure_period"]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -65,7 +65,7 @@ _PI_ALPHA = 0.7 / 8.0  # proportional exponent
 _PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
 # root mean square over the two components (y, v)
 _RMS = math.sqrt(0.5)
-# absolute error floor of y, relative to the displacement scale
+# absolute error floor of y, relative to y0
 _ABS_FLOOR = 1e-12
 # attempted steps (accepted plus rejected) before the run gives up
 _MAX_STEPS = 10_000_000
@@ -99,7 +99,7 @@ class SimConfig(_Frozen):
 
 
 class Trajectory(NamedTuple):
-    """Recorded samples of one integration run. Arrays are read-only views.
+    """Recorded samples of one release from rest. Arrays are read-only views.
 
     t, y, v are the sample times, displacements, and velocities: one
     sample per accepted step plus the initial state, except on the
@@ -111,8 +111,8 @@ class Trajectory(NamedTuple):
     steps of the fifth-order local error estimates
     |err5_y| + |err5_v|/omega_c, each times the factor
     e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm weighs it,
-    relative to the displacement scale, where omega_c is the chord
-    frequency at that scale (see measure_period).
+    relative to y0, where omega_c is the chord frequency at y0 (see
+    measure_period).
     """
 
     t: np.ndarray
@@ -126,10 +126,11 @@ class Trajectory(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """What _run records: the samples on the unit values, where physical time
-    is unit time times 2**_period_exp, the turning times in physical time,
-    the step counts, local_err (see Trajectory) and, where the run stopped
-    at its first zero crossing, the unit time t_q of that crossing."""
+    """What _release records: the samples on the unit values, where
+    physical time is unit time times 2**_period_exp, the turning times in
+    physical time, the step counts, local_err (see Trajectory) and, where
+    the run stopped at its first zero crossing, the unit time t_q of that
+    crossing."""
 
     t: list[float]
     y: list[float]
@@ -141,28 +142,20 @@ class _Run(NamedTuple):
     t_q: float | None
 
 
-def _run(
-    osc: Oscillation,
-    t_span: tuple[float, float],
-    state0: tuple[float, float],
-    rel_tol: float,
-    max_events: int | None = None,
-) -> _Run:
-    """Integrate (y, v) under the model's force from state0 over t_span,
-    stopping early once max_events (at least 2) turning events are recorded.
+def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
+    """simulate's run, before its arrays are built: (y, v) from (y0, 0) at
+    t = 0 under the model's force, forward until 2*n_periods turning events
+    follow the one at t = 0. A run that reaches the horizon first,
+    n_periods + 2 linear periods (see simulate), raises EngineFailure. The
+    force is odd, so the default run (n_periods = 0.5) stops on the step
+    where y first reaches 0, at t_q, and records the turning at 2*t_q, the
+    mirror image of the release, as its second event and t_q (in unit
+    time) as _Run.t_q. t_q and the turning points are roots of the step's
+    one polynomial extension (see _dop853).
 
-    max_events = 2 is half a period of a release from rest at y0 > 0: the
-    force is odd, so the run stops on the step where y first reaches 0, at
-    t_q, and records the turning at 2*t_q, its mirror image, as its second
-    event and t_q (in unit time) as _Run.t_q. t_q and the turning points
-    are roots of the step's one polynomial extension (see _dop853).
-
-    A step below 32 ulps of max(|t0|, |t_end|) raises EngineFailure, and a
-    nonempty span whose first step is already below it InvalidParameters.
-    Every t of the run lies between t0 and t_end, so this floor is never
-    below 32 ulps of max(|t|, |t_end|). For simulate, which runs from 0 up
-    to its horizon, the two are equal on every step; on spans where |t|
-    falls below |t0|, EngineFailure comes in the same cases or earlier.
+    A step below 32 ulps of the horizon raises EngineFailure, and a first
+    step already below it InvalidParameters, as does a horizon beyond the
+    float range, whose floor is inf.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -175,70 +168,68 @@ def _run(
     p = osc.params
     e, shift = p._length_exp, p._period_exp
     accel = _bound_acceleration(p)
-    t, t_end = _scaled(t_span[0], -shift), _scaled(t_span[1], -shift)
-    y, v = _scaled(state0[0], -2 * e), _scaled(state0[1], shift - 2 * e)
-    if not all(map(math.isfinite, (t, t_end, y, v))):
-        raise InvalidParameters(
-            f"t_span {t_span!r} or state {state0!r} leaves the float range on the unit scale"
-        )
-    y_scale = max(osc._unit_y0, abs(y))
-    if y_scale == 0.0:
-        raise InvalidParameters("simulation needs a nonzero amplitude or displacement")
+    rel_tol = cfg.rel_tol
+    want = int(2 * cfg.n_periods) + 1
+    horizon = (cfg.n_periods + 2) * rayleigh_period(p)
+    t, t_end = 0.0, _scaled(horizon, -shift)
+    y0 = osc._unit_y0
+    if y0 == 0.0:
+        raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
-    abs_y = _ABS_FLOOR * y_scale
+    abs_y = _ABS_FLOOR * y0
     abs_v = abs_y * omega0
     if abs_y == 0.0 or abs_v == 0.0:
         raise InvalidParameters(
-            f"cannot simulate at amplitude {max(osc.y0, abs(state0[0]))!r} with "
+            f"cannot simulate at amplitude {osc.y0!r} with "
             f"l0 = {p.l0!r}, l = {p.l!r}: an absolute error floor underflows to 0"
         )
 
-    direction = 1.0 if t_end >= t else -1.0
-    h = direction * min(abs(t_end - t), TWO_PI / omega0 / 100.0)
-    h_floor = 32.0 * math.ulp(max(abs(t), abs(t_end)))
-    if t != t_end and abs(h) < h_floor:
+    h = min(t_end, TWO_PI / omega0 / 100.0)
+    h_floor = 32.0 * math.ulp(t_end)
+    if h < h_floor:
         raise InvalidParameters(
-            f"t_span {t_span!r} cannot be stepped: its first step, {_scaled(h, shift)!r}, "
-            f"is below the step floor of 32 ulps of its larger end"
+            f"n_periods = {cfg.n_periods!r} cannot be run: the first step, "
+            f"{_scaled(h, shift)!r}, is below the step floor of 32 ulps of its "
+            f"horizon, {horizon!r} (n_periods + 2 linear periods)"
         )
     # the force at the step end is the next step's first stage (FSAL)
+    y, v = y0, 0.0
     k0 = accel(y)
     if not math.isfinite(k0):
         raise EngineFailure(
-            f"the force per unit mass at y = {state0[0]!r} is {k0!r} "
+            f"the force per unit mass at y = {osc.y0!r} is {k0!r} "
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
-    ay, av = abs(y), abs(v)
+    ay, av = y, v
     # velocity errors count as displacement errors at the chord frequency
-    # sqrt(|F(y_scale)|/(m*y_scale)), the root of the model's largest
-    # F(y)/(m*y) on the orbit; omega0 where the force there is 0, overflows
-    # or is NaN
-    omega_c = math.sqrt(abs(accel(y_scale)) / y_scale)
+    # sqrt(|F(y0)|/(m*y0)), the root of the model's largest F(y)/(m*y) on
+    # the orbit; omega0 where the force there is 0, overflows or is NaN
+    omega_c = math.sqrt(abs(accel(y0)) / y0)
     if not 0.0 < omega_c < math.inf:
         omega_c = omega0
 
     ts, ys, vs = [t], [y], [v]
     local = 0.0
-    events: list[float] = [_scaled(t, shift)] if v == 0.0 else []
+    events = [0.0]
     err = err_prev = 1e-4
     n_acc = 0
     n_rej = 0
     just_rejected = False
     t_q = None
 
-    while (t - t_end) * direction < 0.0:
+    while t < t_end:
         if n_acc + n_rej >= _MAX_STEPS:
             raise EngineFailure(
                 f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
             )
-        if abs(h) < h_floor:
+        if h < h_floor:
             # a last trial step that is not finite had its stage sums overflow
             why = "step size underflowed" if math.isfinite(err) else (
                 f"the trial steps were not finite (the force per unit mass at the "
                 f"step start, y = {_scaled(y, 2 * e)!r}, is {_scaled(k0, 2 * (e - shift))!r})"
             )
             raise EngineFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
-        if (t + h - t_end) * direction > 0.0:
+        if t + h > t_end:
             h = t_end - t
 
         y_new, v_new, err5_y, err5_v, err3_y, err3_v, ks = _dop853.step(accel, y, v, k0, h)
@@ -256,7 +247,7 @@ def _run(
         if err <= 1.0:
             t_new = t + h
             k_new = accel(y_new)
-            if max_events == 2 and y_new <= 0.0:
+            if want == 2 and y_new <= 0.0:
                 if y_new == 0.0:
                     t_q = t_new
                 else:
@@ -277,8 +268,8 @@ def _run(
             vs.append(v)
             if event is not None:
                 events.append(_scaled(event, shift))
-                if len(events) == max_events:
-                    break
+                if len(events) == want:
+                    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -297,7 +288,9 @@ def _run(
             h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
             just_rejected = True
 
-    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y_scale, t_q)
+    raise EngineFailure(
+        f"expected {want} turning events within {horizon!r} time units, found {len(events)}"
+    )
 
 
 def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
@@ -333,19 +326,6 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
 
 
-def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
-    """simulate's run, before its arrays are built."""
-    horizon = (cfg.n_periods + 2) * rayleigh_period(osc.params)
-    want = int(2 * cfg.n_periods) + 1
-    run = _run(osc, (0.0, horizon), (osc.y0, 0.0), cfg.rel_tol, want)
-    if len(run.events) < want:
-        raise EngineFailure(
-            f"expected {want} turning events within {horizon!r} time units, "
-            f"found {len(run.events)}"
-        )
-    return run
-
-
 def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     """Release from rest at y0 and integrate until n_periods have elapsed.
 
@@ -360,18 +340,6 @@ def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     return _trajectory(osc, _release(osc, cfg))
 
 
-def integrate(
-    osc: Oscillation, t_span: tuple[float, float], state0: tuple[float, float]
-) -> Trajectory:
-    """Integrate an arbitrary initial state over t_span (backward allowed)
-    at the default SimConfig tolerance.
-
-    Turning events are recorded but never stop the run; the trajectory always
-    reaches t_span[1] exactly.
-    """
-    return _trajectory(osc, _run(osc, t_span, state0, SimConfig().rel_tol))
-
-
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """Period from turning events: the time from the first to the last
     over the number of periods between them, n_periods = (events.size - 1)/2.
@@ -382,13 +350,13 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     The error estimate is value * local_err / n_periods, 2*value*local_err
     on the default run. local_err sums the embedded estimates
     |err5_y| + |err5_v|/omega_c of the accepted steps, as the step-size
-    control weighs them, relative to the displacement scale:
+    control weighs them, relative to y0:
     local errors of the fifth-order solution, which exceed those of the
     eighth-order one that is carried forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e
     radians, e/(2*pi) of a period, so the estimate covers the accumulated
     phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).
-    omega_c, the chord frequency sqrt(|F(y_scale)|/(m*y_scale)), sizes the
+    omega_c, the chord frequency sqrt(|F(y0)|/(m*y0)), sizes the
     velocity term by the motion's own time scale, so the estimate stays
     tight where the period falls far below the linear one. traj may also be
     simulate's run before its arrays are built (_release).

@@ -20,7 +20,6 @@ from ssp import (
     Trajectory,
     check_sandwich,
     exact_period,
-    integrate,
     measure_period,
     rayleigh_period,
     simulate,
@@ -164,29 +163,22 @@ def test_measured_period_sits_inside_bounds(default_traj):
 
 
 def test_half_period_reaches_mirror_point(default_traj):
-    osc, traj = default_traj
-    t_half = traj.events[1]
-    out = integrate(osc, (0.0, t_half), (osc.y0, 0.0))
-    assert abs(out.y[-1] + osc.y0) < 1e-8 * osc.y0
+    # the one-period run integrates through P/2, where the default run stops
+    # at its zero crossing and mirrors: both turn at -y0 at the same time
+    osc, _ = default_traj
+    half = simulate(osc)
+    full = simulate(osc, SimConfig(n_periods=1))
+    tol = measure_period(half).err_estimate + measure_period(full).err_estimate
+    assert abs(full.events[1] - half.events[1]) <= tol
 
 
 def test_full_period_return(default_traj):
     osc, _ = default_traj
-    period = exact_period(osc).value
-    out = integrate(osc, (0.0, period), (osc.y0, 0.0))
-    assert out.t[-1] == period
-    assert abs(out.y[-1] - osc.y0) < 1e-6 * osc.y0
-    assert abs(out.v[-1]) < 1e-6
-
-
-def test_time_reversal_symmetry(default_traj):
-    osc, _ = default_traj
-    period = exact_period(osc).value
-    fwd = integrate(osc, (0.0, 0.5 * period), (osc.y0, 0.0))
-    back = integrate(osc, (0.5 * period, 0.0), (fwd.y[-1], fwd.v[-1]))
-    v_scale = np.max(np.abs(fwd.v))
-    assert abs(back.y[-1] - osc.y0) < 1e-8 * osc.y0
-    assert abs(back.v[-1]) < 1e-8 * v_scale
+    traj = simulate(osc, SimConfig(n_periods=1))
+    est = measure_period(traj)
+    exact = exact_period(osc)
+    assert traj.events[0] == 0.0 and traj.events[2] == est.value
+    assert abs(est.value - exact.value) <= est.err_estimate + exact.err_estimate
 
 
 def test_linearized_force_recovers_harmonic_period(default_traj, monkeypatch):
@@ -285,18 +277,19 @@ def test_velocity_root_is_the_extension_root(default_traj):
 
 
 def test_against_scipy_rk45(default_traj):
+    # every sample of a one-period run, against SciPy's RK45 at those times
     osc, _ = default_traj
-    period = exact_period(osc).value
+    mine = simulate(osc, SimConfig(n_periods=1))
 
     def rhs(t, s):
         return [s[1], acceleration(osc.params, s[0])]
 
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, period), [osc.y0, 0.0], rtol=1e-10, atol=1e-12
+        rhs, (0.0, mine.t[-1]), [osc.y0, 0.0], t_eval=mine.t, rtol=1e-10, atol=1e-12
     )
-    mine = integrate(osc, (0.0, period), (osc.y0, 0.0))
-    assert abs(mine.y[-1] - sol.y[0, -1]) < 1e-6 * osc.y0
-    assert abs(mine.v[-1] - sol.y[1, -1]) < 1e-6
+    assert sol.success
+    assert np.max(np.abs(mine.y - sol.y[0])) < 1e-6 * osc.y0
+    assert np.max(np.abs(mine.v - sol.y[1])) < 1e-6
 
 
 def _same_bytes(a, b):
@@ -325,19 +318,6 @@ def test_simulate_ends_on_the_step_of_its_last_event(default_traj, n_periods):
     assert traj.t[-2] < traj.events[-1] <= traj.t[-1]
 
 
-def test_integrate_runs_backward_through_zero(default_traj):
-    # the run crosses t = 0 backward, ends exactly at t_span[1] and records
-    # its turning events without stopping at them
-    osc, _ = default_traj
-    big_p = rayleigh_period(osc.params)
-    traj = integrate(osc, (0.5 * big_p, -0.5 * big_p), (osc.y0, 0.0))
-    assert traj.t[-1] == -0.5 * big_p
-    half = 0.5 * exact_period(osc).value
-    np.testing.assert_allclose(
-        traj.events, 0.5 * big_p - half * np.arange(3), rtol=0.0, atol=1e-8 * big_p
-    )
-
-
 def test_tighter_tolerance_takes_more_steps(default_traj):
     osc, _ = default_traj
     coarse = simulate(osc, SimConfig(rel_tol=1e-6, n_periods=2))
@@ -359,22 +339,6 @@ def test_underflowing_error_floor_rejected(l, y0):
         simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
 
 
-@pytest.mark.parametrize(
-    "t_span, state0",
-    [
-        ((0.0, 1e-150), (1e10, 0.0)),
-        ((0.0, 1e-150), (1e-300, 1e300)),
-        ((0.0, 1e200), (1e-300, 0.0)),
-    ],
-)
-def test_state_beyond_the_unit_range_refused(t_span, state0):
-    # on the unit lengths of l = 1e-300 these displacements, velocities and
-    # times overflow: a clean refusal, not an OverflowError
-    osc = Oscillation(StringParams(1e-301, 1e-300, 1.0, 1.0), 1e-300)
-    with pytest.raises(InvalidParameters, match="float range"):
-        integrate(osc, t_span, state0)
-
-
 @pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
 def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     # sigma/m = 1e600 overflows a float and 1e-600 underflows; the run is in
@@ -388,14 +352,14 @@ def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
 
 @pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
 def test_turning_times_are_physical_times(sigma, mass):
-    # the run is in unit time, 2**_period_exp times the physical one; a
-    # release from rest at t = P turns at P, 1.5P and 2P all the same
+    # the run is in unit time, 2**_period_exp times the physical one; its
+    # turning times are physical: 0, P/2 and P
     osc = Oscillation(StringParams(1.0, 1.25, sigma, mass), 0.5)
     assert osc.params._period_exp != 0
     big_p = exact_period(osc).value
-    traj = integrate(osc, (big_p, 2.25 * big_p), (osc.y0, 0.0))
-    assert traj.events[0] == big_p
-    np.testing.assert_allclose(traj.events, [big_p, 1.5 * big_p, 2.0 * big_p], rtol=1e-9)
+    traj = simulate(osc, SimConfig(n_periods=1))
+    assert traj.events[0] == 0.0
+    np.testing.assert_allclose(traj.events, [0.0, 0.5 * big_p, big_p], rtol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -481,14 +445,14 @@ def test_overflowing_trial_steps_named():
     assert abs(est.value - math.pi * math.sqrt(2.0)) <= est.err_estimate
 
 
-@pytest.mark.parametrize("t_span", [(0.0, 1e20), (1e300, 0.0), (1.0, 1.0 + 2.0**-50)])
-def test_span_below_the_step_floor_refused(t_span):
-    # the step floor, 32 ulps of the span's larger end, exceeds the first
-    # step; the run said "step size underflowed" before trying any step
+@pytest.mark.parametrize("n_periods", [1e13, 5e307])
+def test_span_below_the_step_floor_refused(n_periods):
+    # the step floor, 32 ulps of the horizon, exceeds the first step; it is
+    # inf where the horizon leaves the float range (n_periods = 5e307). The
+    # run said "step size underflowed" before trying any step
     osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
-    with pytest.raises(InvalidParameters, match=r"^t_span .* cannot be stepped"):
-        integrate(osc, t_span, (osc.y0, 0.0))
-    assert integrate(osc, (1e20, 1e20), (osc.y0, 0.0)).t.tolist() == [1e20]
+    with pytest.raises(InvalidParameters, match=r"^n_periods = .* cannot be run: the first step"):
+        simulate(osc, SimConfig(n_periods=n_periods))
 
 
 def test_step_budget_enforced(default_traj, monkeypatch):

@@ -11,7 +11,7 @@ import ssp
 SUPPORTED = [
     "StringParams", "Oscillation", "rayleigh_period",
     "PeriodEstimate", "Method", "exact_period", "period_elliptic",
-    "SimConfig", "Trajectory", "simulate", "integrate", "measure_period",
+    "SimConfig", "Trajectory", "simulate", "measure_period",
     "PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich",
     "CheckResult", "VerifyReport", "run_invariant_suite",
     "SspError", "InvalidParameters", "EngineFailure",
@@ -26,7 +26,7 @@ MODULE_ONLY = {
 
 
 def test_all_is_the_supported_surface():
-    assert len(SUPPORTED) == 22
+    assert len(SUPPORTED) == 21
     assert sorted(ssp.__all__) == sorted(SUPPORTED)
     for name in ssp.__all__:
         assert getattr(ssp, name) is not None
@@ -43,13 +43,14 @@ def test_module_only_names_import_from_their_modules():
 
 
 def test_bounds_are_reached_through_the_record_alone():
-    bounds, elliptic, model = ssp.bounds, ssp.elliptic, ssp.model
+    bounds, elliptic, model, odesim = ssp.bounds, ssp.elliptic, ssp.model, ssp.odesim
     assert bounds.__all__ == ["PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich"]
     gone = (
         (bounds, "upper_bound"), (bounds, "lower_bound_corrected"),
         (bounds, "lower_bound_printed"), (bounds, "relative_error_bounds"),
         (bounds, "rel_error_bound_printed"), (model.StringParams, "rest_tension"),
         (elliptic, "to_z_space"), (elliptic.QuarticRoots, "radicand"),
+        (odesim, "integrate"),
     )
     assert [name for owner, name in gone if hasattr(owner, name)] == []
 
