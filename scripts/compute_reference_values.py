@@ -166,17 +166,16 @@ def main():
 
     print("== direct closed forms (mpmath, 40 dps) ==")
     show("z0 = sqrt(l^2+y0^2)", z0)
-    show("tension(y=0.5)", tension_half)
-    show("vertical_force(y=0.5)", vforce_half)
+    show("tension at y=0.5", tension_half)
+    show("vertical force at y=0.5", vforce_half)
     show("acceleration(y=0.5, m=2)", vforce_half / 2)
     show("rest tension T", t_rest)
     print("tension near l = l0 (oracle.TENSION_NEAR_L0):")
     for cell, t in tension_near_l0():
         print(f"    ({cell!r}, {float(t)!r}),  # {mp.nstr(t, 30, min_fixed=0, max_fixed=0)}")
-    show("energy(0,0)", 2 * SIGMA / MASS * (0 - z_of(mp.mpf(0))))
+    show("energy(y0,0)", 2 * SIGMA / MASS * (Y0 * Y0 / (2 * L0) - z0))
     show("rayleigh period", rayleigh_period())
     show("g(0)", radicand_g(mp.mpf(0)))
-    show("speed(0)", mp.sqrt(2 * SIGMA / MASS * Y0 * Y0 * radicand_g(mp.mpf(0))))
 
     print("\n== quartic data at the reference instance ==")
     for r in sorted([-L, 2 * L0 - z0, L, z0]):

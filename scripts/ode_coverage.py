@@ -14,8 +14,9 @@ error, the smallest err_estimate/actual error (an estimate covers its error
 where this is above 1), the largest err_estimate/value, and the mean and
 largest accepted steps, rejected steps and force evaluations per run. Forces
 are computed from each run's step and event counts: twelve per accepted step,
-eleven per rejected one, three per located event and two at the start, the
-identity tests/test_odesim.py::test_default_run_force_count pins.
+eleven per rejected one, three per located event and one at the start (the
+first stage, whose value also gives the chord frequency), the identity
+tests/test_odesim.py::test_default_run_force_count pins.
 
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
 the smallest is not finite: an estimate that fails to cover its error, a NaN,
@@ -69,7 +70,7 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
         acc.append(traj.n_accepted)
         rej.append(traj.n_rejected)
         located = traj.events.size - 1  # the event at t = 0 is the release
-        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2)
+        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 1)
     print(
         f"{label:<28} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
         f"max est/value {max(size):.3g}  accepted {np.mean(acc):.1f} (max {max(acc)})  "

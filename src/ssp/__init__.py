@@ -5,7 +5,7 @@ half-oscillation integral, a closed form built from one Bulirsch generalized
 complete elliptic integral, and direct simulation of the equation of motion),
 plus the small-amplitude approximation and a-priori bounds that sandwich the
 period for every amplitude, all fields of one compute_bounds record. Kernels
-(radicand_g, quartic_roots, ...) are imported from their own modules.
+(acceleration, radicand_g) are imported from their own modules.
 """
 
 from .bounds import PeriodBounds, SandwichReport, check_sandwich, compute_bounds

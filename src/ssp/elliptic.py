@@ -30,19 +30,13 @@ quadratically. The engine shares no numerical code with the quadrature.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import EngineFailure
 from .model import _Y0_CAP, Oscillation, _from_unit_scale
 from .quadrature import Method, PeriodEstimate
 from .quadrature import adaptive_gk as rf, adaptive_gk as rj, exact_period  # noqa: F401  tracer-only
 
-__all__ = [
-    "QuarticRoots",
-    "quartic_roots",
-    "quartic_coefficients",
-    "period_elliptic",
-]
+__all__ = ["period_elliptic"]
 
 # Each step of the AGM doubles the digits. period_elliptic's kc lies in
 # [sqrt(1/2), about 2**29] (y0/l is at most model._Y0_CAP) and takes at most 8
@@ -82,53 +76,6 @@ def _cel(kc: float, p: float, a: float, b: float) -> float:
         qc = 2.0 * math.sqrt(e)
         e = qc * em
     raise EngineFailure(f"cel AGM did not converge at kc={kc!r}")
-
-
-class QuarticRoots(NamedTuple):
-    """Roots of the z-space quartic, ascending, plus its leading coefficient.
-
-    The quartic is presented with leading coefficient -1/(2*l0); the period
-    integrand's radicand (1/l0)*(z^2-l^2)*(z0-z)*(z+z0-2*l0) is exactly twice
-    the value ``evaluate`` gives.
-    """
-
-    roots: tuple[float, float, float, float]
-    leading: float
-
-    def evaluate(self, z: float) -> float:
-        r1, r2, r3, r4 = self.roots
-        return self.leading * (z - r1) * (z - r2) * (z - r3) * (z - r4)
-
-
-def quartic_roots(osc: Oscillation) -> QuarticRoots:
-    """Roots {-l, 2*l0 - z0, l, z0} in ascending order.
-
-    Their sum telescopes to 2*l0 exactly. The ascending order shown here is
-    the standard one; for z0 >= 2*l0 + l the second root drops below -l and
-    the tuple is sorted accordingly.
-    """
-    l0, l = osc.params.l0, osc.params.l
-    # z0 = sqrt(l^2 + y0^2), the turning-point half-length
-    z0 = math.hypot(l, osc.y0)
-    roots = sorted((-l, 2.0 * l0 - z0, l, z0))
-    return QuarticRoots(tuple(roots), -0.5 / l0)
-
-
-def quartic_coefficients(osc: Oscillation) -> tuple[float, float, float, float, float]:
-    """Expanded coefficients (z^4 first) of the -1/(2*l0)-normalized quartic.
-
-    Independent of the root-product form; exists so a generic polynomial
-    root-finder can cross-check quartic_roots.
-    """
-    l0, l = osc.params.l0, osc.params.l
-    z0 = math.hypot(l, osc.y0)
-    return (
-        -0.5 / l0,
-        1.0,
-        (l * l + z0 * z0) / (2.0 * l0) - z0,
-        -l * l,
-        l * l * z0 - l * l * z0 * z0 / (2.0 * l0),
-    )
 
 
 def _root_gaps(l0: float, l: float, y0: float) -> tuple[float, ...]:

@@ -129,11 +129,6 @@ class StringParams(_Frozen):
                 f"(got {p_inf!r})"
             )
 
-    @property
-    def linear_stiffness(self) -> float:
-        """Squared angular frequency of the linearized motion, 2T/(m*l)."""
-        return _linear_stiffness(self.l0, self.l, self.sigma, self.mass)
-
 
 def _linear_stiffness(l0: float, l: float, sigma: float, mass: float) -> float:
     return 2.0 * (sigma * (l - l0) / l0) / (mass * l)
@@ -194,17 +189,6 @@ class Oscillation(_Frozen):
         object.__setattr__(self, "_unit_y0", unit)
 
 
-def tension(p: StringParams, y: float) -> float:
-    """Tension of one half at displacement y: sigma*(sqrt(l^2+y^2)-l0)/l0.
-
-    The stretch is formed as (l - l0) + y*(y/(sqrt(l^2+y^2) + l)), a sum of
-    non-negative terms, which does not cancel near l = l0 as
-    sqrt(l^2+y^2) - l0 does, and is l - l0 exactly at y = 0.
-    """
-    stretch = (p.l - p.l0) + y * (y / (math.hypot(p.l, y) + p.l))
-    return p.sigma * stretch / p.l0
-
-
 def _force_law(l0: float, l: float, k: float, mass: float) -> Callable[[float], float]:
     """y -> k*((r - l0)/r)*y/mass with r = hypot(l, y), as a closure over its
     constants.
@@ -230,13 +214,10 @@ def _force_law(l0: float, l: float, k: float, mass: float) -> Callable[[float], 
     return force
 
 
-def vertical_force(p: StringParams, y: float) -> float:
-    """Net transverse force on the mass (both halves), restoring for y != 0."""
-    return _force_law(p.l0, p.l, -2.0 * p.sigma / p.l0, 1.0)(y)
-
-
 def acceleration(p: StringParams, y: float) -> float:
-    return vertical_force(p, y) / p.mass
+    """Net transverse force on the mass (both halves) over its mass,
+    restoring for y != 0."""
+    return _force_law(p.l0, p.l, -2.0 * p.sigma / p.l0, p.mass)(y)
 
 
 def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
@@ -244,17 +225,6 @@ def _bound_acceleration(p: StringParams) -> Callable[[float], float]:
     once. Where no intermediate is subnormal its value at y/4**_length_exp
     is acceleration(p, y) times 4**(_period_exp - _length_exp), exactly."""
     return _force_law(p._unit_l0, p._unit_l, -2.0 * p._unit_sigma / p._unit_l0, p._unit_mass)
-
-
-def energy(p: StringParams, y: float, v: float) -> float:
-    """Conserved energy per unit mass of the transverse motion.
-
-    E = v^2/2 + (2*sigma/m) * (y^2/(2*l0) - sqrt(l^2+y^2)); the potential
-    term's derivative is -acceleration(y).
-    """
-    return 0.5 * v * v + (2.0 * p.sigma / p.mass) * (
-        y * y / (2.0 * p.l0) - math.hypot(p.l, y)
-    )
 
 
 def rayleigh_period(p: StringParams) -> float:
@@ -266,15 +236,3 @@ def rayleigh_period(p: StringParams) -> float:
     """
     return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness))
 
-
-def rayleigh_solution(p: StringParams, y0: float, t: float) -> float:
-    """Harmonic-approximation trajectory y(t) = y0*cos(omega0*t).
-
-    The phase omega0*t is formed as 2*pi*(t/P) on the linear-limit period P,
-    which is finite where sigma/mass and omega0 leave the float range.
-    """
-    period = rayleigh_period(p)
-    phase = TWO_PI * (t / period)
-    if not math.isfinite(phase):
-        raise InvalidParameters(f"t/P leaves the float range at t={t!r}, P={period!r}")
-    return y0 * math.cos(phase)

@@ -27,10 +27,10 @@ The run is on the unit values of model.StringParams, in unit time (see
 model._from_unit_scale), so the lengths' scale and sigma/mass may lie
 outside the float range. The force is the model's, bound once per run as a
 closure over the string's constants (model._bound_acceleration), because
-each step makes twelve force evaluations and the calls through
-`acceleration` and `vertical_force` cost more than their arithmetic; it
-does the same operations in the same order, so every force value is the
-model's, scaled by a power of two.
+each step makes twelve force evaluations and the call through
+`acceleration` costs more than its arithmetic; it does the same operations
+in the same order, so every force value is the model's, scaled by a power
+of two.
 
 Every accepted step is recorded, in plain lists, the turning times in
 physical time; `simulate` imports numpy where it turns them into a
@@ -203,8 +203,9 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     ay, av = y, v
     # velocity errors count as displacement errors at the chord frequency
     # sqrt(|F(y0)|/(m*y0)), the root of the model's largest F(y)/(m*y) on
-    # the orbit; omega0 where the force there is 0, overflows or is NaN
-    omega_c = math.sqrt(abs(accel(y0)) / y0)
+    # the orbit, from the first stage's force; omega0 where the quotient
+    # underflows or overflows
+    omega_c = math.sqrt(abs(k0) / y0)
     if not 0.0 < omega_c < math.inf:
         omega_c = omega0
 
@@ -350,9 +351,9 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     The error estimate is value * local_err / n_periods, 2*value*local_err
     on the default run. local_err sums the embedded estimates
     |err5_y| + |err5_v|/omega_c of the accepted steps, as the step-size
-    control weighs them, relative to y0:
-    local errors of the fifth-order solution, which exceed those of the
-    eighth-order one that is carried forward. Over a period an oscillator carries a state error forward by an
+    control weighs them, relative to y0: local errors of the fifth-order
+    solution, which exceed those of the eighth-order one that is carried
+    forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e
     radians, e/(2*pi) of a period, so the estimate covers the accumulated
     phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).

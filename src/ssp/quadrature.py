@@ -2,7 +2,7 @@
 
 Releasing the mass from rest at amplitude y0, energy conservation gives
 
-    speed(y)^2 = (2*sigma/m) * (y0^2 - y^2) * g(y),
+    (dy/dt)^2 = (2*sigma/m) * (y0^2 - y^2) * g(y),
     g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)),
 
 so the period is 4*sqrt(m/(2*sigma)) * int_0^y0 dy / (sqrt(y0^2-y^2)*sqrt(g)).
@@ -40,7 +40,6 @@ __all__ = [
     "Method",
     "PeriodEstimate",
     "radicand_g",
-    "speed",
     "exact_period",
 ]
 
@@ -105,30 +104,6 @@ def _unit_radicand(p: StringParams, y0: float) -> Callable[[float], float]:
         return 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))
 
     return g
-
-
-def speed(osc: Oscillation, y: float) -> float:
-    """|dy/dt| at displacement y for release from rest at y0."""
-    if not abs(y) <= osc.y0:
-        raise InvalidParameters(
-            f"|y| must not exceed the amplitude (|y|={abs(y)!r}, y0={osc.y0!r})"
-        )
-    # a product of square roots: the radicand itself overflows at large
-    # sigma/m or y0 while the speed is still finite. It is formed on the unit
-    # values, since 2*sigma alone may overflow, and goes as length/period;
-    # amplitudes above 1 are quartered, exactly, since y0 + |y| may overflow;
-    # a speed beyond the float range reads inf
-    p = osc.params
-    y0, y = osc._unit_y0, math.ldexp(y, -2 * p._length_exp)
-    c = 0.25 if y0 > 1.0 else 1.0
-    ay = c * abs(y)
-    return _scaled(
-        math.sqrt(2.0 * p._unit_sigma) / math.sqrt(p._unit_mass)
-        * math.sqrt(c * y0 - ay)
-        * math.sqrt(c * y0 + ay)
-        * math.sqrt(_unit_radicand(p, osc._unit_y0)(0.5 * y)) / c,
-        2 * p._length_exp - p._period_exp,
-    )
 
 
 # The finest level has 2**_TOP intervals on [0, pi/2].

@@ -4,8 +4,8 @@ Each check draws parameter sets from wide log-uniform ranges and verifies a
 property that must hold regardless of the numbers drawn: the period sits
 strictly inside its a-priori bounds, the quadrature and elliptic routes
 agree, the period depends on sigma and mass only through their ratio, the
-elliptic engine's cel kernel obeys Legendre's relation, and the closed-form
-quartic roots reproduce the expanded coefficients through Vieta's formulas.
+elliptic engine's cel kernel obeys Legendre's relation, and the root
+differences the closed form works with match its quartic's roots.
 The samples come from the standard library's `random.Random`, so the suite
 runs without numpy.
 """
@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .bounds import check_sandwich
-from .elliptic import _cel, _root_gaps, period_elliptic, quartic_coefficients, quartic_roots
+from .elliptic import _cel, _root_gaps, period_elliptic
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
 from .quadrature import exact_period
@@ -149,33 +149,22 @@ def _check_legendre(rng: random.Random, n: int) -> CheckResult:
 
 
 def _check_quartic(oscs: list[Oscillation]) -> CheckResult:
-    """The closed form's root differences and Vieta's formulas.
+    """The closed form's root differences against the roots themselves.
 
     The differences ab, ac, ad, bc, bd that period_elliptic forms
-    (elliptic._root_gaps) must match those of quartic_roots, each over
-    max|root|, with each root matched to its identity (a = z0, b = l,
-    c = 2*l0 - z0, d = -l) and not to its sorted position, since c drops
-    below d past z0 = 2*l0 + l. The elementary symmetric functions e1..e4 of
-    quartic_roots must be -a3/a4, a2/a4, -a1/a4 and a0/a4 of
-    quartic_coefficients, each over max|root|**k, the size of the terms of
-    e_k, so every root enters at the rounding level; the sum alone would
-    miss a change of roots that keeps it."""
+    (elliptic._root_gaps) must match those of the z-space quartic's roots
+    a = z0, b = l, c = 2*l0 - z0, d = -l, formed here directly, each over
+    max|root|. Each root is formed as its identity, so this holds on both
+    sides of z0 = 2*l0 + l, past which c drops below d."""
     devs = []
     for osc in oscs:
-        roots = quartic_roots(osc).roots
-        big = max(map(abs, roots))
         l0, l = osc.params.l0, osc.params.l
-        z0, *gaps = _root_gaps(l0, l, osc.y0)
-        ids = (z0, l, 2.0 * l0 - z0, -l)
-        a, b, c, d = (min(roots, key=lambda r: abs(r - x)) for x in ids)
-        diffs = [abs(g - r) / big for g, r in zip(gaps, (a - b, a - c, a - d, b - c, b - d))]
-        a4, a3, a2, a1, a0 = quartic_coefficients(osc)
-        e = [1.0, 0.0, 0.0, 0.0, 0.0]
-        for r in roots:
-            for k in (4, 3, 2, 1):
-                e[k] += r * e[k - 1]
-        vieta = (-a3 / a4, a2 / a4, -a1 / a4, a0 / a4)
-        devs.append(_worst(diffs + [abs(e[k] - vieta[k - 1]) / big**k for k in (1, 2, 3, 4)]))
+        _, *gaps = _root_gaps(l0, l, osc.y0)
+        z0 = math.hypot(l, osc.y0)
+        roots = a, b, c, d = z0, l, 2.0 * l0 - z0, -l
+        big = max(map(abs, roots))
+        diffs = (a - b, a - c, a - d, b - c, b - d)
+        devs.append(_worst([abs(g - r) / big for g, r in zip(gaps, diffs)]))
     return _tally("quartic-roots", devs, QUARTIC_TOL)
 
 

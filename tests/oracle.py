@@ -35,8 +35,7 @@ TENSION_NEAR_L0 = [
 VFORCE_AT_HALF = -0.25721864729179256
 ACCEL_AT_HALF_M2 = -0.12860932364589627  # same pull, mass=2
 G_AT_ZERO = 0.22967038573099194    # radicand factor at y=0
-SPEED_AT_ZERO = 0.3388734171715096
-ENERGY_AT_REST = -2.5              # E(y=0, v=0), exact in binary
+ENERGY_AT_RELEASE = -2.442582403567252  # E(y=y0, v=0), -2.44258240356725201562535524577
 
 # Strongly anharmonic cell: l0=1, l=1.05, sigma=10, mass=1, y0=2.1.
 ANHARMONIC_PARAMS = (1.0, 1.05, 10.0, 1.0, 2.1)

@@ -27,7 +27,7 @@ from ssp import (
     rayleigh_period,
     simulate,
 )
-from ssp.elliptic import quartic_coefficients, quartic_roots
+from ssp.elliptic import _root_gaps
 
 REFERENCE = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0)
 
@@ -130,8 +130,22 @@ def test_criterion_4_error_corollary_scaling():
     assert ok
 
 
+def _quartic_coefficients(l0, l, z0):
+    """Expanded coefficients, z^4 first, of the quartic
+    -(1/(2*l0))*(z - z0)*(z - l)*(z + l)*(z - (2*l0 - z0)), half the period
+    integrand's radicand (1/l0)*(z^2 - l^2)*(z0 - z)*(z + z0 - 2*l0)."""
+    return (
+        -0.5 / l0,
+        1.0,
+        (l * l + z0 * z0) / (2.0 * l0) - z0,
+        -l * l,
+        l * l * z0 - l * l * z0 * z0 / (2.0 * l0),
+    )
+
+
 def test_criterion_5_quartic_roots_vs_eigensolver():
-    # 100 random parameter sets: closed-form roots match numpy's companion
+    # 100 random parameter sets: the roots period_elliptic works with (z0
+    # and z0 minus its differences ab, ac, ad) match numpy's companion
     # eigensolver to 1e-12 of the half-length scale, and obey the root sum.
     rng = np.random.default_rng(0)
     worst_root = worst_sum = 0.0
@@ -143,8 +157,9 @@ def test_criterion_5_quartic_roots_vs_eigensolver():
         cap = math.sqrt((2.0 * l0 + 0.9 * l) ** 2 - l * l)
         amp = math.exp(rng.uniform(math.log(0.2 * l), math.log(min(2.0 * l, cap))))
         osc = Oscillation(StringParams(l0, l, 1.0, 1.0), amp)
-        mine = np.array(quartic_roots(osc).roots)
-        theirs = np.sort(np.roots(quartic_coefficients(osc)).real)
+        z0, ab, ac, ad, _, _ = _root_gaps(l0, l, osc.y0)
+        mine = np.sort([z0, z0 - ab, z0 - ac, z0 - ad])
+        theirs = np.sort(np.roots(_quartic_coefficients(l0, l, math.hypot(l, amp))).real)
         worst_root = max(worst_root, float(np.max(np.abs(mine - theirs))) / l)
         worst_sum = max(worst_sum, abs(math.fsum(mine) - 2.0 * l0))
     ok = worst_root <= 1e-12 and worst_sum <= 1e-12

@@ -283,7 +283,7 @@ def test_bounds_where_lengths_and_amplitude_overflow_when_squared():
 def _plain_bounds(osc):
     # the bounds' formulas with sigma and mass themselves, unscaled
     p, y0_sq = osc.params, osc.y0 * osc.y0
-    lin = p.linear_stiffness
+    lin = 2.0 * (p.sigma * (p.l - p.l0) / p.l0) / (p.mass * p.l)
     return (
         TWO_PI / math.sqrt(lin + p.sigma * y0_sq / (p.mass * p.l0 * (p.l * p.l))),
         TWO_PI / math.sqrt(lin + p.sigma * y0_sq / (p.l * p.l0)),

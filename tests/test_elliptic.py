@@ -20,7 +20,7 @@ from ssp import (
     period_elliptic,
     rayleigh_period,
 )
-from ssp.elliptic import _cel, quartic_coefficients, quartic_roots
+from ssp.elliptic import _cel, _root_gaps
 from strategies import oscillations, positive_scale
 
 # cel's truncation error is half an ulp; this covers its rounding
@@ -97,82 +97,61 @@ def _z_space(osc):
     return osc.params.l, math.hypot(osc.params.l, osc.y0)
 
 
+def _roots(osc):
+    """The quartic's roots a = z0, b = l, c = 2*l0 - z0, d = -l, read back
+    from the differences period_elliptic forms (a - b, a - c, a - d)."""
+    z0, ab, ac, ad, _, _ = _root_gaps(osc.params.l0, osc.params.l, osc.y0)
+    return z0, z0 - ab, z0 - ac, z0 - ad
+
+
 def test_z_space_reference(reference_osc):
-    # the two largest roots are l and z0 = hypot(l, y0), bit for bit
-    l, z0 = quartic_roots(reference_osc).roots[2:]
-    assert (l, z0) == _z_space(reference_osc)
+    # the largest root is z0 = hypot(l, y0), bit for bit
+    p = reference_osc.params
+    z0 = _root_gaps(p.l0, p.l, reference_osc.y0)[0]
+    assert z0 == _z_space(reference_osc)[1]
     np.testing.assert_allclose(z0, oracle.Z0_REF, rtol=1e-15)
 
 
 def test_z_space_at_zero_amplitude(reference_params):
-    l = reference_params.l
-    assert quartic_roots(Oscillation(reference_params, 0.0)).roots[2:] == (l, l)
+    # the two largest roots meet at l, so ab = 0; c = 2*l0 - l, so
+    # ac = bc = 2*(l - l0), and ad = bd = 2*l
+    l0, l = reference_params.l0, reference_params.l
+    assert _root_gaps(l0, l, 0.0) == (l, 0.0, 2.0 * (l - l0), 2.0 * l, 2.0 * (l - l0), 2.0 * l)
 
 
 def test_quartic_roots_reference(reference_osc):
-    qr = quartic_roots(reference_osc)
-    expected = (-1.25, oracle.ROOT_SECOND_REF, 1.25, oracle.Z0_REF)
-    np.testing.assert_allclose(qr.roots, expected, rtol=1e-14)
-    # The clamp points +-l enter the factorization untouched.
-    assert qr.roots[0] == -reference_osc.params.l
-    assert qr.roots[2] == reference_osc.params.l
-    assert qr.leading == -1.0 / (2.0 * reference_osc.params.l0)
+    p = reference_osc.params
+    _, ab, ac, ad, bc, bd = _root_gaps(p.l0, p.l, reference_osc.y0)
+    a, b, c, d = oracle.Z0_REF, 1.25, oracle.ROOT_SECOND_REF, -1.25
+    want = (a - b, a - c, a - d, b - c, b - d)
+    np.testing.assert_allclose((ab, ac, ad, bc, bd), want, rtol=1e-14)
+    # the clamp points +-l enter untouched
+    assert bd == 2.0 * reference_osc.params.l
 
 
 @given(oscillations(rel_amp_lo=1e-3, rel_amp_hi=2.5))
 def test_quartic_root_sum(osc):
-    qr = quartic_roots(osc)
-    total = math.fsum(qr.roots)
-    np.testing.assert_allclose(total, 2.0 * osc.params.l0, rtol=1e-13)
+    roots = _roots(osc)
+    np.testing.assert_allclose(math.fsum(roots), 2.0 * osc.params.l0, rtol=1e-13)
     l, z0 = _z_space(osc)
     standard = z0 < 2.0 * osc.params.l0 + l
-    assert qr.roots[0] < qr.roots[1] < qr.roots[2] < qr.roots[3] or not standard
+    a, b, c, d = roots
+    assert a > b > c > d or not standard
 
 
 def test_factored_form_matches_direct_product(reference_osc):
-    # -(1/(2 l0)) * prod(z - r_i) against (1/(2 l0)) (z^2-l^2)(z0-z)(z+z0-2 l0)
+    # -(1/(2 l0)) * prod(z - r_i) over the roots read back from the
+    # differences against (1/(2 l0)) (z^2-l^2)(z0-z)(z+z0-2 l0)
     osc = reference_osc
     l0 = osc.params.l0
     l, z0 = _z_space(osc)
-    qr = quartic_roots(osc)
+    r1, r2, r3, r4 = _roots(osc)
     rng = np.random.default_rng(7)
     scale = (l + z0) ** 4 / (2.0 * l0)
     for z in rng.uniform(-1.5 * z0, 2.5 * z0, size=100):
         direct = (z * z - l * l) * (z0 - z) * (z + z0 - 2.0 * l0) / (2.0 * l0)
-        assert abs(qr.evaluate(z) - direct) <= 1e-12 * (abs(direct) + scale)
-
-
-def test_expanded_coefficients_match_roots(reference_osc):
-    coeffs = quartic_coefficients(reference_osc)
-    qr = quartic_roots(reference_osc)
-    assert coeffs[0] == qr.leading
-    rng = np.random.default_rng(11)
-    _, z0 = _z_space(reference_osc)
-    scale = abs(qr.leading) * (2.0 * z0) ** 4
-    for z in rng.uniform(-z0, 2.0 * z0, size=50):
-        assert abs(np.polyval(coeffs, z) - qr.evaluate(z)) <= 1e-12 * scale
-
-
-def test_radicand_sign_structure(reference_osc):
-    # the period integrand's radicand is twice the quartic, so shares its sign
-    qr = quartic_roots(reference_osc)
-    l, z0 = _z_space(reference_osc)
-    assert qr.evaluate(l) == 0.0
-    assert qr.evaluate(z0) == 0.0
-    for frac in (0.1, 0.5, 0.9):
-        assert qr.evaluate(l + frac * (z0 - l)) > 0.0
-    # Leaves the oscillation interval: radicand negative just outside.
-    assert qr.evaluate(z0 + 0.1 * (z0 - l)) < 0.0
-
-
-def test_radicand_vanishes_linearly_at_the_edges(reference_osc):
-    qr = quartic_roots(reference_osc)
-    l, z0 = _z_space(reference_osc)
-    width = z0 - l
-    for delta in (1e-4 * width, 1e-6 * width):
-        ratio_l = 2.0 * qr.evaluate(l + delta) / delta
-        ratio_l2 = 2.0 * qr.evaluate(l + 0.5 * delta) / (0.5 * delta)
-        np.testing.assert_allclose(ratio_l, ratio_l2, rtol=1e-3)
+        factored = -0.5 / l0 * (z - r1) * (z - r2) * (z - r3) * (z - r4)
+        assert abs(factored - direct) <= 1e-12 * (abs(direct) + scale)
 
 
 # --- closed-form period -----------------------------------------------------

@@ -1,72 +1,69 @@
-"""Statics, forces, energy, and the harmonic approximation."""
+"""The force, the trajectory's energy, and the harmonic period."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from ssp import InvalidParameters, Oscillation, StringParams, rayleigh_period
-from ssp.model import acceleration, energy, rayleigh_solution, tension, vertical_force
+from ssp import InvalidParameters, Oscillation, StringParams, rayleigh_period, simulate
+from ssp.model import acceleration
 from strategies import string_params
 
 displacements = st.floats(-5.0, 5.0, allow_nan=False)
 
 
-def test_rest_tension_value(reference_params):
-    # sigma*(l - l0)/l0, exactly
-    assert tension(reference_params, 0.0) == 0.25
+def _pull(tension, l, y):
+    """-2*T*y/hypot(l, y) in 40 digits: the net transverse force of two
+    halves at tension T, and the acceleration of a unit mass."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        return float(-2 * mpmath.mpf(tension) * y / mpmath.sqrt(mpmath.mpf(l) ** 2 + y * y))
 
 
 def test_tension_reference_value(reference_params):
-    np.testing.assert_allclose(
-        tension(reference_params, 0.5), oracle.TENSION_AT_HALF, rtol=1e-15
-    )
+    # the force carries the tension of each half at y = 0.5
+    want = _pull(oracle.TENSION_AT_HALF, reference_params.l, 0.5)
+    np.testing.assert_allclose(acceleration(reference_params, 0.5), want, rtol=1e-15)
 
 
 @pytest.mark.parametrize("cell, want", oracle.TENSION_NEAR_L0)
 def test_tension_near_rest_length(cell, want):
-    # hypot(l, y) - l0 cancels here, to 1e-4 relative at l = 1 + 1e-12
+    # hypot(l, y) - l0 cancels here, to 1e-4 relative at l = 1 + 1e-12; the
+    # force takes about a dozen roundings, each within half an ulp of its
+    # result, so it lies within 12 ulps of the 40-digit pull
     l0, l, sigma, y = cell
-    got = tension(StringParams(l0, l, sigma, 1.0), y)
-    assert abs(got - want) <= 2.0 * math.ulp(want)
-
-
-@given(string_params(), displacements)
-def test_tension_even(p, y):
-    assert tension(p, y) == tension(p, -y)
-
-
-@given(string_params(), displacements)
-def test_tension_at_least_rest_value(p, y):
-    assert tension(p, y) >= tension(p, 0.0)
+    got = acceleration(StringParams(l0, l, sigma, 1.0), y)
+    pull = _pull(want, l, y)
+    assert abs(got - pull) <= 12.0 * math.ulp(pull)
 
 
 def test_vertical_force_reference_value(reference_params):
-    assert vertical_force(reference_params, 0.0) == 0.0
+    # at mass 1 the acceleration is the vertical force
+    assert acceleration(reference_params, 0.0) == 0.0
     np.testing.assert_allclose(
-        vertical_force(reference_params, 0.5), oracle.VFORCE_AT_HALF, rtol=1e-15
+        acceleration(reference_params, 0.5), oracle.VFORCE_AT_HALF, rtol=1e-15
     )
 
 
 @given(string_params(), displacements)
 def test_vertical_force_odd_and_restoring(p, y):
-    f = vertical_force(p, y)
-    assert f == -vertical_force(p, -y)
+    a = acceleration(p, y)
+    assert a == -acceleration(p, -y)
     if y != 0.0:
         # Force always points back toward y = 0.
-        assert (f < 0.0) == (y > 0.0)
+        assert (a < 0.0) == (y > 0.0)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
 def test_force_where_the_stretch_product_underflows():
-    # (l - l0)*(l + l0) is about 3e-400 and underflows, so both read
+    # (l - l0)*(l + l0) is about 3e-400 and underflows, so the force reads
     # -0.27639; the 40-digit value is -1.105572809000084
     p = StringParams(1e-200, 2e-200, 1.0, 1.0)
-    for kernel in (vertical_force, acceleration):
-        np.testing.assert_allclose(kernel(p, 1e-200), -1.105572809000084, rtol=1e-14)
+    np.testing.assert_allclose(acceleration(p, 1e-200), -1.105572809000084, rtol=1e-14)
 
 
 def test_acceleration_scales_inversely_with_mass(reference_params):
@@ -80,29 +77,42 @@ def test_acceleration_scales_inversely_with_mass(reference_params):
 
 
 def test_small_displacement_force_matches_linear_stiffness(reference_params):
-    # a(y) ~ -omega0^2 * y as y -> 0.
+    # a(y) ~ -omega0^2 * y as y -> 0, omega0 = 2*pi/P_lin.
     y = 1e-8 * reference_params.l
+    omega0 = 2.0 * math.pi / rayleigh_period(reference_params)
     np.testing.assert_allclose(
-        acceleration(reference_params, y) / y,
-        -reference_params.linear_stiffness,
-        rtol=1e-6,
+        acceleration(reference_params, y) / y, -omega0 * omega0, rtol=1e-6
     )
 
 
-def test_energy_reference_value(reference_params):
-    assert energy(reference_params, 0.0, 0.0) == oracle.ENERGY_AT_REST
+def _release_energy(p, y0):
+    """The energy of a run's first sample, at rest at y0: the potential."""
+    return simulate(Oscillation(p, y0)).e[0]
 
 
-@given(string_params(), displacements, st.floats(-3.0, 3.0))
-def test_energy_even_in_displacement(p, y, v):
-    assert energy(p, y, v) == energy(p, -y, v)
+def test_energy_reference_value(reference_osc):
+    # E = v^2/2 + (2*sigma/m)*(y^2/(2*l0) - hypot(l, y)) at (y0, 0)
+    np.testing.assert_allclose(
+        _release_energy(reference_osc.params, reference_osc.y0),
+        oracle.ENERGY_AT_RELEASE,
+        rtol=1e-15,
+    )
+
+
+@given(string_params(), st.floats(0.01, 3.0))
+def test_energy_even_in_displacement(p, frac):
+    # the default run's samples after its zero crossing are its earlier
+    # ones at -y, so their energies read the same bits in reverse
+    e = simulate(Oscillation(p, frac * p.l)).e
+    assert np.array_equal(e, e[::-1])
 
 
 def test_energy_gradient_is_minus_acceleration(reference_params):
+    # the trajectory's energy is the potential of the model's force
     p = reference_params
     h = 1e-6 * p.l
     for y in (0.1, 0.5, 1.0, 2.0):
-        dv = oracle.central_diff(lambda u: energy(p, u, 0.0), y, h)
+        dv = oracle.central_diff(lambda u: _release_energy(p, u), y, h)
         np.testing.assert_allclose(dv, -acceleration(p, y), rtol=1e-8)
 
 
@@ -110,7 +120,7 @@ def test_energy_gradient_is_minus_acceleration(reference_params):
 def test_energy_gradient_is_minus_acceleration_everywhere(p):
     y = 0.37 * p.l
     h = 1e-6 * p.l
-    dv = oracle.central_diff(lambda u: energy(p, u, 0.0), y, h)
+    dv = oracle.central_diff(lambda u: _release_energy(p, u), y, h)
     np.testing.assert_allclose(dv, -acceleration(p, y), rtol=1e-7)
 
 
@@ -131,34 +141,6 @@ def test_rayleigh_period_matches_plain_formula(p):
     np.testing.assert_allclose(
         rayleigh_period(p), oracle.rayleigh_plain(p.l0, p.l, p.sigma, p.mass), rtol=1e-14
     )
-
-
-def test_rayleigh_solution_waypoints(reference_params):
-    p = reference_params
-    y0 = 0.5
-    period = rayleigh_period(p)
-    assert rayleigh_solution(p, y0, 0.0) == y0
-    np.testing.assert_allclose(rayleigh_solution(p, y0, 0.5 * period), -y0, rtol=1e-12)
-    assert abs(rayleigh_solution(p, y0, 0.25 * period)) < 1e-12 * y0
-
-
-@pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
-def test_rayleigh_solution_at_extreme_sigma_over_mass(sigma, mass):
-    # omega0**2 = 2T/(m*l) overflows in the first cell and underflows in
-    # the second, while the period is a finite float in both
-    p = StringParams(1.0, 1.25, sigma, mass)
-    y0 = 0.5
-    period = rayleigh_period(p)
-    assert rayleigh_solution(p, y0, 0.0) == y0
-    assert abs(rayleigh_solution(p, y0, 0.25 * period)) < 1e-15 * y0
-    for t in (0.5 * period, 3.5 * period):
-        np.testing.assert_allclose(rayleigh_solution(p, y0, t), -y0, rtol=1e-15)
-
-
-def test_rayleigh_solution_refuses_a_phase_beyond_the_float_range():
-    p = StringParams(1.0, 1.25, 1e300, 1e-300)  # period about 1e-299
-    with pytest.raises(InvalidParameters, match="t/P"):
-        rayleigh_solution(p, 0.5, 1e300)
 
 
 @pytest.mark.parametrize(

@@ -68,19 +68,20 @@ def test_default_run_work_count(default_traj):
 @pytest.mark.parametrize(
     "y0, n_periods, steps, forces",
     [
-        pytest.param(0.5, 0.5, (13, 0), 161, id="reference"),
-        pytest.param(50.0, 0.5, (15, 5), 240, id="rejected-steps"),
+        pytest.param(0.5, 0.5, (13, 0), 160, id="reference"),
+        pytest.param(50.0, 0.5, (15, 5), 239, id="rejected-steps"),
         # turnings located by velocity_root
-        pytest.param(0.5, 1, (41, 0), 500, id="n_periods=1"),
-        pytest.param(0.5, 3, (117, 0), 1424, id="n_periods=3"),
+        pytest.param(0.5, 1, (41, 0), 499, id="n_periods=1"),
+        pytest.param(0.5, 3, (117, 0), 1423, id="n_periods=3"),
     ],
 )
 def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     # every force value of a run: twelve per accepted step, eleven per
     # rejected one, three per event located on the continuous extension
-    # (the default run's zero crossing, or a turning point), and two at the
-    # start (the first stage and the chord frequency's); no partial step
-    # remains. scripts/ode_coverage.py counts forces by this identity.
+    # (the default run's zero crossing, or a turning point), and one at the
+    # start (the first stage, whose value also gives the chord frequency);
+    # no partial step remains. scripts/ode_coverage.py counts forces by this
+    # identity.
     osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), y0)
     cfg = SimConfig(n_periods=n_periods)
     plain = simulate(osc, cfg)
@@ -101,7 +102,7 @@ def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     _same_bytes(traj, plain)
     located = len(traj.events) - 1  # the event at t = 0 is the release
     assert len(calls) == forces
-    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 2
+    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 1
     assert (traj.n_accepted, traj.n_rejected) == steps
 
 

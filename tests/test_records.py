@@ -14,10 +14,11 @@ from ssp import (
     check_sandwich,
     compute_bounds,
     exact_period,
+    measure_period,
     period_elliptic,
     run_invariant_suite,
+    simulate,
 )
-from ssp.elliptic import QuarticRoots, quartic_roots
 
 
 def _records():
@@ -27,7 +28,7 @@ def _records():
         lambda: period_elliptic(osc),
         lambda: compute_bounds(osc),
         lambda: check_sandwich(osc, exact_period(osc)),
-        lambda: quartic_roots(osc),
+        lambda: measure_period(simulate(osc)),
         lambda: CheckResult("name", 3, 0, 1e-15, 1e-12),
         lambda: run_invariant_suite(samples=4, seed=1),
     ]
@@ -63,7 +64,6 @@ FIELDS = {
     SandwichReport: (
         "lower", "upper", "value", "slack", "lower_ok", "upper_ok", "strict_upper_ok",
     ),
-    QuarticRoots: ("roots", "leading"),
     CheckResult: ("name", "samples", "failures", "worst", "tolerance"),
     VerifyReport: ("seed", "samples", "checks"),
     Trajectory: (

@@ -8,7 +8,7 @@ import ssp.verify
 from ssp import InvalidParameters, Method, PeriodEstimate, exact_period, run_invariant_suite
 from ssp.bounds import check_sandwich, compute_bounds
 from ssp.cli import main
-from ssp.elliptic import QuarticRoots, period_elliptic, quartic_roots
+from ssp.elliptic import period_elliptic
 
 
 def test_default_suite_passes():
@@ -147,32 +147,45 @@ def test_sample_count_validation():
         run_invariant_suite(samples=-5)
 
 
-def test_quartic_check_catches_a_perturbed_root(monkeypatch):
-    # 1e-10 of the largest root is at least 5e-11 of the spread: every draw fails
-    def nudged(osc):
-        r = quartic_roots(osc)
-        return QuarticRoots((*r.roots[:3], r.roots[3] * (1.0 + 1e-10)), r.leading)
+def _quartic_with(monkeypatch, slip):
+    """run_invariant_suite(samples=1, seed=0) with elliptic._root_gaps
+    replaced, in the engine and in the check alike, by
+    slip(z0, ab, ac, ad, bc, bd) -> the six values; and its quartic-roots
+    and quadrature-vs-elliptic checks."""
+    gaps = ssp.elliptic._root_gaps
 
-    monkeypatch.setattr(ssp.verify, "quartic_roots", nudged)
+    def slipped(l0, l, y0):
+        return slip(*gaps(l0, l, y0))
+
+    monkeypatch.setattr(ssp.elliptic, "_root_gaps", slipped)
+    monkeypatch.setattr(ssp.verify, "_root_gaps", slipped)
     report = run_invariant_suite(samples=1, seed=0)
-    quartic = next(c for c in report.checks if c.name == "quartic-roots")
+    checks = {c.name: c for c in report.checks}
+    return report, checks["quartic-roots"], checks["quadrature-vs-elliptic"]
+
+
+def test_quartic_check_catches_a_perturbed_root(monkeypatch):
+    # the engine's largest root z0 moved by 1e-10 of itself: ab, ac and ad
+    # each move by 1e-10 of max|root|, which is z0, so every draw fails
+    def nudged(z0, ab, ac, ad, bc, bd):
+        eps = 1e-10 * z0
+        return z0, ab + eps, ac + eps, ad + eps, bc, bd
+
+    report, quartic, _ = _quartic_with(monkeypatch, nudged)
     assert quartic.failures == quartic.samples == 100
     assert not report.passed
 
 
-def test_quartic_check_catches_roots_that_keep_their_sum(monkeypatch):
-    # the outer roots move apart by 1e-10 of the largest root: the sum
-    # holds, but e2 moves by more than 1e-10 of max|root|**2 on every draw,
-    # since the smallest root is negative
-    def spread(osc):
-        r = quartic_roots(osc)
-        eps = 1e-10 * r.roots[3]
-        return QuarticRoots((r.roots[0] - eps, *r.roots[1:3], r.roots[3] + eps), r.leading)
+def test_quartic_check_catches_a_slip_below_the_cross_check(monkeypatch):
+    # bc slipped by 1e-11 of itself moves the period by about 2.5e-12:
+    # quadrature-vs-elliptic, at 1e-9, passes it on its one draw, and
+    # quartic-roots fails 97 of its 100 draws at this seed
+    def slipped(z0, ab, ac, ad, bc, bd):
+        return z0, ab, ac, ad, bc * (1.0 + 1e-11), bd
 
-    monkeypatch.setattr(ssp.verify, "quartic_roots", spread)
-    report = run_invariant_suite(samples=1, seed=0)
-    quartic = next(c for c in report.checks if c.name == "quartic-roots")
-    assert quartic.failures == quartic.samples == 100
+    report, quartic, cross = _quartic_with(monkeypatch, slipped)
+    assert cross.ok
+    assert (quartic.failures, quartic.samples) == (97, 100)
     assert not report.passed
 
 
