@@ -11,7 +11,15 @@ runs, which stop at their first zero crossing, and the `measure_period`
 digest the period estimates of the same runs. On the same 128 strings,
 `simulate(n_periods=1)` covers the arrays, counts, `local_err` and period
 estimate of a one-period run, which reads its turning events off the
-velocity root of the continuous extension.
+velocity root of the continuous extension. The `acceleration` digest covers
+the model's force at y = 0, y0/2 and y0 on the library pools.
+The whole-range digests cover WIDE_DRAWS strings drawn from the whole float
+range, far outside the benchmark's pools, where the unit-scale conversions
+overflow or underflow: `l0`, `sigma` and `mass` log-uniform over 1e+-300,
+`l/l0 - 1` over 1e+-15, and `y0/l` over 1e+-300 on even draws and 1e+-6 on
+odd ones. They digest each string's fields and unit values, its bounds, both
+closed forms, their sandwich checks and `radicand_g`, and the default ODE run
+on every WIDE_ODE_EVERY-th draw.
 Each CLI digest covers one command's stdout, exit code and whether stderr
 holds a traceback or a Python warning, run as a fresh `python -m ssp.cli`
 process.
@@ -20,6 +28,7 @@ Run:  python3 scripts/output_digest.py
 """
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -33,11 +42,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from ssp import bounds, elliptic, odesim, quadrature  # noqa: E402
+from ssp import bounds, elliptic, model, odesim, quadrature  # noqa: E402
 
 SEEDS = (1, 2, 3)
 BANDS = (("harmonic", workloads.SMALL), ("anharmonic", workloads.LARGE))
 SIM_RUNS = 64  # per band
+WIDE_DRAWS = 20_000
+WIDE_ODE_EVERY = 40
 
 CLI_COMMANDS = (
     ("period",),
@@ -100,27 +111,77 @@ class Digest:
         return self._h.hexdigest()
 
 
+ENGINE_DIGESTS = (
+    "exact_period", "period_elliptic", "compute_bounds",
+    "check_sandwich(quadrature)", "check_sandwich(elliptic)", "radicand_g",
+)
+
+
+def digest_engines(d: dict[str, Digest], osc) -> None:
+    """Add osc's ENGINE_DIGESTS outputs to d, radicand_g at y = 0, y0/2, y0."""
+    quad = d["exact_period"].call(quadrature.exact_period, osc)
+    ell = d["period_elliptic"].call(elliptic.period_elliptic, osc)
+    d["compute_bounds"].call(bounds.compute_bounds, osc)
+    for label, est in (("quadrature", quad), ("elliptic", ell)):
+        if isinstance(est, str):
+            d[f"check_sandwich({label})"].add(None)
+        else:
+            d[f"check_sandwich({label})"].call(bounds.check_sandwich, osc, est)
+    for y in (0.0, 0.5 * osc.y0, osc.y0):
+        d["radicand_g"].call(quadrature.radicand_g, osc, y)
+
+
 def library_digests() -> dict[str, str]:
-    names = (
-        "exact_period", "period_elliptic", "compute_bounds",
-        "check_sandwich(quadrature)", "check_sandwich(elliptic)", "radicand_g",
-    )
-    d = {name: Digest() for name in names}
+    d = {name: Digest() for name in ENGINE_DIGESTS + ("acceleration",)}
     for seed in SEEDS:
         for name, band in BANDS:
             rng = np.random.default_rng([seed, workloads.WORKLOADS.index(name)])
             for osc in workloads.draw(rng, workloads.EngineRows.pool, band):
-                quad = d["exact_period"].call(quadrature.exact_period, osc)
-                ell = d["period_elliptic"].call(elliptic.period_elliptic, osc)
-                d["compute_bounds"].call(bounds.compute_bounds, osc)
-                for label, est in (("quadrature", quad), ("elliptic", ell)):
-                    if isinstance(est, str):
-                        d[f"check_sandwich({label})"].add(None)
-                    else:
-                        d[f"check_sandwich({label})"].call(bounds.check_sandwich, osc, est)
+                digest_engines(d, osc)
                 for y in (0.0, 0.5 * osc.y0, osc.y0):
-                    d["radicand_g"].call(quadrature.radicand_g, osc, y)
+                    d["acceleration"].call(model.acceleration, osc.params, y)
     return {name: dig.hexdigest() for name, dig in d.items()}
+
+
+def wide_draws(rng: np.random.Generator, n: int) -> list[tuple[float, ...]]:
+    """(l0, l, sigma, mass, y0) rows over the whole float range; l or y0
+    may overflow, and StringParams or Oscillation then refuses the row."""
+
+    def log_uniform(lo: float, hi: float) -> np.ndarray:
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    l0, stretch = log_uniform(1e-300, 1e300), log_uniform(1e-15, 1e15)
+    sigma, mass = log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300)
+    amp = np.where(np.arange(n) % 2 == 0, log_uniform(1e-300, 1e300), log_uniform(1e-6, 1e6))
+    with np.errstate(over="ignore"):
+        l = l0 * (1.0 + stretch)
+        y0 = amp * l
+    return list(zip(l0.tolist(), l.tolist(), sigma.tolist(), mass.tolist(), y0.tolist()))
+
+
+def whole_range_digests() -> dict[str, str]:
+    names = ("StringParams",) + ENGINE_DIGESTS + ("simulate", "measure_period")
+    d = {name: Digest() for name in names}
+
+    def oscillation(l0, l, sigma, mass, y0):
+        osc = model.Oscillation(model.StringParams(l0, l, sigma, mass), y0)
+        return osc, [getattr(osc.params, name) for name in model.StringParams.__slots__], osc._unit_y0
+
+    rng = np.random.default_rng(2008)
+    for i, row in enumerate(wide_draws(rng, WIDE_DRAWS)):
+        made = d["StringParams"].call(oscillation, *row)
+        if isinstance(made, str):
+            continue
+        osc = made[0]
+        digest_engines(d, osc)
+        if i % WIDE_ODE_EVERY == 0:
+            traj = d["simulate"].call(odesim.simulate, osc)
+            if isinstance(traj, str):
+                d["measure_period"].add(None)
+            else:
+                d["simulate"].add(trajectory_fields(traj))
+                d["measure_period"].call(odesim.measure_period, traj)
+    return {f"whole-range {name}": dig.hexdigest() for name, dig in d.items()}
 
 
 def trajectory_fields(traj: odesim.Trajectory) -> tuple:
@@ -164,6 +225,8 @@ def main() -> None:
     for name, digest in library_digests().items():
         print(f"{digest}  {name}")
     for name, digest in simulate_digests().items():
+        print(f"{digest}  {name}")
+    for name, digest in whole_range_digests().items():
         print(f"{digest}  {name}")
     for argv in CLI_COMMANDS:
         print(f"{cli_digest(argv)}  ssp {' '.join(argv)}")

@@ -18,9 +18,9 @@ form; it is dimensionally inconsistent and is never asserted against.
 The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
 which shrinks quadratically in the amplitude. Every bound is formed on the
-unit values of model.StringParams and scaled back. Once y0*y0 overflows, the
-lower bounds read 0 and the relative-error bounds -inf: still true, where
-y0**2 would raise.
+unit values of model.StringParams and scaled back. Where y0*y0 overflows,
+the corrected lower bound is formed without it, the printed one reads 0 and
+the relative-error bounds -inf: still true, where y0**2 would raise.
 
 check_sandwich demands value < upper only where the gap below upper is
 resolvable. The potential is convex in y^2, so its chord through 0 gives a
@@ -39,14 +39,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import (
-    TWO_PI,
-    Oscillation,
-    StringParams,
-    _from_unit_scale,
-    _scaled,
-    rayleigh_period,
-)
+from .model import TWO_PI, Oscillation, StringParams, _scaled, rayleigh_period
 from .quadrature import PeriodEstimate, _unit_radicand
 
 __all__ = ["PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich"]
@@ -70,13 +63,18 @@ class PeriodBounds(NamedTuple):
     rel_error_bound_printed: float
 
 
-def _lower_corrected(p: StringParams, y0_sq: float) -> float:
-    """PeriodBounds.lower_corrected on the unit values, y0_sq the unit y0
-    squared. Where y0_sq overflows the excess is inf, and the bound 0, still
-    true."""
-    l0, l = p._unit_l0, p._unit_l
-    excess = p._unit_sigma * y0_sq / (p._unit_mass * l0 * (l * l))
-    return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness + excess))
+def _lower_corrected(p: StringParams, y0: float) -> float:
+    """PeriodBounds.lower_corrected on the unit values, y0 the unit
+    amplitude. Where the stiffness sum overflows, its root is formed as
+    hypot(omega0, y0*sqrt(sigma/(m*l0))/l), which never squares y0; the bound
+    reads 0, still true, only where that overflows too."""
+    l0, l, w = p._unit_l0, p._unit_l, p._unit_stiffness
+    stiff = w + p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
+    if stiff < math.inf:
+        root = math.sqrt(stiff)
+    else:
+        root = math.hypot(math.sqrt(w), y0 * math.sqrt(p._unit_sigma / (p._unit_mass * l0)) / l)
+    return _scaled(TWO_PI / root, p._period_exp)
 
 
 def compute_bounds(osc: Oscillation) -> PeriodBounds:
@@ -86,17 +84,16 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     # the printed excess goes as sigma alone; it is brought to the unit
     # stiffness's scale, below an ulp of it where that overflows
     excess = p._unit_sigma * y0_sq / (l * l0)
-    try:
-        stiff = p._unit_stiffness + math.ldexp(excess, 2 * (p._sigma_exp + p._period_exp))
-    except OverflowError:
-        lower_printed = math.ldexp(TWO_PI / math.sqrt(excess), -p._sigma_exp)
+    scaled = _scaled(excess, 2 * (p._sigma_exp + p._period_exp))
+    if scaled < math.inf:
+        lower_printed = _scaled(TWO_PI / math.sqrt(p._unit_stiffness + scaled), p._period_exp)
     else:
-        lower_printed = _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
+        lower_printed = _scaled(TWO_PI / math.sqrt(excess), -p._sigma_exp)
     # sigma cancels from the corrected -sigma*y0^2/(4*T*l0*l), which is free
     # of units; the printed one goes as a period squared and is scaled back
     tension = p._unit_sigma * (l - l0) / l0
     return PeriodBounds(
-        _lower_corrected(p, y0_sq),
+        _lower_corrected(p, y0),
         lower_printed,
         rayleigh_period(p),
         -y0_sq / (4.0 * (l - l0) * l),
@@ -141,7 +138,7 @@ def _secant_upper(osc: Oscillation) -> float:
     """
     p = osc.params
     stiff = (2.0 * p._unit_sigma / p._unit_mass) * _unit_radicand(p, osc._unit_y0)(0.0)
-    return _from_unit_scale(p, TWO_PI / math.sqrt(stiff))
+    return _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
 
 
 # Rounding of the bounds, in ulps of upper. Each is a chain of roundings on
@@ -156,8 +153,7 @@ _BOUND_ULPS = 12.0
 
 
 def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport:
-    y0 = osc._unit_y0
-    lower = _lower_corrected(osc.params, y0 * y0)
+    lower = _lower_corrected(osc.params, osc._unit_y0)
     upper = rayleigh_period(osc.params)
     slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .errors import EngineFailure
-from .model import _Y0_CAP, Oscillation, _from_unit_scale
+from .model import _Y0_CAP, Oscillation, _scaled
 from .quadrature import Method, PeriodEstimate
 from .quadrature import adaptive_gk as rf, adaptive_gk as rj, exact_period  # noqa: F401  tracer-only
 
@@ -106,7 +106,7 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     c = _cel(kc, 1.0 + ab / bd, 1.0, 1.0 - ab / (2.0 * z0))
     integral = 2.0 * (z0 / math.sqrt(ac)) / math.sqrt(bd) * c
     value = 4.0 * math.sqrt(p._unit_mass * p._unit_l0 / (2.0 * p._unit_sigma)) * integral
-    value = _from_unit_scale(p, value)
+    value = _scaled(value, p._period_exp)
     if not 0.0 < value < math.inf:
         raise EngineFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
     return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * _REL_ERR)

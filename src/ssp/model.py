@@ -67,10 +67,15 @@ class StringParams(_Frozen):
     l: float
     sigma: float
     mass: float
-    # Set once in __init__, the unit values of _from_unit_scale: l0 and l
-    # are _unit_l0 and _unit_l times 4**_length_exp, sigma and mass _unit_sigma
-    # times 4**_sigma_exp and _unit_mass times 4**b, with _unit_l, _unit_sigma,
+    # Set once in __init__, the unit values: l0 and l are _unit_l0 and
+    # _unit_l times 4**_length_exp, sigma and mass _unit_sigma times
+    # 4**_sigma_exp and _unit_mass times 4**b, with _unit_l, _unit_sigma,
     # _unit_mass in [0.5, 2) and _period_exp = b - _sigma_exp + _length_exp.
+    # A period goes as sqrt(length*mass/sigma), so one formed on the unit
+    # values (y0 among them) is the physical one over 2**_period_exp, and
+    # _scaled(period, _period_exp) keeps its bits wherever no intermediate
+    # is subnormal. The intermediates depend on the ratios l0 : l : y0
+    # alone, so the lengths' scale and sigma/mass may leave the float range.
     # Slots keep a per-instance __dict__ off the parameter pools.
     _fields = ("l0", "l", "sigma", "mass")
     __slots__ = _fields + ("_unit_l0", "_unit_l", "_unit_sigma", "_unit_mass", "_length_exp",
@@ -109,12 +114,12 @@ class StringParams(_Frozen):
         # l0 and l share one power of four, so an l/l0 beyond the float range
         # leaves the unit l0 subnormal or the unit stiffness inf; either way
         # the unit linear period, and with it the linear period, reads 0
-        w = _linear_stiffness(l0, l, s, m) if l0 >= 2.0**-1022 else math.inf
+        w = 2.0 * (s * (l - l0) / l0) / (m * l) if l0 >= 2.0**-1022 else math.inf
         object.__setattr__(self, "_unit_stiffness", w)
         # every period lies in [P_inf, linear], P_inf = pi*sqrt(2*m*l0/sigma)
         # (see _Y0_CAP), so while linear is finite and P_inf a normal float
         # no engine's period leaves the float range
-        linear = _scaled(TWO_PI / math.sqrt(w), self._period_exp)
+        linear = rayleigh_period(self)
         if not 0.0 < linear < math.inf:
             raise InvalidParameters(
                 f"the linear-limit period at l0={self.l0!r}, l={self.l!r}, "
@@ -130,28 +135,10 @@ class StringParams(_Frozen):
             )
 
 
-def _linear_stiffness(l0: float, l: float, sigma: float, mass: float) -> float:
-    return 2.0 * (sigma * (l - l0) / l0) / (mass * l)
-
-
 def _unit_scale(x: float) -> tuple[float, int]:
     """(u, e) with x = u * 4**e and u in [0.5, 2); exact for every x > 0."""
     e = math.frexp(x)[1] // 2
     return math.ldexp(x, -2 * e), e
-
-
-def _from_unit_scale(p: StringParams, period: float) -> float:
-    """A period formed with the unit values of p (see StringParams) in place
-    of l0, l, y0, sigma and mass, in the units of p.
-
-    A period is proportional to sqrt(length*mass/sigma), so the true one is
-    2**_period_exp times the scaled one. All scalings are by powers of two,
-    so where every intermediate of both formulas is a normal float the
-    result keeps its bits. The scaled formula's intermediates depend on the
-    ratios l0 : l : y0 alone, as at l in [0.5, 2) and sigma = mass = 1, so
-    the lengths' scale and sigma/mass may overflow or underflow without harm.
-    """
-    return math.ldexp(period, p._period_exp)
 
 
 def _scaled(x: float, n: int) -> float:
@@ -234,5 +221,5 @@ def rayleigh_period(p: StringParams) -> float:
     for any finite amplitude. Finite also where sigma/mass itself would
     overflow or underflow a float.
     """
-    return _from_unit_scale(p, TWO_PI / math.sqrt(p._unit_stiffness))
+    return _scaled(TWO_PI / math.sqrt(p._unit_stiffness), p._period_exp)
 

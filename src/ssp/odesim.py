@@ -24,13 +24,12 @@ error estimate sums the accepted steps' fifth-order local error estimates
 as the combined norm weighs them, read as a phase error.
 
 The run is on the unit values of model.StringParams, in unit time (see
-model._from_unit_scale), so the lengths' scale and sigma/mass may lie
-outside the float range. The force is the model's, bound once per run as a
-closure over the string's constants (model._bound_acceleration), because
-each step makes twelve force evaluations and the call through
-`acceleration` costs more than its arithmetic; it does the same operations
-in the same order, so every force value is the model's, scaled by a power
-of two.
+its slot comment), so the lengths' scale and sigma/mass may lie outside
+the float range. The force is the model's, bound once per run as a closure
+over the string's constants (model._bound_acceleration), because each step
+makes twelve force evaluations and the call through `acceleration` costs
+more than its arithmetic; it does the same operations in the same order,
+so every force value is the model's, scaled by a power of two.
 
 Every accepted step is recorded, in plain lists, the turning times in
 physical time; `simulate` imports numpy where it turns them into a
@@ -59,7 +58,6 @@ if TYPE_CHECKING:
 __all__ = ["SimConfig", "Trajectory", "simulate", "measure_period"]
 
 _SAFETY = 0.9
-_MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0  # proportional exponent
 _PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
@@ -80,7 +78,10 @@ class SimConfig(_Frozen):
     so a half period is the span between opposite turning points (and,
     for n_periods = 0.5, twice the time to the first zero crossing). A
     longer run reads the same period, to within its error estimate, at
-    proportionally more steps.
+    proportionally more steps. The run's horizon is n_periods + 1/2 linear
+    periods: its last event comes at n_periods periods, none longer than
+    the linear-limit period, and the extra half covers the step that
+    reaches it.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -146,7 +147,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     """simulate's run, before its arrays are built: (y, v) from (y0, 0) at
     t = 0 under the model's force, forward until 2*n_periods turning events
     follow the one at t = 0. A run that reaches the horizon first,
-    n_periods + 2 linear periods (see simulate), raises EngineFailure. The
+    n_periods + 1/2 linear periods (see SimConfig), raises EngineFailure. The
     force is odd, so the default run (n_periods = 0.5) stops on the step
     where y first reaches 0, at t_q, and records the turning at 2*t_q, the
     mirror image of the release, as its second event and t_q (in unit
@@ -170,7 +171,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     accel = _bound_acceleration(p)
     rel_tol = cfg.rel_tol
     want = int(2 * cfg.n_periods) + 1
-    horizon = (cfg.n_periods + 2) * rayleigh_period(p)
+    horizon = (cfg.n_periods + 0.5) * rayleigh_period(p)
     t, t_end = 0.0, _scaled(horizon, -shift)
     y0 = osc._unit_y0
     if y0 == 0.0:
@@ -184,13 +185,13 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             f"l0 = {p.l0!r}, l = {p.l!r}: an absolute error floor underflows to 0"
         )
 
-    h = min(t_end, TWO_PI / omega0 / 100.0)
+    h = TWO_PI / omega0 / 100.0
     h_floor = 32.0 * math.ulp(t_end)
     if h < h_floor:
         raise InvalidParameters(
             f"n_periods = {cfg.n_periods!r} cannot be run: the first step, "
             f"{_scaled(h, shift)!r}, is below the step floor of 32 ulps of its "
-            f"horizon, {horizon!r} (n_periods + 2 linear periods)"
+            f"horizon, {horizon!r} (n_periods + 1/2 linear periods)"
         )
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
@@ -275,18 +276,18 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
                 factor = _MAX_FACTOR
             else:
                 factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
+            # err <= 1 and err_prev >= 1e-4 keep factor above 0.9*1e-4**0.05 > 0.5
             if just_rejected and factor > 1.0:
                 factor = 1.0
             if factor > _MAX_FACTOR:
                 factor = _MAX_FACTOR
-            elif factor < _MIN_FACTOR:
-                factor = _MIN_FACTOR
             h *= factor
             err_prev = err if err > 1e-4 else 1e-4
             just_rejected = False
         else:
             n_rej += 1
-            h *= min(1.0, max(0.1, _SAFETY * err ** (-1.0 / 8.0)))
+            # err > 1, inf or nan (max keeps 0.1 against nan): a factor in [0.1, 0.9)
+            h *= max(0.1, _SAFETY * err ** (-1.0 / 8.0))
             just_rejected = True
 
     raise EngineFailure(
@@ -335,8 +336,8 @@ def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     (n_periods = 0.5) stops at its first zero crossing t_q = P/4 instead,
     records the turning at 2*t_q as its second event (t = 0, P/2), and its
     samples after t_q are the mirror images of those before it. The true
-    period never exceeds the linear-limit period, so the time horizon
-    (n_periods + 2) linear periods always suffices.
+    period never exceeds the linear-limit period, so the time horizon,
+    n_periods + 1/2 linear periods (see SimConfig), always suffices.
     """
     return _trajectory(osc, _release(osc, cfg))
 

@@ -34,7 +34,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import EngineFailure, InvalidParameters
-from .model import _Y0_CAP, Oscillation, StringParams, _from_unit_scale, _scaled
+from .model import _Y0_CAP, Oscillation, StringParams, _scaled
 
 __all__ = [
     "Method",
@@ -192,9 +192,9 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     integral, err = trapezoid_ladder(integrand, rel_tol)
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale
     pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
-    value = _from_unit_scale(p, pref * integral)
+    value = _scaled(pref * integral, p._period_exp)
     if not 0.0 < value < math.inf:
         raise EngineFailure(
             f"quadrature left the float range at l={p.l!r}, y0={osc.y0!r}: {value!r}"
         )
-    return PeriodEstimate(value, Method.QUADRATURE, _from_unit_scale(p, pref * err))
+    return PeriodEstimate(value, Method.QUADRATURE, _scaled(pref * err, p._period_exp))

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -235,11 +235,14 @@ def test_secant_bound_lies_between_period_and_upper(osc):
 
 
 def test_bounds_survive_overflowing_amplitude(reference_params):
-    # y0^2 overflows: the lower bounds fall to 0 and the relative bounds to
-    # -inf, both still true, and the exact period stays inside.
+    # y0^2 overflows: the corrected lower bound is formed without it, at
+    # 2*pi/(y0*sqrt(sigma/(m*l0))/l) to an ulp; the printed one falls to 0 and
+    # the relative bounds to -inf, all still true, and the exact period
+    # stays inside.
     osc = Oscillation(reference_params, 1e200)
     b = compute_bounds(osc)
-    assert (b.lower_corrected, b.lower_printed) == (0.0, 0.0)
+    assert b.lower_corrected == 7.853981633974484e-200
+    assert b.lower_printed == 0.0
     assert b.upper == rayleigh_period(reference_params)
     assert b.rel_error_bound_corrected == -math.inf
     assert b.rel_error_bound_printed == -math.inf
@@ -255,7 +258,7 @@ def test_bounds_survive_overflowing_amplitude(reference_params):
          2.046270915589734e28, 1.3116629108753288e112),
         # l0*l^2 underflows to 0
         (1.7259844105766025e-122, 1.733532760420914e-122, 0.567, 1.536, 3.63e-120),
-        # the excess overflows once scaled back: the bound is 0, still true
+        # the excess overflows on the raw values, not on the unit ones
         (1e-100, 2e-100, 1.0, 1.0, 1e50),
     ],
 )
@@ -278,6 +281,16 @@ def test_bounds_where_lengths_and_amplitude_overflow_when_squared():
     assert b.lower_corrected == pytest.approx(TWO_PI / math.sqrt(3.0), rel=1e-15)
     assert b.rel_error_bound_corrected == -0.25
     assert b.lower_corrected < b.upper
+
+
+def test_corrected_lower_bound_where_its_stiffness_sum_overflows():
+    # at l0 = 1e-300 the unit stiffness sum overflows long before the bound
+    # leaves the float range; read as 0 it lay 1.16e6 ulps of upper below
+    # its 40-digit value 6.2831853071795866e-160
+    osc = Oscillation(StringParams(1e-300, 1.0, 1.0, 1.0), 1e10)
+    b = compute_bounds(osc)
+    assert abs(b.lower_corrected - 6.2831853071795866e-160) <= math.ulp(b.lower_corrected)
+    assert check_sandwich(osc, period_elliptic(osc)).passed
 
 
 def _plain_bounds(osc):
@@ -349,10 +362,13 @@ def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_am
     _wide_scale,
     st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
 )
+# the unit stiffness sum overflows where the bound is 76.1 and upper 5.2e5:
+# read as 0, the lower bound lay 12.3 ulps of upper below its value
+@example(math.exp(301), math.exp(-340), math.exp(2), math.exp(1), math.exp(34))
 def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
     # each bound lies within _BOUND_ULPS ulps of upper of its 40-digit value,
-    # the rounding check_sandwich allows. Where y0*y0 overflows on the unit
-    # lengths the lower bound reads 0, below an ulp of upper from its value
+    # the rounding check_sandwich allows, also where y0*y0 overflows on the
+    # unit lengths
     l0, l = sorted((a, b))
     y0 = rel_amp * l
     assume(l0 < l and math.isfinite(y0))

@@ -192,6 +192,9 @@ def test_cells_beyond_the_float_range_fail_cleanly(capsys, params, code, prefix)
         ("--l0", "1", "--l", "1e300", "--y0", "1"),
         # on raw lengths g's denominator underflowed: exit 2
         ("--l0", "1e-201", "--l", "1e-200", "--y0", "1e-200"),
+        # a linear period of 9.9e307: the ODE's horizon of n_periods + 2
+        # linear periods overflowed, so --method ode and all exited 1
+        ("--sigma", "1e-307", "--mass", "1e307"),
     ],
 )
 def test_cells_at_extreme_lengths_answer(capsys, params):

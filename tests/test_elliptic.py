@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import ssp.elliptic
 from ssp import (
     EngineFailure,
     Method,
@@ -74,6 +75,17 @@ def test_cel_is_linear_in_a_and_b(kc, p, a, b, s):
     kernel = _cel(kc, p, 1.0, 1.0)
     subnormal = 8.0 * math.ulp(0.0) * (1.0 + s) * max(kernel, 1.0)
     assert abs(whole - parts) <= 1e-14 * s * (abs(a) + abs(b)) * kernel + subnormal
+
+
+def test_overflowing_scale_back_is_a_clean_error(monkeypatch):
+    # a unit period near DBL_MAX times 2**_period_exp = 2**10 leaves the
+    # float range; the scale-back saturates to inf, which the engine refuses
+    # (math.ldexp raised a raw OverflowError there)
+    p = StringParams(1.0, 1.25, 1.0, 2.0**20)
+    assert p._period_exp == 10
+    monkeypatch.setattr(ssp.elliptic, "_cel", lambda *args: 1e307)
+    with pytest.raises(EngineFailure, match=r"^closed form left the float range at y0=0\.5: inf$"):
+        period_elliptic(Oscillation(p, 0.5))
 
 
 def test_cel_failure_is_a_clean_error():

@@ -340,10 +340,14 @@ def test_underflowing_error_floor_rejected(l, y0):
         simulate(Oscillation(StringParams(1.0, l, 1.0, 1.0), y0))
 
 
-@pytest.mark.parametrize("sigma, mass", [(1e300, 1e-300), (1e-300, 1e300)])
+@pytest.mark.parametrize(
+    "sigma, mass", [(1e300, 1e-300), (1e-300, 1e300), (1e-307, 1e307)]
+)
 def test_extreme_sigma_over_mass_runs_in_unit_time(sigma, mass):
     # sigma/m = 1e600 overflows a float and 1e-600 underflows; the run is in
-    # unit time, where the force has sigma and mass scaled into [0.5, 2)
+    # unit time, where the force has sigma and mass scaled into [0.5, 2).
+    # At 1e-614 the linear period is 9.9e307, so a horizon of n_periods + 2
+    # linear periods overflowed and refused the run
     osc = Oscillation(StringParams(1.0, 1.25, sigma, mass), 0.5)
     traj = simulate(osc)
     est = measure_period(traj)

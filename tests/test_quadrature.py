@@ -439,6 +439,17 @@ def test_refinement_budget_exhaustion(monkeypatch, reference_osc):
     assert calls[0] == 2**9 + 1
 
 
+def test_overflowing_scale_back_is_a_clean_error(monkeypatch):
+    # a unit period near DBL_MAX times 2**_period_exp = 2**10 leaves the
+    # float range; the scale-back saturates to inf, which the engine refuses
+    # (math.ldexp raised a raw OverflowError there)
+    p = StringParams(1.0, 1.25, 1.0, 2.0**20)
+    assert p._period_exp == 10
+    monkeypatch.setattr(ssp.quadrature, "trapezoid_ladder", lambda f, rel_tol: (1e307, 0.0))
+    with pytest.raises(EngineFailure, match=r"^quadrature left the float range at .*: inf$"):
+        exact_period(Oscillation(p, 0.5))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [dict(rel_tol=0.0), dict(rel_tol=1.0), dict(rel_tol=-1e-3)],
