@@ -3,19 +3,26 @@
 its work.
 
 Runs `simulate` + `measure_period` on the three oracle cells of
-tests/test_odesim.py at rel_tol 1e-6, 1e-10 and 1e-13, and on 256 draws from
-the distribution of `test_error_estimate_covers_random_draws` (same
-generator seed, so its 32 draws come first) at the default rel_tol, against
-`tests/oracle.py`. The draws run twice: as the default run, which stops at
-its first zero crossing and reads the period off the turning at twice that
-time, and with n_periods=1, which reads it off turning events located on
-the continuous extension of v. For each group it prints the worst relative
-error, the smallest err_estimate/actual error (an estimate covers its error
-where this is above 1), the largest err_estimate/value, and the mean and
-largest accepted steps, rejected steps and force evaluations per run. Forces
-are computed from each run's step and event counts: twelve per accepted step,
-eleven per rejected one, three per located event and one at the start (the
-first stage, whose value also gives the chord frequency), the identity
+tests/test_odesim.py at rel_tol 1e-6, 1e-10 and 1e-13, and on two sets of
+256 draws from `oracle.random_cells`, against `oracle.period_mp`. The first
+set has y0/l in 1e-6..1e4 (seed 20081, whose first 32 draws are those of
+`test_error_estimate_covers_random_draws`) and runs twice: as the default
+run, which stops at its first zero crossing and reads the period off the
+turning at twice that time, and with n_periods=1, which reads it off turning
+events located on the continuous extension of v. The second set has y0/l in
+1e6..1e10 (seed 20082, whose first 32 draws are those of
+`test_error_estimate_covers_crossings_at_large_amplitude`), where the default
+run's crossing step jumps the force's turn near y = 0, and runs the default
+run at rel_tol 1e-10 and 1e-13.
+
+For each group it prints the worst relative error, the smallest
+err_estimate/actual error (an estimate covers its error where this is above
+1), the largest err_estimate/value, and the mean and largest accepted steps,
+rejected steps and force evaluations per run. Forces are computed from each
+run's step and event counts: twelve per accepted step, eleven per rejected
+one, three per located event, eleven for the default run's step to its zero
+crossing and one at the start (the first stage, whose value also gives the
+chord frequency), the identity
 tests/test_odesim.py::test_default_run_force_count pins.
 
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
@@ -45,21 +52,14 @@ ORACLE_CELLS = (
 )
 
 
-def random_draws(n: int = 256) -> list[tuple[tuple[float, ...], float]]:
-    rng = np.random.default_rng(20081)
-    cells = []
-    for _ in range(n):
-        l0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        l = l0 * (1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
-        sigma, mass = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2)))
-        y0 = l * math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))
-        cells.append(((l0, l, sigma, mass, y0), oracle.period_mp(l0, l, sigma, mass, y0)))
-    return cells
+def random_draws(seed: int, y0_over_l: tuple[float, float]) -> list[tuple[tuple[float, ...], float]]:
+    return [(cell, oracle.period_mp(*cell)) for cell in oracle.random_cells(seed, 256, y0_over_l)]
 
 
 def report(label: str, cells, cfg: SimConfig) -> bool:
     """Print the group's row; True where every estimate covers its error."""
     rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
+    crossing = 11 if cfg.n_periods == 0.5 else 0
     for cell, period in cells:
         traj = simulate(Oscillation(StringParams(*cell[:4]), cell[4]), cfg)
         est = measure_period(traj)
@@ -70,9 +70,9 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
         acc.append(traj.n_accepted)
         rej.append(traj.n_rejected)
         located = traj.events.size - 1  # the event at t = 0 is the release
-        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 1)
+        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + crossing + 1)
     print(
-        f"{label:<28} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
+        f"{label:<36} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
         f"max est/value {max(size):.3g}  accepted {np.mean(acc):.1f} (max {max(acc)})  "
         f"rejected {np.mean(rej):.2f} (max {max(rej)})  forces {np.mean(forces):.1f} "
         f"(max {max(forces)})"
@@ -85,9 +85,13 @@ def main() -> int:
         report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, SimConfig(rel_tol=rel_tol))
         for rel_tol in (1e-6, 1e-10, 1e-13)
     ]
-    draws = random_draws()
-    covered.append(report("256 random draws rel_tol=1e-10", draws, SimConfig()))
-    covered.append(report("256 random draws n_periods=1", draws, SimConfig(n_periods=1)))
+    draws = random_draws(20081, (1e-6, 1e4))
+    covered.append(report("256 draws rel_tol=1e-10", draws, SimConfig()))
+    covered.append(report("256 draws n_periods=1", draws, SimConfig(n_periods=1)))
+    large = random_draws(20082, (1e6, 1e10))
+    for rel_tol in (1e-10, 1e-13):
+        label = f"256 draws y0/l 1e6..1e10 rel_tol={rel_tol:g}"
+        covered.append(report(label, large, SimConfig(rel_tol=rel_tol)))
     if not all(covered):
         print("FAIL: an err_estimate does not cover its actual error", file=sys.stderr)
         return 1

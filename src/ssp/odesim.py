@@ -5,9 +5,15 @@ Nystrom form (ssp._dop853): y' = v, so the stage velocities are never
 formed, and the stage displacements, the update of y and its error
 estimates are weighted sums of the force values alone. The force at the
 step end is the next step's first stage (FSAL), so an accepted step costs
-twelve force values. A proportional-integral controller sizes the steps on
-Hairer's combined error norm e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded
-fifth- and third-order estimates e5 and e3.
+twelve force values. The steps are sized on Hairer's combined error norm
+err = e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded fifth- and third-order
+estimates e5 and e3 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). The
+first step is a hundredth of the linear period. It has no error history, so
+the second step is the first times the elementary factor 0.9*err**(-1/8);
+from the second accepted step on, Gustafsson's proportional-integral factor
+0.9*err**(-0.7/8)*err_prev**(0.4/8) takes over, err_prev the previous
+accepted step's err, at least 1e-4 (ACM TOMS 17 (1991) 533-554). Either
+factor is at most 5, and at most 1 right after a rejected step.
 
 Events are roots, inside accepted steps, of one polynomial in the step
 fraction: DOP853's seventh-order continuous extension of v over the step,
@@ -19,9 +25,15 @@ period: y(t_q + s) = -y(t_q - s) and v(t_q + s) = v(t_q - s), and it
 first turns at -y0 at 2*t_q. The default run stops on the step where y
 first changes sign, locates t_q as the root of the polynomial's
 antiderivative (_dop853.position_root), and records the turning at 2*t_q
-as its second event. measure_period reads the period off the events; its
-error estimate sums the accepted steps' fifth-order local error estimates
-as the combined norm weighs them, read as a phase error.
+as its second event. Where y0 is far above l the crossing step jumps the
+force's turn within about l of y = 0, and no error estimate of that step
+covers the interior point t_q. So the run takes one more step, from the
+crossing step's start to t_q (eleven force values), whose end point
+(y_q, v_q) misses y = 0 by t_q's error, and corrects t_q by the Newton step
+dt = -y_q/v_q. measure_period reads the period off the events; its error
+estimate sums the accepted steps' fifth-order local error estimates as the
+combined norm weighs them, read as a phase error, and on the default run
+adds 4*|dt|, the correction's size in the period.
 
 The run is on the unit values of model.StringParams, in unit time (see
 its slot comment), so the lengths' scale and sigma/mass may lie outside
@@ -48,7 +60,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import _dop853
 from .errors import EngineFailure, InvalidParameters
-from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled, rayleigh_period
+from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled
 from .model import acceleration  # noqa: F401  tracer-only: perfbench --trace wraps it
 from .quadrature import Method, PeriodEstimate
 
@@ -74,14 +86,17 @@ class SimConfig(_Frozen):
 
     n_periods is a positive multiple of 1/2. The default run is half a
     period: its second event is the first turning after release, at twice
-    the first zero crossing, where the run stops. The model's force is odd,
+    the first zero crossing, where the run stops, and the crossing time is
+    corrected by one extra step to it (see the module docstring), which its
+    error estimate counts. The model's force is odd,
     so a half period is the span between opposite turning points (and,
     for n_periods = 0.5, twice the time to the first zero crossing). A
     longer run reads the same period, to within its error estimate, at
     proportionally more steps. The run's horizon is n_periods + 1/2 linear
     periods: its last event comes at n_periods periods, none longer than
     the linear-limit period, and the extra half covers the step that
-    reaches it.
+    reaches it. It is formed in unit time, so it may exceed the float range
+    in physical time where the run's events do not.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -113,7 +128,8 @@ class Trajectory(NamedTuple):
     |err5_y| + |err5_v|/omega_c, each times the factor
     e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm weighs it,
     relative to y0, where omega_c is the chord frequency at y0 (see
-    measure_period).
+    measure_period), plus, on the n_periods = 0.5 run, |dt|/(2*t_q), the
+    correction of its zero crossing time relative to the half period.
     """
 
     t: np.ndarray
@@ -152,11 +168,12 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     where y first reaches 0, at t_q, and records the turning at 2*t_q, the
     mirror image of the release, as its second event and t_q (in unit
     time) as _Run.t_q. t_q and the turning points are roots of the step's
-    one polynomial extension (see _dop853).
+    one polynomial extension (see _dop853); t_q is then corrected by a step
+    to it (see the module docstring).
 
     A step below 32 ulps of the horizon raises EngineFailure, and a first
     step already below it InvalidParameters, as does a horizon beyond the
-    float range, whose floor is inf.
+    float range in unit time, whose floor is inf.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -171,12 +188,11 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     accel = _bound_acceleration(p)
     rel_tol = cfg.rel_tol
     want = int(2 * cfg.n_periods) + 1
-    horizon = (cfg.n_periods + 0.5) * rayleigh_period(p)
-    t, t_end = 0.0, _scaled(horizon, -shift)
     y0 = osc._unit_y0
     if y0 == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
+    t, t_end = 0.0, (cfg.n_periods + 0.5) * (TWO_PI / omega0)
     abs_y = _ABS_FLOOR * y0
     abs_v = abs_y * omega0
     if abs_y == 0.0 or abs_v == 0.0:
@@ -191,7 +207,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
         raise InvalidParameters(
             f"n_periods = {cfg.n_periods!r} cannot be run: the first step, "
             f"{_scaled(h, shift)!r}, is below the step floor of 32 ulps of its "
-            f"horizon, {horizon!r} (n_periods + 1/2 linear periods)"
+            f"horizon, {_scaled(t_end, shift)!r} (n_periods + 1/2 linear periods)"
         )
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
@@ -213,7 +229,6 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     ts, ys, vs = [t], [y], [v]
     local = 0.0
     events = [0.0]
-    err = err_prev = 1e-4
     n_acc = 0
     n_rej = 0
     just_rejected = False
@@ -250,10 +265,18 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             t_new = t + h
             k_new = accel(y_new)
             if want == 2 and y_new <= 0.0:
-                if y_new == 0.0:
-                    t_q = t_new
-                else:
-                    t_q = t + h * _dop853.position_root(accel, y, v, h, y_new, v_new, ks, k_new)
+                t_q = t_new
+                if y_new < 0.0:
+                    # the step's error estimates do not cover the extension's
+                    # root: a step from t to it ends at y_q, off 0 by the
+                    # root's error, and one Newton step in time, dt, corrects
+                    # t_q and counts into local_err relative to the half
+                    # period 2*t_q
+                    h_q = h * _dop853.position_root(accel, y, v, h, y_new, v_new, ks, k_new)
+                    y_q, v_q, *_ = _dop853.step(accel, y, v, k0, h_q)
+                    dt = -y_q / v_q
+                    t_q = t + h_q + dt
+                    local += y0 * (abs(dt) / (t_q + t_q))
                 event = t_q + t_q
             elif (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
                 event = t + h * _dop853.velocity_root(accel, y, v, h, v_new, ks, k_new)
@@ -274,6 +297,9 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
                     return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
             if err == 0.0:
                 factor = _MAX_FACTOR
+            elif n_acc == 1:
+                # no error history yet: the elementary controller
+                factor = _SAFETY * err ** (-1.0 / 8.0)
             else:
                 factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
             # err <= 1 and err_prev >= 1e-4 keep factor above 0.9*1e-4**0.05 > 0.5
@@ -291,7 +317,8 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             just_rejected = True
 
     raise EngineFailure(
-        f"expected {want} turning events within {horizon!r} time units, found {len(events)}"
+        f"expected {want} turning events within {_scaled(t_end, shift)!r} time units, "
+        f"found {len(events)}"
     )
 
 
@@ -350,7 +377,9 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     span half a period, as the force is odd in y (see SimConfig).
 
     The error estimate is value * local_err / n_periods, 2*value*local_err
-    on the default run. local_err sums the embedded estimates
+    on the default run, where local_err's crossing term adds 4*|dt|, the
+    size in the period of the correction dt of the zero crossing time
+    (see the module docstring). local_err sums the embedded estimates
     |err5_y| + |err5_v|/omega_c of the accepted steps, as the step-size
     control weighs them, relative to y0: local errors of the fifth-order
     solution, which exceed those of the eighth-order one that is carried

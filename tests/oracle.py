@@ -9,6 +9,7 @@ output against them instead of trusting the code being tested.
 import math
 
 import mpmath
+import numpy as np
 
 # Reference configuration: l0=1, l=1.25, sigma=1, mass=1, y0=0.5.
 P_REF = 9.005336275721726          # exact period, 9.00533627572172675538723387156...
@@ -65,6 +66,22 @@ QUADRATURE_DEFECT_CELLS = NONSTANDARD_PERIODS[-2:]
 # scripts/compute_reference_values.py. hypot(l, y) - l0 cancels here.
 NEAR_L0_PARAMS = (1.0, 1.0 + 1e-12, 1.0, 1.0, 2e-9)
 P_NEAR_L0 = 4442682.132172986  # 4442682.13217298589114907992585
+
+
+def random_cells(seed, n, y0_over_l):
+    """n cells (l0, l, sigma, mass, y0), log-uniform over l0 in 0.1..10, the
+    stretch l/l0 - 1 in 1e-6..1e3, sigma and mass each in 1e-3..1e3 and
+    y0/l in the range y0_over_l: the draws of the ODE's error-estimate
+    tests and of scripts/ode_coverage.py, the first n of a seed alike."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (math.log(b) for b in y0_over_l)
+    cells = []
+    for _ in range(n):
+        l0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        l = l0 * (1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
+        sigma, mass = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2)))
+        cells.append((l0, l, sigma, mass, l * math.exp(rng.uniform(lo, hi))))
+    return cells
 
 
 def g_plain(l0, l, y, y0):

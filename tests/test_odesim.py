@@ -68,20 +68,20 @@ def test_default_run_work_count(default_traj):
 @pytest.mark.parametrize(
     "y0, n_periods, steps, forces",
     [
-        pytest.param(0.5, 0.5, (13, 0), 160, id="reference"),
-        pytest.param(50.0, 0.5, (15, 5), 239, id="rejected-steps"),
+        pytest.param(0.5, 0.5, (10, 0), 135, id="reference"),
+        pytest.param(50.0, 0.5, (13, 6), 237, id="rejected-steps"),
         # turnings located by velocity_root
-        pytest.param(0.5, 1, (41, 0), 499, id="n_periods=1"),
-        pytest.param(0.5, 3, (117, 0), 1423, id="n_periods=3"),
+        pytest.param(0.5, 1, (38, 0), 463, id="n_periods=1"),
+        pytest.param(0.5, 3, (114, 0), 1387, id="n_periods=3"),
     ],
 )
 def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     # every force value of a run: twelve per accepted step, eleven per
     # rejected one, three per event located on the continuous extension
-    # (the default run's zero crossing, or a turning point), and one at the
-    # start (the first stage, whose value also gives the chord frequency);
-    # no partial step remains. scripts/ode_coverage.py counts forces by this
-    # identity.
+    # (the default run's zero crossing, or a turning point), eleven for the
+    # default run's step to its zero crossing, and one at the start (the
+    # first stage, whose value also gives the chord frequency); no partial
+    # step remains. scripts/ode_coverage.py counts forces by this identity.
     osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), y0)
     cfg = SimConfig(n_periods=n_periods)
     plain = simulate(osc, cfg)
@@ -102,8 +102,32 @@ def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     _same_bytes(traj, plain)
     located = len(traj.events) - 1  # the event at t = 0 is the release
     assert len(calls) == forces
-    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + 1
+    crossing = 11 if n_periods == 0.5 else 0
+    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + crossing + 1
     assert (traj.n_accepted, traj.n_rejected) == steps
+
+
+def test_second_step_sized_by_the_elementary_rule():
+    # no error history before the first accepted step: the step grows by
+    # min(_MAX_FACTOR, _SAFETY*err1**(-1/8)), err1 the first step's error
+    # norm, and the PI rule takes over after it. A PI start on a made-up
+    # previous error of 1e-4 grew it 1.9-fold, and the run took 13 steps
+    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 0.5)
+    p, rel_tol = osc.params, SimConfig().rel_tol
+    run = odesim._release(osc, SimConfig())
+    assert run.n_rejected == 0
+    accel = odesim._bound_acceleration(p)
+    y0, h1, h2 = osc._unit_y0, run.t[1], run.t[2] - run.t[1]
+    y1, v1, e5_y, e5_v, e3_y, e3_v, _ = _dop853.step(accel, y0, 0.0, accel(y0), h1)
+    abs_y = odesim._ABS_FLOOR * y0
+    sc_y = abs_y + rel_tol * max(abs(y1), y0)
+    sc_v = abs_y * math.sqrt(p._unit_stiffness) + rel_tol * abs(v1)
+    e5 = math.hypot(e5_y / sc_y, e5_v / sc_v)
+    e3 = math.hypot(e3_y / sc_y, e3_v / sc_v)
+    err1 = e5 * (e5 / math.hypot(e5, 0.1 * e3)) * odesim._RMS
+    factor = odesim._SAFETY * err1 ** (-1.0 / 8.0)
+    assert 1.0 < factor < odesim._MAX_FACTOR
+    assert math.isclose(h2 / h1, factor, rel_tol=1e-12)
 
 
 def test_default_run_is_mirrored_about_its_zero_crossing(default_traj):
@@ -460,10 +484,20 @@ def test_span_below_the_step_floor_refused(n_periods):
         simulate(osc, SimConfig(n_periods=n_periods))
 
 
+def test_horizon_is_formed_in_unit_time():
+    # the period, 1.336e308, and the linear one, 1.474e308, are finite,
+    # but the horizon of n_periods + 1/2 linear periods is not; formed in
+    # physical time, it refused this run as "horizon, inf"
+    osc = Oscillation(StringParams(1.0, 1.25, 1e-307, 2.2e307), 0.5)
+    est = measure_period(simulate(osc, SimConfig(n_periods=1)))
+    assert math.isfinite(est.value) and est.value > 1e308
+    assert check_sandwich(osc, est).passed
+
+
 def test_step_budget_enforced(default_traj, monkeypatch):
     osc, _ = default_traj
-    monkeypatch.setattr(odesim, "_MAX_STEPS", 10)
-    with pytest.raises(EngineFailure, match="no result after 10 steps"):
+    monkeypatch.setattr(odesim, "_MAX_STEPS", 9)
+    with pytest.raises(EngineFailure, match="no result after 9 steps"):
         simulate(osc)
 
 
@@ -524,16 +558,42 @@ def test_error_estimate_covers_oracle(cell, period, rel_tol):
         assert est.err_estimate <= 1e-7 * est.value
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_error_estimate_covers_a_crossing_at_large_amplitude():
     # y0/l = 2.3e6: the default run's crossing step jumps the force's turn
-    # within about l of y = 0, and its err_estimate 2.43e-11 covers 0.74 of
-    # the error 3.28e-11 against oracle.period_mp's 40-digit period; a run
-    # of n_periods = 1 covers its own
+    # within about l of y = 0, where the step's own error estimates say
+    # nothing of the extension's root. The step to that root, and the time
+    # correction its end point gives, bring the error against
+    # oracle.period_mp's 40-digit period to about 3e-12; without them the
+    # estimate covered 0.74 of the error
     cell = (0.537257629026983, 0.8569792876054433, 8.910949636189251, 1.1260845962478585)
     osc = Oscillation(StringParams(*cell), 1986777.7807562645)
     est = measure_period(simulate(osc))
     assert abs(est.value - 1.1576566083190627) <= est.err_estimate
+
+
+def test_crossing_time_corrected_and_counted(monkeypatch):
+    # the default run steps from its crossing step's start to the root t_q
+    # of the extension, ends at y_q, within the root's error of 0, and
+    # corrects t_q by dt = -y_q/v_q, which the estimate counts as 4*|dt|.
+    # A root put 0.1% of its step fraction early is corrected to the same
+    # period, and the estimate grows by about that much time, four times
+    osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 0.5)
+    plain = measure_period(odesim._release(osc, SimConfig()))
+    root = _dop853.position_root
+    monkeypatch.setattr(_dop853, "position_root", lambda *args: 0.999 * root(*args))
+    run = odesim._release(osc, SimConfig())
+    early = 1e-3 * (run.t_q - run.t[-2])
+    moved = measure_period(run)
+    assert abs(moved.value - plain.value) <= plain.err_estimate
+    assert 0.999 * 4 * early <= moved.err_estimate - plain.err_estimate <= 1.001 * 4 * early
+
+
+def _covers_its_error(cell, cfg):
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    est = measure_period(simulate(osc, cfg))
+    ref = oracle.period_mp(*cell)
+    assert abs(est.value - ref) <= est.err_estimate, osc
+    assert est.err_estimate <= 1e-7 * est.value, osc
 
 
 def test_error_estimate_covers_random_draws():
@@ -541,17 +601,19 @@ def test_error_estimate_covers_random_draws():
     # 40-digit quadrature. Velocity errors are scaled by the chord frequency
     # at y0, the motion's own time scale, so the estimate stays within 1e-7
     # of the period even where the period is 1e-3 of the linear one.
-    rng = np.random.default_rng(20081)
-    for _ in range(32):
-        l0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        l = l0 * (1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
-        sigma, mass = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2)))
-        y0 = l * math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))
-        osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
-        est = measure_period(simulate(osc))
-        ref = oracle.period_mp(l0, l, sigma, mass, y0)
-        assert abs(est.value - ref) <= est.err_estimate, osc
-        assert est.err_estimate <= 1e-7 * est.value, osc
+    for cell in oracle.random_cells(20081, 32, (1e-6, 1e4)):
+        _covers_its_error(cell, SimConfig())
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
+def test_error_estimate_covers_crossings_at_large_amplitude(rel_tol):
+    # y0/l in 1e6..1e10, where the default run's crossing step jumps the
+    # force's turn near y = 0 (see
+    # test_error_estimate_covers_a_crossing_at_large_amplitude); without the
+    # step to the crossing, one of these draws at rel_tol 1e-13 read an
+    # estimate of 0.49 of its error
+    for cell in oracle.random_cells(20082, 32, (1e6, 1e10)):
+        _covers_its_error(cell, SimConfig(rel_tol=rel_tol))
 
 
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
