@@ -3,7 +3,7 @@
 its work.
 
 Runs `simulate` + `measure_period` on the three oracle cells of
-tests/test_odesim.py at rel_tol 1e-6, 1e-10 and 1e-13, and on two sets of
+tests/test_odesim.py at rel_tol 1e-6, 1e-10, 1e-13 and 1e-15, and on two sets of
 256 draws from `oracle.random_cells`, against `oracle.period_mp`. The first
 set has y0/l in 1e-6..1e4 (seed 20081, whose first 32 draws are those of
 `test_error_estimate_covers_random_draws`) and runs twice: as the default
@@ -13,7 +13,7 @@ events located on the continuous extension of v. The second set has y0/l in
 1e6..1e10 (seed 20082, whose first 32 draws are those of
 `test_error_estimate_covers_crossings_at_large_amplitude`), where the default
 run's crossing step jumps the force's turn near y = 0, and runs the default
-run at rel_tol 1e-10 and 1e-13.
+run at rel_tol 1e-10, 1e-13 and 1e-15.
 
 For each group it prints the worst relative error, the smallest
 err_estimate/actual error (an estimate covers its error where this is above
@@ -25,9 +25,19 @@ crossing and one at the start (the first stage, whose value also gives the
 chord frequency), the identity
 tests/test_odesim.py::test_default_run_force_count pins.
 
+A last group runs the default run at the bottom of the float range: l/l0 in
+{1.25, 1+1e-9, 1+1e-12, 100} on l0 = sigma = mass = 1, y0 = 10**(-318 + j/2)
+for j in 0..40, and rel_tol 1e-6, 1e-10 and 1e-13, 492 cells, where the
+rounding of y and of the force is the run's error. Each cell must either be
+refused (InvalidParameters) or answer a period whose err_estimate covers its
+distance from `exact_period` and which passes `check_sandwich`, in at most
+100 attempted steps. It prints the counts of refused and answered cells, the
+smallest err_estimate/actual of the answers and the most attempted steps.
+
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
 the smallest is not finite: an estimate that fails to cover its error, a NaN,
-or a group whose every error reads exactly 0 and so tests nothing.
+or a group whose every error reads exactly 0 and so tests nothing; or when a
+cell of the last group answers dishonestly or takes more than 100 steps.
 
 Run:  python3 scripts/ode_coverage.py   (needs numpy and mpmath)
 """
@@ -43,7 +53,16 @@ sys.path.insert(0, str(ROOT / "tests"))
 import numpy as np  # noqa: E402
 import oracle  # noqa: E402
 
-from ssp import Oscillation, SimConfig, StringParams, measure_period, simulate  # noqa: E402
+from ssp import (  # noqa: E402
+    InvalidParameters,
+    Oscillation,
+    SimConfig,
+    StringParams,
+    check_sandwich,
+    exact_period,
+    measure_period,
+    simulate,
+)
 
 ORACLE_CELLS = (
     ((1.0, 1.25, 1.0, 1.0, 0.5), oracle.P_REF),
@@ -80,20 +99,53 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
     return all(c > 1.0 for c in cover) and math.isfinite(min(cover))
 
 
+def report_subnormal() -> bool:
+    """Print the subnormal-scale group's row; True where every cell is
+    refused or answers honestly within 100 attempted steps."""
+    refused, dishonest, cover, steps = 0, 0, [], []
+    for l in (1.25, 1.0 + 1e-9, 1.0 + 1e-12, 100.0):
+        for j in range(41):
+            osc = Oscillation(StringParams(1.0, l, 1.0, 1.0), 10.0 ** (-318 + 0.5 * j))
+            for rel_tol in (1e-6, 1e-10, 1e-13):
+                try:
+                    traj = simulate(osc, SimConfig(rel_tol=rel_tol))
+                except InvalidParameters:
+                    refused += 1
+                    continue
+                est = measure_period(traj)
+                actual = abs(est.value - exact_period(osc).value)
+                honest = actual <= est.err_estimate and check_sandwich(osc, est).passed
+                cover.append(est.err_estimate / actual if actual else math.inf)
+                steps.append(traj.n_accepted + traj.n_rejected)
+                if not honest:
+                    dishonest += 1
+                    print(f"  dishonest: l = {l!r}, y0 = {osc.y0!r}, rel_tol = {rel_tol:g}")
+    print(
+        f"{'492 cells y0 1e-318..1e-298':<36} refused {refused}  answered {len(cover)}  "
+        f"dishonest {dishonest}  min est/actual {min(cover):.3g}  most steps {max(steps)}"
+    )
+    return dishonest == 0 and max(steps) <= 100
+
+
 def main() -> int:
     covered = [
         report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, SimConfig(rel_tol=rel_tol))
-        for rel_tol in (1e-6, 1e-10, 1e-13)
+        for rel_tol in (1e-6, 1e-10, 1e-13, 1e-15)
     ]
     draws = random_draws(20081, (1e-6, 1e4))
     covered.append(report("256 draws rel_tol=1e-10", draws, SimConfig()))
     covered.append(report("256 draws n_periods=1", draws, SimConfig(n_periods=1)))
     large = random_draws(20082, (1e6, 1e10))
-    for rel_tol in (1e-10, 1e-13):
+    for rel_tol in (1e-10, 1e-13, 1e-15):
         label = f"256 draws y0/l 1e6..1e10 rel_tol={rel_tol:g}"
         covered.append(report(label, large, SimConfig(rel_tol=rel_tol)))
+    covered.append(report_subnormal())
     if not all(covered):
-        print("FAIL: an err_estimate does not cover its actual error", file=sys.stderr)
+        print(
+            "FAIL: an err_estimate does not cover its actual error, or a "
+            "subnormal-scale run took more than 100 steps",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -133,8 +133,7 @@ def _selected_methods(raw: str) -> tuple[str, ...]:
 def _engine_configs(args: argparse.Namespace) -> tuple[float, SimConfig]:
     """Quadrature tolerance and simulation config."""
     tol = _checked_tol(args.tol, 1e-12)
-    sim_tol = max(_checked_tol(args.tol, 1e-10), 1e-13)
-    return tol, SimConfig(rel_tol=sim_tol)
+    return tol, SimConfig(rel_tol=_checked_tol(args.tol, 1e-10))
 
 
 def cmd_period(args: argparse.Namespace) -> int:

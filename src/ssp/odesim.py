@@ -6,8 +6,12 @@ formed, and the stage displacements, the update of y and its error
 estimates are weighted sums of the force values alone. The force at the
 step end is the next step's first stage (FSAL), so an accepted step costs
 twelve force values. The steps are sized on Hairer's combined error norm
-err = e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded fifth- and third-order
-estimates e5 and e3 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). The
+e = e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded fifth- and third-order
+estimates e5 and e3 (Hairer, Norsett & Wanner, Solving ODEs I, II.4 and
+II.10), each the local error on the orbit's scale, |err_y| + |err_v|/omega_c
+with omega_c the chord frequency at y0 (see measure_period). A step is
+accepted where err = e/(2*rel_tol*y0) is at most 1, the mean of its two
+components at most rel_tol*y0, and the error estimate sums the same e. The
 first step is a hundredth of the linear period. It has no error history, so
 the second step is the first times the elementary factor 0.9*err**(-1/8);
 from the second accepted step on, Gustafsson's proportional-integral factor
@@ -31,9 +35,9 @@ covers the interior point t_q. So the run takes one more step, from the
 crossing step's start to t_q (eleven force values), whose end point
 (y_q, v_q) misses y = 0 by t_q's error, and corrects t_q by the Newton step
 dt = -y_q/v_q. measure_period reads the period off the events; its error
-estimate sums the accepted steps' fifth-order local error estimates as the
-combined norm weighs them, read as a phase error, and on the default run
-adds 4*|dt|, the correction's size in the period.
+estimate sums the accepted steps' e, plus the rounding of y and of the
+force per step, read as a phase error, and on the default run adds 4*|dt|,
+the correction's size in the period.
 
 The run is on the unit values of model.StringParams, in unit time (see
 its slot comment), so the lengths' scale and sigma/mass may lie outside
@@ -47,10 +51,7 @@ Every accepted step is recorded, in plain lists, the turning times in
 physical time; `simulate` imports numpy where it turns them into a
 Trajectory's arrays, and completes the default run's half period with the
 mirror images of the samples before t_q. measure_period reads the period
-off the lists, so it needs neither numpy nor the mirror images. The error
-weights of (y, v) are rel_tol * |value| plus an absolute floor of
-1e-12 * y0 for y and the same floor times the linear angular frequency
-for v.
+off the lists, so it needs neither numpy nor the mirror images.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import _dop853
 from .errors import EngineFailure, InvalidParameters
-from .model import TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled
+from .model import _TINY, TWO_PI, Oscillation, _bound_acceleration, _Frozen, _scaled
 from .model import acceleration  # noqa: F401  tracer-only: perfbench --trace wraps it
 from .quadrature import Method, PeriodEstimate
 
@@ -73,16 +74,16 @@ _SAFETY = 0.9
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0  # proportional exponent
 _PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
-# root mean square over the two components (y, v)
-_RMS = math.sqrt(0.5)
-# absolute error floor of y, relative to y0
-_ABS_FLOOR = 1e-12
 # attempted steps (accepted plus rejected) before the run gives up
 _MAX_STEPS = 10_000_000
 
 
 class SimConfig(_Frozen):
     """Relative step tolerance and run length of `simulate`.
+
+    rel_tol bounds each accepted step's mean local error on the orbit's
+    scale by rel_tol*y0 (see the module docstring), so Trajectory.local_err
+    is at most 2*rel_tol*n_accepted plus its rounding and crossing terms.
 
     n_periods is a positive multiple of 1/2. The default run is half a
     period: its second event is the first turning after release, at twice
@@ -123,13 +124,12 @@ class Trajectory(NamedTuple):
     t_q and appends their mirror images (2*t_q - t, -y, v) in reverse
     order, ending at its last event; e holds the conserved energy of the
     full nonlinear model at each sample, +-inf where it is beyond the float
-    range. events are the turning times. local_err is the sum over accepted
-    steps of the fifth-order local error estimates
-    |err5_y| + |err5_v|/omega_c, each times the factor
-    e5/sqrt(e5^2 + 0.01*e3^2) by which the combined norm weighs it,
-    relative to y0, where omega_c is the chord frequency at y0 (see
-    measure_period), plus, on the n_periods = 0.5 run, |dt|/(2*t_q), the
-    correction of its zero crossing time relative to the half period.
+    range. events are the turning times. local_err, relative to y0, sums
+    over accepted steps the combined norm's e (see the module docstring)
+    and the rounding of y and of the force, ulp(y0)/y0 + ulp(F)/|F| at the
+    release force F, which is the run's error near the bottom of the float
+    range; the n_periods = 0.5 run adds |dt|/(2*t_q), the correction of its
+    zero crossing time relative to the half period.
     """
 
     t: np.ndarray
@@ -173,7 +173,8 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
 
     A step below 32 ulps of the horizon raises EngineFailure, and a first
     step already below it InvalidParameters, as does a horizon beyond the
-    float range in unit time, whose floor is inf.
+    float range in unit time, whose floor is inf, and a run whose
+    rel_tol*y0 or rel_tol*|F(y0)| on the unit values is below 5e-324.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -193,13 +194,6 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
         raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
     t, t_end = 0.0, (cfg.n_periods + 0.5) * (TWO_PI / omega0)
-    abs_y = _ABS_FLOOR * y0
-    abs_v = abs_y * omega0
-    if abs_y == 0.0 or abs_v == 0.0:
-        raise InvalidParameters(
-            f"cannot simulate at amplitude {osc.y0!r} with "
-            f"l0 = {p.l0!r}, l = {p.l!r}: an absolute error floor underflows to 0"
-        )
 
     h = TWO_PI / omega0 / 100.0
     h_floor = 32.0 * math.ulp(t_end)
@@ -217,7 +211,12 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             f"the force per unit mass at y = {osc.y0!r} is {k0!r} "
             f"(sigma = {p.sigma!r}, mass = {p.mass!r})"
         )
-    ay, av = y, v
+    if rel_tol * min(y0, abs(k0)) < _TINY:
+        raise InvalidParameters(
+            f"cannot simulate at amplitude {osc.y0!r} with l0 = {p.l0!r}, "
+            f"l = {p.l!r}: rel_tol times the amplitude or the release force, "
+            f"on the unit values, is below the smallest float"
+        )
     # velocity errors count as displacement errors at the chord frequency
     # sqrt(|F(y0)|/(m*y0)), the root of the model's largest F(y)/(m*y) on
     # the orbit, from the first stage's force; omega0 where the quotient
@@ -225,6 +224,9 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     omega_c = math.sqrt(abs(k0) / y0)
     if not 0.0 < omega_c < math.inf:
         omega_c = omega0
+    # a step's error budget, rel_tol*y0 per component, and its rounding
+    tol = 2.0 * rel_tol * y0
+    rounding = math.ulp(y0) + y0 * (math.ulp(k0) / abs(k0))
 
     ts, ys, vs = [t], [y], [v]
     local = 0.0
@@ -250,16 +252,13 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             h = t_end - t
 
         y_new, v_new, err5_y, err5_v, err3_y, err3_v, ks = _dop853.step(accel, y, v, k0, h)
-        # |y| and |v| of the step start carry over from the last accepted step
-        ay_new, av_new = abs(y_new), abs(v_new)
-        sc_y = abs_y + rel_tol * (ay_new if ay_new > ay else ay)
-        sc_v = abs_v + rel_tol * (av_new if av_new > av else av)
-        e5 = math.hypot(err5_y / sc_y, err5_v / sc_v)
-        e3 = math.hypot(err3_y / sc_y, err3_v / sc_v)
+        # the local error on the orbit's scale
+        e5 = abs(err5_y) + abs(err5_v) / omega_c
+        e3 = abs(err3_y) + abs(err3_v) / omega_c
         # Hairer's combined norm: the fifth-order estimate, shrunk by
         # e5/sqrt(e5^2 + 0.01*e3^2) where the third-order one is larger
-        shrink = e5 / math.hypot(e5, 0.1 * e3) if e5 > 0.0 else 0.0
-        err = e5 * shrink * _RMS
+        e5 *= e5 / math.hypot(e5, 0.1 * e3) if e5 > 0.0 else 1.0
+        err = e5 / tol
 
         if err <= 1.0:
             t_new = t + h
@@ -285,9 +284,8 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             else:
                 event = None
             n_acc += 1
-            local += (abs(err5_y) + abs(err5_v) / omega_c) * shrink
+            local += e5 + rounding
             t, y, v, k0 = t_new, y_new, v_new, k_new
-            ay, av = ay_new, av_new
             ts.append(t)
             ys.append(y)
             vs.append(v)
@@ -380,8 +378,8 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     on the default run, where local_err's crossing term adds 4*|dt|, the
     size in the period of the correction dt of the zero crossing time
     (see the module docstring). local_err sums the embedded estimates
-    |err5_y| + |err5_v|/omega_c of the accepted steps, as the step-size
-    control weighs them, relative to y0: local errors of the fifth-order
+    |err5_y| + |err5_v|/omega_c of the accepted steps, the numbers the
+    step-size control bounds, relative to y0: local errors of the fifth-order
     solution, which exceed those of the eighth-order one that is carried
     forward. Over a period an oscillator carries a state error forward by an
     O(1) factor, and a relative state error e moves the phase by about e

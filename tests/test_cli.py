@@ -61,6 +61,17 @@ def test_period_csv_json_agree(capsys):
         assert repr(float(row[key])) == row[key]
 
 
+def test_period_tol_reaches_the_ode_engine(capsys):
+    # --tol is the simulation's rel_tol as given, down to the flag's floor
+    from ssp import Oscillation, SimConfig, StringParams, measure_period, simulate
+
+    code, out, _ = run_cli(capsys, "period", "--method", "ode", "--tol", "1e-15", "--format", "json")
+    assert code == 0
+    osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    expected = measure_period(simulate(osc, SimConfig(rel_tol=1e-15))).value
+    assert json.loads(out)["period_ode"].hex() == expected.hex()
+
+
 def _assert_large_amplitude_limit(period):
     # At y0/l = 8e199 the period equals its large-amplitude limit
     # pi*sqrt(2*m*l0/sigma) = pi*sqrt(2) far below one ulp.
