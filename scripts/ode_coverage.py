@@ -8,9 +8,9 @@ tests/test_odesim.py at rel_tol 1e-6, 1e-10, 1e-13 and 1e-15, and on two sets of
 set has y0/l in 1e-6..1e4 (seed 20081, whose first 32 draws are those of
 `test_error_estimate_covers_random_draws`) and runs twice: as the default
 run, which stops at its first zero crossing and reads the period off the
-turning at twice that time, and with n_periods=1, which reads it off turning
-events located on the continuous extension of v. The second set has y0/l in
-1e6..1e10 (seed 20082, whose first 32 draws are those of
+turning at twice that time, and with n_periods=1, whose events are tiled
+from the same quarter period, so it must read the same row. The second set
+has y0/l in 1e6..1e10 (seed 20082, whose first 32 draws are those of
 `test_error_estimate_covers_crossings_at_large_amplitude`), where the default
 run's crossing step jumps the force's turn near y = 0, and runs the default
 run at rel_tol 1e-10, 1e-13 and 1e-15.
@@ -19,11 +19,12 @@ For each group it prints the worst relative error, the smallest
 err_estimate/actual error (an estimate covers its error where this is above
 1), the largest err_estimate/value, and the mean and largest accepted steps,
 rejected steps and force evaluations per run. Forces are computed from each
-run's step and event counts: twelve per accepted step, eleven per rejected
-one, three per located event, eleven for the default run's step to its zero
-crossing and one at the start (the first stage, whose value also gives the
-chord frequency), the identity
-tests/test_odesim.py::test_default_run_force_count pins.
+run's step counts: twelve per accepted step, eleven per rejected one,
+eleven for the step to the zero crossing where the crossing step carries y
+below 0 (a crossing step that lands on y = 0 exactly would save them) and
+one at the start (the first stage, whose value also gives the chord
+frequency), the identity tests/test_odesim.py::test_default_run_force_count
+pins.
 
 A last group runs the default run at the bottom of the float range: l/l0 in
 {1.25, 1+1e-9, 1+1e-12, 100} on l0 = sigma = mass = 1, y0 = 10**(-318 + j/2)
@@ -78,7 +79,6 @@ def random_draws(seed: int, y0_over_l: tuple[float, float]) -> list[tuple[tuple[
 def report(label: str, cells, cfg: SimConfig) -> bool:
     """Print the group's row; True where every estimate covers its error."""
     rel_err, cover, size, acc, rej, forces = [], [], [], [], [], []
-    crossing = 11 if cfg.n_periods == 0.5 else 0
     for cell, period in cells:
         traj = simulate(Oscillation(StringParams(*cell[:4]), cell[4]), cfg)
         est = measure_period(traj)
@@ -88,8 +88,7 @@ def report(label: str, cells, cfg: SimConfig) -> bool:
         size.append(est.err_estimate / est.value)
         acc.append(traj.n_accepted)
         rej.append(traj.n_rejected)
-        located = traj.events.size - 1  # the event at t = 0 is the release
-        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + crossing + 1)
+        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 11 + 1)
     print(
         f"{label:<36} worst rel err {max(rel_err):.3g}  min est/actual {min(cover):.3g}  "
         f"max est/value {max(size):.3g}  accepted {np.mean(acc):.1f} (max {max(acc)})  "

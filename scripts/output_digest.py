@@ -10,8 +10,8 @@ The `simulate` digest covers the arrays, counts and `local_err` of 128 default
 runs, which stop at their first zero crossing, and the `measure_period`
 digest the period estimates of the same runs. On the same 128 strings,
 `simulate(n_periods=1)` covers the arrays, counts, `local_err` and period
-estimate of a one-period run, which reads its turning events off the
-velocity root of the continuous extension. The `acceleration` digest covers
+estimate of a one-period run, which is tiled from the same quarter period
+as the default run. The `acceleration` digest covers
 the model's force at y = 0, y0/2 and y0 on the library pools.
 The whole-range digests cover WIDE_DRAWS strings drawn from the whole float
 range, far outside the benchmark's pools, where the unit-scale conversions

@@ -7,13 +7,12 @@ k_k in the y update and in its error estimates are b*A, e5*A and e3*A (e5
 and e3 sum to 0, so v drops out of the errors). The stage velocities are
 never formed: `step` works on the force values k alone.
 
-The code's continuous extension of v over an accepted step weighs the
-step's forces, the force at its end and three more stages (three force
-values); `_extension` expands it once into v + c1*x + ... + c7*x**7 in the
-step fraction x. `velocity_root` finds its root, a turning point, and
-`position_root` that of its antiderivative, the displacement over the
-step, a zero crossing of y; both read the c's by Horner's rule in one
-bracketed Newton iteration (`_root`).
+A step that carries y across 0 locates the crossing on the quintic
+Hermite polynomial of y in the step fraction that matches y, h*v and h**2*a
+at both of the step's ends (`hermite`): the force at the step end is the
+next step's first stage, so the polynomial costs no force value.
+`hermite_root` finds its root by Horner's rule in one bracketed Newton
+iteration (`_root`).
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ _C = (
     0.281649658092772603273242802490, 0.333333333333333333333333333333,
     0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6,
-    0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
-    0.777777777777777777777777777778,
+    0.857142857142857142857142857142, 1.0, 1.0,
 )
 _A_ROWS = (
     {},
@@ -71,21 +69,8 @@ _A_ROWS = (
      6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
      8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
      10: 6.43392746015763530355970484046e-1},
-    # stage 12 is the step end, whose force is the next step's k0 (FSAL);
-    # stages 13 to 15 serve the continuous extension alone
+    # stage 12 is the step end, whose force is the next step's k0 (FSAL)
     _B_ROW,
-    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
-     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
-     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
-     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
-    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
-     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
-     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
-     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
-    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
-     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
-     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
-     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 )
 # eighth-order minus embedded fifth-order weights
 _E5_ROW = {
@@ -100,36 +85,6 @@ _B3_ROW = {
     8: 0.733846688281611857341361741547,
     11: 0.220588235294117647058823529412e-1,
 }
-# the continuous extension's coefficients of degree 3 to 6, row j giving
-# the weights of the stage forces in F_{3+j}
-_D_ROWS = (
-    {0: -0.84289382761090128651353491142e1, 5: 0.56671495351937776962531783590,
-     6: -0.30689499459498916912797304727e1, 7: 0.23846676565120698287728149680e1,
-     8: 0.21170345824450282767155149946e1, 9: -0.87139158377797299206789907490,
-     10: 0.22404374302607882758541771650e1, 11: 0.63157877876946881815570249290,
-     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e2,
-     14: -0.91946323924783554000451984436e1, 15: -0.44360363875948939664310572000e1},
-    {0: 0.10427508642579134603413151009e2, 5: 0.24228349177525818288430175319e3,
-     6: 0.16520045171727028198505394887e3, 7: -0.37454675472269020279518312152e3,
-     8: -0.22113666853125306036270938578e2, 9: 0.77334326684722638389603898808e1,
-     10: -0.30674084731089398182061213626e2, 11: -0.93321305264302278729567221706e1,
-     12: 0.15697238121770843886131091075e2, 13: -0.31139403219565177677282850411e2,
-     14: -0.93529243588444783865713862664e1, 15: 0.35816841486394083752465898540e2},
-    {0: 0.19985053242002433820987653617e2, 5: -0.38703730874935176555105901742e3,
-     6: -0.18917813819516756882830838328e3, 7: 0.52780815920542364900561016686e3,
-     8: -0.11573902539959630126141871134e2, 9: 0.68812326946963000169666922661e1,
-     10: -0.10006050966910838403183860980e1, 11: 0.77771377980534432092869265740,
-     12: -0.27782057523535084065932004339e1, 13: -0.60196695231264120758267380846e2,
-     14: 0.84320405506677161018159903784e2, 15: 0.11992291136182789328035130030e2},
-    {0: -0.25693933462703749003312586129e2, 5: -0.15418974869023643374053993627e3,
-     6: -0.23152937917604549567536039109e3, 7: 0.35763911791061412378285349910e3,
-     8: 0.93405324183624310003907691704e2, 9: -0.37458323136451633156875139351e2,
-     10: 0.10409964950896230045147246184e3, 11: 0.29840293426660503123344363579e2,
-     12: -0.43533456590011143754432175058e2, 13: 0.96324553959188282948394950600e2,
-     14: -0.39177261675615439165231486172e2, 15: -0.14972683625798562581422125276e3},
-)
-
-
 def _dense(row: dict[int, float]) -> tuple[float, ...]:
     return tuple(row.get(j, 0.0) for j in range(len(_C)))
 
@@ -148,8 +103,7 @@ def _times_a(w: tuple[float, ...]) -> tuple[float, ...]:
 # `step` reads them as globals: _Pi_k = (A^2)_ik (0 from k = i - 1 on), and
 # the weights of k_j in the (y, v) update _BYj, _BVj, in the fifth-order
 # error _E5Yj, _E5Vj and in the third-order error _E3Yj, _E3Vj. The entries
-# bound to _ are 0. The continuous extension reads _Pi_k for stages 13 to
-# 15 and its own weights _Dn_j in the same way.
+# bound to _ are 0.
 _B = _dense(_B_ROW)
 _E5 = _dense(_E5_ROW)
 _E3 = tuple(b - b3 for b, b3 in zip(_B, _dense(_B3_ROW)))
@@ -171,31 +125,15 @@ _E3Y0, _, _, _E3Y3, _E3Y4, _E3Y5, _E3Y6, _E3Y7, _E3Y8, _E3Y9, _E3Y10, *_ = _time
 _BV0, _, _, _, _, _BV5, _BV6, _BV7, _BV8, _BV9, _BV10, _BV11, *_ = _B
 _E5V0, _, _, _, _, _E5V5, _E5V6, _E5V7, _E5V8, _E5V9, _E5V10, _E5V11, *_ = _E5
 _E3V0, _, _, _, _, _E3V5, _E3V6, _E3V7, _E3V8, _E3V9, _E3V10, _E3V11, *_ = _E3
-_C13, _C14, _C15 = _C[13:]
-_P13_0, _, _, _P13_3, _P13_4, _P13_5, _P13_6, _P13_7, _P13_8, _P13_9, _P13_10, _P13_11 = _A2[13]
-(_P14_0, _, _, _P14_3, _P14_4, _P14_5, _P14_6, _P14_7, _P14_8, _P14_9, _P14_10, _P14_11,
- _P14_12) = _A2[14]
-(_P15_0, _, _, _P15_3, _P15_4, _P15_5, _P15_6, _P15_7, _P15_8, _P15_9, _P15_10, _P15_11,
- _P15_12, _P15_13) = _A2[15]
-# _Dn_j: the weight of k_j in the extension's coefficient Fn
-(_D3_0, _, _, _, _, _D3_5, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13,
- _D3_14, _D3_15) = _dense(_D_ROWS[0])
-(_D4_0, _, _, _, _, _D4_5, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13,
- _D4_14, _D4_15) = _dense(_D_ROWS[1])
-(_D5_0, _, _, _, _, _D5_5, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13,
- _D5_14, _D5_15) = _dense(_D_ROWS[2])
-(_D6_0, _, _, _, _, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13,
- _D6_14, _D6_15) = _dense(_D_ROWS[3])
 
 
 def step(
     accel: Callable[[float], float], y: float, v: float, k0: float, h: float
-) -> tuple[float, float, float, float, float, float, tuple[float, ...]]:
+) -> tuple[float, float, float, float, float, float]:
     """One step of width h from (y, v), where k0 = accel(y).
 
     Returns the eighth-order (y, v) at the step end, then the fifth- and
-    third-order error estimates (err5_y, err5_v, err3_y, err3_v), then the
-    stage forces (k0, ..., k11) for the continuous extension.
+    third-order error estimates (err5_y, err5_v, err3_y, err3_v).
     """
     k1 = accel(y + h * (_C1 * v))
     k2 = accel(y + h * (_C2 * v + h * (_P2_0 * k0)))
@@ -248,99 +186,30 @@ def step(
         + _E3V10 * k10 + _E3V11 * k11
     )
     hh = h * h
-    return (
-        y + h * (v + h * q_y), v + h * q_v, hh * q5_y, h * q5_v, hh * q3_y, h * q3_v,
-        (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11),
-    )
+    return y + h * (v + h * q_y), v + h * q_v, hh * q5_y, h * q5_v, hh * q3_y, h * q3_v
 
 
 # a correction of at most 4 ulps of 1 leaves x as exact as the rounding of
-# the extension allows; Newton from the secant root stops after 2 or 3
+# the polynomial allows; Newton from the secant root stops after 2 or 3
 # iterations on the benchmark's pools, and never needs to bisect there
 _ROOT_STOP = 2.0**-50
 _ROOT_MAX_ITER = 20
 
 
-def _extension(
-    accel: Callable[[float], float],
-    y: float,
-    v: float,
-    h: float,
-    v1: float,
-    ks: tuple[float, ...],
-    k12: float,
-) -> tuple[float, ...]:
-    """The coefficients c1..c7 of the continuous extension of v over the
-    step of width h from (y, v) to velocity v1: v(x) = v + c1*x + ... +
-    c7*x**7 at the step fraction x. ks are the step's stage forces and k12
-    the force at the step end; stages 13 to 15 cost three force values.
-
-    The c's expand the code's own form, of seventh order in h,
-    v + x*(F0 + w*(F1 + x*(F2 + w*(F3 + x*(F4 + w*(F5 + x*F6)))))), w = 1 - x,
-    where F0 = d = v1 - v, F1 = h*k0 - d, F2 = 2*d - h*(k12 + k0) and
-    F3..F6 = h * D.(k0..k15) (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6, and contd8 in dop853.f).
-    """
-    k0, _, _, k3, k4, k5, k6, k7, k8, k9, k10, k11 = ks
-    q = (
-        _P13_0 * k0 + _P13_3 * k3 + _P13_4 * k4 + _P13_5 * k5 + _P13_6 * k6 + _P13_7 * k7
-        + _P13_8 * k8 + _P13_9 * k9 + _P13_10 * k10 + _P13_11 * k11
-    )
-    k13 = accel(y + h * (_C13 * v + h * q))
-    q = (
-        _P14_0 * k0 + _P14_3 * k3 + _P14_4 * k4 + _P14_5 * k5 + _P14_6 * k6 + _P14_7 * k7
-        + _P14_8 * k8 + _P14_9 * k9 + _P14_10 * k10 + _P14_11 * k11 + _P14_12 * k12
-    )
-    k14 = accel(y + h * (_C14 * v + h * q))
-    q = (
-        _P15_0 * k0 + _P15_3 * k3 + _P15_4 * k4 + _P15_5 * k5 + _P15_6 * k6 + _P15_7 * k7
-        + _P15_8 * k8 + _P15_9 * k9 + _P15_10 * k10 + _P15_11 * k11 + _P15_12 * k12
-        + _P15_13 * k13
-    )
-    k15 = accel(y + h * (_C15 * v + h * q))
-    d = v1 - v
-    f1 = h * k0 - d
-    f2 = 2.0 * d - h * (k12 + k0)
-    f3 = h * (
-        _D3_0 * k0 + _D3_5 * k5 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8 + _D3_9 * k9
-        + _D3_10 * k10 + _D3_11 * k11 + _D3_12 * k12 + _D3_13 * k13 + _D3_14 * k14
-        + _D3_15 * k15
-    )
-    f4 = h * (
-        _D4_0 * k0 + _D4_5 * k5 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9
-        + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14
-        + _D4_15 * k15
-    )
-    f5 = h * (
-        _D5_0 * k0 + _D5_5 * k5 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9
-        + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14
-        + _D5_15 * k15
-    )
-    f6 = h * (
-        _D6_0 * k0 + _D6_5 * k5 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9
-        + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14
-        + _D6_15 * k15
-    )
-    return (
-        d + f1, f2 + f3 - f1, f4 + f5 - f2 - 2.0 * f3, f3 + f6 - 2.0 * f4 - 3.0 * f5,
-        f4 + 3.0 * f5 - 3.0 * f6, 3.0 * f6 - f5, -f6,
-    )
-
-
-def _root(at: Callable[[float], tuple[float, float]], negative_at_0: bool, x: float) -> float:
+def _root(at: Callable[[float], tuple[float, float]], x: float) -> float:
     """The fraction x in [0, 1] at which f is 0, where at(x) = (f(x), f'(x)),
-    f(0) < 0 exactly where negative_at_0, and f(1) has the other sign.
+    f(0) > 0 and f(1) <= 0.
 
     Newton starts from x; a Newton step that leaves the bracket bisects it
     instead, and the iteration stops at a correction of at most _ROOT_STOP,
     at a zero of f, or after _ROOT_MAX_ITER iterations.
     """
-    lo, hi = 0.0, 1.0  # f(lo) has the sign of f(0), f(hi) that of f(1)
+    lo, hi = 0.0, 1.0  # f(lo) > 0 >= f(hi)
     for _ in range(_ROOT_MAX_ITER):
         f, slope = at(x)
         if f == 0.0:
             break
-        if (f < 0.0) == negative_at_0:
+        if f > 0.0:
             lo = x
         else:
             hi = x
@@ -353,55 +222,38 @@ def _root(at: Callable[[float], tuple[float, float]], negative_at_0: bool, x: fl
     return x
 
 
-def velocity_root(
-    accel: Callable[[float], float],
-    y: float,
-    v: float,
-    h: float,
-    v1: float,
-    ks: tuple[float, ...],
-    k12: float,
-) -> float:
-    """The fraction x of the step at which the continuous extension of v
-    (see _extension, same arguments) is 0, where v and v1 have opposite
-    signs. v(0) = v and v(1) = v1 bracket the root, and Newton starts from
-    the secant root (see _root).
+def hermite(
+    y: float, v: float, f0: float, h: float, y1: float, v1: float, f1: float
+) -> tuple[float, float, float, float, float, float]:
+    """The coefficients (y, h*v, c2, c3, c4, c5) of the quintic Hermite
+    polynomial y + x*(h*v + x*(c2 + x*(c3 + x*(c4 + x*c5)))) in the fraction
+    x of the step of width h from (y, v) to (y1, v1), with the forces f0 and
+    f1 at its ends. It matches y, h*v and h**2*f at x = 0 and 1:
+    c2 = h**2*f0/2, c3 = 10*D - 4*E + G/2, c4 = -15*D + 7*E - G and
+    c5 = 6*D - 3*E + G/2, with D = y1 - y - h*v - c2, E = h*(v1 - v) - h**2*f0
+    and G = h**2*(f1 - f0).
     """
-    c1, c2, c3, c4, c5, c6, c7 = _extension(accel, y, v, h, v1, ks, k12)
-    d2, d3, d4, d5, d6, d7 = 2.0 * c2, 3.0 * c3, 4.0 * c4, 5.0 * c5, 6.0 * c6, 7.0 * c7
+    hh = h * h
+    hv, c2 = h * v, 0.5 * (hh * f0)
+    d = y1 - y - hv - c2
+    e = h * (v1 - v) - hh * f0
+    g = hh * (f1 - f0)
+    return (
+        y, hv, c2, 10.0 * d - 4.0 * e + 0.5 * g, -15.0 * d + 7.0 * e - g,
+        6.0 * d - 3.0 * e + 0.5 * g,
+    )
+
+
+def hermite_root(
+    y: float, v: float, f0: float, h: float, y1: float, v1: float, f1: float
+) -> float:
+    """The fraction x of the step at which its Hermite polynomial (see
+    hermite, same arguments) is 0, where y > 0 >= y1. Newton starts from the
+    secant root (see _root)."""
+    _, hv, c2, c3, c4, c5 = hermite(y, v, f0, h, y1, v1, f1)
 
     def at(x: float) -> tuple[float, float]:
-        f = v + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * (c6 + x * c7))))))
-        return f, c1 + x * (d2 + x * (d3 + x * (d4 + x * (d5 + x * (d6 + x * d7)))))
+        f = y + x * (hv + x * (c2 + x * (c3 + x * (c4 + x * c5))))
+        return f, hv + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
 
-    return _root(at, v < 0.0, v / (v - v1))
-
-
-def position_root(
-    accel: Callable[[float], float],
-    y: float,
-    v: float,
-    h: float,
-    y1: float,
-    v1: float,
-    ks: tuple[float, ...],
-    k12: float,
-) -> float:
-    """The fraction x of the step at which y is 0 on the antiderivative of
-    the continuous extension of v, where y and y1 have opposite signs; the
-    other arguments are _extension's.
-
-    The displacement over the step is y(x) = y + h*x*(v + c1*x/2 + ... +
-    c7*x**7/8), of degree 8, with slope h*v(x) in x. y(0) = y and y(1),
-    within the extension's error of y1, bracket the root, and Newton starts
-    from the secant root (see _root).
-    """
-    c1, c2, c3, c4, c5, c6, c7 = _extension(accel, y, v, h, v1, ks, k12)
-    b1, b2, b3, b4, b5, b6, b7 = c1 / 2, c2 / 3, c3 / 4, c4 / 5, c5 / 6, c6 / 7, c7 / 8
-
-    def at(x: float) -> tuple[float, float]:
-        s = v + x * (b1 + x * (b2 + x * (b3 + x * (b4 + x * (b5 + x * (b6 + x * b7))))))
-        d = v + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * (c6 + x * c7))))))
-        return y + h * (x * s), h * d
-
-    return _root(at, y < 0.0, y / (y - y1))
+    return _root(at, y / (y - y1))

@@ -11,7 +11,7 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 ok, 1 invalid
 input, 2 numerical-engine failure, 3 invariant violation (verify only).
 Flags are the only settings; no environment variable changes a result.
 period, verify and linear sweeps run without numpy; sweep --log, convergence
-and trajectory import it where they use it.
+(for its log grid) and trajectory import it where they use it.
 """
 
 from __future__ import annotations
@@ -250,8 +250,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    import numpy as np
-
     low = args.low if args.low is not None else 0.01 * args.l
     high = args.high if args.high is not None else 0.2 * args.l
     if args.points < 2 or low == high:
@@ -266,9 +264,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             raise InvalidParameters(f"|R| is 0 at y0={row['y0']!r}; the slope fit needs |R| > 0")
         row["period"] = row["period_quadrature"]
         rows.append({k: row[k] for k in header})
-    slope = float(
-        np.polyfit(np.log(amps), np.log([abs(r["R"]) for r in rows]), 1)[0]
-    )
+    # the least-squares slope of log|R| against log y0
+    xs = [math.log(y0) for y0 in amps]
+    ys = [math.log(abs(r["R"])) for r in rows]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((x - x_mean) ** 2 for x in xs)
     if args.format == "json":
         _write_json({"rows": rows, "slope": slope})
     else:

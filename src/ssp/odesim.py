@@ -19,25 +19,22 @@ from the second accepted step on, Gustafsson's proportional-integral factor
 accepted step's err, at least 1e-4 (ACM TOMS 17 (1991) 533-554). Either
 factor is at most 5, and at most 1 right after a rejected step.
 
-Events are roots, inside accepted steps, of one polynomial in the step
-fraction: DOP853's seventh-order continuous extension of v over the step,
-expanded once at three force values (_dop853._extension). A turning point
-(v = 0) is its root (_dop853.velocity_root); turning times are half a
-period apart. The force is odd in y, so a release from rest at y0 is
-mirror-symmetric about its first zero crossing t_q, at exactly a quarter
-period: y(t_q + s) = -y(t_q - s) and v(t_q + s) = v(t_q - s), and it
-first turns at -y0 at 2*t_q. The default run stops on the step where y
-first changes sign, locates t_q as the root of the polynomial's
-antiderivative (_dop853.position_root), and records the turning at 2*t_q
-as its second event. Where y0 is far above l the crossing step jumps the
+The force is odd in y, bit for bit, and the run starts from rest, so the
+motion is an image of its first quarter period: with t_q the first zero
+crossing, y(2*t_q - t) = -y(t) and v(2*t_q - t) = v(t), and
+y(t + 2*t_q) = -y(t) and v(t + 2*t_q) = -v(t). So every run integrates one
+quarter period: it stops on the step where y first reaches 0 and finds t_q
+on the quintic Hermite polynomial of y over that step, which matches y, v
+and the force at both ends and costs no force value
+(_dop853.hermite_root). Where y0 is far above l the crossing step jumps the
 force's turn within about l of y = 0, and no error estimate of that step
 covers the interior point t_q. So the run takes one more step, from the
 crossing step's start to t_q (eleven force values), whose end point
 (y_q, v_q) misses y = 0 by t_q's error, and corrects t_q by the Newton step
-dt = -y_q/v_q. measure_period reads the period off the events; its error
-estimate sums the accepted steps' e, plus the rounding of y and of the
-force per step, read as a phase error, and on the default run adds 4*|dt|,
-the correction's size in the period.
+dt = -y_q/v_q. The turning events are k*2*t_q for k in 0..2*n_periods.
+measure_period reads the period as 4*t_q; its error estimate sums the
+accepted steps' e, plus the rounding of y and of the force per step, read
+as a phase error, and adds 4*|dt|, the correction's size in the period.
 
 The run is on the unit values of model.StringParams, in unit time (see
 its slot comment), so the lengths' scale and sigma/mass may lie outside
@@ -47,11 +44,11 @@ makes twelve force evaluations and the call through `acceleration` costs
 more than its arithmetic; it does the same operations in the same order,
 so every force value is the model's, scaled by a power of two.
 
-Every accepted step is recorded, in plain lists, the turning times in
-physical time; `simulate` imports numpy where it turns them into a
-Trajectory's arrays, and completes the default run's half period with the
-mirror images of the samples before t_q. measure_period reads the period
-off the lists, so it needs neither numpy nor the mirror images.
+Every accepted step before t_q is recorded, in plain lists, the turning
+times in physical time; `simulate` imports numpy where it turns them into a
+Trajectory's arrays, with the mirror images of the samples before t_q and
+the images of that half period for each further one. measure_period reads
+the period off the lists, so it needs neither numpy nor the images.
 """
 
 from __future__ import annotations
@@ -74,7 +71,8 @@ _SAFETY = 0.9
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0  # proportional exponent
 _PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
-# attempted steps (accepted plus rejected) before the run gives up
+# attempted steps (accepted plus rejected) before the run gives up, and the
+# most samples a run's Trajectory may hold
 _MAX_STEPS = 10_000_000
 
 
@@ -85,19 +83,14 @@ class SimConfig(_Frozen):
     scale by rel_tol*y0 (see the module docstring), so Trajectory.local_err
     is at most 2*rel_tol*n_accepted plus its rounding and crossing terms.
 
-    n_periods is a positive multiple of 1/2. The default run is half a
-    period: its second event is the first turning after release, at twice
-    the first zero crossing, where the run stops, and the crossing time is
-    corrected by one extra step to it (see the module docstring), which its
-    error estimate counts. The model's force is odd,
-    so a half period is the span between opposite turning points (and,
-    for n_periods = 0.5, twice the time to the first zero crossing). A
-    longer run reads the same period, to within its error estimate, at
-    proportionally more steps. The run's horizon is n_periods + 1/2 linear
-    periods: its last event comes at n_periods periods, none longer than
-    the linear-limit period, and the extra half covers the step that
-    reaches it. It is formed in unit time, so it may exceed the float range
-    in physical time where the run's events do not.
+    n_periods is a positive multiple of 1/2, the span of the Trajectory.
+    Every run integrates the same quarter period, to the first zero crossing
+    t_q, and tiles its 2*n_periods half periods from it (see the module
+    docstring), so n_periods changes neither the steps nor the period that
+    measure_period reads. The integration's horizon is one linear-limit
+    period, which the quarter period never reaches; it is formed in unit
+    time, so it may exceed the float range in physical time where the run's
+    events do not.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -118,18 +111,21 @@ class SimConfig(_Frozen):
 class Trajectory(NamedTuple):
     """Recorded samples of one release from rest. Arrays are read-only views.
 
-    t, y, v are the sample times, displacements, and velocities: one
-    sample per accepted step plus the initial state, except on the
-    n_periods = 0.5 run, which keeps the samples before its zero crossing
-    t_q and appends their mirror images (2*t_q - t, -y, v) in reverse
-    order, ending at its last event; e holds the conserved energy of the
-    full nonlinear model at each sample, +-inf where it is beyond the float
-    range. events are the turning times. local_err, relative to y0, sums
-    over accepted steps the combined norm's e (see the module docstring)
-    and the rounding of y and of the force, ulp(y0)/y0 + ulp(F)/|F| at the
-    release force F, which is the run's error near the bottom of the float
-    range; the n_periods = 0.5 run adds |dt|/(2*t_q), the correction of its
-    zero crossing time relative to the half period.
+    t, y, v are the sample times, displacements, and velocities: the initial
+    state and one sample per accepted step before the first zero crossing
+    t_q, then their mirror images (2*t_q - t, -y, v) in reverse order, which
+    end at (2*t_q, -y0, 0) and complete the first half period; half period
+    j >= 1 is the image (t + 2*j*t_q, (-1)**j*y, (-1)**j*v) of the first's
+    samples after t = 0, and ends on its turning event. e holds the
+    conserved energy of the full nonlinear model at each sample, +-inf where
+    it is beyond the float range. events are the turning times k*2*t_q for
+    k in 0..2*n_periods. n_accepted and n_rejected count the quarter
+    period's steps. local_err, relative to y0, sums over accepted steps the
+    combined norm's e (see the module docstring) and the rounding of y and
+    of the force, ulp(y0)/y0 + ulp(F)/|F| at the release force F, which is
+    the run's error near the bottom of the float range, and adds
+    |dt|/(2*t_q), the correction of the zero crossing time relative to the
+    half period.
     """
 
     t: np.ndarray
@@ -143,11 +139,10 @@ class Trajectory(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """What _release records: the samples on the unit values, where
-    physical time is unit time times 2**_period_exp, the turning times in
-    physical time, the step counts, local_err (see Trajectory) and, where
-    the run stopped at its first zero crossing, the unit time t_q of that
-    crossing."""
+    """What _release records: the samples before the first zero crossing on
+    the unit values, where physical time is unit time times 2**_period_exp,
+    the turning times in physical time, the step counts, local_err (see
+    Trajectory) and the unit time t_q of the crossing."""
 
     t: list[float]
     y: list[float]
@@ -156,25 +151,21 @@ class _Run(NamedTuple):
     n_accepted: int
     n_rejected: int
     local_err: float
-    t_q: float | None
+    t_q: float
 
 
 def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     """simulate's run, before its arrays are built: (y, v) from (y0, 0) at
-    t = 0 under the model's force, forward until 2*n_periods turning events
-    follow the one at t = 0. A run that reaches the horizon first,
-    n_periods + 1/2 linear periods (see SimConfig), raises EngineFailure. The
-    force is odd, so the default run (n_periods = 0.5) stops on the step
-    where y first reaches 0, at t_q, and records the turning at 2*t_q, the
-    mirror image of the release, as its second event and t_q (in unit
-    time) as _Run.t_q. t_q and the turning points are roots of the step's
-    one polynomial extension (see _dop853); t_q is then corrected by a step
-    to it (see the module docstring).
+    t = 0 under the model's force, forward to the first zero crossing t_q,
+    found on the crossing step's Hermite polynomial and corrected by a step
+    to it (see the module docstring). The turning events are k*2*t_q for k
+    in 0..2*n_periods, in physical time.
 
-    A step below 32 ulps of the horizon raises EngineFailure, and a first
-    step already below it InvalidParameters, as does a horizon beyond the
-    float range in unit time, whose floor is inf, and a run whose
-    rel_tol*y0 or rel_tol*|F(y0)| on the unit values is below 5e-324.
+    A run that reaches its horizon, one linear period (see SimConfig),
+    without crossing y = 0 raises EngineFailure, and so does a step below
+    32 ulps of the horizon. InvalidParameters is raised where the
+    Trajectory of n_periods would hold more than _MAX_STEPS samples, and
+    where rel_tol*y0 or rel_tol*|F(y0)| on the unit values is below 5e-324.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -188,21 +179,15 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     e, shift = p._length_exp, p._period_exp
     accel = _bound_acceleration(p)
     rel_tol = cfg.rel_tol
-    want = int(2 * cfg.n_periods) + 1
     y0 = osc._unit_y0
     if y0 == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
-    t, t_end = 0.0, (cfg.n_periods + 0.5) * (TWO_PI / omega0)
-
-    h = TWO_PI / omega0 / 100.0
+    # the first step, a hundredth of the horizon, is about 2**52/100 ulps of
+    # it at every scale, so it never starts below the step floor
+    t, t_end = 0.0, TWO_PI / omega0
+    h = t_end / 100.0
     h_floor = 32.0 * math.ulp(t_end)
-    if h < h_floor:
-        raise InvalidParameters(
-            f"n_periods = {cfg.n_periods!r} cannot be run: the first step, "
-            f"{_scaled(h, shift)!r}, is below the step floor of 32 ulps of its "
-            f"horizon, {_scaled(t_end, shift)!r} (n_periods + 1/2 linear periods)"
-        )
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
     k0 = accel(y)
@@ -230,11 +215,9 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
 
     ts, ys, vs = [t], [y], [v]
     local = 0.0
-    events = [0.0]
     n_acc = 0
     n_rej = 0
     just_rejected = False
-    t_q = None
 
     while t < t_end:
         if n_acc + n_rej >= _MAX_STEPS:
@@ -251,7 +234,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
         if t + h > t_end:
             h = t_end - t
 
-        y_new, v_new, err5_y, err5_v, err3_y, err3_v, ks = _dop853.step(accel, y, v, k0, h)
+        y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
         # the local error on the orbit's scale
         e5 = abs(err5_y) + abs(err5_v) / omega_c
         e3 = abs(err3_y) + abs(err3_v) / omega_c
@@ -261,38 +244,15 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
         err = e5 / tol
 
         if err <= 1.0:
-            t_new = t + h
-            k_new = accel(y_new)
-            if want == 2 and y_new <= 0.0:
-                t_q = t_new
-                if y_new < 0.0:
-                    # the step's error estimates do not cover the extension's
-                    # root: a step from t to it ends at y_q, off 0 by the
-                    # root's error, and one Newton step in time, dt, corrects
-                    # t_q and counts into local_err relative to the half
-                    # period 2*t_q
-                    h_q = h * _dop853.position_root(accel, y, v, h, y_new, v_new, ks, k_new)
-                    y_q, v_q, *_ = _dop853.step(accel, y, v, k0, h_q)
-                    dt = -y_q / v_q
-                    t_q = t + h_q + dt
-                    local += y0 * (abs(dt) / (t_q + t_q))
-                event = t_q + t_q
-            elif (v < 0.0 and v_new > 0.0) or (v > 0.0 and v_new < 0.0):
-                event = t + h * _dop853.velocity_root(accel, y, v, h, v_new, ks, k_new)
-            elif v_new == 0.0:
-                event = t_new
-            else:
-                event = None
             n_acc += 1
+            k_new = accel(y_new)
+            if y_new <= 0.0:
+                break
             local += e5 + rounding
-            t, y, v, k0 = t_new, y_new, v_new, k_new
+            t, y, v, k0 = t + h, y_new, v_new, k_new
             ts.append(t)
             ys.append(y)
             vs.append(v)
-            if event is not None:
-                events.append(_scaled(event, shift))
-                if len(events) == want:
-                    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
             if err == 0.0:
                 factor = _MAX_FACTOR
             elif n_acc == 1:
@@ -313,32 +273,61 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             # err > 1, inf or nan (max keeps 0.1 against nan): a factor in [0.1, 0.9)
             h *= max(0.1, _SAFETY * err ** (-1.0 / 8.0))
             just_rejected = True
+    else:
+        raise EngineFailure(
+            f"no zero crossing within {_scaled(t_end, shift)!r} time units"
+        )
 
-    raise EngineFailure(
-        f"expected {want} turning events within {_scaled(t_end, shift)!r} time units, "
-        f"found {len(events)}"
-    )
+    # the step from t carried y to y_new <= 0; no error estimate of it covers
+    # the Hermite root, so a step from t to the root ends at y_q, off 0 by
+    # the root's error, and one Newton step in time, dt, corrects t_q and
+    # counts into local_err relative to the half period 2*t_q
+    t_q = t + h
+    if y_new < 0.0:
+        h_q = h * _dop853.hermite_root(y, v, k0, h, y_new, v_new, k_new)
+        y_q, v_q, *_ = _dop853.step(accel, y, v, k0, h_q)
+        dt = -y_q / v_q
+        t_q = t + h_q + dt
+        local += y0 * (abs(dt) / (t_q + t_q))
+    local += e5 + rounding
+    while ts[-1] >= t_q:  # where the correction moved t_q onto a sample
+        del ts[-1], ys[-1], vs[-1]
+    halves = int(2 * cfg.n_periods)
+    # each half period after the first repeats its samples but t = 0
+    if halves * (2 * len(ts) - 1) + 1 > _MAX_STEPS:
+        raise InvalidParameters(
+            f"n_periods = {cfg.n_periods!r} cannot be run: its trajectory of "
+            f"{len(ts)} samples per quarter period would hold more than "
+            f"{_MAX_STEPS} samples"
+        )
+    events = [_scaled(k * (t_q + t_q), shift) for k in range(halves + 1)]
+    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
 
 
 def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     """The run in physical time, with the energy of each sample, as
-    read-only arrays. A run that stopped at its zero crossing t_q keeps its
-    samples with t < t_q and appends their mirror images
-    (2*t_q - t, -y, v) in reverse order, so it ends on its event, at
-    (2*t_q, -y0, 0)."""
+    read-only arrays: the samples before t_q, their mirror images, and
+    their half-period images (see Trajectory)."""
     import numpy as np
 
     p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
-    ts, ys, vs = run.t, run.y, run.v
-    if run.t_q is not None:
-        n = len(ts)
-        while ts[n - 1] >= run.t_q:
-            n -= 1
-        ts, ys, vs = ts[:n], ys[:n], vs[:n]
-        two_t_q = run.t_q + run.t_q
-        ts += [two_t_q - t for t in reversed(ts)]
-        ys += [-y for y in reversed(ys)]
-        vs += vs[::-1]
+    two_t_q = run.t_q + run.t_q
+    ts = run.t + [two_t_q - t for t in reversed(run.t)]
+    ys = run.y + [-y for y in reversed(run.y)]
+    vs = run.v + run.v[::-1]
+    # half period j >= 1 repeats the first's samples after t = 0, shifted
+    # by j*2*t_q and negated for odd j, and ends on its event
+    n = len(ts)
+    for j in range(1, len(run.events) - 1):
+        start = j * two_t_q
+        ts += [start + t for t in ts[1 : n - 1]]
+        ts.append((j + 1) * two_t_q)
+        if j % 2:  # 0.0 - v, not -v, so that v reads 0.0 at every turning
+            ys += [-y for y in ys[1:n]]
+            vs += [0.0 - v for v in vs[1:n]]
+        else:
+            ys += ys[1:n]
+            vs += vs[1:n]
     ya, va = np.asarray(ys), np.asarray(vs)
     # energy goes as velocity squared, 4**(2*_length_exp - shift)
     with np.errstate(over="ignore"):
@@ -354,39 +343,34 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
 
 
 def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
-    """Release from rest at y0 and integrate until n_periods have elapsed.
-
-    Each period contributes two turning events; the run stops once
-    2*n_periods events follow the initial one. The default run
-    (n_periods = 0.5) stops at its first zero crossing t_q = P/4 instead,
-    records the turning at 2*t_q as its second event (t = 0, P/2), and its
-    samples after t_q are the mirror images of those before it. The true
-    period never exceeds the linear-limit period, so the time horizon,
-    n_periods + 1/2 linear periods (see SimConfig), always suffices.
+    """Release from rest at y0, integrate to the first zero crossing
+    t_q = P/4, and tile n_periods periods from that quarter (see
+    Trajectory): the events are t = 0, P/2, P, ... The true period never
+    exceeds the linear-limit period, so the horizon of one linear period
+    always suffices.
     """
     return _trajectory(osc, _release(osc, cfg))
 
 
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
-    """Period from turning events: the time from the first to the last
-    over the number of periods between them, n_periods = (events.size - 1)/2.
-    Needs at least two events. The default run has two, the second at
-    twice its first zero crossing, so the period is 2*(e1 - e0): two events
-    span half a period, as the force is odd in y (see SimConfig).
+    """Period from turning events: twice the time between the first two,
+    2*(e1 - e0), which span half a period, as the force is odd in y (see
+    SimConfig). Needs at least two events. A run's events are all
+    multiples of twice its first zero crossing, so every n_periods reads
+    the same period.
 
-    The error estimate is value * local_err / n_periods, 2*value*local_err
-    on the default run, where local_err's crossing term adds 4*|dt|, the
-    size in the period of the correction dt of the zero crossing time
-    (see the module docstring). local_err sums the embedded estimates
-    |err5_y| + |err5_v|/omega_c of the accepted steps, the numbers the
-    step-size control bounds, relative to y0: local errors of the fifth-order
-    solution, which exceed those of the eighth-order one that is carried
-    forward. Over a period an oscillator carries a state error forward by an
-    O(1) factor, and a relative state error e moves the phase by about e
-    radians, e/(2*pi) of a period, so the estimate covers the accumulated
-    phase error (Hairer, Norsett & Wanner, Solving ODEs I, II.3-II.4).
-    omega_c, the chord frequency sqrt(|F(y0)|/(m*y0)), sizes the
-    velocity term by the motion's own time scale, so the estimate stays
+    The error estimate is 2*value*local_err, where local_err's crossing
+    term adds 4*|dt|, the size in the period of the correction dt of the
+    zero crossing time (see the module docstring). local_err sums the
+    embedded estimates |err5_y| + |err5_v|/omega_c of the accepted steps,
+    the numbers the step-size control bounds, relative to y0: local errors
+    of the fifth-order solution, which exceed those of the eighth-order one
+    that is carried forward. Over a period an oscillator carries a state
+    error forward by an O(1) factor, and a relative state error e moves the
+    phase by about e radians, e/(2*pi) of a period, so the estimate covers
+    the accumulated phase error (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.3-II.4). omega_c, the chord frequency sqrt(|F(y0)|/(m*y0)), sizes
+    the velocity term by the motion's own time scale, so the estimate stays
     tight where the period falls far below the linear one. traj may also be
     simulate's run before its arrays are built (_release).
     """
@@ -395,6 +379,5 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
         raise EngineFailure(
             f"need >= 2 turning events to estimate a period, got {len(events)}"
         )
-    n_periods = 0.5 * (len(events) - 1)
-    value = float(events[-1] - events[0]) / n_periods
-    return PeriodEstimate(value, Method.ODE_SIM, value * traj.local_err / n_periods)
+    value = 2.0 * float(events[1] - events[0])
+    return PeriodEstimate(value, Method.ODE_SIM, value * traj.local_err * 2.0)

@@ -437,12 +437,12 @@ def test_trajectory_refuses_a_period_count_off_the_half_grid(capsys):
 
 @pytest.mark.parametrize("periods", ["1e20", "1e300"])
 def test_trajectory_refuses_a_span_below_the_step_floor(capsys, periods):
-    # the horizon's step floor exceeds the first step: exit 1, not the
-    # engine failure "step size underflowed" before any step was tried
+    # the tiled trajectory would hold more samples than the cap: exit 1,
+    # refused before any list of the tiled run is built
     code, out, err = run_cli(capsys, "trajectory", "--periods", periods)
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: n_periods = {float(periods)!r} cannot be run: the first step")
+    assert err.startswith(f"error: n_periods = {float(periods)!r} cannot be run: its trajectory")
 
 
 def test_period_names_the_overflowing_trial_steps(capsys):

@@ -1,4 +1,5 @@
-"""Adaptive Dormand-Prince 8(5,3) simulation with turning-point events."""
+"""Adaptive Dormand-Prince 8(5,3) simulation of a quarter period, tiled into
+turning-point events."""
 
 import math
 import warnings
@@ -41,9 +42,11 @@ def test_release_from_rest_initial_sample(default_traj):
 
 
 def test_time_grid_strictly_increasing(default_traj):
-    _, traj = default_traj
-    # One sample per accepted step, plus the initial state.
-    assert len(traj.t) == traj.n_accepted + 1
+    osc, traj = default_traj
+    # the default run's half period of samples, then 19 images of it, each
+    # without the sample at its start, which ends the half period before
+    half = len(simulate(osc).t)
+    assert len(traj.t) == 20 * (half - 1) + 1
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.all(np.diff(traj.events) > 0.0)
     assert traj.events[0] == 0.0
@@ -68,20 +71,20 @@ def test_default_run_work_count(default_traj):
 @pytest.mark.parametrize(
     "y0, n_periods, steps, forces",
     [
-        pytest.param(0.5, 0.5, (9, 0), 123, id="reference"),
-        pytest.param(50.0, 0.5, (12, 5), 214, id="rejected-steps"),
-        # turnings located by velocity_root
-        pytest.param(0.5, 1, (35, 0), 427, id="n_periods=1"),
-        pytest.param(0.5, 3, (104, 0), 1267, id="n_periods=3"),
+        pytest.param(0.5, 0.5, (9, 0), 120, id="reference"),
+        pytest.param(50.0, 0.5, (12, 5), 211, id="rejected-steps"),
+        # tiled from the same quarter period as the reference run
+        pytest.param(0.5, 1, (9, 0), 120, id="n_periods=1"),
+        pytest.param(0.5, 3, (9, 0), 120, id="n_periods=3"),
     ],
 )
 def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     # every force value of a run: twelve per accepted step, eleven per
-    # rejected one, three per event located on the continuous extension
-    # (the default run's zero crossing, or a turning point), eleven for the
-    # default run's step to its zero crossing, and one at the start (the
-    # first stage, whose value also gives the chord frequency); no partial
-    # step remains. scripts/ode_coverage.py counts forces by this identity.
+    # rejected one, eleven for the step to the zero crossing where the
+    # crossing step carries y below 0 (as on every run here), and one at the
+    # start (the first stage, whose value also gives the chord frequency);
+    # the crossing's Hermite polynomial costs none and no partial step
+    # remains. scripts/ode_coverage.py counts forces by this identity.
     osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), y0)
     cfg = SimConfig(n_periods=n_periods)
     plain = simulate(osc, cfg)
@@ -100,10 +103,8 @@ def test_default_run_force_count(monkeypatch, y0, n_periods, steps, forces):
     monkeypatch.setattr(odesim, "_bound_acceleration", counting)
     traj = simulate(osc, cfg)
     _same_bytes(traj, plain)
-    located = len(traj.events) - 1  # the event at t = 0 is the release
     assert len(calls) == forces
-    crossing = 11 if n_periods == 0.5 else 0
-    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 3 * located + crossing + 1
+    assert forces == 12 * traj.n_accepted + 11 * traj.n_rejected + 11 + 1
     assert (traj.n_accepted, traj.n_rejected) == steps
 
 
@@ -122,7 +123,7 @@ def test_second_step_sized_by_the_elementary_rule():
     y0, h1, h2 = osc._unit_y0, run.t[1], run.t[2] - run.t[1]
     k0 = accel(y0)
     omega_c = math.sqrt(abs(k0) / y0)
-    _, _, e5_y, e5_v, e3_y, e3_v, _ = _dop853.step(accel, y0, 0.0, k0, h1)
+    _, _, e5_y, e5_v, e3_y, e3_v = _dop853.step(accel, y0, 0.0, k0, h1)
     e5 = abs(e5_y) + abs(e5_v) / omega_c
     e3 = abs(e3_y) + abs(e3_v) / omega_c
     err1 = e5 * (e5 / math.hypot(e5, 0.1 * e3)) / (2.0 * rel_tol * y0)
@@ -189,13 +190,13 @@ def test_measured_period_sits_inside_bounds(default_traj):
 
 
 def test_half_period_reaches_mirror_point(default_traj):
-    # the one-period run integrates through P/2, where the default run stops
-    # at its zero crossing and mirrors: both turn at -y0 at the same time
+    # the one-period run is tiled from the default run's quarter period:
+    # both turn at -y0 at the same time, bit for bit
     osc, _ = default_traj
     half = simulate(osc)
     full = simulate(osc, SimConfig(n_periods=1))
-    tol = measure_period(half).err_estimate + measure_period(full).err_estimate
-    assert abs(full.events[1] - half.events[1]) <= tol
+    assert full.events[1].hex() == half.events[1].hex()
+    assert full.y[len(half.t) - 1] == -osc.y0
 
 
 def test_full_period_return(default_traj):
@@ -242,64 +243,64 @@ def _scipy_step(accel, y, v, h):
     return ref
 
 
-def test_velocity_extension_matches_scipy_dense_output(default_traj):
-    # the v component of SciPy's Dop853DenseOutput, whose stage derivatives
-    # are the forces: same coefficients, so the same v(x) up to rounding
-    osc, _ = default_traj
-
-    def accel(y):
-        return acceleration(osc.params, y)
-
-    y, v, h = 0.31, -0.47, 0.6
-    dense = _scipy_step(accel, y, v, h).dense_output()
-    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
-    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
-    for x in (0.05, 0.2, 0.37, 0.5, 0.81, 0.99):
-        np.testing.assert_allclose(polyval(x, ext), dense(x * h)[1], rtol=1e-14, atol=0.0)
-
-
-def test_position_root_is_the_extension_root(default_traj):
-    # a step across y = 0: the root fraction zeroes y + h*(integral of the
-    # extension of v from 0 to x), here by 4-point Gauss-Legendre, exact on
-    # its degree 7, and SciPy's dense output of y, its own extension of y,
-    # to the extensions' order (1.2e-14 off at this h)
-    osc, _ = default_traj
-
-    def accel(y):
-        return acceleration(osc.params, y)
-
-    y, v, h = 0.05, -1.1, 0.09
-    dense = _scipy_step(accel, y, v, h).dense_output()
-    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
-    assert y1 < 0.0
-    x = _dop853.position_root(accel, y, v, h, y1, v1, ks, accel(y1))
+@pytest.mark.parametrize(
+    "y, v, f0, h, y1, v1, f1",
+    [
+        (0.05, -1.1, -0.3, 0.09, -0.048, -1.12, 0.29),
+        (3.0, -0.2, -7.5, 0.7, -1.4, -4.9, 6.1),
+        (1e-3, -2e5, -1e9, 1e-7, -0.019, -2.1e5, 1e9),
+    ],
+)
+def test_hermite_guess_meets_its_six_end_conditions(y, v, f0, h, y1, v1, f1):
+    # the quintic matches y, h*v and h**2*f at both ends of the step; a
+    # quintic without the end forces' G term misses the h**2*f conditions
+    coef = _dop853.hermite(y, v, f0, h, y1, v1, f1)
+    d1, d2 = polyder(coef), polyder(coef, 2)
+    got = [polyval(0.0, coef), polyval(0.0, d1), polyval(0.0, d2),
+           polyval(1.0, coef), polyval(1.0, d1), polyval(1.0, d2)]
+    want = [y, h * v, h * h * f0, y1, h * v1, h * h * f1]
+    scale = max(abs(w) for w in want)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+    x = _dop853.hermite_root(y, v, f0, h, y1, v1, f1)
     assert 0.0 < x < 1.0
-    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    vs = polyval(0.5 * x * (1.0 + nodes), ext)
-    assert abs(y + h * 0.5 * x * np.dot(weights, vs)) <= 4 * math.ulp(y)
-    assert abs(dense(x * h)[0]) <= 1e-13
+    assert abs(polyval(x, coef)) <= 1e-14 * scale
 
 
-def test_velocity_root_is_the_extension_root(default_traj):
-    # a step across the turning point near y = 0.5: the root fraction zeroes
-    # SciPy's dense output of v, and the Newton slope is h*a(y(x)) to the
-    # extension's order (6e-10 off at this h)
+@pytest.mark.parametrize("n_periods", [1, 3])
+def test_tiled_run_is_an_image_of_its_half_period(default_traj, n_periods):
+    # y(t + 2*t_q) = -y(t) and v(t + 2*t_q) = -v(t) bit for bit, sample by
+    # sample, for the half period's k samples after t = 0, except that v
+    # reads 0.0, never -0.0, at rest; each half period ends on its turning
+    # event
     osc, _ = default_traj
+    traj = simulate(osc, SimConfig(n_periods=n_periods))
+    k = len(simulate(osc).t) - 1
+    assert len(traj.t) == 2 * n_periods * k + 1
+    assert traj.y[k:].tobytes() == (-traj.y[:-k]).tobytes()
+    moving = traj.v[:-k] != 0.0
+    assert traj.v[k:][moving].tobytes() == (-traj.v[:-k][moving]).tobytes()
+    assert traj.v[::k].tobytes() == np.zeros(2 * n_periods + 1).tobytes()
+    assert traj.e[k:].tobytes() == traj.e[:-k].tobytes()
+    assert traj.t[::k].tobytes() == traj.events.tobytes()
+    shift = traj.t[k:] - traj.t[:-k]
+    assert np.all(np.abs(shift - traj.events[1]) <= 2 * np.spacing(traj.t[-1]))
 
-    def accel(y):
-        return acceleration(osc.params, y)
 
-    y, v, h = 0.49, 0.05, 0.3
-    dense = _scipy_step(accel, y, v, h).dense_output()
-    y1, v1, *_, ks = _dop853.step(accel, y, v, accel(y), h)
-    assert v1 < 0.0
-    x = _dop853.velocity_root(accel, y, v, h, v1, ks, accel(y1))
-    assert 0.0 < x < 1.0
-    assert abs(dense(x * h)[1]) <= 1e-15
-    ext = (v, *_dop853._extension(accel, y, v, h, v1, ks, accel(y1)))
-    slope = polyval(x, polyder(ext))
-    np.testing.assert_allclose(slope, h * accel(dense(x * h)[0]), rtol=1e-8)
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (1.0, 1.25, 1.0, 1.0, 0.5),
+        (1.0, 1.25, 1.0, 1.0, 50.0),
+        (1.0, 1.25, 1e-300, 1e300, 1.25e3),
+        (1.0, 1.0 + 1e-9, 1.0, 1.0, 1e-6),
+    ],
+)
+def test_every_span_reads_the_same_period(cell):
+    # every run integrates the same quarter period, so measure_period reads
+    # the same value and err_estimate bits for every n_periods
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    ests = [measure_period(simulate(osc, SimConfig(n_periods=n))) for n in (0.5, 1, 3)]
+    assert len({(e.value.hex(), e.err_estimate.hex()) for e in ests}) == 1
 
 
 def test_against_scipy_rk45(default_traj):
@@ -502,18 +503,31 @@ def test_overflowing_trial_steps_named():
 
 @pytest.mark.parametrize("n_periods", [1e13, 5e307])
 def test_span_below_the_step_floor_refused(n_periods):
-    # the step floor, 32 ulps of the horizon, exceeds the first step; it is
-    # inf where the horizon leaves the float range (n_periods = 5e307). The
-    # run said "step size underflowed" before trying any step
+    # a span too long to tile: the Trajectory would hold more than
+    # _MAX_STEPS samples. The refusal comes before any list of the tiled
+    # run is built, as it comes from _release alone
     osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
-    with pytest.raises(InvalidParameters, match=r"^n_periods = .* cannot be run: the first step"):
+    message = r"^n_periods = .* cannot be run: its trajectory of 9 samples per quarter"
+    with pytest.raises(InvalidParameters, match=message):
+        odesim._release(osc, SimConfig(n_periods=n_periods))
+    with pytest.raises(InvalidParameters, match=message):
         simulate(osc, SimConfig(n_periods=n_periods))
 
 
+def test_sample_cap_is_the_trajectory_size(monkeypatch):
+    # the reference run's quarter period has 9 samples, so each half period
+    # adds 17: one period holds 35 samples, a period and a half 52
+    osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    monkeypatch.setattr(odesim, "_MAX_STEPS", 35)
+    assert len(simulate(osc, SimConfig(n_periods=1)).t) == 35
+    with pytest.raises(InvalidParameters, match="more than 35 samples"):
+        simulate(osc, SimConfig(n_periods=1.5))
+
+
 def test_horizon_is_formed_in_unit_time():
-    # the period, 1.336e308, and the linear one, 1.474e308, are finite,
-    # but the horizon of n_periods + 1/2 linear periods is not; formed in
-    # physical time, it refused this run as "horizon, inf"
+    # the period, 1.336e308, and the linear one, 1.474e308, are finite;
+    # a horizon of n_periods + 1/2 linear periods formed in physical time
+    # was not, and refused this run as "horizon, inf"
     osc = Oscillation(StringParams(1.0, 1.25, 1e-307, 2.2e307), 0.5)
     est = measure_period(simulate(osc, SimConfig(n_periods=1)))
     assert math.isfinite(est.value) and est.value > 1e308
@@ -590,7 +604,7 @@ def test_error_estimate_covers_oracle(cell, period, rel_tol):
 def test_error_estimate_covers_a_crossing_at_large_amplitude():
     # y0/l = 2.3e6: the default run's crossing step jumps the force's turn
     # within about l of y = 0, where the step's own error estimates say
-    # nothing of the extension's root. The step to that root, and the time
+    # nothing of the root of its interpolant. The step to that root, and the time
     # correction its end point gives, bring the error against
     # oracle.period_mp's 40-digit period to about 3e-12; without them the
     # estimate covered 0.74 of the error
@@ -602,16 +616,17 @@ def test_error_estimate_covers_a_crossing_at_large_amplitude():
 
 def test_crossing_time_corrected_and_counted(monkeypatch):
     # the default run steps from its crossing step's start to the root t_q
-    # of the extension, ends at y_q, within the root's error of 0, and
-    # corrects t_q by dt = -y_q/v_q, which the estimate counts as 4*|dt|.
-    # A root put 0.1% of its step fraction early is corrected to the same
-    # period, and the estimate grows by about that much time, four times
+    # of the step's Hermite polynomial, ends at y_q, within the root's error
+    # of 0, and corrects t_q by dt = -y_q/v_q, which the estimate counts as
+    # 4*|dt|. A root put 0.1% of its step fraction early is corrected to
+    # the same period, and the estimate grows by about that much time, four
+    # times
     osc = Oscillation(StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0), 0.5)
     plain = measure_period(odesim._release(osc, SimConfig()))
-    root = _dop853.position_root
-    monkeypatch.setattr(_dop853, "position_root", lambda *args: 0.999 * root(*args))
+    root = _dop853.hermite_root
+    monkeypatch.setattr(_dop853, "hermite_root", lambda *args: 0.999 * root(*args))
     run = odesim._release(osc, SimConfig())
-    early = 1e-3 * (run.t_q - run.t[-2])
+    early = 1e-3 * (run.t_q - run.t[-1])  # the crossing step starts on the last sample
     moved = measure_period(run)
     assert abs(moved.value - plain.value) <= plain.err_estimate
     assert 0.999 * 4 * early <= moved.err_estimate - plain.err_estimate <= 1.001 * 4 * early
@@ -649,11 +664,10 @@ def test_error_estimate_covers_crossings_at_large_amplitude(rel_tol):
 
 @pytest.mark.parametrize("cell, period", ORACLE_CELLS)
 def test_turning_events_within_estimate(cell, period):
-    # the default run's zero crossing events[1]/2, a root of y on DOP853's
-    # continuous extension, is P/4 to within a quarter of the run's error
-    # estimate, which is that of four times the crossing time; the turning
-    # times of a whole period, roots of the extension of v, are P/2 and P
-    # to within the run's own error estimate
+    # the default run's zero crossing events[1]/2 is P/4 to within a
+    # quarter of the run's error estimate, which is that of four times the
+    # crossing time; the turning times of a whole period, twice and four
+    # times the crossing time, are P/2 and P to within the same estimate
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     traj = simulate(osc)
     err = measure_period(traj).err_estimate
