@@ -20,9 +20,10 @@ overflow or underflow: `l0`, `sigma` and `mass` log-uniform over 1e+-300,
 odd ones. They digest each string's fields and unit values, its bounds, both
 closed forms, their sandwich checks and `radicand_g`, and the default ODE run
 on every WIDE_ODE_EVERY-th draw.
-Each CLI digest covers one command's stdout, exit code and whether stderr
-holds a traceback or a Python warning, run as a fresh `python -m ssp.cli`
-process.
+Each CLI digest covers one command's stdout, exit code, whether stderr
+holds a traceback or a Python warning, and the summary lines stderr holds
+(`sweep`'s pass count, `convergence`'s fitted slope), run as a fresh
+`python -m ssp.cli` process.
 
 Run:  python3 scripts/output_digest.py
 """
@@ -218,7 +219,8 @@ def cli_digest(argv: tuple[str, ...]) -> str:
     # warnings.showwarning's "file:line: Category: message"
     warned = " warning" if re.search(rb":\d+: \w*Warning: ", done.stderr) else ""
     tail = f"\nexit {done.returncode}{crash}{warned}\n"
-    return hashlib.sha256(done.stdout + tail.encode()).hexdigest()
+    summary = b"".join(re.findall(rb"(?m)^(?:sweep: |fitted \|R\| slope: ).*\n", done.stderr))
+    return hashlib.sha256(done.stdout + tail.encode() + summary).hexdigest()
 
 
 def main() -> None:

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Print the engines' work counts on the benchmark's seed-3 pools.
+
+The counts do not depend on the machine, so two trees can be compared by
+them where wall times are too noisy to tell. The pools are those of
+perfbench/workloads.py at seed 3, drawn through `perfbench.workloads.draw`
+by the workloads' own classes, which this script reads and does not change:
+8000 strings of `harmonic` (y0/l in 1e-4..1) and of `anharmonic` (1..100),
+and 256 of `ode`, both bands in alternate rows.
+
+For each pool it prints the mean and the largest count per row:
+- `harmonic`, `anharmonic`: integrand evaluations per `exact_period`,
+  counted by wrapping the integrand that `exact_period` hands to
+  `quadrature.trapezoid_ladder`;
+- `ode`: accepted and rejected steps of the default `simulate` run, and its
+  force values, counted by wrapping the force that `odesim` binds through
+  `model._bound_acceleration`.
+
+Run:  python3 scripts/work_counts.py   (needs numpy)
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+from ssp import odesim, quadrature  # noqa: E402
+
+SEED = 3
+
+
+def integrand_evaluations(oscs) -> list[int]:
+    """Integrand evaluations of each exact_period call on oscs."""
+    ladder, calls = quadrature.trapezoid_ladder, [0]
+
+    def counting(f, rel_tol):
+        def counted(*node):
+            calls[0] += 1
+            return f(*node)
+
+        return ladder(counted, rel_tol)
+
+    counts = []
+    quadrature.trapezoid_ladder = counting
+    try:
+        for osc in oscs:
+            calls[0] = 0
+            quadrature.exact_period(osc)
+            counts.append(calls[0])
+    finally:
+        quadrature.trapezoid_ladder = ladder
+    return counts
+
+
+def ode_work(oscs) -> dict[str, list[int]]:
+    """Accepted steps, rejected steps and force values of each default
+    simulate run on oscs."""
+    bind, calls = odesim._bound_acceleration, [0]
+
+    def counting(p):
+        force = bind(p)
+
+        def counted(y):
+            calls[0] += 1
+            return force(y)
+
+        return counted
+
+    work = {"accepted steps": [], "rejected steps": [], "force values": []}
+    odesim._bound_acceleration = counting
+    try:
+        for osc in oscs:
+            calls[0] = 0
+            traj = odesim.simulate(osc)
+            work["accepted steps"].append(traj.n_accepted)
+            work["rejected steps"].append(traj.n_rejected)
+            work["force values"].append(calls[0])
+    finally:
+        odesim._bound_acceleration = bind
+    return work
+
+
+def line(pool: str, count: str, values: list[int]) -> None:
+    mean = sum(values) / len(values)
+    print(f"{pool:<11} {count:<37} mean {mean:8.2f}  max {max(values):5d}  ({len(values)} rows)")
+
+
+def main() -> None:
+    for name in ("harmonic", "anharmonic"):
+        oscs = workloads.make(name, SEED).oscs
+        line(name, "integrand evaluations per period", integrand_evaluations(oscs))
+    for count, values in ode_work(workloads.make("ode", SEED).oscs).items():
+        line("ode", count, values)
+
+
+if __name__ == "__main__":
+    main()

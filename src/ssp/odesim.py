@@ -12,12 +12,13 @@ II.10), each the local error on the orbit's scale, |err_y| + |err_v|/omega_c
 with omega_c the chord frequency at y0 (see measure_period). A step is
 accepted where err = e/(2*rel_tol*y0) is at most 1, the mean of its two
 components at most rel_tol*y0, and the error estimate sums the same e. The
-first step is a hundredth of the linear period. It has no error history, so
-the second step is the first times the elementary factor 0.9*err**(-1/8);
-from the second accepted step on, Gustafsson's proportional-integral factor
-0.9*err**(-0.7/8)*err_prev**(0.4/8) takes over, err_prev the previous
-accepted step's err, at least 1e-4 (ACM TOMS 17 (1991) 533-554). Either
-factor is at most 5, and at most 1 right after a rejected step.
+first step is a hundredth of the linear period. Each accepted step sizes the
+next by DOP853's elementary factor 0.9*err**(-1/8), and from the second
+accepted step on by the smaller of that and Gustafsson's predictive factor
+0.9*(h/h_prev)*(err_prev/err**2)**(1/8), as RADAU5 does (ACM TOMS 20 (1994)
+496-517); h_prev and err_prev are the previous accepted step's width and
+err, the latter at least 1e-4. The factor is at most 5, and at most 1 right
+after a rejected step.
 
 The force is odd in y, bit for bit, and the run starts from rest, so the
 motion is an image of its first quarter period: with t_q the first zero
@@ -69,8 +70,6 @@ __all__ = ["SimConfig", "Trajectory", "simulate", "measure_period"]
 
 _SAFETY = 0.9
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 8.0  # proportional exponent
-_PI_BETA = 0.4 / 8.0  # integral exponent (previous error feedback)
 # attempted steps (accepted plus rejected) before the run gives up, and the
 # most samples a run's Trajectory may hold
 _MAX_STEPS = 10_000_000
@@ -255,17 +254,17 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             vs.append(v)
             if err == 0.0:
                 factor = _MAX_FACTOR
-            elif n_acc == 1:
-                # no error history yet: the elementary controller
-                factor = _SAFETY * err ** (-1.0 / 8.0)
             else:
-                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
-            # err <= 1 and err_prev >= 1e-4 keep factor above 0.9*1e-4**0.05 > 0.5
+                factor = _SAFETY * err ** (-1.0 / 8.0)
+                if n_acc > 1:
+                    # the predictive factor is the elementary one times
+                    # this; err**2 may underflow
+                    factor *= min(1.0, (h / h_prev) * (err_prev / err) ** (1.0 / 8.0))
             if just_rejected and factor > 1.0:
                 factor = 1.0
             if factor > _MAX_FACTOR:
                 factor = _MAX_FACTOR
-            h *= factor
+            h_prev, h = h, h * factor
             err_prev = err if err > 1e-4 else 1e-4
             just_rejected = False
         else:
