@@ -16,6 +16,11 @@ For each pool it prints the mean and the largest count per row:
   force values, counted by wrapping the force that `odesim` binds through
   `model._bound_acceleration`.
 
+Then it prints the engine calls of one `run_invariant_suite(samples=200,
+seed=3)`, the library call behind `ssp verify`: `exact_period`,
+`period_elliptic` and `elliptic._cel`, each counted by wrapping the name
+it is called through.
+
 Run:  python3 scripts/work_counts.py   (needs numpy)
 """
 
@@ -28,7 +33,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-from ssp import odesim, quadrature  # noqa: E402
+from ssp import elliptic, odesim, quadrature, verify  # noqa: E402
 
 SEED = 3
 
@@ -84,6 +89,29 @@ def ode_work(oscs) -> dict[str, list[int]]:
     return work
 
 
+def verify_calls() -> dict[str, int]:
+    """Engine calls of one run_invariant_suite(samples=200, seed=SEED)."""
+    bindings = ((verify, "exact_period"), (verify, "period_elliptic"), (elliptic, "_cel"))
+    originals = [getattr(module, name) for module, name in bindings]
+    calls = dict.fromkeys((name for _, name in bindings), 0)
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    for (module, name), f in zip(bindings, originals):
+        setattr(module, name, counting(name, f))
+    try:
+        verify.run_invariant_suite(samples=200, seed=SEED)
+    finally:
+        for (module, name), f in zip(bindings, originals):
+            setattr(module, name, f)
+    return calls
+
+
 def line(pool: str, count: str, values: list[int]) -> None:
     mean = sum(values) / len(values)
     print(f"{pool:<11} {count:<37} mean {mean:8.2f}  max {max(values):5d}  ({len(values)} rows)")
@@ -95,6 +123,8 @@ def main() -> None:
         line(name, "integrand evaluations per period", integrand_evaluations(oscs))
     for count, values in ode_work(workloads.make("ode", SEED).oscs).items():
         line("ode", count, values)
+    for name, n in verify_calls().items():
+        print(f"{'verify':<11} {name + ' calls per run':<37} {n:8d}")
 
 
 if __name__ == "__main__":

@@ -44,9 +44,21 @@ __all__ = ["period_elliptic"]
 _MAX_AGM_STEPS = 40
 # AGM stop test: its truncation error _CA**2/8 = 2**-53 is half an ulp
 _CA = 2.0**-25
-# err_estimate of period_elliptic, relative to the period: about 400 times
-# the worst error measured against 40-digit mpmath, so it stays honest
-_REL_ERR = 4.01e-13
+# err_estimate of period_elliptic, in ulps of the period: its roundings, each
+# at most u = 2**-53 relative. Every quantity it forms is positive and free of
+# cancellation, so relative errors add through products and quotients, halve
+# through square roots and do not grow through sums.
+#  30    cel's arguments: kc errs by 14u, p by 7u and b by 9u (b > 1/2), from
+#        z0 (hypot) 2u, ab 5u, ac 8u, ad 3u, bc 9u and bd exact. cel's
+#        integrand has a log-derivative in [-1, 1] in each of kc, p and b.
+# 138.5  cel, whose loop keeps its J fixed (see _cel). J's log-derivative is
+#        at most 1 in a, b and qc, 2 in p and 3 in em, so: 3u before the loop,
+#        16.5u for each AGM step's nine roundings, 12u for the last of at most
+#        8 steps, 1u of truncation, 7u for the closing quotient with math.pi.
+#  14    the factors 2*z0/(sqrt(ac)*sqrt(bd)) 11u, 4*sqrt(m*l0/(2*sigma)) 3u.
+# 182.5u in all, and u*|value| < ulp(value); 1.5 more ulps cover the cap's
+# 2**-59, a subnormal period's rounding in _scaled and second-order terms.
+_ERR_ULPS = 184
 
 
 def _cel(kc: float, p: float, a: float, b: float) -> float:
@@ -58,6 +70,10 @@ def _cel(kc: float, p: float, a: float, b: float) -> float:
     The Landen/AGM loop stops once its two means agree to _CA, which leaves a
     relative truncation error of about _CA^2/8, half an ulp (R. Bulirsch,
     Numer. Math. 13 (1969) 305-315; Numerical Recipes, 2nd ed., section 6.11).
+    Each step keeps J = int_0^{pi/2} (a*em^2*cos^2 + b*p*sin^2) / ((em^2*cos^2
+    + p^2*sin^2)*sqrt(em^2*cos^2 + qc^2*sin^2)) fixed, with e = qc*em. J is cel
+    once p and b are divided as below, and pi/2*(b + a*em)/(em*(em + p)) at
+    qc = em.
     """
     qc = e = kc
     em = 1.0
@@ -90,10 +106,11 @@ def _root_gaps(l0: float, l: float, y0: float) -> tuple[float, ...]:
 def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     """Exact period via the closed form, one cel call for every amplitude.
 
-    The AGM runs to half an ulp (see _cel). Both root orderings go through
-    the same arithmetic; past z0 = 2*l0 + l the complementary modulus kc
-    exceeds 1. At y0 = 0, kc = p = 1 and the closed form is the linear-limit
-    period. It runs on the unit values (see model.StringParams).
+    The AGM runs to half an ulp (see _cel); _ERR_ULPS counts the roundings.
+    Both root orderings go through the same arithmetic; past z0 = 2*l0 + l
+    the complementary modulus kc exceeds 1. At y0 = 0, kc = p = 1 and the
+    closed form is the linear-limit period. It runs on the unit values (see
+    model.StringParams).
     """
     p = osc.params
     # above the amplitude cap the period is its value at the cap (see
@@ -109,4 +126,4 @@ def period_elliptic(osc: Oscillation) -> PeriodEstimate:
     value = _scaled(value, p._period_exp)
     if not 0.0 < value < math.inf:
         raise EngineFailure(f"closed form left the float range at y0={osc.y0!r}: {value!r}")
-    return PeriodEstimate(value, Method.ELLIPTIC, abs(value) * _REL_ERR)
+    return PeriodEstimate(value, Method.ELLIPTIC, _ERR_ULPS * math.ulp(value))

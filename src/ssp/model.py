@@ -23,7 +23,7 @@ _TINY = math.ulp(0.0)
 # (1 - 2*l0/y0)/l0 < g(y) <= 1/l0 and P_inf <= P(y0) < P_inf/sqrt(1 - 2*l0/y0),
 # P_inf = pi*sqrt(2*m*l0/sigma): above the cap, all periods lie within 2**-59
 # of P_inf, under 1/64 of an ulp. That is far below both engines' error
-# floors (4 ulps per node, 4.01e-13), so neither err_estimate changes.
+# floors (4 ulps per node, elliptic._ERR_ULPS), so neither estimate changes.
 _Y0_CAP = 2.0**60
 
 

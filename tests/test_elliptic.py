@@ -22,7 +22,8 @@ from ssp import (
     rayleigh_period,
 )
 from ssp.elliptic import _cel, _root_gaps
-from strategies import oscillations, positive_scale
+from ssp.model import _Y0_CAP
+from strategies import log_uniform, oscillations, positive_scale
 
 # cel's truncation error is half an ulp; this covers its rounding
 CEL_RTOL = 2e-14
@@ -259,6 +260,25 @@ def test_error_estimate_covers_oracle(cell, period, rel_tol):
     osc = Oscillation(StringParams(*cell[:4]), cell[4])
     for est in (period_elliptic(osc), exact_period(osc, rel_tol)):
         assert abs(est.value - period) <= est.err_estimate, est
+
+
+@given(
+    log_uniform(0.5, 2.0),
+    log_uniform(1e-12, 1e3),
+    log_uniform(1e-8, _Y0_CAP),
+    log_uniform(1e-2, 1e2),
+    log_uniform(0.5, 2.0),
+)
+def test_error_estimate_covers_the_oracle_everywhere(
+    l0, stretch, rel_amp, sigma_over_mass, mass
+):
+    # the counted estimate (elliptic._ERR_ULPS) holds against 40 digits from
+    # l/l0 - 1 = 1e-12 up to l/l0 = 1e3 and up to the amplitude cap; a
+    # relative slip of 1e-13 in _root_gaps' ac fails here
+    l = l0 * (1.0 + stretch)
+    cell = (l0, l, sigma_over_mass * mass, mass, rel_amp * l)
+    est = period_elliptic(Oscillation(StringParams(*cell[:4]), cell[4]))
+    assert abs(est.value - oracle.period_mp(*cell)) < est.err_estimate
 
 
 @pytest.mark.parametrize(

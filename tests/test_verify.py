@@ -17,9 +17,7 @@ def test_default_suite_passes():
     assert report.seed == 0
     assert report.samples == 200
     names = [c.name for c in report.checks]
-    assert "period-inside-bounds" in names
-    assert "quadrature-vs-elliptic" in names
-    assert "quartic-roots" in names
+    assert names == ["period-inside-bounds", "estimate-honesty", "sigma-mass-scaling"]
     for check in report.checks:
         assert check.failures == 0
         assert check.ok
@@ -37,19 +35,23 @@ def test_suite_is_deterministic_per_seed():
     assert [x.worst for x in a.checks] != [x.worst for x in c.checks]
 
 
+def _honesty(report):
+    return next(c for c in report.checks if c.name == "estimate-honesty")
+
+
 def test_cross_method_margin_is_wide():
-    report = run_invariant_suite(samples=100, seed=5)
-    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
-    # Dual-route agreement runs about six orders inside its tolerance.
-    assert cross.worst < 1e-3 * cross.tolerance
+    # the engines differ by a few hundredths of the sum of their error
+    # estimates, the widest draw at about 0.037 over seeds 0-9
+    honesty = _honesty(run_invariant_suite(samples=100, seed=5))
+    assert honesty.tolerance == 1.0
+    assert honesty.worst < 0.1
 
 
-def test_cross_method_tolerance_follows_tol(capsys):
-    # the quadrature is accurate to --tol, so the engines need only agree
-    # to that; a 1e-9 tolerance read 3 false failures here
+def test_honesty_holds_at_the_loosest_tol(capsys):
+    # the quadrature's own estimate grows with --tol, so the rule needs no
+    # tolerance of its own; a fixed 1e-9 agreement read 3 false failures here
     report = run_invariant_suite(samples=200, seed=0, rel_tol=1e-3)
-    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
-    assert cross.tolerance == 1e-3
+    assert _honesty(report).tolerance == 1.0
     assert report.passed
     assert main(["verify", "--samples", "200", "--tol", "1e-3"]) == 0
     assert "all invariants hold" in capsys.readouterr().out
@@ -57,19 +59,16 @@ def test_cross_method_tolerance_follows_tol(capsys):
 
 @pytest.mark.parametrize("rel_tol", [1e-12, 1e-3])
 def test_cross_method_check_catches_a_nudged_period(monkeypatch, capsys, rel_tol):
-    # an elliptic period off by 10 times the check's tolerance fails on
-    # every draw, at the default --tol and at the loosest one
-    tol = max(ssp.verify.CROSS_METHOD_TOL, rel_tol)
-
+    # an elliptic period off by 10 times --tol fails on every draw, at the
+    # default --tol and at the loosest one: the quadrature's estimate is
+    # its last level difference, at most --tol, plus a few ulps per node
     def nudged(osc):
         est = period_elliptic(osc)
-        return est._replace(value=est.value * (1.0 + 10.0 * tol))
+        return est._replace(value=est.value * (1.0 + 10.0 * rel_tol))
 
     monkeypatch.setattr(ssp.verify, "period_elliptic", nudged)
-    report = run_invariant_suite(samples=20, seed=0, rel_tol=rel_tol)
-    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
-    assert cross.tolerance == tol
-    assert cross.failures == cross.samples == 20
+    honesty = _honesty(run_invariant_suite(samples=20, seed=0, rel_tol=rel_tol))
+    assert honesty.failures == honesty.samples == 20
     assert main(["verify", "--samples", "20", "--tol", repr(rel_tol)]) == 3
 
 
@@ -95,16 +94,16 @@ def test_negative_seed_is_refused():
 
 
 def test_nan_deviation_fails(monkeypatch, capsys):
-    # a NaN deviation is no agreement: it fails and shows as the worst
+    # a NaN ratio is no agreement: it fails and shows as the worst
     nan = PeriodEstimate(math.nan, Method.ELLIPTIC, 0.0)
     monkeypatch.setattr(ssp.verify, "period_elliptic", lambda osc: nan)
     report = run_invariant_suite(samples=20, seed=0)
-    cross = next(c for c in report.checks if c.name == "quadrature-vs-elliptic")
-    assert cross.failures == 20
-    assert math.isnan(cross.worst)
+    honesty = _honesty(report)
+    assert honesty.failures == 20
+    assert math.isnan(honesty.worst)
     assert not report.passed
     assert main(["verify", "--samples", "20"]) == 3
-    assert "quadrature-vs-elliptic   samples=20    failures=20   worst=nan" in capsys.readouterr().out
+    assert "estimate-honesty         samples=20    failures=20   worst=nan" in capsys.readouterr().out
 
 
 def test_sandwich_check_catches_a_period_below_the_lower_bound(monkeypatch, capsys):
@@ -147,59 +146,60 @@ def test_sample_count_validation():
         run_invariant_suite(samples=-5)
 
 
-def _quartic_with(monkeypatch, slip):
-    """run_invariant_suite(samples=1, seed=0) with elliptic._root_gaps
-    replaced, in the engine and in the check alike, by
-    slip(z0, ab, ac, ad, bc, bd) -> the six values; and its quartic-roots
-    and quadrature-vs-elliptic checks."""
-    gaps = ssp.elliptic._root_gaps
-
-    def slipped(l0, l, y0):
-        return slip(*gaps(l0, l, y0))
-
-    monkeypatch.setattr(ssp.elliptic, "_root_gaps", slipped)
-    monkeypatch.setattr(ssp.verify, "_root_gaps", slipped)
-    report = run_invariant_suite(samples=1, seed=0)
-    checks = {c.name: c for c in report.checks}
-    return report, checks["quartic-roots"], checks["quadrature-vs-elliptic"]
+GAPS = ("z0", "ab", "ac", "ad", "bc", "bd")
 
 
-def test_quartic_check_catches_a_perturbed_root(monkeypatch):
-    # the engine's largest root z0 moved by 1e-10 of itself: ab, ac and ad
-    # each move by 1e-10 of max|root|, which is z0, so every draw fails
-    def nudged(z0, ab, ac, ad, bc, bd):
-        eps = 1e-10 * z0
-        return z0, ab + eps, ac + eps, ad + eps, bc, bd
+def _suite_with_engine(monkeypatch, name, slipped):
+    """run_invariant_suite(samples=300, seed=0) with the elliptic engine's
+    helper `name` replaced by slipped(original), and its honesty check."""
+    monkeypatch.setattr(ssp.elliptic, name, slipped(getattr(ssp.elliptic, name)))
+    report = run_invariant_suite(samples=300, seed=0)
+    return report, _honesty(report)
 
-    report, quartic, _ = _quartic_with(monkeypatch, nudged)
-    assert quartic.failures == quartic.samples == 100
+
+# z0 and ab move the period least, and need only fail at 1e-11
+@pytest.mark.parametrize(
+    "gap, slip", [(gap, 1e-11) for gap in GAPS] + [(gap, 1e-12) for gap in GAPS[2:]]
+)
+def test_honesty_catches_a_slipped_root_gap(monkeypatch, gap, slip):
+    # one output of _root_gaps off by a relative 1e-11 or 1e-12 moves the
+    # period by more than both estimates on some draws
+    i = GAPS.index(gap)
+
+    def slipped(gaps):
+        def engine(l0, l, y0):
+            out = list(gaps(l0, l, y0))
+            out[i] *= 1.0 + slip
+            return tuple(out)
+
+        return engine
+
+    report, honesty = _suite_with_engine(monkeypatch, "_root_gaps", slipped)
+    assert honesty.failures > 0
     assert not report.passed
 
 
-def test_quartic_check_catches_a_slip_below_the_cross_check(monkeypatch):
-    # bc slipped by 1e-11 of itself moves the period by about 2.5e-12:
-    # quadrature-vs-elliptic, at 1e-9, passes it on its one draw, and
-    # quartic-roots fails 97 of its 100 draws at this seed
-    def slipped(z0, ab, ac, ad, bc, bd):
-        return z0, ab, ac, ad, bc * (1.0 + 1e-11), bd
+def test_honesty_catches_a_sign_slip_in_the_closed_form(monkeypatch):
+    # the engine's bc = dz0 + (l - l0) slipped to dz0 - (l - l0) moves the
+    # period far outside both estimates on every draw
+    def slipped(gaps):
+        def engine(l0, l, y0):
+            z0, ab, ac, ad, _, bd = gaps(l0, l, y0)
+            return z0, ab, ac, ad, 0.5 * ac - (l - l0), bd
 
-    report, quartic, cross = _quartic_with(monkeypatch, slipped)
-    assert cross.ok
-    assert (quartic.failures, quartic.samples) == (97, 100)
+        return engine
+
+    report, honesty = _suite_with_engine(monkeypatch, "_root_gaps", slipped)
+    assert honesty.failures == honesty.samples == 300
     assert not report.passed
 
 
-def test_quartic_check_catches_a_sign_slip_in_the_closed_form(monkeypatch):
-    # period_elliptic's bc = dz0 + (l - l0) slipped to dz0 - (l - l0) is off
-    # by 2*(l - l0), above 6e-4 of max|root| on the suite's draws
-    gaps = ssp.elliptic._root_gaps
+def test_honesty_catches_a_slipped_pi_in_cel(monkeypatch):
+    # cel's result is pi/2 times a quotient, so pi slipped by a relative
+    # 1e-13 scales it by 1 + 1e-13
+    def slipped(cel):
+        return lambda *args: cel(*args) * (1.0 + 1e-13)
 
-    def slipped(l0, l, y0):
-        z0, ab, ac, ad, _, bd = gaps(l0, l, y0)
-        return z0, ab, ac, ad, 0.5 * ac - (l - l0), bd
-
-    monkeypatch.setattr(ssp.verify, "_root_gaps", slipped)
-    report = run_invariant_suite(samples=1, seed=0)
-    quartic = next(c for c in report.checks if c.name == "quartic-roots")
-    assert quartic.failures == quartic.samples == 100
+    report, honesty = _suite_with_engine(monkeypatch, "_cel", slipped)
+    assert honesty.failures > 0
     assert not report.passed
