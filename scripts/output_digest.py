@@ -6,6 +6,8 @@ covers every field the function returns, in repr form, on the benchmark's
 parameter pools: `perfbench.workloads.draw`, 8000 rows per band, seeds 1-3,
 both amplitude bands (48000 rows). An exception counts as its type name,
 so a row that raises in one tree and not in the other changes the digest.
+The `check_sandwich(...).passed` digests cover the verdicts alone, so a
+verdict that moves shows apart from a change in the report's other fields.
 The `simulate` digest covers the arrays, counts and `local_err` of 128 default
 runs, which stop at their first zero crossing, and the `measure_period`
 digest the period estimates of the same runs. On the same 128 strings,
@@ -18,8 +20,8 @@ range, far outside the benchmark's pools, where the unit-scale conversions
 overflow or underflow: `l0`, `sigma` and `mass` log-uniform over 1e+-300,
 `l/l0 - 1` over 1e+-15, and `y0/l` over 1e+-300 on even draws and 1e+-6 on
 odd ones. They digest each string's fields and unit values, its bounds, both
-closed forms, their sandwich checks and `radicand_g`, and the default ODE run
-on every WIDE_ODE_EVERY-th draw.
+closed forms, their sandwich checks and verdicts and `radicand_g`, and the
+default ODE run on every WIDE_ODE_EVERY-th draw.
 Each CLI digest covers one command's stdout, exit code, whether stderr
 holds a traceback or a Python warning, and the summary lines stderr holds
 (`sweep`'s pass count, `convergence`'s fitted slope), run as a fresh
@@ -114,7 +116,8 @@ class Digest:
 
 ENGINE_DIGESTS = (
     "exact_period", "period_elliptic", "compute_bounds",
-    "check_sandwich(quadrature)", "check_sandwich(elliptic)", "radicand_g",
+    "check_sandwich(quadrature)", "check_sandwich(elliptic)",
+    "check_sandwich(quadrature).passed", "check_sandwich(elliptic).passed", "radicand_g",
 )
 
 
@@ -124,10 +127,13 @@ def digest_engines(d: dict[str, Digest], osc) -> None:
     ell = d["period_elliptic"].call(elliptic.period_elliptic, osc)
     d["compute_bounds"].call(bounds.compute_bounds, osc)
     for label, est in (("quadrature", quad), ("elliptic", ell)):
+        name = f"check_sandwich({label})"
         if isinstance(est, str):
-            d[f"check_sandwich({label})"].add(None)
+            d[name].add(None)
+            d[name + ".passed"].add(None)
         else:
-            d[f"check_sandwich({label})"].call(bounds.check_sandwich, osc, est)
+            report = d[name].call(bounds.check_sandwich, osc, est)
+            d[name + ".passed"].add(report if isinstance(report, str) else report.passed)
     for y in (0.0, 0.5 * osc.y0, osc.y0):
         d["radicand_g"].call(quadrature.radicand_g, osc, y)
 

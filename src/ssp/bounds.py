@@ -3,7 +3,7 @@
 compute_bounds forms every bound of one oscillation in one body and returns
 them as the fields of PeriodBounds, which says which are rigorous; that
 record is the only public way to them. check_sandwich tests an estimate
-against the rigorous ones.
+against rigorous bounds.
 
 The linear-limit period is an upper bound for every amplitude. Two lower
 bounds are provided. The corrected one is the period of a linear spring of
@@ -22,16 +22,13 @@ unit values of model.StringParams and scaled back. Where y0*y0 overflows,
 the corrected lower bound is formed without it, the printed one reads 0 and
 the relative-error bounds -inf: still true, where y0**2 would raise.
 
-check_sandwich demands value < upper only where the gap below upper is
-resolvable. The potential is convex in y^2, so its chord through 0 gives a
-second upper bound, the secant-energy period
-2*pi/sqrt((2*sigma/m)*(1/l0 - 2/(r+l))) with r = hypot(l, y0). It lies
-below the linear-limit period by about (y0/l)^2/(8*(l/l0 - 1)) of it. Where
-that distance exceeds the sandwich's slack, a correct estimate must fall
-below upper. Elsewhere the strict test is the slack test: the gap drops
-under the engines' resolution near y0/l = 4e-9 at l/l0 = 1.01 and near
-1e-5 at l/l0 = 1e5, and at y0 = 0 the secant bound is the linear-limit
-period itself.
+check_sandwich tests an estimate against the corrected lower bound and the
+secant-energy period 2*pi/sqrt((2*sigma/m)*g(0)), g(0) = 1/l0 - 2/(l +
+hypot(l, y0)), the upper bound from the potential's chord through 0 (it is
+convex in y^2). That lies below the linear-limit period, at small amplitude
+by about (y0/l)^2/(8*(l/l0 - 1)) of it, and is that period at y0 = 0, so
+one inequality covers every amplitude: an estimate at the linear-limit
+period fails wherever the secant bound lies beyond the slack below it.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .model import TWO_PI, Oscillation, StringParams, _scaled, rayleigh_period
-from .quadrature import PeriodEstimate, _unit_radicand
+from .quadrature import PeriodEstimate
 
 __all__ = ["PeriodBounds", "SandwichReport", "compute_bounds", "check_sandwich"]
 
@@ -102,12 +99,12 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
 
 
 class SandwichReport(NamedTuple):
-    """Outcome of checking one period estimate against the a-priori bounds.
+    """Outcome of checking one period estimate against the rigorous bounds:
+    lower is PeriodBounds.lower_corrected and upper the secant-energy bound
+    (see the module docstring), at or below PeriodBounds.upper.
 
     slack is the engine's own error estimate plus the bounds' rounding,
-    _BOUND_ULPS ulps of upper; it widens both inequalities. strict_upper_ok
-    demands value < upper where the secant bound lies more than slack below
-    upper (see the module docstring), and equals upper_ok elsewhere.
+    _BOUND_ULPS ulps of upper; it widens both inequalities.
     """
 
     lower: float
@@ -116,50 +113,43 @@ class SandwichReport(NamedTuple):
     slack: float
     lower_ok: bool
     upper_ok: bool
-    strict_upper_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.strict_upper_ok
+        return self.lower_ok and self.upper_ok
 
     @property
     def violation(self) -> float:
-        """How far value lies outside what the verdict allows, over upper."""
-        strictness = 0.0 if self.strict_upper_ok else self.value - self.upper
+        """How far value lies outside the slack-widened bounds, over upper."""
         below = self.lower - self.slack - self.value
-        return max(below, self.value - self.upper - self.slack, 0.0, strictness) / self.upper
+        return max(below, self.value - self.upper - self.slack, 0.0) / self.upper
 
 
-def _secant_upper(osc: Oscillation) -> float:
-    """Secant-energy bound 2*pi/sqrt((2*sigma/m)*g(0)) >= P.
-
-    speed^2 = (2*sigma/m)*(y0^2 - y^2)*g(y) and g rises with |y|, so g(0) =
-    1/l0 - 2/(l + hypot(l, y0)) bounds the period from above.
-    """
-    p = osc.params
-    stiff = (2.0 * p._unit_sigma / p._unit_mass) * _unit_radicand(p, osc._unit_y0)(0.0)
-    return _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
-
-
-# Rounding of the bounds, in ulps of upper. Each is a chain of roundings on
-# exact unit values that never cancels: l - l0 has exact operands and sums
-# add positive terms. Count TWO_PI and each +, -, *, / and sqrt as one, hypot
-# as two and the power-of-two scalings as none; a product or quotient adds
-# its operands' counts, a sum takes the larger, sqrt halves. upper counts 5.5,
-# lower_corrected 6.5, _secant_upper 11, and a count n bounds the relative
-# error by gamma_n = n*u/(1 - n*u) (Higham, Accuracy and Stability, 3.1),
-# under n ulps of upper; one more ulp covers the rounding of the comparisons.
+# Rounding of the bounds, in ulps of the secant bound. Each is a chain of
+# roundings on exact unit values that never cancels: l - l0 has exact
+# operands and sums add positive terms. Count TWO_PI and each +, -, *, / and
+# sqrt as one, hypot as two and the power-of-two scalings as none; a product
+# or quotient adds its operands' counts, a sum takes the larger, sqrt halves.
+# lower_corrected counts 6.5 and the secant bound 11: z0 - l0 8, its sum
+# with l - l0 9, over l + z0 and l0 14, times 2*sigma/m 16, its root 9 and
+# 2*pi over it 11. A count n bounds the relative error by gamma_n = n*u/(1 -
+# n*u) (Higham, Accuracy and Stability, 3.1), under n ulps of the larger,
+# secant bound; one more ulp covers the rounding of the comparisons.
 _BOUND_ULPS = 12.0
 
 
 def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport:
-    lower = _lower_corrected(osc.params, osc._unit_y0)
-    upper = rayleigh_period(osc.params)
+    p, y0 = osc.params, osc._unit_y0
+    l0, l = p._unit_l0, p._unit_l
+    # speed^2 = (2*sigma/m)*(y0^2 - y^2)*g(y) and g rises with |y|, so g(0)
+    # bounds the period from above; g(0) = ((l - l0) + (z0 - l0))/((l + z0)*l0)
+    # with z0 - l0 as in elliptic._root_gaps, free of cancellation and of y0**2
+    z0 = math.hypot(l, y0)
+    dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    stiff = (2.0 * p._unit_sigma / p._unit_mass) * (((l - l0) + dz0) / (l + z0) / l0)
+    upper = _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
+    lower = _lower_corrected(p, y0)
     slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value
-    lower_ok = value >= lower - slack
-    upper_ok = value <= upper + slack
-    # the period lies at or below the secant bound, so a correct estimate
-    # may reach upper only where that bound sits within slack of it
-    strict = value < upper or (upper_ok and upper - _secant_upper(osc) <= slack)
-    return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok, strict)
+    lower_ok, upper_ok = value >= lower - slack, value <= upper + slack
+    return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok)

@@ -360,18 +360,21 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
 
     The error estimate is 2*value*local_err, where local_err's crossing
     term adds 4*|dt|, the size in the period of the correction dt of the
-    zero crossing time (see the module docstring). local_err sums the
-    embedded estimates |err5_y| + |err5_v|/omega_c of the accepted steps,
-    the numbers the step-size control bounds, relative to y0: local errors
-    of the fifth-order solution, which exceed those of the eighth-order one
-    that is carried forward. Over a period an oscillator carries a state
-    error forward by an O(1) factor, and a relative state error e moves the
-    phase by about e radians, e/(2*pi) of a period, so the estimate covers
-    the accumulated phase error (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.3-II.4). omega_c, the chord frequency sqrt(|F(y0)|/(m*y0)), sizes
-    the velocity term by the motion's own time scale, so the estimate stays
-    tight where the period falls far below the linear one. traj may also be
-    simulate's run before its arrays are built (_release).
+    zero crossing time (see the module docstring). local_err also sums,
+    relative to y0, each accepted step's e = e5^2/sqrt(e5^2 + 0.01*e3^2), the
+    number the step-size control bounds, with e5 = |err5_y| + |err5_v|/omega_c
+    from the fifth-order estimates and e3 from the third-order ones: Hairer's
+    estimate of the eighth-order solution's error. Where e3 dwarfs e5, on a
+    step through the force's turn, e can fall below the step's true error
+    (test_error_estimate_covers_a_step_through_the_force_turn, a strict
+    xfail). Over a period an oscillator carries a state error forward by an
+    O(1) factor, and a relative state error moves the phase by as many
+    radians, so the estimate covers the accumulated phase error (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.3-II.4). omega_c, the chord
+    frequency sqrt(|F(y0)|/(m*y0)), sizes the velocity term by the motion's
+    own time scale, so the estimate stays tight where the period falls far
+    below the linear one. traj may also be simulate's run before its arrays
+    are built (_release).
     """
     events = traj.events
     if len(events) < 2:

@@ -57,8 +57,12 @@ class Method(enum.Enum):
 class PeriodEstimate(NamedTuple):
     """A period value plus the method tag and an error estimate.
 
-    err_estimate is an estimated absolute numerical error (same unit as
-    value), not a rigorous bound.
+    err_estimate is the engine's bound on the absolute error of value (same
+    unit), from its own arithmetic: the closed form counts its roundings, the
+    quadrature adds a rounding floor to its last level difference and the ODE
+    sums its steps' local error estimates (odesim.measure_period says where
+    that falls short). check_sandwich widens the bounds by it, and verify
+    holds two estimates of one period within the sum of theirs.
     """
 
     value: float

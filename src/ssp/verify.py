@@ -1,10 +1,11 @@
 """Randomized self-checks of the library's structural invariants.
 
 Each check draws parameter sets from wide log-uniform ranges and verifies a
-property that must hold regardless of the numbers drawn: the period sits
-strictly inside its a-priori bounds, the quadrature and elliptic periods
-differ by at most the sum of their error estimates, and the period depends
-on sigma and mass only through their ratio.
+property that must hold regardless of the numbers drawn, each an inequality
+widened by the engines' own error estimates: the period sits inside its
+rigorous bounds, the quadrature and elliptic periods differ by at most the
+sum of their error estimates, and the period depends on sigma and mass only
+through their ratio.
 The samples come from the standard library's `random.Random`, so the suite
 runs without numpy.
 """
@@ -19,18 +20,16 @@ from .bounds import check_sandwich
 from .elliptic import period_elliptic
 from .errors import InvalidParameters
 from .model import Oscillation, StringParams
-from .quadrature import exact_period
+from .quadrature import PeriodEstimate, exact_period
 
 __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
-
-SCALING_TOL = 1e-12
 
 
 class CheckResult(NamedTuple):
     """name, sample count, number of violations, worst metric, tolerance.
 
-    worst is the largest deviation (the honesty ratio, the scaling check's
-    relative deviation) or SandwichReport.violation, NaN if any is NaN.
+    worst is the largest deviation (the honesty or scaling ratio) or
+    SandwichReport.violation, NaN if any is NaN.
     """
 
     name: str
@@ -84,51 +83,55 @@ def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
 
 def _check_sandwich_and_honesty(
     oscs: list[Oscillation], rel_tol: float
-) -> tuple[CheckResult, CheckResult, list[float]]:
-    """The sandwich and estimate-honesty checks, and the quadrature periods.
+) -> tuple[CheckResult, CheckResult, list[PeriodEstimate]]:
+    """The sandwich and estimate-honesty checks, and the elliptic estimates.
 
     Each engine's err_estimate bounds its own error, so the two periods
     differ by at most the sum of the estimates: the honesty check's
     deviation is that difference over that sum, and fails above 1."""
-    reports = []
-    ratios = []
-    periods = []
+    reports, ratios, closed = [], [], []
     for osc in oscs:
         quad = exact_period(osc, rel_tol)
-        periods.append(quad.value)
         reports.append(check_sandwich(osc, quad))
-
         ell = period_elliptic(osc)
+        closed.append(ell)
         ratios.append(abs(quad.value - ell.value) / (quad.err_estimate + ell.err_estimate))
     failures = sum(not r.passed for r in reports)
     worst = _worst([r.violation for r in reports])
     return (
         CheckResult("period-inside-bounds", len(oscs), failures, worst, 0.0),
         _tally("estimate-honesty", ratios, 1.0),
-        periods,
+        closed,
     )
 
 
 def _check_scaling(
-    oscs: list[Oscillation], periods: list[float], rng: random.Random, rel_tol: float
+    oscs: list[Oscillation], closed: list[PeriodEstimate], rng: random.Random
 ) -> CheckResult:
     """Scaling sigma and mass by k keeps the period, sigma alone divides it
-    by sqrt(k); periods are the quadrature periods of oscs."""
-    devs = []
-    for osc, base in zip(oscs, periods):
+    by sqrt(k); closed holds the elliptic estimates of oscs. A rescaled
+    period may differ from its base by at most the sum of their error
+    estimates and the rescaling's rounding: the deviation is that
+    difference over that sum, and fails above 1, as in estimate-honesty."""
+    ratios = []
+    for osc, base in zip(oscs, closed):
         k = _log_uniform(rng, 0.1, 10.0)
         p = osc.params
-        joint = exact_period(
-            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass * k), osc.y0), rel_tol
-        ).value
-        sigma_only = exact_period(
-            Oscillation(StringParams(p.l0, p.l, p.sigma * k, p.mass), osc.y0), rel_tol
-        ).value
-        devs.append(_worst([
-            abs(joint - base) / base,
-            abs(sigma_only * math.sqrt(k) - base) / base,
+        joint, sigma_only = (
+            period_elliptic(Oscillation(StringParams(p.l0, p.l, p.sigma * k, mass), osc.y0))
+            for mass in (p.mass * k, p.mass)
+        )
+        root_k = math.sqrt(k)
+        # the period goes as sqrt(mass/sigma): rounding sigma*k and mass*k
+        # moves it by half an ulp each, and sqrt(k) and the product with it
+        # by one each, so 3 ulps of the base cover the rescaling
+        room = base.err_estimate + 3.0 * math.ulp(base.value)
+        ratios.append(_worst([
+            abs(joint.value - base.value) / (joint.err_estimate + room),
+            abs(sigma_only.value * root_k - base.value)
+            / (sigma_only.err_estimate * root_k + room),
         ]))
-    return _tally("sigma-mass-scaling", devs, SCALING_TOL)
+    return _tally("sigma-mass-scaling", ratios, 1.0)
 
 
 def run_invariant_suite(
@@ -146,6 +149,6 @@ def run_invariant_suite(
         raise InvalidParameters(f"seed must be >= 0, got {seed!r}")
     rng = random.Random(seed)
     oscs = _draw_oscillations(rng, samples)
-    sandwich, honesty, periods = _check_sandwich_and_honesty(oscs, rel_tol)
-    scaling = _check_scaling(oscs[:50], periods, rng, rel_tol)
+    sandwich, honesty, closed = _check_sandwich_and_honesty(oscs, rel_tol)
+    scaling = _check_scaling(oscs[:50], closed, rng)
     return VerifyReport(seed, samples, (sandwich, honesty, scaling))

@@ -21,7 +21,7 @@ from ssp import (
     period_elliptic,
     rayleigh_period,
 )
-from ssp.bounds import _BOUND_ULPS, _secant_upper
+from ssp.bounds import _BOUND_ULPS
 from ssp.model import TWO_PI
 from strategies import oscillations
 
@@ -82,12 +82,19 @@ def test_printed_error_variant_computes(reference_osc):
 
 
 def test_compute_bounds_is_consistent(reference_params):
-    # the sandwich reads the record's rigorous bounds, bit for bit
+    # the sandwich reads the record's lower bound bit for bit; its upper one,
+    # the secant bound, lies below the record's and meets it at y0 = 0 to
+    # within the two bounds' rounding
     for y0 in (0.0, 0.5, 1e200):
         osc = Oscillation(reference_params, y0)
         b = compute_bounds(osc)
         report = check_sandwich(osc, exact_period(osc))
-        assert (report.lower, report.upper) == (b.lower_corrected, b.upper)
+        assert report.lower == b.lower_corrected
+        assert report.upper <= b.upper + 2.0 * _BOUND_ULPS * math.ulp(b.upper)
+        if y0 == 0.0:
+            assert abs(report.upper - b.upper) <= 2.0 * _BOUND_ULPS * math.ulp(b.upper)
+        else:
+            assert report.upper < b.upper
 
 
 _any_length = st.floats(5e-324, 1.7e308)
@@ -97,8 +104,9 @@ _any_length = st.floats(5e-324, 1.7e308)
 @given(_any_length, _any_length, _any_length, _any_length, st.floats(0.0, 1.7e308))
 def test_sandwich_bounds_are_the_records_across_the_float_range(a, b, sigma, mass, y0):
     # check_sandwich and compute_bounds form the corrected lower bound
-    # through one helper and upper through rayleigh_period; no draw may
-    # split them, whatever over- or underflows
+    # through one helper, and the sandwich's secant bound is a finite period
+    # no higher than the record's upper bound beyond the two bounds'
+    # rounding; no draw may split them, whatever over- or underflows
     l0, l = sorted((a, b))
     assume(l0 < l)
     try:
@@ -107,7 +115,8 @@ def test_sandwich_bounds_are_the_records_across_the_float_range(a, b, sigma, mas
         assume(False)
     bounds = compute_bounds(osc)
     report = check_sandwich(osc, PeriodEstimate(bounds.upper, Method.QUADRATURE, 0.0))
-    assert (report.lower, report.upper) == (bounds.lower_corrected, bounds.upper)
+    assert report.lower == bounds.lower_corrected
+    assert 0.0 < report.upper <= bounds.upper + 2.0 * _BOUND_ULPS * math.ulp(bounds.upper)
 
 
 def test_bracket_widens_with_amplitude(reference_params):
@@ -144,7 +153,7 @@ def test_error_bound_scales_quadratically(reference_params):
 def test_sandwich_holds_for_the_real_period(osc):
     est = exact_period(osc)
     report = check_sandwich(osc, est)
-    assert report.lower_ok and report.upper_ok and report.strict_upper_ok
+    assert report.lower_ok and report.upper_ok
     assert report.passed
     assert report.lower <= report.value + report.slack
     assert report.value < report.upper
@@ -185,6 +194,7 @@ def test_degenerate_amplitude_sandwich(reference_params):
     est = exact_period(osc)
     report = check_sandwich(osc, est)
     # Period equals both bounds; at y0 = 0 the secant bound is upper itself.
+    assert abs(report.upper - compute_bounds(osc).upper) <= _BOUND_ULPS * math.ulp(report.upper)
     assert report.passed
 
 
@@ -210,26 +220,28 @@ def test_sandwich_passes_periods_at_the_upper_bound(l, y0):
 
 
 @pytest.mark.parametrize("rel_amp", [1e-4, 0.4])
-def test_estimate_at_upper_bound_fails_strict(reference_params, rel_amp):
+def test_estimate_at_upper_bound_fails(reference_params, rel_amp):
+    # the secant bound lies beyond both engines' slack below the linear-limit
+    # period here, so an estimate at the linear-limit period fails
     osc = Oscillation(reference_params, rel_amp * reference_params.l)
     upper = compute_bounds(osc).upper
     for engine in (exact_period, period_elliptic):
         est = engine(osc)
-        at_upper = PeriodEstimate(upper, est.method, est.err_estimate)
-        report = check_sandwich(osc, at_upper)
-        assert report.upper_ok
-        assert not report.strict_upper_ok
-    # an error estimate wider than the gap below upper waives strictness
-    gap = upper - exact_period(osc).value
-    loose = PeriodEstimate(upper, Method.QUADRATURE, 2.0 * gap)
-    assert check_sandwich(osc, loose).strict_upper_ok
+        report = check_sandwich(osc, PeriodEstimate(upper, est.method, est.err_estimate))
+        assert report.lower_ok
+        assert not report.upper_ok
+        assert not report.passed
+        assert report.violation == (upper - report.upper - report.slack) / report.upper > 0.0
+    # an error estimate wider than the gap below the secant bound passes it
+    gap = upper - check_sandwich(osc, est).upper
+    assert check_sandwich(osc, PeriodEstimate(upper, Method.QUADRATURE, 2.0 * gap)).passed
 
 
 @settings(max_examples=40)
 @given(oscillations(rel_amp_hi=100.0))
 def test_secant_bound_lies_between_period_and_upper(osc):
     est = exact_period(osc)
-    secant = _secant_upper(osc)
+    secant = check_sandwich(osc, est).upper
     assert est.value <= secant + est.err_estimate
     assert secant <= compute_bounds(osc).upper * (1.0 + 1e-15)
 
@@ -366,16 +378,17 @@ def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_am
 # read as 0, the lower bound lay 12.3 ulps of upper below its value
 @example(math.exp(301), math.exp(-340), math.exp(2), math.exp(1), math.exp(34))
 def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
-    # each bound lies within _BOUND_ULPS ulps of upper of its 40-digit value,
-    # the rounding check_sandwich allows, also where y0*y0 overflows on the
-    # unit lengths
+    # each bound lies within _BOUND_ULPS ulps of its 40-digit value, of the
+    # linear-limit period for itself and of the secant bound for the two
+    # that check_sandwich reads, the rounding it allows, also where y0*y0
+    # overflows on the unit lengths
     l0, l = sorted((a, b))
     y0 = rel_amp * l
     assume(l0 < l and math.isfinite(y0))
     osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
     b = compute_bounds(osc)
-    upper = b.upper
-    computed = {"upper": upper, "lower": b.lower_corrected, "secant": _secant_upper(osc)}
+    sandwich_upper = check_sandwich(osc, PeriodEstimate(b.upper, Method.QUADRATURE, 0.0)).upper
+    computed = {"upper": b.upper, "lower": b.lower_corrected, "secant": sandwich_upper}
     with mpmath.workdps(40):
         l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
         linear = 2 * sigma * (l - l0) / (mass * l0 * l)
@@ -386,7 +399,8 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
             "secant": 2 * mpmath.pi / mpmath.sqrt(secant),
         }
         for name, value in computed.items():
-            ulps = abs(value - exact[name]) / math.ulp(upper)
+            unit = math.ulp(b.upper if name == "upper" else sandwich_upper)
+            ulps = abs(value - exact[name]) / unit
             assert ulps <= _BOUND_ULPS, (name, float(ulps))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 import ssp.cli
 from ssp import EngineFailure, Method, PeriodEstimate
 from ssp.cli import main
@@ -279,16 +280,18 @@ def test_period_values_match_library(capsys, reference_osc):
 
 
 def test_pass_is_the_library_verdict(capsys, monkeypatch, reference_osc):
-    # a period at upper lies within slack of it, but at y0 = 0.5 the
-    # secant bound is far below upper, so the strict verdict fails it
-    from ssp import check_sandwich, compute_bounds
+    # a quadrature period 5% high lies below the linear-limit period at
+    # y0 = 0.5, but above the secant bound, so the verdict fails it
+    from ssp import check_sandwich, compute_bounds, exact_period
 
-    def at_upper(osc, tol):
-        return PeriodEstimate(compute_bounds(osc).upper, Method.QUADRATURE, 0.0)
+    def high(osc, tol):
+        est = exact_period(osc)
+        return PeriodEstimate(1.05 * est.value, Method.QUADRATURE, est.err_estimate)
 
-    report = check_sandwich(reference_osc, at_upper(reference_osc, None))
-    assert report.lower_ok and report.upper_ok and not report.passed
-    monkeypatch.setattr(ssp.cli, "exact_period", at_upper)
+    report = check_sandwich(reference_osc, high(reference_osc, None))
+    assert report.value == 1.05 * oracle.P_REF < compute_bounds(reference_osc).upper
+    assert report.lower_ok and not report.upper_ok and not report.passed
+    monkeypatch.setattr(ssp.cli, "exact_period", high)
     code, out, _ = run_cli(capsys, "period", "--format", "csv")
     assert code == 0
     assert parse_csv(out)[1][0]["pass"] == "false"

@@ -62,7 +62,7 @@ FIELDS = {
         "rel_error_bound_printed",
     ),
     SandwichReport: (
-        "lower", "upper", "value", "slack", "lower_ok", "upper_ok", "strict_upper_ok",
+        "lower", "upper", "value", "slack", "lower_ok", "upper_ok",
     ),
     CheckResult: ("name", "samples", "failures", "worst", "tolerance"),
     VerifyReport: ("seed", "samples", "checks"),

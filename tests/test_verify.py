@@ -73,18 +73,62 @@ def test_cross_method_check_catches_a_nudged_period(monkeypatch, capsys, rel_tol
 
 
 def test_each_draw_is_integrated_once(monkeypatch):
-    # the scaling check reuses the sandwich check's periods of its 50 draws,
-    # and integrates only its two rescaled strings
-    calls = []
+    # each draw runs each engine once, and the scaling check reuses the
+    # closed-form estimates of its 50 draws, running only on its two
+    # rescaled strings
+    calls = {"exact_period": [], "period_elliptic": []}
 
-    def counted(osc, rel_tol):
-        calls.append(osc)
-        return exact_period(osc, rel_tol)
+    def counted(name, engine):
+        def run(osc, *args):
+            calls[name].append(osc)
+            return engine(osc, *args)
 
-    monkeypatch.setattr(ssp.verify, "exact_period", counted)
+        return run
+
+    monkeypatch.setattr(ssp.verify, "exact_period", counted("exact_period", exact_period))
+    monkeypatch.setattr(ssp.verify, "period_elliptic", counted("period_elliptic", period_elliptic))
     run_invariant_suite(samples=200, seed=0)
-    assert len(calls) == 200 + 2 * 50
-    assert len(set(calls)) == len(calls)
+    assert len(calls["exact_period"]) == 200
+    assert len(calls["period_elliptic"]) == 200 + 2 * 50
+    for oscs in calls.values():
+        assert len(set(oscs)) == len(oscs)
+
+
+def _scaling(report):
+    return next(c for c in report.checks if c.name == "sigma-mass-scaling")
+
+
+def test_scaling_holds_the_closed_form_to_its_own_estimates():
+    # the rule needs no tolerance of its own, and does not read --tol
+    for rel_tol in (1e-15, 1e-3):
+        scaling = _scaling(run_invariant_suite(samples=50, seed=0, rel_tol=rel_tol))
+        assert scaling.tolerance == 1.0
+        assert scaling.failures == 0
+        assert 0.0 < scaling.worst < 0.1
+
+
+def test_scaling_catches_a_slip_that_follows_sigmas_power_of_four(monkeypatch, capsys):
+    # both engines off by a relative 1e-13 wherever sigma's power-of-four
+    # exponent is odd agree with each other and stay inside the bounds, but
+    # a rescaled sigma changes that exponent on some draws
+    def slipped(engine):
+        def run(osc, *args):
+            est = engine(osc, *args)
+            if osc.params._sigma_exp % 2:
+                return est._replace(value=est.value * (1.0 + 1e-13))
+            return est
+
+        return run
+
+    monkeypatch.setattr(ssp.verify, "exact_period", slipped(exact_period))
+    monkeypatch.setattr(ssp.verify, "period_elliptic", slipped(period_elliptic))
+    report = run_invariant_suite(samples=300, seed=0)
+    sandwich, honesty, scaling = report.checks
+    assert sandwich.ok and honesty.ok
+    assert scaling.failures > 0
+    assert not report.passed
+    assert main(["verify", "--samples", "300"]) == 3
+    assert "sigma-mass-scaling       samples=50    failures=" in capsys.readouterr().out
 
 
 def test_negative_seed_is_refused():
