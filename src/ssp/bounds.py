@@ -2,8 +2,8 @@
 
 compute_bounds forms every bound of one oscillation in one body and returns
 them as the fields of PeriodBounds, which says which are rigorous; that
-record is the only public way to them. check_sandwich tests an estimate
-against rigorous bounds.
+record is the only public way to them. check_sandwich states how far an
+estimate lies outside rigorous bounds, in slacks, passing at most 1.
 
 The linear-limit period is an upper bound for every amplitude. Two lower
 bounds are provided. The corrected one is the period of a linear spring of
@@ -104,25 +104,20 @@ class SandwichReport(NamedTuple):
     (see the module docstring), at or below PeriodBounds.upper.
 
     slack is the engine's own error estimate plus the bounds' rounding,
-    _BOUND_ULPS ulps of upper; it widens both inequalities.
+    _BOUND_ULPS ulps of upper. deviation is max(lower - value, value -
+    upper)/slack, signed: negative inside the bounds, above 1 beyond the
+    slack, NaN for a NaN value.
     """
 
     lower: float
     upper: float
     value: float
     slack: float
-    lower_ok: bool
-    upper_ok: bool
+    deviation: float
 
     @property
     def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-    @property
-    def violation(self) -> float:
-        """How far value lies outside the slack-widened bounds, over upper."""
-        below = self.lower - self.slack - self.value
-        return max(below, self.value - self.upper - self.slack, 0.0) / self.upper
+        return self.deviation <= 1.0
 
 
 # Rounding of the bounds, in ulps of the secant bound. Each is a chain of
@@ -134,7 +129,8 @@ class SandwichReport(NamedTuple):
 # with l - l0 9, over l + z0 and l0 14, times 2*sigma/m 16, its root 9 and
 # 2*pi over it 11. A count n bounds the relative error by gamma_n = n*u/(1 -
 # n*u) (Higham, Accuracy and Stability, 3.1), under n ulps of the larger,
-# secant bound; one more ulp covers the rounding of the comparisons.
+# secant bound. The comparisons are exact (see check_sandwich), and the 12th
+# ulp covers the rounding of slack's own sum.
 _BOUND_ULPS = 12.0
 
 
@@ -151,5 +147,8 @@ def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport
     lower = _lower_corrected(p, y0)
     slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value
-    lower_ok, upper_ok = value >= lower - slack, value <= upper + slack
-    return SandwichReport(lower, upper, value, slack, lower_ok, upper_ok)
+    # near a bound value's difference from it is exact (Sterbenz), and so is
+    # a rounded quotient's test against 1: passed is lower - slack <= value
+    # <= upper + slack summed exactly. A NaN value makes both terms NaN.
+    below, above = lower - value, value - upper
+    return SandwichReport(lower, upper, value, slack, (below if below > above else above) / slack)

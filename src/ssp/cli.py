@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Sequence
 
-from .bounds import check_sandwich, compute_bounds
+from .bounds import _BOUND_ULPS, check_sandwich, compute_bounds
 from .elliptic import period_elliptic
 from .errors import EngineFailure, InvalidParameters
 from .model import Oscillation, StringParams, rayleigh_period
@@ -237,7 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "pass" if c.ok else "FAIL"
         print(
             f"{c.name:<24s} samples={c.samples:<5d} failures={c.failures:<4d} "
-            f"worst={c.worst:.3e} tol={c.tolerance:.1e} {status}"
+            f"worst={c.worst:.3e} {status}"
         )
     if report.passed:
         print(f"all invariants hold (seed={report.seed}, samples={report.samples})")
@@ -254,16 +254,21 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     high = args.high if args.high is not None else 0.2 * args.l
     if args.points < 2 or low == high:
         raise InvalidParameters("the slope fit needs two distinct amplitudes or more")
-    configs = _engine_configs(args)
+    tol = _checked_tol(args.tol, 1e-12)
     amps = _grid(low, high, args.points, log=True)
     header = ["y0", "period", "R", "R_bound_corrected"]
     rows = []
     for y0 in amps:
-        row = _build_row(_oscillation(args, y0=float(y0)), ("quadrature",), *configs)
-        if row["R"] == 0.0:
-            raise InvalidParameters(f"|R| is 0 at y0={row['y0']!r}; the slope fit needs |R| > 0")
-        row["period"] = row["period_quadrature"]
-        rows.append({k: row[k] for k in header})
+        osc = _oscillation(args, y0=float(y0))
+        quad, bounds = exact_period(osc, tol), compute_bounds(osc)
+        # within the quadrature's error and the bounds' rounding, R is noise
+        gap = quad.value - bounds.upper
+        if abs(gap) <= quad.err_estimate + _BOUND_ULPS * math.ulp(bounds.upper):
+            raise InvalidParameters(
+                f"|R| is within its error of 0 at y0={osc.y0!r}, too small for the slope fit"
+            )
+        row = (osc.y0, quad.value, gap / quad.value, bounds.rel_error_bound_corrected)
+        rows.append(dict(zip(header, row)))
     # the least-squares slope of log|R| against log y0
     xs = [math.log(y0) for y0 in amps]
     ys = [math.log(abs(r["R"])) for r in rows]

@@ -26,17 +26,17 @@ __all__ = ["CheckResult", "VerifyReport", "run_invariant_suite"]
 
 
 class CheckResult(NamedTuple):
-    """name, sample count, number of violations, worst metric, tolerance.
+    """name, sample count, number of violations, worst deviation.
 
-    worst is the largest deviation (the honesty or scaling ratio) or
-    SandwichReport.violation, NaN if any is NaN.
+    Each check states one deviation per draw, failing above 1 (see _tally):
+    SandwichReport.deviation or the honesty or scaling ratio. worst is the
+    largest, NaN if any is NaN.
     """
 
     name: str
     samples: int
     failures: int
     worst: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
@@ -74,11 +74,11 @@ def _worst(deviations: list[float]) -> float:
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def _tally(name: str, deviations: list[float], tol: float) -> CheckResult:
-    """One agreement check: a deviation fails unless it is at most tol, so a
-    NaN fails, and worst is the largest deviation, NaN if any is NaN."""
-    failures = sum(not d <= tol for d in deviations)
-    return CheckResult(name, len(deviations), failures, _worst(deviations), tol)
+def _tally(name: str, deviations: list[float]) -> CheckResult:
+    """One check: a deviation fails unless it is at most 1, so a NaN fails,
+    and worst is the largest deviation, NaN if any is NaN."""
+    failures = sum(not d <= 1.0 for d in deviations)
+    return CheckResult(name, len(deviations), failures, _worst(deviations))
 
 
 def _check_sandwich_and_honesty(
@@ -86,23 +86,18 @@ def _check_sandwich_and_honesty(
 ) -> tuple[CheckResult, CheckResult, list[PeriodEstimate]]:
     """The sandwich and estimate-honesty checks, and the elliptic estimates.
 
-    Each engine's err_estimate bounds its own error, so the two periods
-    differ by at most the sum of the estimates: the honesty check's
-    deviation is that difference over that sum, and fails above 1."""
-    reports, ratios, closed = [], [], []
+    The sandwich's deviation is SandwichReport.deviation. Each engine's
+    err_estimate bounds its own error, so the two periods differ by at most
+    the sum of the estimates: the honesty check's deviation is that
+    difference over that sum."""
+    sandwich, ratios, closed = [], [], []
     for osc in oscs:
         quad = exact_period(osc, rel_tol)
-        reports.append(check_sandwich(osc, quad))
+        sandwich.append(check_sandwich(osc, quad).deviation)
         ell = period_elliptic(osc)
         closed.append(ell)
         ratios.append(abs(quad.value - ell.value) / (quad.err_estimate + ell.err_estimate))
-    failures = sum(not r.passed for r in reports)
-    worst = _worst([r.violation for r in reports])
-    return (
-        CheckResult("period-inside-bounds", len(oscs), failures, worst, 0.0),
-        _tally("estimate-honesty", ratios, 1.0),
-        closed,
-    )
+    return _tally("period-inside-bounds", sandwich), _tally("estimate-honesty", ratios), closed
 
 
 def _check_scaling(
@@ -112,7 +107,7 @@ def _check_scaling(
     by sqrt(k); closed holds the elliptic estimates of oscs. A rescaled
     period may differ from its base by at most the sum of their error
     estimates and the rescaling's rounding: the deviation is that
-    difference over that sum, and fails above 1, as in estimate-honesty."""
+    difference over that sum, as in estimate-honesty."""
     ratios = []
     for osc, base in zip(oscs, closed):
         k = _log_uniform(rng, 0.1, 10.0)
@@ -131,7 +126,7 @@ def _check_scaling(
             abs(sigma_only.value * root_k - base.value)
             / (sigma_only.err_estimate * root_k + room),
         ]))
-    return _tally("sigma-mass-scaling", ratios, 1.0)
+    return _tally("sigma-mass-scaling", ratios)
 
 
 def run_invariant_suite(

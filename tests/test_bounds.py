@@ -1,6 +1,7 @@
 """A-priori period bounds and the relative-error corollary."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -153,7 +154,7 @@ def test_error_bound_scales_quadratically(reference_params):
 def test_sandwich_holds_for_the_real_period(osc):
     est = exact_period(osc)
     report = check_sandwich(osc, est)
-    assert report.lower_ok and report.upper_ok
+    assert report.deviation <= 1.0
     assert report.passed
     assert report.lower <= report.value + report.slack
     assert report.value < report.upper
@@ -164,10 +165,12 @@ def test_sandwich_rejects_corrupted_estimate(reference_osc):
     b = compute_bounds(reference_osc)
     inflated = PeriodEstimate(1.01 * b.upper, Method.QUADRATURE, honest.err_estimate)
     report = check_sandwich(reference_osc, inflated)
-    assert not report.upper_ok
+    assert report.deviation == (report.value - report.upper) / report.slack > 1.0
     assert not report.passed
     deflated = PeriodEstimate(0.99 * b.lower_corrected, Method.QUADRATURE, 0.0)
-    assert not check_sandwich(reference_osc, deflated).lower_ok
+    report = check_sandwich(reference_osc, deflated)
+    assert report.deviation == (report.lower - report.value) / report.slack > 1.0
+    assert not report.passed
 
 
 def test_sandwich_slack_is_the_error_estimate_plus_the_bounds_rounding(reference_osc):
@@ -184,9 +187,42 @@ def test_sandwich_refuses_a_period_just_below_the_lower_bound(reference_osc):
     gap = err + 2.0 * _BOUND_ULPS * math.ulp(b.upper)
     below = b.lower_corrected - gap
     report = check_sandwich(reference_osc, PeriodEstimate(below, Method.QUADRATURE, err))
-    assert not report.lower_ok
+    assert report.deviation == (report.lower - below) / report.slack > 1.0
     assert not report.passed
-    assert report.violation > 0.0
+
+
+EDGE_CELLS = {
+    "reference": ((1.0, 1.25, 1.0, 1.0), 0.5),
+    "anharmonic": (oracle.ANHARMONIC_PARAMS[:4], oracle.ANHARMONIC_PARAMS[4]),
+}
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_sandwich_verdict_is_exact_at_both_edges(cell):
+    # passed holds exactly when lower - slack <= value <= upper + slack, the
+    # floats summed without rounding; here the rounded sums fl(upper +
+    # slack) and fl(lower - slack) lie beyond those edges and fail
+    params, y0 = EDGE_CELLS[cell]
+    osc = Oscillation(StringParams(*params), y0)
+    est = exact_period(osc)
+    r = check_sandwich(osc, est)
+    lo, hi = Fraction(r.lower) - Fraction(r.slack), Fraction(r.upper) + Fraction(r.slack)
+
+    def at(value):
+        return check_sandwich(osc, est._replace(value=value))
+
+    for edge, inward in ((r.upper + r.slack, -math.inf), (r.lower - r.slack, math.inf)):
+        assert not at(edge).passed
+        assert at(math.nextafter(edge, inward)).passed
+        value = edge
+        for _ in range(6):
+            value = math.nextafter(value, -inward)
+        for _ in range(13):
+            report = at(value)
+            assert report.passed == (lo <= Fraction(value) <= hi)
+            if value > r.upper:
+                assert report.deviation == (value - r.upper) / r.slack
+            value = math.nextafter(value, inward)
 
 
 def test_degenerate_amplitude_sandwich(reference_params):
@@ -228,10 +264,9 @@ def test_estimate_at_upper_bound_fails(reference_params, rel_amp):
     for engine in (exact_period, period_elliptic):
         est = engine(osc)
         report = check_sandwich(osc, PeriodEstimate(upper, est.method, est.err_estimate))
-        assert report.lower_ok
-        assert not report.upper_ok
+        assert report.lower < upper
+        assert report.deviation == (upper - report.upper) / report.slack > 1.0
         assert not report.passed
-        assert report.violation == (upper - report.upper - report.slack) / report.upper > 0.0
     # an error estimate wider than the gap below the secant bound passes it
     gap = upper - check_sandwich(osc, est).upper
     assert check_sandwich(osc, PeriodEstimate(upper, Method.QUADRATURE, 2.0 * gap)).passed

@@ -21,8 +21,13 @@ def test_default_suite_passes():
     for check in report.checks:
         assert check.failures == 0
         assert check.ok
-        assert check.worst >= 0.0
+        assert check.worst <= 1.0
         assert type(check.worst) is float
+    # every period lies strictly inside its bounds, and the two ratios are
+    # absolute values
+    sandwich, honesty, scaling = report.checks
+    assert sandwich.worst < 0.0
+    assert honesty.worst >= 0.0 and scaling.worst >= 0.0
 
 
 def test_suite_is_deterministic_per_seed():
@@ -43,7 +48,7 @@ def test_cross_method_margin_is_wide():
     # the engines differ by a few hundredths of the sum of their error
     # estimates, the widest draw at about 0.037 over seeds 0-9
     honesty = _honesty(run_invariant_suite(samples=100, seed=5))
-    assert honesty.tolerance == 1.0
+    assert honesty.ok
     assert honesty.worst < 0.1
 
 
@@ -51,7 +56,7 @@ def test_honesty_holds_at_the_loosest_tol(capsys):
     # the quadrature's own estimate grows with --tol, so the rule needs no
     # tolerance of its own; a fixed 1e-9 agreement read 3 false failures here
     report = run_invariant_suite(samples=200, seed=0, rel_tol=1e-3)
-    assert _honesty(report).tolerance == 1.0
+    assert 0.0 < _honesty(report).worst <= 1.0
     assert report.passed
     assert main(["verify", "--samples", "200", "--tol", "1e-3"]) == 0
     assert "all invariants hold" in capsys.readouterr().out
@@ -102,7 +107,6 @@ def test_scaling_holds_the_closed_form_to_its_own_estimates():
     # the rule needs no tolerance of its own, and does not read --tol
     for rel_tol in (1e-15, 1e-3):
         scaling = _scaling(run_invariant_suite(samples=50, seed=0, rel_tol=rel_tol))
-        assert scaling.tolerance == 1.0
         assert scaling.failures == 0
         assert 0.0 < scaling.worst < 0.1
 
@@ -152,7 +156,7 @@ def test_nan_deviation_fails(monkeypatch, capsys):
 
 def test_sandwich_check_catches_a_period_below_the_lower_bound(monkeypatch, capsys):
     # a quadrature period 1e-6 below the corrected lower bound fails on every
-    # draw, and worst is the largest violation its SandwichReports state
+    # draw, and worst is the largest deviation its SandwichReports state
     reports = []
 
     def below(osc, rel_tol):
@@ -168,10 +172,16 @@ def test_sandwich_check_catches_a_period_below_the_lower_bound(monkeypatch, caps
     report = run_invariant_suite(samples=20, seed=0)
     sandwich = next(c for c in report.checks if c.name == "period-inside-bounds")
     assert sandwich.failures == sandwich.samples == len(reports) == 20
-    assert sandwich.worst == max(r.violation for r in reports) > 0.0
+    assert sandwich.worst == max(r.deviation for r in reports) > 1.0
     assert not report.passed
     assert main(["verify", "--samples", "20"]) == 3
     assert "period-inside-bounds     samples=20    failures=20" in capsys.readouterr().out
+
+
+def test_a_deviation_fails_above_1_and_nan_fails():
+    checked = ssp.verify._tally("x", [-5.0, 1.0, math.nextafter(1.0, 2.0), math.nan])
+    assert checked[:3] == ("x", 4, 2)
+    assert math.isnan(checked.worst)
 
 
 def test_nan_period_fails_the_sandwich_with_worst_nan(monkeypatch):
