@@ -220,13 +220,14 @@ def main():
     lower_s = 2 * mp.pi / mp.sqrt(a_lin + SIGMA * y0s**2 / (MASS * L0 * L * L))
     show("1 - lower/upper @1e-4*l0", 1 - lower_s / upper)
 
-    print("\n== cross-check on an anharmonic cell (l/l0=1.05, y0/l=2, sigma/m=10) ==")
-    kw = dict(l0=mp.mpf(1), l=mp.mpf("1.05"), sigma=mp.mpf(10), mass=mp.mpf(1))
-    y0c = 2 * kw["l"]
+    print("\n== anharmonic cell (l = 1.05, y0 = 2.1, sigma = 10, the float inputs exactly) ==")
+    kw = dict(l0=mp.mpf(1), l=mp.mpf(1.05), sigma=mp.mpf(10), mass=mp.mpf(1))
+    y0c = mp.mpf(2.1)
     pt = period_theta_mp(y0=y0c, **kw)
     pl = period_legendre_mp(y0=y0c, **kw)
     ps = period_simpson_f64(y0c, kw["l0"], kw["l"], kw["sigma"], kw["mass"])
-    show("theta-form", pt)
+    show("theta-form", pt, 30)
+    print(f"{'P_ANHARMONIC':<28s} {float(pt)!r}")
     show("Legendre reduction", pl)
     print(f"{'Simpson (f64)':<28s} {ps!r}")
     show("legendre rel dev", abs(pl - pt) / pt)

@@ -35,14 +35,17 @@ __all__ = ["main", "entrypoint"]
 _TOL_MIN = 1e-15
 _TOL_MAX = 1e-3
 _METHODS = ("quadrature", "elliptic", "ode")
+# the most grid points: at 8 bytes a point, sys.maxsize/8 fill the address
+# space, and numpy fails sizes near that with ValueError or IndexError where a
+# smaller one raises MemoryError (exit 1); half of it keeps clear of them
+_POINTS_MAX = sys.maxsize // 16
 
 
 def _fmt_machine(value: object) -> str:
+    """A bool as true or false, a float (every other value) as its repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
 def _write_csv(rows: Sequence[dict[str, object]], header: Sequence[str]) -> None:
@@ -172,6 +175,8 @@ def _grid(low: float, high: float, points: int, log: bool) -> Sequence[float]:
     """
     if points < 1:
         raise InvalidParameters(f"points must be >= 1, got {points}")
+    if points > _POINTS_MAX:
+        raise InvalidParameters(f"points must be <= {_POINTS_MAX}, got {points}")
     if not (math.isfinite(low) and math.isfinite(high)):
         raise InvalidParameters("grid endpoints must be finite")
     if points == 1:

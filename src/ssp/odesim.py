@@ -86,10 +86,7 @@ class SimConfig(_Frozen):
     Every run integrates the same quarter period, to the first zero crossing
     t_q, and tiles its 2*n_periods half periods from it (see the module
     docstring), so n_periods changes neither the steps nor the period that
-    measure_period reads. The integration's horizon is one linear-limit
-    period, which the quarter period never reaches; it is formed in unit
-    time, so it may exceed the float range in physical time where the run's
-    events do not.
+    measure_period reads.
     """
 
     __slots__ = _fields = ("rel_tol", "n_periods")
@@ -160,9 +157,10 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     to it (see the module docstring). The turning events are k*2*t_q for k
     in 0..2*n_periods, in physical time.
 
-    A run that reaches its horizon, one linear period (see SimConfig),
-    without crossing y = 0 raises EngineFailure, and so does a step below
-    32 ulps of the horizon. InvalidParameters is raised where the
+    The run has no horizon: the period is at most the linear-limit one,
+    t_lin, so t_q <= t_lin/4. A run that has not crossed y = 0 after
+    _MAX_STEPS attempted steps raises EngineFailure, and so does a step
+    below 32 ulps of t_lin. InvalidParameters is raised where the
     Trajectory of n_periods would hold more than _MAX_STEPS samples, and
     where rel_tol*y0 or rel_tol*|F(y0)| on the unit values is below 5e-324.
 
@@ -182,11 +180,11 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     if y0 == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
-    # the first step, a hundredth of the horizon, is about 2**52/100 ulps of
-    # it at every scale, so it never starts below the step floor
-    t, t_end = 0.0, TWO_PI / omega0
-    h = t_end / 100.0
-    h_floor = 32.0 * math.ulp(t_end)
+    # the first step, a hundredth of the linear period, is about 2**52/100
+    # ulps of it at every scale, so it never starts below the step floor
+    t, t_lin = 0.0, TWO_PI / omega0
+    h = t_lin / 100.0
+    h_floor = 32.0 * math.ulp(t_lin)
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
     k0 = accel(y)
@@ -203,8 +201,10 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
         )
     # velocity errors count as displacement errors at the chord frequency
     # sqrt(|F(y0)|/(m*y0)), the root of the model's largest F(y)/(m*y) on
-    # the orbit, from the first stage's force; omega0 where the quotient
-    # underflows or overflows
+    # the orbit, from the first stage's force. The quotient lies between the
+    # unit stiffness and 2*sigma/(m*l0) on the unit values, so it overflows
+    # only where these are within an ulp or so of the largest float; then
+    # omega0 takes its place
     omega_c = math.sqrt(abs(k0) / y0)
     if not 0.0 < omega_c < math.inf:
         omega_c = omega0
@@ -218,11 +218,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     n_rej = 0
     just_rejected = False
 
-    while t < t_end:
-        if n_acc + n_rej >= _MAX_STEPS:
-            raise EngineFailure(
-                f"no result after {_MAX_STEPS} steps (t = {t!r} of {t_end!r})"
-            )
+    for _ in range(_MAX_STEPS):
         if h < h_floor:
             # a last trial step that is not finite had its stage sums overflow
             why = "step size underflowed" if math.isfinite(err) else (
@@ -230,8 +226,6 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
                 f"step start, y = {_scaled(y, 2 * e)!r}, is {_scaled(k0, 2 * (e - shift))!r})"
             )
             raise EngineFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
-        if t + h > t_end:
-            h = t_end - t
 
         y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
         # the local error on the orbit's scale
@@ -273,9 +267,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             h *= max(0.1, _SAFETY * err ** (-1.0 / 8.0))
             just_rejected = True
     else:
-        raise EngineFailure(
-            f"no zero crossing within {_scaled(t_end, shift)!r} time units"
-        )
+        raise EngineFailure(f"no result after {_MAX_STEPS} steps (t = {_scaled(t, shift)!r})")
 
     # the step from t carried y to y_new <= 0; no error estimate of it covers
     # the Hermite root, so a step from t to the root ends at y_q, off 0 by
@@ -344,9 +336,7 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
 def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     """Release from rest at y0, integrate to the first zero crossing
     t_q = P/4, and tile n_periods periods from that quarter (see
-    Trajectory): the events are t = 0, P/2, P, ... The true period never
-    exceeds the linear-limit period, so the horizon of one linear period
-    always suffices.
+    Trajectory): the events are t = 0, P/2, P, ...
     """
     return _trajectory(osc, _release(osc, cfg))
 

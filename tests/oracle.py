@@ -38,9 +38,10 @@ ACCEL_AT_HALF_M2 = -0.12860932364589627  # same pull, mass=2
 G_AT_ZERO = 0.22967038573099194    # radicand factor at y=0
 ENERGY_AT_RELEASE = -2.442582403567252  # E(y=y0, v=0), -2.44258240356725201562535524577
 
-# Strongly anharmonic cell: l0=1, l=1.05, sigma=10, mass=1, y0=2.1.
+# Strongly anharmonic cell: l0=1, l=1.05, sigma=10, mass=1, y0=2.1, its
+# period at the float inputs exactly, from scripts/compute_reference_values.py.
 ANHARMONIC_PARAMS = (1.0, 1.05, 10.0, 1.0, 2.1)
-P_ANHARMONIC = 1.9823552080414928
+P_ANHARMONIC = 1.9823552080414926  # 1.98235520804149265573033280198
 
 # Non-standard root ordering, z0 >= 2*l0 + l: ((l0, l, sigma, mass, y0), period)
 # from nonstandard_periods() in scripts/compute_reference_values.py. At l0=1,

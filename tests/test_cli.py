@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,15 @@ def test_trajectory_half_period_is_mirrored(capsys):
     assert (float(rows[-1]["y"]), float(rows[-1]["v"])) == (-0.5, 0.0)
 
 
+def test_trajectory_json_carries_the_csv_samples(capsys):
+    argv = ("trajectory", "--periods", "0.5", "--format")
+    _, out_csv, _ = run_cli(capsys, *argv, "csv")
+    code, out_json, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    _, rows = parse_csv(out_csv)
+    assert [{k: repr(v) for k, v in r.items()} for r in json.loads(out_json)] == rows
+
+
 def test_trajectory_refuses_a_period_count_off_the_half_grid(capsys):
     code, out, err = run_cli(capsys, "trajectory", "--periods", "1.3")
     assert code == 1
@@ -560,6 +570,14 @@ def test_convergence_rows_match_library(capsys):
         ("convergence", "--points", "1"),
         ("convergence", "--from", "0.1", "--to", "0.1"),
         ("trajectory", "--periods", "0"),
+        ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1", "--points", "0"),
+        ("sweep", "--sweep", "y0", "--from", "inf", "--to", "1"),
+        ("sweep", "--sweep", "y0", "--log", "--from", "0", "--to", "1"),
+        # numpy refused these with a ValueError traceback, and the linear
+        # grid was built as a list until memory ran out
+        ("sweep", "--sweep", "y0", "--log", "--from", "0.1", "--to", "1", "--points", str(10**20)),
+        ("sweep", "--sweep", "y0", "--from", "0.1", "--to", "1", "--points", str(10**20)),
+        ("convergence", "--from", "0.1", "--to", "0.2", "--points", str(10**20)),
     ],
 )
 def test_degenerate_runs_exit_1(capsys, argv):
@@ -596,21 +614,34 @@ def test_an_unallocatable_log_grid_exits_1(capsys, argv):
         (("--from", "1e-8", "--to", "1e-7"), "1e-08"),
     ],
 )
-def test_convergence_refuses_a_zero_r(argv, first):
+def test_convergence_refuses_a_zero_r(capsys, monkeypatch, argv, first):
     # where the period lies within the quadrature's err_estimate plus the
     # bounds' rounding of the linear-limit one, R is 0 or rounding noise
     # (a fit over 1e-8..1e-7 read slope 1.17 for the law's 2); the command
-    # names the amplitude instead of fitting it
+    # names the amplitude instead of fitting it. Run through the console
+    # script's entry point, with every warning an error
+    monkeypatch.setattr(sys, "argv", ["ssp", "convergence", *argv])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+        warnings.simplefilter("error")
+        ssp.cli.entrypoint()
+    out, err = capsys.readouterr()
+    assert done.value.code == 1
+    assert out == ""
+    assert err.startswith("error: |R| is within its error of 0 at y0=" + first + ",")
+    assert len(err.splitlines()) == 1
+
+
+def test_module_runs_as_a_script():
+    # python -m ssp.cli exits with main's code
     src = str(Path(ssp.cli.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-m", "ssp.cli", "convergence", *argv],
+        [sys.executable, "-m", "ssp.cli", "convergence", "--from", "1e-12", "--to", "1e-11"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr.startswith("error: |R| is within its error of 0 at y0=" + first + ",")
+    assert done.stderr.startswith("error: |R| is within its error of 0 at y0=1e-12,")
     assert len(done.stderr.splitlines()) == 1
-    assert "Warning" not in done.stderr
 
 
 def test_convergence_custom_grid(capsys):
@@ -669,6 +700,18 @@ def test_engine_failure_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "period", "--format", "csv")
     assert code == 2
     assert "engine failure:" in err
+
+
+def test_a_closed_pipe_ends_the_output_quietly(capsys, monkeypatch):
+    # a reader that stops early (ssp sweep ... | head -1) closes the pipe:
+    # the rest of stdout goes to the null device and the command exits 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w", buffering=1) as pipe, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", pipe)
+        code = main(["sweep", "--sweep", "y0", "--from", "0.2", "--to", "0.8", "--points", "3"])
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_environment_changes_no_result(capsys, monkeypatch):
