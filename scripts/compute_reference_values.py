@@ -40,9 +40,12 @@ def rayleigh_period(l0=L0, l=L, sigma=SIGMA, mass=MASS):
 
 
 def period_theta_mp(y0=Y0, l0=L0, l=L, sigma=SIGMA, mass=MASS):
-    """Period by mpmath quadrature on the smooth sin-substituted integrand."""
-    f = lambda th: 1 / mp.sqrt(radicand_g(y0 * mp.sin(th), y0, l0, l))
-    return 4 * mp.sqrt(mass / (2 * sigma)) * mp.quad(f, [0, mp.pi / 2])
+    """Period by mpmath quadrature on the smooth sin-substituted integrand,
+    normalized by g(0) to lie in (0, 1] at every scale: mp.quad's stop test
+    is absolute, and stopped early on 1/sqrt(g) of about 1e-154."""
+    g0 = radicand_g(0, y0, l0, l)
+    f = lambda th: mp.sqrt(g0 / radicand_g(y0 * mp.sin(th), y0, l0, l))
+    return 4 * mp.sqrt(mass / (2 * sigma * g0)) * mp.quad(f, [0, mp.pi / 2])
 
 
 def period_zspace_mp(scale, y0=Y0, l0=L0, l=L, sigma=SIGMA, mass=MASS):
@@ -236,6 +239,14 @@ def main():
     kw = dict(l0=mp.mpf(1), l=mp.mpf(1.0 + 1e-12), sigma=mp.mpf(1), mass=mp.mpf(1))
     y0c = mp.mpf(2e-9)
     pt = period_theta_mp(y0=y0c, **kw)
+    show("theta-form", pt, 30)
+    show("legendre rel dev", abs(period_legendre_mp(y0=y0c, **kw) - pt) / pt)
+
+    print("\n== tiny-period cell (oracle.TINY_PERIOD_PARAMS, the float inputs exactly) ==")
+    l0c, lc, sc, mc, y0c = (mp.mpf(v) for v in (2.225073858507202e-308, 1.0, 1.0, 0.5, 0.01))
+    kw = dict(l0=l0c, l=lc, sigma=sc, mass=mc)
+    pt = period_theta_mp(y0=y0c, **kw)
+    print(f"{'P_TINY':<28s} {float(pt)!r}")
     show("theta-form", pt, 30)
     show("legendre rel dev", abs(period_legendre_mp(y0=y0c, **kw) - pt) / pt)
 

@@ -18,9 +18,9 @@ form; it is dimensionally inconsistent and is never asserted against.
 The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
 which shrinks quadratically in the amplitude. Every bound is formed on the
-unit values of model.StringParams and scaled back. Where y0*y0 overflows,
-the corrected lower bound is formed without it, the printed one reads 0 and
-the relative-error bounds -inf: still true, where y0**2 would raise.
+unit values of model.StringParams and scaled back. A lower bound whose
+stiffness sum overflows is formed without y0*y0; where y0*y0 overflows, the
+relative-error bounds read -inf: still true, where y0**2 would raise.
 
 check_sandwich tests an estimate against the corrected lower bound and the
 secant-energy period 2*pi/sqrt((2*sigma/m)*g(0)), g(0) = 1/l0 - 2/(l +
@@ -60,41 +60,44 @@ class PeriodBounds(NamedTuple):
     rel_error_bound_printed: float
 
 
+def _lower_past_overflow(p: StringParams, y0: float, q: float, n: int) -> float:
+    """2*pi/sqrt(w + 4*q*(y0*2**n)**2) on the unit values, scaled back, where
+    that sum overflows; q is a quarter of sigma over the excess's
+    denominator, so it cannot overflow. Both stiffness roots, sqrt(w) and
+    y0*sqrt(4*q)*2**n, are divided exactly by 2**(e + n + 1), e the exponent
+    of y0, and summed by hypot (Blue, ACM TOMS 4 (1978) 15-23): nothing
+    squares y0, and the bound reads 0 only where it is below the floats."""
+    frac, e = math.frexp(y0)
+    root = math.hypot(math.ldexp(math.sqrt(p._unit_stiffness), -e - n - 1), frac * math.sqrt(q))
+    return _scaled(TWO_PI / root, p._period_exp - e - n - 1)
+
+
 def _lower_corrected(p: StringParams, y0: float) -> float:
-    """PeriodBounds.lower_corrected on the unit values, y0 the unit
-    amplitude. Where the stiffness sum overflows, its root is formed as
-    hypot(omega0, y0*sqrt(sigma/(m*l0))/l), which never squares y0; the bound
-    reads 0, still true, only where that overflows too."""
-    l0, l, w = p._unit_l0, p._unit_l, p._unit_stiffness
-    stiff = w + p._unit_sigma * (y0 * y0) / (p._unit_mass * l0 * (l * l))
+    """PeriodBounds.lower_corrected on the unit values, y0 the unit amplitude."""
+    den = p._unit_mass * p._unit_l0 * (p._unit_l * p._unit_l)
+    stiff = p._unit_stiffness + p._unit_sigma * (y0 * y0) / den
     if stiff < math.inf:
-        root = math.sqrt(stiff)
-    else:
-        root = math.hypot(math.sqrt(w), y0 * math.sqrt(p._unit_sigma / (p._unit_mass * l0)) / l)
-    return _scaled(TWO_PI / root, p._period_exp)
+        return _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
+    return _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / den, 0)
 
 
 def compute_bounds(osc: Oscillation) -> PeriodBounds:
     p = osc.params
     l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    y0_sq = y0 * y0
-    # the printed excess goes as sigma alone; it is brought to the unit
-    # stiffness's scale, below an ulp of it where that overflows
-    excess = p._unit_sigma * y0_sq / (l * l0)
-    scaled = _scaled(excess, 2 * (p._sigma_exp + p._period_exp))
-    if scaled < math.inf:
-        lower_printed = _scaled(TWO_PI / math.sqrt(p._unit_stiffness + scaled), p._period_exp)
-    else:
-        lower_printed = _scaled(TWO_PI / math.sqrt(excess), -p._sigma_exp)
+    # the printed excess is formed on the unit stiffness's scale, y0 first
+    n = p._sigma_exp + p._period_exp
+    ys = _scaled(y0, n)
+    stiff = p._unit_stiffness + p._unit_sigma * (ys * ys) / (l * l0)
     # sigma cancels from the corrected -sigma*y0^2/(4*T*l0*l), which is free
     # of units; the printed one goes as a period squared and is scaled back
     tension = p._unit_sigma * (l - l0) / l0
     return PeriodBounds(
         _lower_corrected(p, y0),
-        lower_printed,
+        _scaled(TWO_PI / math.sqrt(stiff), p._period_exp) if stiff < math.inf
+        else _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / (l * l0), n),
         rayleigh_period(p),
-        -y0_sq / (4.0 * (l - l0) * l),
-        _scaled(-y0_sq * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp),
+        -(y0 * y0) / (4.0 * (l - l0) * l),
+        _scaled(-(y0 * y0) * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp),
     )
 
 
@@ -123,14 +126,13 @@ class SandwichReport(NamedTuple):
 # Rounding of the bounds, in ulps of the secant bound. Each is a chain of
 # roundings on exact unit values that never cancels: l - l0 has exact
 # operands and sums add positive terms. Count TWO_PI and each +, -, *, / and
-# sqrt as one, hypot as two and the power-of-two scalings as none; a product
-# or quotient adds its operands' counts, a sum takes the larger, sqrt halves.
-# lower_corrected counts 6.5 and the secant bound 11: z0 - l0 8, its sum
-# with l - l0 9, over l + z0 and l0 14, times 2*sigma/m 16, its root 9 and
+# sqrt as one, hypot as two and power-of-two scalings as none; a product or
+# quotient adds its operands' counts, a sum takes the larger, sqrt halves.
+# lower_corrected counts 6.5 (8 past its overflow), the secant bound 11: z0 -
+# l0 8, + (l - l0) 9, over l + z0 and l0 14, times 0.5*sigma/m 16, root 9,
 # 2*pi over it 11. A count n bounds the relative error by gamma_n = n*u/(1 -
-# n*u) (Higham, Accuracy and Stability, 3.1), under n ulps of the larger,
-# secant bound. The comparisons are exact (see check_sandwich), and the 12th
-# ulp covers the rounding of slack's own sum.
+# n*u) (Higham, Accuracy and Stability, 3.1), under n ulps of the secant bound.
+# The comparisons are exact (see check_sandwich); a 12th ulp rounds slack's sum.
 _BOUND_ULPS = 12.0
 
 
@@ -139,11 +141,12 @@ def check_sandwich(osc: Oscillation, estimate: PeriodEstimate) -> SandwichReport
     l0, l = p._unit_l0, p._unit_l
     # speed^2 = (2*sigma/m)*(y0^2 - y^2)*g(y) and g rises with |y|, so g(0)
     # bounds the period from above; g(0) = ((l - l0) + (z0 - l0))/((l + z0)*l0)
-    # with z0 - l0 as in elliptic._root_gaps, free of cancellation and of y0**2
+    # with z0 - l0 as in elliptic._root_gaps, free of cancellation and of y0**2.
+    # A quarter of the stiffness stays finite, and the period is doubled back.
     z0 = math.hypot(l, y0)
     dz0 = (l - l0) * (l + l0) / (z0 + l0) + y0 * (y0 / (z0 + l0))
-    stiff = (2.0 * p._unit_sigma / p._unit_mass) * (((l - l0) + dz0) / (l + z0) / l0)
-    upper = _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
+    stiff = (0.5 * p._unit_sigma / p._unit_mass) * (((l - l0) + dz0) / (l + z0) / l0)
+    upper = _scaled(TWO_PI / math.sqrt(stiff), p._period_exp - 1)
     lower = _lower_corrected(p, y0)
     slack = estimate.err_estimate + _BOUND_ULPS * math.ulp(upper)
     value = estimate.value

@@ -71,41 +71,32 @@ class PeriodEstimate(NamedTuple):
 
 
 def radicand_g(osc: Oscillation, y: float) -> float:
-    """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably.
-
-    g goes as 1/length: it is formed on the unit lengths (model.StringParams),
-    y scaled in and the result scaled back, exactly (see _unit_radicand); it
-    reads +inf where g is beyond the float range. Where y/l is beyond the
-    float range, g is 1/l0 to within rounding.
-    """
-    e = osc.params._length_exp
-    y = _scaled(y, -2 * e)
-    if math.isinf(y):
-        return 1.0 / osc.params.l0
-    return _scaled(_unit_radicand(osc.params, osc._unit_y0)(0.5 * y), -2 * e)
+    """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably on
+    the unit lengths (model.StringParams, see _unit_radicand), y scaled in and
+    g scaled back exactly; +inf where g is beyond the float range. |y| and y0
+    are taken at most at model._Y0_CAP*l, as both closed forms take y0: g lies
+    within 2**-59 of its value there."""
+    p, cap = osc.params, _Y0_CAP * osc.params._unit_l
+    y = min(abs(_scaled(y, -2 * p._length_exp)), cap)
+    return _scaled(_unit_radicand(p, min(osc._unit_y0, cap))(y), -2 * p._length_exp)
 
 
 def _unit_radicand(p: StringParams, y0: float) -> Callable[[float], float]:
     """radicand_g on the unit lengths of p, y0 among them, as a function of
-    hy = y/2. The terms that do not depend on y are formed once. g is
-    rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with
-    z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for
-    l/l0 - 1 near machine epsilon, and no square of y that could overflow.
-    Every length is halved first, exactly: z + z0 and dz + dz0 themselves
-    overflow once y and y0 near the top of the float range, and so does
-    l0*(z + z0)/2 where l0 > 1. The numerator is then half of dz + dz0 and
-    the denominator a quarter of l0*(z + z0), so the quotient is halved.
-    """
-    hl0, hl, hy0 = 0.5 * p._unit_l0, 0.5 * p._unit_l, 0.5 * y0
-    hz0 = math.hypot(hl, hy0)
-    quarter_gap = (hl - hl0) * (hl + hl0)
-    hdz0 = quarter_gap / (hz0 + hl0) + hy0 * (hy0 / (hz0 + hl0))
+    y, both at most model._Y0_CAP*l; the terms free of y are formed once. g is
+    rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with z - l0 =
+    (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for l/l0 - 1
+    near machine epsilon, and no square of y that could overflow."""
+    l0, l = p._unit_l0, p._unit_l
+    z0 = math.hypot(l, y0)
+    gap = (l - l0) * (l + l0)
+    dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
     hypot = math.hypot
 
-    def g(hy: float) -> float:
-        hz = hypot(hl, hy)
-        hzl = hz + hl0
-        return 0.5 * ((quarter_gap / hzl + hy * (hy / hzl) + hdz0) / (hl0 * (hz + hz0)))
+    def g(y: float) -> float:
+        z = hypot(l, y)
+        zl = z + l0
+        return (gap / zl + y * (y / zl) + dz0) / (l0 * (z + z0))
 
     return g
 
@@ -175,10 +166,10 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     p = osc.params
     # above the amplitude cap the period is its value at the cap (see
     # model._Y0_CAP, which also says why err_estimate stands as it is)
-    hl, y0 = 0.5 * p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
+    l, y0 = p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
     g = _unit_radicand(p, y0)
     exp, expm1, sinh, sqrt = math.exp, math.expm1, math.sinh, math.sqrt
-    big_s = math.asinh(y0 / p._unit_l)
+    big_s = math.asinh(y0 / l)
     two_s = 2.0 * big_s
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
@@ -191,7 +182,7 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
         q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
             u / -expm1(-2.0 * u) if u > 0.0 else 0.5
         )
-        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g(hl * sinh(s)))
+        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g(l * sinh(s)))
 
     integral, err = trapezoid_ladder(integrand, rel_tol)
     # 2*sigma alone may overflow: the prefactor is formed on the unit scale

@@ -68,6 +68,13 @@ QUADRATURE_DEFECT_CELLS = NONSTANDARD_PERIODS[-2:]
 NEAR_L0_PARAMS = (1.0, 1.0 + 1e-12, 1.0, 1.0, 2e-9)
 P_NEAR_L0 = 4442682.132172986  # 4442682.13217298589114907992585
 
+# l0 one float above the smallest normal one, l = 1, sigma = 1, mass = 0.5,
+# y0 = 0.01, from the "tiny-period cell" lines of
+# scripts/compute_reference_values.py: the unit 2*sigma/(m*l0) nears the
+# largest float, and the period is 4.7e-154.
+TINY_PERIOD_PARAMS = (2.225073858507202e-308, 1.0, 1.0, 0.5, 0.01)
+P_TINY = 4.68621368982162e-154  # 4.68621368982161978231750632081e-154
+
 
 def random_cells(seed, n, y0_over_l):
     """n cells (l0, l, sigma, mass, y0), log-uniform over l0 in 0.1..10, the
@@ -129,14 +136,18 @@ def central_diff(f, x, h):
 
 
 def period_mp(l0, l, sigma, mass, y0):
-    """4*sqrt(m/(2*sigma)) * int_0^{pi/2} dtheta / sqrt(g(y0*sin(theta))),
-    at 40 digits from the floats' exact values."""
+    """4*sqrt(m/(2*sigma*g(0))) * int_0^{pi/2} sqrt(g(0)/g(y0*sin(theta))) dtheta,
+    at 40 digits from the floats' exact values. The integrand lies in
+    (0, 1] at every scale, so mpmath.quad's absolute stop test is a relative
+    one; on 1/sqrt(g) itself it stopped early where the period is tiny."""
     with mpmath.workdps(40):
         l0, l, sigma, mass, y0 = map(mpmath.mpf, (l0, l, sigma, mass, y0))
         z0 = mpmath.sqrt(l * l + y0 * y0)
 
-        def f(theta):
-            y = y0 * mpmath.sin(theta)
-            return 1 / mpmath.sqrt(1 / l0 - 2 / (mpmath.sqrt(l * l + y * y) + z0))
+        def g(y):
+            return 1 / l0 - 2 / (mpmath.sqrt(l * l + y * y) + z0)
 
-        return float(4 * mpmath.sqrt(mass / (2 * sigma)) * mpmath.quad(f, [0, mpmath.pi / 2]))
+        g0 = g(0)
+        integral = mpmath.quad(lambda theta: mpmath.sqrt(g0 / g(y0 * mpmath.sin(theta))),
+                               [0, mpmath.pi / 2])
+        return float(4 * mpmath.sqrt(mass / (2 * sigma * g0)) * integral)

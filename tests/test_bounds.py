@@ -281,19 +281,63 @@ def test_secant_bound_lies_between_period_and_upper(osc):
     assert secant <= compute_bounds(osc).upper * (1.0 + 1e-15)
 
 
+# Rounding counts of the two lower bounds in ulps of each, by the rules of
+# bounds._BOUND_ULPS: lower_corrected 6.5 and lower_printed 6 where the
+# stiffness sum is finite, 8 and 7.5 past its overflow; one ulp above the
+# larger, as _BOUND_ULPS is above the secant bound's 11.
+_LOWER_ULPS = 9.0
+
+
+def _within_lower_ulps(value, exact):
+    return abs(Fraction(value) - Fraction(exact)) <= _LOWER_ULPS * Fraction(math.ulp(float(exact)))
+
+
 def test_bounds_survive_overflowing_amplitude(reference_params):
-    # y0^2 overflows: the corrected lower bound is formed without it, at
-    # 2*pi/(y0*sqrt(sigma/(m*l0))/l) to an ulp; the printed one falls to 0 and
-    # the relative bounds to -inf, all still true, and the exact period
-    # stays inside.
+    # y0^2 overflows: both lower bounds take the one path that never squares
+    # y0, within their counts of the 40-digit values (lower_printed read 0
+    # here); the relative bounds fall to -inf, still true, and the exact
+    # period stays inside.
     osc = Oscillation(reference_params, 1e200)
     b = compute_bounds(osc)
-    assert b.lower_corrected == 7.853981633974484e-200
-    assert b.lower_printed == 0.0
+    assert _within_lower_ulps(b.lower_corrected, "7.853981633974483333872110718892621887045e-200")
+    assert _within_lower_ulps(b.lower_printed, "7.024814731040726605775583587371460923561e-200")
     assert b.upper == rayleigh_period(reference_params)
     assert b.rel_error_bound_corrected == -math.inf
     assert b.rel_error_bound_printed == -math.inf
     assert check_sandwich(osc, exact_period(osc)).passed
+
+
+_any_scale = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+
+@settings(max_examples=300)
+@given(_any_scale, _any_scale, _any_scale, _any_scale, _any_scale)
+# the printed excess underflowed on the unit values, so lower_printed read
+# upper, 1.48e300 for 1.19e300
+@example(1e299, 1e300, 1.0, 1e300, 1e-300)
+def test_lower_bounds_round_within_their_counts_across_the_float_range(a, b, sigma, mass, rel_amp):
+    # each lower bound lies within its rounding count of its 40-digit value
+    # wherever that value is a normal float: no stiffness sum that over- or
+    # underflows may leave it at 0 or at upper
+    l0, l = sorted((a, b))
+    y0 = rel_amp * l
+    assume(l0 < l and math.isfinite(y0))
+    try:
+        osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    except InvalidParameters:
+        assume(False)
+    bounds = compute_bounds(osc)
+    with mpmath.workdps(40):
+        l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
+        linear = 2 * sigma * (l - l0) / (mass * l0 * l)
+        exact = {
+            "lower_corrected": linear + sigma * y0**2 / (mass * l0 * l**2),
+            "lower_printed": linear + sigma * y0**2 / (l * l0),
+        }
+        for name, stiffness in exact.items():
+            value = 2 * mpmath.pi / mpmath.sqrt(stiffness)
+            if value >= 2.0**-1022:
+                assert _within_lower_ulps(getattr(bounds, name), mpmath.nstr(value, 40)), name
 
 
 @pytest.mark.parametrize(
@@ -412,6 +456,9 @@ def test_closed_forms_bracketed_across_the_float_range(a, b, sigma, mass, rel_am
 # the unit stiffness sum overflows where the bound is 76.1 and upper 5.2e5:
 # read as 0, the lower bound lay 12.3 ulps of upper below its value
 @example(math.exp(301), math.exp(-340), math.exp(2), math.exp(1), math.exp(34))
+# the secant stiffness (2*sigma/m)*g(0) overflowed on the unit values and
+# its bound read 0
+@example(*oracle.TINY_PERIOD_PARAMS[:4], 0.01)
 def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
     # each bound lies within _BOUND_ULPS ulps of its 40-digit value, of the
     # linear-limit period for itself and of the secant bound for the two

@@ -125,8 +125,8 @@ def _reject_constant(token):
 
 
 def test_period_at_the_top_of_the_float_range(capsys):
-    # z + z0 overflows in g from y0 = 9e307; the quadrature period is still
-    # pi*sqrt(2)
+    # z + z0 overflowed in g from y0 = 9e307 before g took y0 at most at
+    # 2**60*l; the quadrature period is pi*sqrt(2)
     code, out, _ = run_cli(
         capsys, "period", "--y0", "1e308", "--method", "quadrature", "--format", "csv"
     )
@@ -165,8 +165,8 @@ TOP_CELL = ("--l0", "1.5", "--l", "1.9", "--y0", "1.7e308")
 
 
 def test_quadrature_answers_where_l0_times_y0_passes_dbl_max(capsys):
-    # g's denominator is formed on l0/2, so it no longer overflows to a g of
-    # 0; the period is the limit pi*sqrt(2*m*l0/sigma)
+    # g's denominator overflowed to a g of 0; g takes y0 at most at 2**60*l,
+    # and the period is the limit pi*sqrt(2*m*l0/sigma)
     code, out, _ = run_cli(capsys, "period", *TOP_CELL, "--method", "quadrature", "--format", "csv")
     assert code == 0
     row = parse_csv(out)[1][0]
@@ -216,6 +216,25 @@ def test_cells_at_extreme_lengths_answer(capsys, params):
         assert code == 0, err
         assert parse_csv(out)[1][0]["pass"] == "true"
         assert "Traceback" not in err
+
+
+def test_every_engine_passes_where_the_secant_stiffness_nears_dbl_max(capsys):
+    # the unit 2*sigma/(m*l0) nears the largest float: the secant stiffness
+    # overflowed, its bound read 0 and the command printed "sandwich FAIL"
+    # for three periods that agree to 4.686214e-154
+    from ssp import (
+        Oscillation, StringParams, check_sandwich, exact_period, measure_period,
+        period_elliptic, simulate,
+    )
+
+    cell = oracle.TINY_PERIOD_PARAMS
+    params = ("--l0", repr(cell[0]), "--l", "1", "--mass", "0.5", "--y0", "0.01")
+    code, out, err = run_cli(capsys, "period", *params, "--method", "all")
+    assert code == 0, err
+    assert out.splitlines()[-1] == f"{'sandwich':<20s}pass"
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    for est in (exact_period(osc), period_elliptic(osc), measure_period(simulate(osc))):
+        assert check_sandwich(osc, est).passed, est
 
 
 def test_period_json_stays_valid_at_overflowing_amplitude(capsys):

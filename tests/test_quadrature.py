@@ -202,6 +202,18 @@ def test_err_estimate_is_honest_on_oracle_cells():
         assert abs(est.value - period) <= est.err_estimate <= 1e-12 * est.value
 
 
+def test_oracle_holds_at_a_tiny_period():
+    # oracle.period_mp integrated 1/sqrt(g), about 1.5e-154 here, and
+    # mpmath.quad's absolute stop test ended 3.7e-14 above the period, above
+    # the linear bound; normalized by g(0), the oracle meets the 60-digit
+    # value and the quadrature within its estimate
+    cell = oracle.TINY_PERIOD_PARAMS
+    est = exact_period(Oscillation(StringParams(*cell[:4]), cell[4]))
+    ref = oracle.period_mp(*cell)
+    assert ref == oracle.P_TINY
+    assert abs(est.value - ref) <= est.err_estimate
+
+
 def test_dense_amplitude_scan_matches_elliptic():
     # 2100 log-spaced amplitudes over ten decades and three stretches.
     for stretch in (1.01, 1.25, 4.0):
@@ -318,7 +330,8 @@ def test_adaptive_quadrature_exactness():
     # pi*sqrt(2*m*l0/sigma); at y0/l >= 1e20 the difference is below 1e-19.
     p = StringParams(l0=1.0, l=1.25, sigma=3.0, mass=2.0)
     limit = math.pi * math.sqrt(2.0 * p.mass * p.l0 / p.sigma)
-    # from y0 = 9e307 the sums z + z0 in g overflow unless halved
+    # from y0 = 9e307 the sums z + z0 in g overflowed; g now takes y0 at most
+    # at 2**60*l
     for y0 in (1e20 * p.l, 1e100 * p.l, 1e160 * p.l, 1e300 * p.l, 1e308, sys.float_info.max):
         est = exact_period(Oscillation(p, y0))
         assert math.isfinite(est.value) and math.isfinite(est.err_estimate)
@@ -377,8 +390,8 @@ def test_g_at_huge_lengths_is_not_a_silent_zero():
 
 def test_g_where_l0_times_y0_passes_dbl_max():
     # l0*(hz + hz0) overflowed once l0*y0/2 passed DBL_MAX, and g read 0;
-    # the denominator is formed on l0/2. g = 1/l0 - 2/(z + z0) is 1/l0 to
-    # rounding
+    # y and y0 are taken at most at 2**60*l. g = 1/l0 - 2/(z + z0) is 1/l0
+    # to rounding
     osc = Oscillation(StringParams(1.5, 1.9, 1.0, 1.0), 1.7e308)
     assert radicand_g(osc, 0.9 * osc.y0) == pytest.approx(1.0 / 1.5, rel=1e-15)
 
