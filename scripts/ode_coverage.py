@@ -35,10 +35,22 @@ distance from `exact_period` and which passes `check_sandwich`, in at most
 100 attempted steps. It prints the counts of refused and answered cells, the
 smallest err_estimate/actual of the answers and the most attempted steps.
 
+Then two scans hold the estimate to `period_elliptic` on the benchmark's
+draws (`perfbench.workloads.draw`, read and not changed), where a run's
+error is far above the closed form's: 6000 draws at the default rel_tol
+(seed 77, 3000 in each of the `harmonic` and `anharmonic` bands, in that
+order), and 5000 draws with y0/l in 1e-4..1e8 (seed 5) at rel_tol 1e-3,
+5e-3 and 9.9e-3. These are the scans of ROADMAP item 20: under a first step
+of a hundredth of the linear period the first had 1 row and the second 30
+rows at 9.9e-3 whose estimate fell short of the distance to the closed form.
+For each it prints the rows short, the least and median err_estimate over
+that distance, and the mean force values per row.
+
 Exits 1 when, in any group, an err_estimate/actual ratio is not above 1 or
 the smallest is not finite: an estimate that fails to cover its error, a NaN,
 or a group whose every error reads exactly 0 and so tests nothing; or when a
-cell of the last group answers dishonestly or takes more than 100 steps.
+cell of the subnormal group answers dishonestly or takes more than 100
+steps; or when a scan has a row short.
 
 Run:  python3 scripts/ode_coverage.py   (needs numpy and mpmath)
 """
@@ -50,9 +62,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 import oracle  # noqa: E402
+import workloads  # noqa: E402
 
 from ssp import (  # noqa: E402
     InvalidParameters,
@@ -62,6 +76,7 @@ from ssp import (  # noqa: E402
     check_sandwich,
     exact_period,
     measure_period,
+    period_elliptic,
     simulate,
 )
 
@@ -126,6 +141,24 @@ def report_subnormal() -> bool:
     return dishonest == 0 and max(steps) <= 100
 
 
+def report_scan(label: str, oscs, cfg: SimConfig) -> bool:
+    """Print the scan's row; True where no estimate falls short of its
+    distance to period_elliptic."""
+    short, cover, forces = 0, [], []
+    for osc in oscs:
+        traj = simulate(osc, cfg)
+        est = measure_period(traj)
+        actual = abs(est.value - period_elliptic(osc).value)
+        short += not actual <= est.err_estimate
+        cover.append(est.err_estimate / actual if actual else math.inf)
+        forces.append(12 * traj.n_accepted + 11 * traj.n_rejected + 11 + 1)
+    print(
+        f"{label:<36} short {short}  min est/actual {min(cover):.3g}  "
+        f"median est/actual {np.median(cover):.3g}  forces {np.mean(forces):.1f}"
+    )
+    return short == 0
+
+
 def main() -> int:
     covered = [
         report(f"oracle cells rel_tol={rel_tol:g}", ORACLE_CELLS, SimConfig(rel_tol=rel_tol))
@@ -139,6 +172,13 @@ def main() -> int:
         label = f"256 draws y0/l 1e6..1e10 rel_tol={rel_tol:g}"
         covered.append(report(label, large, SimConfig(rel_tol=rel_tol)))
     covered.append(report_subnormal())
+    rng = np.random.default_rng(77)
+    pool = workloads.draw(rng, 3000, workloads.SMALL) + workloads.draw(rng, 3000, workloads.LARGE)
+    covered.append(report_scan("6000 pool draws rel_tol=1e-10", pool, SimConfig()))
+    wide = workloads.draw(np.random.default_rng(5), 5000, (1e-4, 1e8))
+    for rel_tol in (1e-3, 5e-3, 9.9e-3):
+        label = f"5000 draws y0/l 1e-4..1e8 rel_tol={rel_tol:g}"
+        covered.append(report_scan(label, wide, SimConfig(rel_tol=rel_tol)))
     if not all(covered):
         print(
             "FAIL: an err_estimate does not cover its actual error, or a "

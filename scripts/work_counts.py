@@ -14,7 +14,10 @@ For each pool it prints the mean and the largest count per row:
   `quadrature.trapezoid_ladder`;
 - `ode`: accepted and rejected steps of the default `simulate` run, and its
   force values, counted by wrapping the force that `odesim` binds through
-  `model._bound_acceleration`.
+  `model._bound_acceleration`; then the same for each band alone (`ode
+  small`, y0/l in 1e-4..1, the even rows, and `ode large`, 1..100, the odd
+  ones), with the width of the run's first attempted step over its first
+  zero crossing t_q, read by wrapping `_dop853.step`.
 
 Then it prints the engine calls of one `run_invariant_suite(samples=200,
 seed=3)`, the library call behind `ssp verify`: `exact_period`,
@@ -33,7 +36,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-from ssp import elliptic, odesim, quadrature, verify  # noqa: E402
+from ssp import _dop853, elliptic, odesim, quadrature, verify  # noqa: E402
 
 SEED = 3
 
@@ -61,10 +64,10 @@ def integrand_evaluations(oscs) -> list[int]:
     return counts
 
 
-def ode_work(oscs) -> dict[str, list[int]]:
+def ode_work(oscs) -> dict[str, list[float]]:
     """Accepted steps, rejected steps and force values of each default
-    simulate run on oscs."""
-    bind, calls = odesim._bound_acceleration, [0]
+    simulate run on oscs, and its first step's width over t_q."""
+    bind, step, calls, widths = odesim._bound_acceleration, _dop853.step, [0], []
 
     def counting(p):
         force = bind(p)
@@ -75,17 +78,23 @@ def ode_work(oscs) -> dict[str, list[int]]:
 
         return counted
 
-    work = {"accepted steps": [], "rejected steps": [], "force values": []}
-    odesim._bound_acceleration = counting
+    def recording(accel, y, v, k0, h):
+        widths.append(h)
+        return step(accel, y, v, k0, h)
+
+    work = {"accepted steps": [], "rejected steps": [], "force values": [], "first step / t_q": []}
+    odesim._bound_acceleration, _dop853.step = counting, recording
     try:
         for osc in oscs:
             calls[0] = 0
-            traj = odesim.simulate(osc)
-            work["accepted steps"].append(traj.n_accepted)
-            work["rejected steps"].append(traj.n_rejected)
+            widths.clear()
+            run = odesim._release(osc, odesim.SimConfig())
+            work["accepted steps"].append(run.n_accepted)
+            work["rejected steps"].append(run.n_rejected)
             work["force values"].append(calls[0])
+            work["first step / t_q"].append(widths[0] / run.t_q)
     finally:
-        odesim._bound_acceleration = bind
+        odesim._bound_acceleration, _dop853.step = bind, step
     return work
 
 
@@ -112,17 +121,25 @@ def verify_calls() -> dict[str, int]:
     return calls
 
 
-def line(pool: str, count: str, values: list[int]) -> None:
-    mean = sum(values) / len(values)
-    print(f"{pool:<11} {count:<37} mean {mean:8.2f}  max {max(values):5d}  ({len(values)} rows)")
+def line(pool: str, count: str, values: list[float]) -> None:
+    mean, most = sum(values) / len(values), max(values)
+    if isinstance(most, int):
+        print(f"{pool:<11} {count:<37} mean {mean:8.2f}  max {most:5d}  ({len(values)} rows)")
+    else:
+        print(f"{pool:<11} {count:<37} mean {mean:8.4f}  max {most:.4f}  ({len(values)} rows)")
 
 
 def main() -> None:
     for name in ("harmonic", "anharmonic"):
         oscs = workloads.make(name, SEED).oscs
         line(name, "integrand evaluations per period", integrand_evaluations(oscs))
-    for count, values in ode_work(workloads.make("ode", SEED).oscs).items():
-        line("ode", count, values)
+    work = ode_work(workloads.make("ode", SEED).oscs)
+    for count in ("accepted steps", "rejected steps", "force values"):
+        line("ode", count, work[count])
+    # the pool's rows alternate between the bands, the small one first
+    for band, start in (("ode small", 0), ("ode large", 1)):
+        for count, values in work.items():
+            line(band, count, values[start::2])
     for name, n in verify_calls().items():
         print(f"{'verify':<11} {name + ' calls per run':<37} {n:8d}")
 

@@ -19,8 +19,9 @@ The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
 which shrinks quadratically in the amplitude. Every bound is formed on the
 unit values of model.StringParams and scaled back. A lower bound whose
-stiffness sum overflows is formed without y0*y0; where y0*y0 overflows, the
-relative-error bounds read -inf: still true, where y0**2 would raise.
+stiffness sum overflows is formed without y0*y0, and so are the
+relative-error bounds, which read -inf only where they overflow: still true,
+where y0**2 would raise.
 
 check_sandwich tests an estimate against the corrected lower bound and the
 secant-energy period 2*pi/sqrt((2*sigma/m)*g(0)), g(0) = 1/l0 - 2/(l +
@@ -89,15 +90,21 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     ys = _scaled(y0, n)
     stiff = p._unit_stiffness + p._unit_sigma * (ys * ys) / (l * l0)
     # sigma cancels from the corrected -sigma*y0^2/(4*T*l0*l), which is free
-    # of units; the printed one goes as a period squared and is scaled back
+    # of units; the printed one goes as a period squared and is scaled back.
+    # Both take y0's binade out before it is squared and put it back with
+    # the scaling, as _lower_past_overflow does, so only a bound itself can
+    # leave the float range: y0*y0 on the unit values underflowed where the
+    # bounds are normal floats, and the printed one's scaling after it
+    # over- or underflowed
     tension = p._unit_sigma * (l - l0) / l0
+    frac, k = math.frexp(y0)
     return PeriodBounds(
         _lower_corrected(p, y0),
         _scaled(TWO_PI / math.sqrt(stiff), p._period_exp) if stiff < math.inf
         else _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / (l * l0), n),
         rayleigh_period(p),
-        -(y0 * y0) / (4.0 * (l - l0) * l),
-        _scaled(-(y0 * y0) * p._unit_mass / (4.0 * tension * l0), 2 * p._period_exp),
+        _scaled(-(frac * frac) / (4.0 * (l - l0) * l), 2 * k),
+        _scaled(-(frac * frac) * p._unit_mass / (4.0 * tension * l0), 2 * (k + p._period_exp)),
     )
 
 

@@ -12,9 +12,13 @@ II.10), each the local error on the orbit's scale, |err_y| + |err_v|/omega_c
 with omega_c the chord frequency at y0 (see measure_period). A step is
 accepted where err = e/(2*rel_tol*y0) is at most 1, the mean of its two
 components at most rel_tol*y0, and the error estimate sums the same e. The
-first step is a hundredth of the linear period. Each accepted step sizes the
-next by DOP853's elementary factor 0.9*err**(-1/8), and from the second
-accepted step on by the smaller of that and Gustafsson's predictive factor
+first step is sized on the problem's own scale (Hairer, Norsett & Wanner I,
+II.4): it is the step the controller would accept on the run's
+linearisation y'' = -omega_c**2*y, on which e is about _K*(omega_c*h)**8*y0,
+h = min(1, 0.9*(2*rel_tol/_K)**(1/8))/omega_c. The cap at one radian keeps
+h where that leading term holds. Each accepted step sizes the next by
+DOP853's elementary factor 0.9*err**(-1/8), and from the second accepted
+step on by the smaller of that and Gustafsson's predictive factor
 0.9*(h/h_prev)*(err_prev/err**2)**(1/8), as RADAU5 does (ACM TOMS 20 (1994)
 496-517); h_prev and err_prev are the previous accepted step's width and
 err, the latter at least 1e-4. The factor is at most 5, and at most 1 right
@@ -70,6 +74,24 @@ __all__ = ["SimConfig", "Trajectory", "simulate", "measure_period"]
 
 _SAFETY = 0.9
 _MAX_FACTOR = 5.0
+
+
+def _norm(err5_y: float, err5_v: float, err3_y: float, err3_v: float, omega_c: float) -> float:
+    """Hairer's combined norm e of a step's error estimates on the orbit's
+    scale: the fifth-order local error e5 = |err5_y| + |err5_v|/omega_c,
+    shrunk by e5/sqrt(e5**2 + 0.01*e3**2) where the third-order one, e3, is
+    larger. _release inlines it."""
+    e5 = abs(err5_y) + abs(err5_v) / omega_c
+    e3 = abs(err3_y) + abs(err3_v) / omega_c
+    return e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 > 0.0 else e5
+
+
+# the leading coefficient of the norm of a step from rest on y'' = -y: e is
+# _K*(omega*h)**8 of the amplitude to within 25% for omega*h in 1/32..1
+# (e/(omega*h)**8 reads 4.37e-7 as omega*h -> 0 until rounding takes over,
+# 4.22e-7 at 1/16, where _K is taken, and 3.42e-7 at 1)
+_K = _norm(*_dop853.step(lambda y: -y, 1.0, 0.0, -1.0, 1.0 / 16.0)[2:], 1.0) * 16.0**8
+
 # attempted steps (accepted plus rejected) before the run gives up, and the
 # most samples a run's Trajectory may hold
 _MAX_STEPS = 10_000_000
@@ -180,10 +202,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     if y0 == 0.0:
         raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
-    # the first step, a hundredth of the linear period, is about 2**52/100
-    # ulps of it at every scale, so it never starts below the step floor
     t, t_lin = 0.0, TWO_PI / omega0
-    h = t_lin / 100.0
     h_floor = 32.0 * math.ulp(t_lin)
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
@@ -208,6 +227,14 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     omega_c = math.sqrt(abs(k0) / y0)
     if not 0.0 < omega_c < math.inf:
         omega_c = omega0
+    # the first step is the one the controller accepts on the linearisation
+    # at omega_c (see _K), at most a radian. omega_c is at most
+    # sqrt(l/(l - l0)) times omega0, so at rel_tol 1e-15 the step is above
+    # 1e-10 of t_lin at every l > l0, far above the step floor. A rel_tol
+    # far below the float's precision starts below the floor, whose check
+    # then raises before any step has an err
+    h = min(1.0, _SAFETY * (2.0 * rel_tol / _K) ** (1.0 / 8.0)) / omega_c
+    err = 0.0
     # a step's error budget, rel_tol*y0 per component, and its rounding
     tol = 2.0 * rel_tol * y0
     rounding = math.ulp(y0) + y0 * (math.ulp(k0) / abs(k0))
@@ -228,11 +255,9 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             raise EngineFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
 
         y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
-        # the local error on the orbit's scale
+        # _norm, inlined: a call per step costs about 1% of a run
         e5 = abs(err5_y) + abs(err5_v) / omega_c
         e3 = abs(err3_y) + abs(err3_v) / omega_c
-        # Hairer's combined norm: the fifth-order estimate, shrunk by
-        # e5/sqrt(e5^2 + 0.01*e3^2) where the third-order one is larger
         e5 *= e5 / math.hypot(e5, 0.1 * e3) if e5 > 0.0 else 1.0
         err = e5 / tol
 
@@ -356,10 +381,11 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     from the fifth-order estimates and e3 from the third-order ones: Hairer's
     estimate of the eighth-order solution's error. Where e3 dwarfs e5, on a
     step through the force's turn, e can fall below the step's true error
-    (test_error_estimate_covers_a_step_through_the_force_turn, a strict
-    xfail). Over a period an oscillator carries a state error forward by an
-    O(1) factor, and a relative state error moves the phase by as many
-    radians, so the estimate covers the accumulated phase error (Hairer,
+    (ROADMAP item 20), though no known run's estimate then falls short of
+    its error; scripts/ode_coverage.py scans for one. Over a period an
+    oscillator carries a state error forward by an O(1) factor, and a
+    relative state error moves the phase by as many radians, so the
+    estimate covers the accumulated phase error (Hairer,
     Norsett & Wanner, Solving ODEs I, II.3-II.4). omega_c, the chord
     frequency sqrt(|F(y0)|/(m*y0)), sizes the velocity term by the motion's
     own time scale, so the estimate stays tight where the period falls far

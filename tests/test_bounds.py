@@ -340,6 +340,45 @@ def test_lower_bounds_round_within_their_counts_across_the_float_range(a, b, sig
                 assert _within_lower_ulps(getattr(bounds, name), mpmath.nstr(value, 40)), name
 
 
+@settings(max_examples=300)
+@given(_any_scale, _any_scale, _any_scale, _any_scale, _any_scale)
+# the printed bound read -0.0 for -5/18
+@example(1e299, 1e300, 1.0, 1e300, 1e-300)
+# the unit y0*y0 is subnormal: the corrected bound read -1.529781275363382e-300
+# for -1.529781275363143e-300, the printed one -6.579047009465168e-21 for
+# -6.5790470094644535e-21
+@example(2.6806457714819412e16, 2.680645771484791e16, 5.606116147224027e-137, 8.994070990864377e126, 2.550629519640896e-156)
+# the corrected bound read -0.0 for -2.9e-318
+@example(31619915.2662284, 31619915.266235106, 2.743527877749576e166, 1.955035376793169e-177, 1.581145981999381e-165)
+def test_relative_error_bounds_negative_across_the_float_range(a, b, sigma, mass, rel_amp):
+    # both relative-error bounds are below 0 at every y0 > 0 wherever their
+    # 40-digit values round to a nonzero float, and within 8 ulps of those
+    # values wherever they are normal floats (the printed one counts 7
+    # roundings, the corrected one 4): a bound that reads -0.0 claims the
+    # period is at least the linear one. Where the square of the unit y0
+    # underflowed both lost their digits, or read -0.0 for a normal float
+    l0, l = sorted((a, b))
+    y0 = rel_amp * l
+    assume(l0 < l and math.isfinite(y0))
+    try:
+        osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
+    except InvalidParameters:
+        assume(False)
+    bounds = compute_bounds(osc)
+    with mpmath.workdps(40):
+        l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
+        exact = {
+            "rel_error_bound_corrected": -(y0**2) / (4 * (l - l0) * l),
+            "rel_error_bound_printed": -(y0**2) * mass / (4 * sigma * (l - l0)),
+        }
+        for name, value in exact.items():
+            computed = getattr(bounds, name)
+            if 5e-324 <= -value <= 1.7e308:
+                assert computed < 0.0, name
+            if 2.0**-1022 <= -value <= 1.7e308:
+                assert abs(computed - value) <= 8 * math.ulp(float(value)), name
+
+
 @pytest.mark.parametrize(
     "cell",
     [
@@ -497,6 +536,9 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
         (1e-30, 2e-30, 1e-300, 1.0, 1e-30),
         # sigma*y0^2/(l*l0) = 5e19 where y0*y0 overflows on raw lengths
         (1e150, 2e150, 1.0, 1.0, 1e160),
+        # y0*y0 on the unit values underflows before its scaling by
+        # 4**_period_exp: the relative bound read -0.0 for -5/18
+        (1e299, 1e300, 1.0, 1e300, 1.0),
     ],
 )
 def test_printed_bounds_on_unit_values(cell):
