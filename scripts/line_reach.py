@@ -35,7 +35,7 @@ TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 ALLOWLIST = {
     ("odesim.py", "import numpy as np"): (
         "runs only under a type checker (TYPE_CHECKING): Trajectory's annotations name "
-        "np.ndarray, and odesim imports numpy at run time only in _trajectory"
+        "np.ndarray, and odesim imports numpy at run time only in simulate"
     ),
     ("odesim.py", "del ts[-1], ys[-1], vs[-1]"): (
         "runs where the Newton correction of the zero crossing rounds t_q onto or "

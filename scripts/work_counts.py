@@ -78,9 +78,9 @@ def ode_work(oscs) -> dict[str, list[float]]:
 
         return counted
 
-    def recording(accel, y, v, k0, h):
+    def recording(accel, y, v, k0, h, *args):
         widths.append(h)
-        return step(accel, y, v, k0, h)
+        return step(accel, y, v, k0, h, *args)
 
     work = {"accepted steps": [], "rejected steps": [], "force values": [], "first step / t_q": []}
     odesim._bound_acceleration, _dop853.step = counting, recording

@@ -7,12 +7,17 @@ k_k in the y update and in its error estimates are b*A, e5*A and e3*A (e5
 and e3 sum to 0, so v drops out of the errors). The stage velocities are
 never formed: `step` works on the force values k alone.
 
+`step` returns, next to the eighth-order (y, v), Hairer's combined norm of
+the step's error estimates, as dop853.f forms it inside its step: e5 and
+e3, the fifth- and third-order local errors on the orbit's scale
+|err_y| + |err_v|/omega, combine to e = e5**2/sqrt(e5**2 + 0.01*e3**2).
+
 A step that carries y across 0 locates the crossing on the quintic
 Hermite polynomial of y in the step fraction that matches y, h*v and h**2*a
 at both of the step's ends (`hermite`): the force at the step end is the
 next step's first stage, so the polynomial costs no force value.
 `hermite_root` finds its root by Horner's rule in one bracketed Newton
-iteration (`_root`).
+iteration.
 """
 
 from __future__ import annotations
@@ -128,12 +133,13 @@ _E3V0, _, _, _, _, _E3V5, _E3V6, _E3V7, _E3V8, _E3V9, _E3V10, _E3V11, *_ = _E3
 
 
 def step(
-    accel: Callable[[float], float], y: float, v: float, k0: float, h: float
-) -> tuple[float, float, float, float, float, float]:
+    accel: Callable[[float], float], y: float, v: float, k0: float, h: float, omega: float
+) -> tuple[float, float, float]:
     """One step of width h from (y, v), where k0 = accel(y).
 
-    Returns the eighth-order (y, v) at the step end, then the fifth- and
-    third-order error estimates (err5_y, err5_v, err3_y, err3_v).
+    Returns the eighth-order (y, v) at the step end and the combined norm e
+    of its error estimates, with velocity errors counted as displacement
+    errors at the frequency omega (see the module docstring).
     """
     k1 = accel(y + h * (_C1 * v))
     k2 = accel(y + h * (_C2 * v + h * (_P2_0 * k0)))
@@ -186,7 +192,10 @@ def step(
         + _E3V10 * k10 + _E3V11 * k11
     )
     hh = h * h
-    return y + h * (v + h * q_y), v + h * q_v, hh * q5_y, h * q5_v, hh * q3_y, h * q3_v
+    e5 = abs(hh * q5_y) + abs(h * q5_v) / omega
+    e3 = abs(hh * q3_y) + abs(h * q3_v) / omega
+    e = e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 > 0.0 else e5
+    return y + h * (v + h * q_y), v + h * q_v, e
 
 
 # a correction of at most 4 ulps of 1 leaves x as exact as the rounding of
@@ -194,32 +203,6 @@ def step(
 # iterations on the benchmark's pools, and never needs to bisect there
 _ROOT_STOP = 2.0**-50
 _ROOT_MAX_ITER = 20
-
-
-def _root(at: Callable[[float], tuple[float, float]], x: float) -> float:
-    """The fraction x in [0, 1] at which f is 0, where at(x) = (f(x), f'(x)),
-    f(0) > 0 and f(1) <= 0.
-
-    Newton starts from x; a Newton step that leaves the bracket bisects it
-    instead, and the iteration stops at a correction of at most _ROOT_STOP,
-    at a zero of f, or after _ROOT_MAX_ITER iterations.
-    """
-    lo, hi = 0.0, 1.0  # f(lo) > 0 >= f(hi)
-    for _ in range(_ROOT_MAX_ITER):
-        f, slope = at(x)
-        if f == 0.0:
-            break
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - f / slope if slope != 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x, dx = x_new, x_new - x
-        if abs(dx) <= _ROOT_STOP:
-            break
-    return x
 
 
 def hermite(
@@ -248,12 +231,28 @@ def hermite_root(
     y: float, v: float, f0: float, h: float, y1: float, v1: float, f1: float
 ) -> float:
     """The fraction x of the step at which its Hermite polynomial (see
-    hermite, same arguments) is 0, where y > 0 >= y1. Newton starts from the
-    secant root (see _root)."""
+    hermite, same arguments) is 0, where y > 0 >= y1.
+
+    Newton starts from the secant root; a Newton step that leaves the
+    bracket bisects it instead, and the iteration stops at a correction of
+    at most _ROOT_STOP, at a zero of the polynomial, or after _ROOT_MAX_ITER
+    iterations.
+    """
     _, hv, c2, c3, c4, c5 = hermite(y, v, f0, h, y1, v1, f1)
-
-    def at(x: float) -> tuple[float, float]:
+    x, lo, hi = y / (y - y1), 0.0, 1.0  # the polynomial is > 0 at lo, <= 0 at hi
+    for _ in range(_ROOT_MAX_ITER):
         f = y + x * (hv + x * (c2 + x * (c3 + x * (c4 + x * c5))))
-        return f, hv + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
-
-    return _root(at, y / (y - y1))
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = hv + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
+        x_new = x - f / slope if slope != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x, dx = x_new, x_new - x
+        if abs(dx) <= _ROOT_STOP:
+            break
+    return x

@@ -95,9 +95,11 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     # the scaling, as _lower_past_overflow does, so only a bound itself can
     # leave the float range: y0*y0 on the unit values underflowed where the
     # bounds are normal floats, and the printed one's scaling after it
-    # over- or underflowed
+    # over- or underflowed. The binade is read off the physical y0, as the
+    # unit one underflows where y0/l is below about 1e-308
     tension = p._unit_sigma * (l - l0) / l0
-    frac, k = math.frexp(y0)
+    frac, k = math.frexp(osc.y0)
+    k -= 2 * p._length_exp
     return PeriodBounds(
         _lower_corrected(p, y0),
         _scaled(TWO_PI / math.sqrt(stiff), p._period_exp) if stiff < math.inf

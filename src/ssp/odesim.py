@@ -5,11 +5,10 @@ Nystrom form (ssp._dop853): y' = v, so the stage velocities are never
 formed, and the stage displacements, the update of y and its error
 estimates are weighted sums of the force values alone. The force at the
 step end is the next step's first stage (FSAL), so an accepted step costs
-twelve force values. The steps are sized on Hairer's combined error norm
-e = e5^2/sqrt(e5^2 + 0.01*e3^2) of the embedded fifth- and third-order
-estimates e5 and e3 (Hairer, Norsett & Wanner, Solving ODEs I, II.4 and
-II.10), each the local error on the orbit's scale, |err_y| + |err_v|/omega_c
-with omega_c the chord frequency at y0 (see measure_period). A step is
+twelve force values. The steps are sized on Hairer's combined norm e of
+the step's embedded error estimates, which _dop853.step returns on the
+orbit's scale at omega_c, the chord frequency at y0 (see measure_period;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4 and II.10). A step is
 accepted where err = e/(2*rel_tol*y0) is at most 1, the mean of its two
 components at most rel_tol*y0, and the error estimate sums the same e. The
 first step is sized on the problem's own scale (Hairer, Norsett & Wanner I,
@@ -76,21 +75,11 @@ _SAFETY = 0.9
 _MAX_FACTOR = 5.0
 
 
-def _norm(err5_y: float, err5_v: float, err3_y: float, err3_v: float, omega_c: float) -> float:
-    """Hairer's combined norm e of a step's error estimates on the orbit's
-    scale: the fifth-order local error e5 = |err5_y| + |err5_v|/omega_c,
-    shrunk by e5/sqrt(e5**2 + 0.01*e3**2) where the third-order one, e3, is
-    larger. _release inlines it."""
-    e5 = abs(err5_y) + abs(err5_v) / omega_c
-    e3 = abs(err3_y) + abs(err3_v) / omega_c
-    return e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 > 0.0 else e5
-
-
 # the leading coefficient of the norm of a step from rest on y'' = -y: e is
 # _K*(omega*h)**8 of the amplitude to within 25% for omega*h in 1/32..1
 # (e/(omega*h)**8 reads 4.37e-7 as omega*h -> 0 until rounding takes over,
 # 4.22e-7 at 1/16, where _K is taken, and 3.42e-7 at 1)
-_K = _norm(*_dop853.step(lambda y: -y, 1.0, 0.0, -1.0, 1.0 / 16.0)[2:], 1.0) * 16.0**8
+_K = _dop853.step(lambda y: -y, 1.0, 0.0, -1.0, 1.0 / 16.0, 1.0)[2] * 16.0**8
 
 # attempted steps (accepted plus rejected) before the run gives up, and the
 # most samples a run's Trajectory may hold
@@ -139,7 +128,7 @@ class Trajectory(NamedTuple):
     it is beyond the float range. events are the turning times k*2*t_q for
     k in 0..2*n_periods. n_accepted and n_rejected count the quarter
     period's steps. local_err, relative to y0, sums over accepted steps the
-    combined norm's e (see the module docstring) and the rounding of y and
+    combined norm e that _dop853.step returns and the rounding of y and
     of the force, ulp(y0)/y0 + ulp(F)/|F| at the release force F, which is
     the run's error near the bottom of the float range, and adds
     |dt|/(2*t_q), the correction of the zero crossing time relative to the
@@ -254,11 +243,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
             )
             raise EngineFailure(f"{why} at t = {_scaled(t, shift)!r} (h = {_scaled(h, shift)!r})")
 
-        y_new, v_new, err5_y, err5_v, err3_y, err3_v = _dop853.step(accel, y, v, k0, h)
-        # _norm, inlined: a call per step costs about 1% of a run
-        e5 = abs(err5_y) + abs(err5_v) / omega_c
-        e3 = abs(err3_y) + abs(err3_v) / omega_c
-        e5 *= e5 / math.hypot(e5, 0.1 * e3) if e5 > 0.0 else 1.0
+        y_new, v_new, e5 = _dop853.step(accel, y, v, k0, h, omega_c)
         err = e5 / tol
 
         if err <= 1.0:
@@ -301,7 +286,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     t_q = t + h
     if y_new < 0.0:
         h_q = h * _dop853.hermite_root(y, v, k0, h, y_new, v_new, k_new)
-        y_q, v_q, *_ = _dop853.step(accel, y, v, k0, h_q)
+        y_q, v_q, _ = _dop853.step(accel, y, v, k0, h_q, omega_c)
         dt = -y_q / v_q
         t_q = t + h_q + dt
         local += y0 * (abs(dt) / (t_q + t_q))
@@ -320,12 +305,14 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
 
 
-def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
-    """The run in physical time, with the energy of each sample, as
-    read-only arrays: the samples before t_q, their mirror images, and
-    their half-period images (see Trajectory)."""
+def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
+    """Release from rest at y0, integrate to the first zero crossing
+    t_q = P/4, and tile n_periods periods from that quarter (see
+    Trajectory): the events are t = 0, P/2, P, ...
+    """
     import numpy as np
 
+    run = _release(osc, cfg)
     p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
     two_t_q = run.t_q + run.t_q
     ts = run.t + [two_t_q - t for t in reversed(run.t)]
@@ -358,14 +345,6 @@ def _trajectory(osc: Oscillation, run: _Run) -> Trajectory:
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)
 
 
-def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
-    """Release from rest at y0, integrate to the first zero crossing
-    t_q = P/4, and tile n_periods periods from that quarter (see
-    Trajectory): the events are t = 0, P/2, P, ...
-    """
-    return _trajectory(osc, _release(osc, cfg))
-
-
 def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     """Period from turning events: twice the time between the first two,
     2*(e1 - e0), which span half a period, as the force is odd in y (see
@@ -376,10 +355,10 @@ def measure_period(traj: Trajectory | _Run) -> PeriodEstimate:
     The error estimate is 2*value*local_err, where local_err's crossing
     term adds 4*|dt|, the size in the period of the correction dt of the
     zero crossing time (see the module docstring). local_err also sums,
-    relative to y0, each accepted step's e = e5^2/sqrt(e5^2 + 0.01*e3^2), the
-    number the step-size control bounds, with e5 = |err5_y| + |err5_v|/omega_c
-    from the fifth-order estimates and e3 from the third-order ones: Hairer's
-    estimate of the eighth-order solution's error. Where e3 dwarfs e5, on a
+    relative to y0, each accepted step's combined norm e (_dop853.step), the
+    number the step-size control bounds: Hairer's estimate of the
+    eighth-order solution's error, from the fifth-order estimate e5 shrunk
+    where the third-order one, e3, is larger. Where e3 dwarfs e5, on a
     step through the force's turn, e can fall below the step's true error
     (ROADMAP item 20), though no known run's estimate then falls short of
     its error; scripts/ode_coverage.py scans for one. Over a period an

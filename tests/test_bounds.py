@@ -539,6 +539,12 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
         # y0*y0 on the unit values underflows before its scaling by
         # 4**_period_exp: the relative bound read -0.0 for -5/18
         (1e299, 1e300, 1.0, 1e300, 1.0),
+        # y0 on the unit values underflows to 0: the relative bound read
+        # -0.0 for -1.009e-301
+        (
+            5.858532086652578e+189, 5.858532086652594e+189, 7.275958413574125e+70,
+            1.2852745896583659e+215, 1.9018903779641766e-135,
+        ),
     ],
 )
 def test_printed_bounds_on_unit_values(cell):
@@ -549,5 +555,5 @@ def test_printed_bounds_on_unit_values(cell):
         lower = 2 * mpmath.pi / mpmath.sqrt(omega0_sq + sigma * y0**2 / (l * l0))
         rel = -(y0**2) * mass / (4 * sigma * (l - l0))
     b = compute_bounds(Oscillation(StringParams(*cell[:4]), cell[4]))
-    assert b.lower_printed == pytest.approx(float(lower), rel=1e-14)
-    assert b.rel_error_bound_printed == pytest.approx(float(rel), rel=1e-14)
+    assert b.lower_printed == pytest.approx(float(lower), rel=1e-14, abs=0.0)
+    assert b.rel_error_bound_printed == pytest.approx(float(rel), rel=1e-14, abs=0.0)

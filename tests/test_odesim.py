@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from numpy.polynomial.polynomial import polyder, polyval
+from scipy.integrate._ivp.dop853_coefficients import E3, E5
 
 import oracle
 from ssp import _dop853, odesim
@@ -134,10 +135,7 @@ def test_steps_sized_by_the_smaller_of_the_two_factors():
     omega_c = math.sqrt(abs(accel(y0)) / y0)
 
     def err_at(y, v, h):
-        _, _, e5_y, e5_v, e3_y, e3_v = _dop853.step(accel, y, v, accel(y), h)
-        e5 = abs(e5_y) + abs(e5_v) / omega_c
-        e3 = abs(e3_y) + abs(e3_v) / omega_c
-        return e5 * (e5 / math.hypot(e5, 0.1 * e3)) / tol
+        return _dop853.step(accel, y, v, accel(y), h, omega_c)[2] / tol
 
     h0 = odesim._SAFETY * (2.0 * rel_tol / odesim._K) ** (1.0 / 8.0) / omega_c
     err0 = err_at(y0, 0.0, h0)
@@ -165,8 +163,8 @@ def _first_step(osc, rel_tol):
     omega_c = math.sqrt(abs(accel(y0)) / y0)
     run = odesim._release(osc, SimConfig(rel_tol=rel_tol))
     h = run.t[1] - run.t[0]
-    _, _, *errs = _dop853.step(accel, y0, 0.0, accel(y0), h)
-    return h, odesim._norm(*errs, omega_c) / (2.0 * rel_tol * y0), omega_c
+    e = _dop853.step(accel, y0, 0.0, accel(y0), h, omega_c)[2]
+    return h, e / (2.0 * rel_tol * y0), omega_c
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
@@ -204,8 +202,8 @@ def test_norm_on_the_harmonic_oscillator_is_k_times_the_eighth_power(omega, y0):
     for j in range(6):
         x = 2.0 ** (j - 5)  # 1/32 .. 1
         k0 = -omega * omega * y0
-        _, _, *errs = _dop853.step(lambda y: -omega * omega * y, y0, 0.0, k0, x / omega)
-        ratio = odesim._norm(*errs, omega) / (odesim._K * x**8 * y0)
+        e = _dop853.step(lambda y: -omega * omega * y, y0, 0.0, k0, x / omega, omega)[2]
+        ratio = e / (odesim._K * x**8 * y0)
         assert 0.75 <= ratio <= 1.25, (x, ratio)
 
 
@@ -313,8 +311,24 @@ def test_step_matches_scipy_dop853(default_traj):
         return acceleration(osc.params, y)
 
     y, v, h = 0.31, -0.47, 0.6
-    y1, v1, *_ = _dop853.step(accel, y, v, accel(y), h)
+    y1, v1, _ = _dop853.step(accel, y, v, accel(y), h, 1.0)
     np.testing.assert_allclose([y1, v1], _scipy_step(accel, y, v, h).y, rtol=1e-14, atol=0.0)
+
+
+def test_step_norm_matches_scipy_dop853(default_traj):
+    # the combined norm of the step's error estimates, rebuilt from SciPy's
+    # stage values and its fifth- and third-order error weights on (y, v),
+    # with velocity errors at omega: Hairer's e5**2/hypot(e5, 0.1*e3)
+    osc, _ = default_traj
+
+    def accel(y):
+        return acceleration(osc.params, y)
+
+    y, v, h, omega = 0.31, -0.47, 0.6, 1.7
+    k = _scipy_step(accel, y, v, h).K
+    e5, e3 = (np.abs(h * k.T @ w) @ [1.0, 1.0 / omega] for w in (E5, E3))
+    want = e5 * e5 / math.hypot(e5, 0.1 * e3)
+    assert _dop853.step(accel, y, v, accel(y), h, omega)[2] == pytest.approx(want, rel=1e-9)
 
 
 def _scipy_step(accel, y, v, h):
@@ -335,8 +349,8 @@ def _scipy_step(accel, y, v, h):
         (3.0, -0.2, -7.5, 0.7, -1.4, -4.9, 6.1),
         (1e-3, -2e5, -1e9, 1e-7, -0.019, -2.1e5, 1e9),
         # the crossing step of a run at rel_tol 1e-3 with y0/l in 1e2..1e8,
-        # on which Newton from the secant root leaves the bracket and _root
-        # bisects it
+        # on which Newton from the secant root leaves the bracket and
+        # hermite_root bisects it
         (
             468.79564571070534, -864.6543921093995, -5808.321082987968, 0.5713207360784844,
             -421.88736041283573, -1124.7292808109776, 5226.87912811299,
