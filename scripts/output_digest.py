@@ -27,12 +27,20 @@ holds a traceback or a Python warning, and the summary lines stderr holds
 (`sweep`'s pass count, `convergence`'s fitted slope), run as a fresh
 `python -m ssp.cli` process.
 
+The first line names the Python and numpy versions and the platform,
+since libm and numpy may round differently elsewhere.
+scripts/output_digests.txt holds this output at the current commit.
+
 Run:  python3 scripts/output_digest.py
+      python3 scripts/output_digest.py --check scripts/output_digests.txt
+            (prints each digest that differs from the file, exits 1 if any)
 """
 
+import argparse
 import hashlib
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -229,15 +237,36 @@ def cli_digest(argv: tuple[str, ...]) -> str:
     return hashlib.sha256(done.stdout + tail.encode() + summary).hexdigest()
 
 
-def main() -> None:
-    for name, digest in library_digests().items():
-        print(f"{digest}  {name}")
-    for name, digest in simulate_digests().items():
-        print(f"{digest}  {name}")
-    for name, digest in whole_range_digests().items():
-        print(f"{digest}  {name}")
+def digests():
+    """(name, digest) of every output, in the order they print."""
+    yield from library_digests().items()
+    yield from simulate_digests().items()
+    yield from whole_range_digests().items()
     for argv in CLI_COMMANDS:
-        print(f"{cli_digest(argv)}  ssp {' '.join(argv)}")
+        yield f"ssp {' '.join(argv)}", cli_digest(argv)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with FILE's digests instead")
+    args = parser.parse_args()
+    if args.check is None:
+        print(f"# Python {platform.python_version()}, numpy {np.__version__}, "
+              f"{platform.system()} {platform.machine()}")
+        for name, digest in digests():
+            print(f"{digest}  {name}")
+        return
+    lines = Path(args.check).read_text().splitlines()
+    expected = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
+    moved = 0
+    for name, digest in digests():
+        if expected.pop(name, None) != digest:
+            moved += 1
+            print(f"{digest}  {name}")
+    for name in expected:
+        moved += 1
+        print(f"{'(gone)':<64}  {name}")
+    sys.exit(1 if moved else 0)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ and 256 of `ode`, both bands in alternate rows.
 For each pool it prints the mean and the largest count per row:
 - `harmonic`, `anharmonic`: integrand evaluations per `exact_period`,
   counted by wrapping the integrand that `exact_period` hands to
-  `quadrature.trapezoid_ladder`;
+  `quadrature.trapezoid_ladder`, then how many rows stop at each count
+  (the ladder's levels hold 2**k + 1 nodes);
 - `ode`: accepted and rejected steps of the default `simulate` run, and its
   force values, counted by wrapping the force that `odesim` binds through
   `model._bound_acceleration`; then the same for each band alone (`ode
@@ -132,7 +133,10 @@ def line(pool: str, count: str, values: list[float]) -> None:
 def main() -> None:
     for name in ("harmonic", "anharmonic"):
         oscs = workloads.make(name, SEED).oscs
-        line(name, "integrand evaluations per period", integrand_evaluations(oscs))
+        counts = integrand_evaluations(oscs)
+        line(name, "integrand evaluations per period", counts)
+        for n in sorted(set(counts)):
+            print(f"{name:<11} {f'rows stopping at {n} nodes':<37} {counts.count(n):8d}")
     work = ode_work(workloads.make("ode", SEED).oscs)
     for count in ("accepted steps", "rejected steps", "force values"):
         line("ode", count, work[count])

@@ -96,7 +96,8 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     # leave the float range: y0*y0 on the unit values underflowed where the
     # bounds are normal floats, and the printed one's scaling after it
     # over- or underflowed. The binade is read off the physical y0, as the
-    # unit one underflows where y0/l is below about 1e-308
+    # unit one underflows where y0/l is below about 1e-308. T*l0 is formed
+    # before the 4: 4*T overflows where the unit l0 nears 2**-1022
     tension = p._unit_sigma * (l - l0) / l0
     frac, k = math.frexp(osc.y0)
     k -= 2 * p._length_exp
@@ -106,7 +107,7 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
         else _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / (l * l0), n),
         rayleigh_period(p),
         _scaled(-(frac * frac) / (4.0 * (l - l0) * l), 2 * k),
-        _scaled(-(frac * frac) * p._unit_mass / (4.0 * tension * l0), 2 * (k + p._period_exp)),
+        _scaled(-(frac * frac) * p._unit_mass / (4.0 * (tension * l0)), 2 * (k + p._period_exp)),
     )
 
 

@@ -3,38 +3,43 @@
 Releasing the mass from rest at amplitude y0, energy conservation gives
 
     (dy/dt)^2 = (2*sigma/m) * (y0^2 - y^2) * g(y),
-    g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)),
+    g(y) = 1/l0 - 2/(z + z0),   z = sqrt(l^2+y^2),  z0 = sqrt(l^2+y0^2),
 
 so the period is 4*sqrt(m/(2*sigma)) * int_0^y0 dy / (sqrt(y0^2-y^2)*sqrt(g)).
 The substitution y = l*sinh(s), s = S*sin(psi), S = asinh(y0/l), with psi in
 [0, pi/2], removes the inverse-square-root endpoint singularity and, unlike
-y = y0*sin(theta) alone, keeps the integrand smooth at every amplitude:
+y = y0*sin(theta) alone, keeps the integrand smooth at every amplitude.
+Then z = l*cosh(s), dy = z*ds, y0^2 - y^2 = (z0 - z)*(z0 + z) and z0 - z =
+2*l*sinh(v)*sinh(w), with v = (S+s)/2 and w = (S-s)/2 = S*sin(a)^2 for
+a = pi/4 - psi/2, free of cancellation; S*cos(psi) = 2*sqrt(v*w). As
+g = d/(l0*(z + z0)) with d = (z - l0) + (z0 - l0), the factor z + z0 cancels:
 
-    P = 4*sqrt(m/(2*sigma)) * int_0^{pi/2} (1 + e^{-2s}) * e^{-x}
-        * sqrt(q(x)*q(S+s)/g(l*sinh(s))) dpsi,   q(u) = u/(1 - e^{-2u}),
+    P = 4*sqrt(m/(2*sigma)) * sqrt(2*l0/l)
+        * int_0^{pi/2} z * sqrt(r(v)*r(w)/d) dpsi,   r(u) = u/sinh(u),
 
-where a = pi/4 - psi/2 and x = S - s = 2*S*sin(a)^2 are formed without
-cancellation. Since 1 + sin(psi) = 2*cos(a)^2, S drops out of the Jacobian
-exactly: at y0 = 0 the integrand is 1/sqrt(g(0)), with q(0) = 1/2, and the
-ladder returns the linear-limit period. The integrand is analytic and even
-about both ends of [0, pi/2], so the trapezoid rule with half-weighted
-endpoints is the trapezoid rule over a whole period, and it converges
-geometrically: each halving of the step roughly squares the error
+with r(0) = 1 and d formed as radicand_g forms its numerator. At y0 = 0 the
+integrand is l/sqrt(2*(l - l0)) and the ladder returns the linear-limit
+period. sqrt(2*l0/l) stays in the prefactor: inside the integrand's sqrt its
+product with r(v)*r(w) underflows where l/l0 is huge. The integrand is
+analytic and even about both ends of [0, pi/2], so the trapezoid rule with
+half-weighted endpoints is the trapezoid rule over a whole period, and it
+converges geometrically: each halving of the step roughly squares the error
 (Trefethen & Weideman, SIAM Review 56 (2014) 385-458). Above y0/l = 2**60
 the period is taken at y0 = 2**60*l, which it matches to under 1/64 of an
-ulp (model._Y0_CAP), so S stays below 42.3. At rel_tol = 1e-12 the ladder
-stops at 4 to 16 intervals for y0/l <= 1 and at 8 to 64 beyond, where the
-integrand's feature near psi = pi/2 narrows like 1/sqrt(S).
+ulp (model._Y0_CAP), so S stays below 42.3 and no sinh overflows. At
+rel_tol = 1e-12 the ladder stops at 4 to 16 intervals for y0/l <= 1 and at
+8 to 64 beyond, where the integrand's feature near psi = pi/2 narrows like
+1/sqrt(S).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import EngineFailure, InvalidParameters
-from .model import _Y0_CAP, Oscillation, StringParams, _scaled
+from .model import _Y0_CAP, Oscillation, _scaled
 
 __all__ = [
     "Method",
@@ -72,33 +77,22 @@ class PeriodEstimate(NamedTuple):
 
 def radicand_g(osc: Oscillation, y: float) -> float:
     """g(y) = 1/l0 - 2/(sqrt(l^2+y^2) + sqrt(l^2+y0^2)), evaluated stably on
-    the unit lengths (model.StringParams, see _unit_radicand), y scaled in and
-    g scaled back exactly; +inf where g is beyond the float range. |y| and y0
-    are taken at most at model._Y0_CAP*l, as both closed forms take y0: g lies
-    within 2**-59 of its value there."""
+    the unit lengths (model.StringParams), y scaled in and g scaled back
+    exactly; +inf where g is beyond the float range. |y| and y0 are taken at
+    most at model._Y0_CAP*l, as both closed forms take y0: g lies within
+    2**-59 of its value there. g is rewritten as ((z-l0) + (z0-l0)) /
+    (l0*(z+z0)) with z - l0 = (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no
+    cancellation even for l/l0 - 1 near machine epsilon, and no square of y
+    that could overflow."""
     p, cap = osc.params, _Y0_CAP * osc.params._unit_l
+    l0, l, y0 = p._unit_l0, p._unit_l, min(osc._unit_y0, cap)
     y = min(abs(_scaled(y, -2 * p._length_exp)), cap)
-    return _scaled(_unit_radicand(p, min(osc._unit_y0, cap))(y), -2 * p._length_exp)
-
-
-def _unit_radicand(p: StringParams, y0: float) -> Callable[[float], float]:
-    """radicand_g on the unit lengths of p, y0 among them, as a function of
-    y, both at most model._Y0_CAP*l; the terms free of y are formed once. g is
-    rewritten as ((z-l0) + (z0-l0)) / (l0*(z+z0)) with z - l0 =
-    (l^2 - l0^2)/(z + l0) + y*(y/(z + l0)): no cancellation even for l/l0 - 1
-    near machine epsilon, and no square of y that could overflow."""
-    l0, l = p._unit_l0, p._unit_l
-    z0 = math.hypot(l, y0)
+    z0, z = math.hypot(l, y0), math.hypot(l, y)
     gap = (l - l0) * (l + l0)
     dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
-    hypot = math.hypot
-
-    def g(y: float) -> float:
-        z = hypot(l, y)
-        zl = z + l0
-        return (gap / zl + y * (y / zl) + dz0) / (l0 * (z + z0))
-
-    return g
+    zl = z + l0
+    g = (gap / zl + y * (y / zl) + dz0) / (l0 * (z + z0))
+    return _scaled(g, -2 * p._length_exp)
 
 
 # The finest level has 2**_TOP intervals on [0, pi/2].
@@ -166,27 +160,32 @@ def exact_period(osc: Oscillation, rel_tol: float = 1e-12) -> PeriodEstimate:
     p = osc.params
     # above the amplitude cap the period is its value at the cap (see
     # model._Y0_CAP, which also says why err_estimate stands as it is)
-    l, y0 = p._unit_l, min(osc._unit_y0, _Y0_CAP * p._unit_l)
-    g = _unit_radicand(p, y0)
-    exp, expm1, sinh, sqrt = math.exp, math.expm1, math.sinh, math.sqrt
+    l0, l = p._unit_l0, p._unit_l
+    y0 = min(osc._unit_y0, _Y0_CAP * l)
+    # the node-free terms of radicand_g's numerator d = (z - l0) + (z0 - l0)
+    z0 = math.hypot(l, y0)
+    gap = (l - l0) * (l + l0)
+    dz0 = gap / (z0 + l0) + y0 * (y0 / (z0 + l0))
+    hypot, sinh, sqrt = math.hypot, math.sinh, math.sqrt
     big_s = math.asinh(y0 / l)
-    two_s = 2.0 * big_s
 
     def integrand(sin_psi: float, sin2_a: float) -> float:
-        # J/sqrt(g) with cosh(s), sinh(x) and sinh(S+s) written through
-        # exp(-...) and expm1 so that nothing overflows as S grows;
-        # q(u) = u/(1 - exp(-2u)) with its limit 1/2 at u = 0
+        # z*sqrt(r(v)*r(w)/d), r(u) = u/sinh(u) with its limit 1 at u = 0
         s = big_s * sin_psi
-        x = two_s * sin2_a
-        u = big_s + s
-        q2 = (x / -expm1(-2.0 * x) if x > 0.0 else 0.5) * (
-            u / -expm1(-2.0 * u) if u > 0.0 else 0.5
-        )
-        return (1.0 + exp(-2.0 * s)) * exp(-x) * sqrt(q2 / g(l * sinh(s)))
+        w = big_s * sin2_a
+        v = 0.5 * (big_s + s)
+        y = l * sinh(s)
+        z = hypot(l, y)
+        zl = z + l0
+        d = gap / zl + y * (y / zl) + dz0
+        rw = w / sinh(w) if w > 0.0 else 1.0
+        rv = v / sinh(v) if v > 0.0 else 1.0
+        return z * sqrt(rv * rw / d)
 
     integral, err = trapezoid_ladder(integrand, rel_tol)
-    # 2*sigma alone may overflow: the prefactor is formed on the unit scale
-    pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma)
+    # 2*sigma alone may overflow: the prefactor is formed on the unit scale;
+    # sqrt(2*l0/l) is the integral's constant factor (see the module docstring)
+    pref = 4.0 * math.sqrt(p._unit_mass) / math.sqrt(2.0 * p._unit_sigma) * sqrt(2.0 * l0 / l)
     value = _scaled(pref * integral, p._period_exp)
     if not 0.0 < value < math.inf:
         raise EngineFailure(

@@ -350,6 +350,8 @@ def test_lower_bounds_round_within_their_counts_across_the_float_range(a, b, sig
 @example(2.6806457714819412e16, 2.680645771484791e16, 5.606116147224027e-137, 8.994070990864377e126, 2.550629519640896e-156)
 # the corrected bound read -0.0 for -2.9e-318
 @example(31619915.2662284, 31619915.266235106, 2.743527877749576e166, 1.955035376793169e-177, 1.581145981999381e-165)
+# the unit l0 is 3.2e-308 and 4*T overflowed: the printed bound read -0.0 for -2.7e7
+@example(108254987.75023076, 2.171738281389827e-300, 1.0, 1.0, 1.0)
 def test_relative_error_bounds_negative_across_the_float_range(a, b, sigma, mass, rel_amp):
     # both relative-error bounds are below 0 at every y0 > 0 wherever their
     # 40-digit values round to a nonzero float, and within 8 ulps of those
