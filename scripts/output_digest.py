@@ -23,9 +23,10 @@ odd ones. They digest each string's fields and unit values, its bounds, both
 closed forms, their sandwich checks and verdicts and `radicand_g`, and the
 default ODE run on every WIDE_ODE_EVERY-th draw.
 Each CLI digest covers one command's stdout, exit code, whether stderr
-holds a traceback or a Python warning, and the summary lines stderr holds
-(`sweep`'s pass count, `convergence`'s fitted slope), run as a fresh
-`python -m ssp.cli` process.
+holds a traceback or a Python warning, and the summary and refusal lines
+stderr holds (`sweep`'s pass count, `convergence`'s fitted slope, and the
+`error: `, `engine failure: ` or argparse's `ssp: error: ` line), run as a
+fresh `python -m ssp.cli` process, so two refusals differ by their message.
 
 The first line names the Python and numpy versions and the platform,
 since libm and numpy may round differently elsewhere.
@@ -71,6 +72,7 @@ CLI_COMMANDS = (
     ("period", "--sigma", "1e300", "--mass", "1e-300", "--format", "csv"),
     ("period", "--l", "1.000000000001", "--y0", "2e-9", "--method", "quadrature"),
     ("period", "--y0", "0", "--format", "json"),
+    ("period", "--y0", "0", "--method", "ode", "--format", "csv"),
     ("period", "--y0", "1e308", "--method", "quadrature"),
     ("period", "--y0", "1e307", "--method", "elliptic"),
     ("period", "--method", "ode", "--sigma", "1e-300", "--mass", "1e300", "--format", "json"),
@@ -95,6 +97,7 @@ CLI_COMMANDS = (
     ("convergence", "--points", "1"),
     ("convergence", "--from", "1e-12", "--to", "1e-11"),
     ("trajectory", "--periods", "2"),
+    ("trajectory", "--y0", "0", "--periods", "0.5"),
     ("verify", "--samples", "40", "--seed", "3"),
     ("verify", "--samples", "0"),
     ("verify", "--samples", "200", "--tol", "1e-3"),
@@ -233,7 +236,9 @@ def cli_digest(argv: tuple[str, ...]) -> str:
     # warnings.showwarning's "file:line: Category: message"
     warned = " warning" if re.search(rb":\d+: \w*Warning: ", done.stderr) else ""
     tail = f"\nexit {done.returncode}{crash}{warned}\n"
-    summary = b"".join(re.findall(rb"(?m)^(?:sweep: |fitted \|R\| slope: ).*\n", done.stderr))
+    summary = b"".join(re.findall(
+        rb"(?m)^(?:sweep: |fitted \|R\| slope: |error: |engine failure: |ssp: error: ).*\n", done.stderr
+    ))
     return hashlib.sha256(done.stdout + tail.encode() + summary).hexdigest()
 
 
