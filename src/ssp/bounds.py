@@ -17,11 +17,14 @@ form; it is dimensionally inconsistent and is never asserted against.
 
 The corrected bounds confine the relative deviation of the period from its
 linear limit to [-sigma*y0^2 / (4*T*l0*l), 0] = [-y0^2 / (4*(l-l0)*l), 0],
-which shrinks quadratically in the amplitude. Every bound is formed on the
-unit values of model.StringParams and scaled back. A lower bound whose
-stiffness sum overflows is formed without y0*y0, and so are the
-relative-error bounds, which read -inf only where they overflow: still true,
-where y0**2 would raise.
+which shrinks quadratically in the amplitude. The paper prints this
+corollary as -y0^2*m/(4*T*l0), which goes as a period squared where a
+relative deviation is free of units, so it is not formed. Every bound is
+formed on the unit values of model.StringParams and scaled back. Both lower
+bounds are formed by _lower, without y0*y0 where their stiffness sum
+overflows, and the relative-error bound with y0's binade taken out before
+it is squared: it reads -inf only where it overflows, still true, where
+y0**2 would raise.
 
 check_sandwich tests an estimate against the corrected lower bound and the
 secant-energy period 2*pi/sqrt((2*sigma/m)*g(0)), g(0) = 1/l0 - 2/(l +
@@ -51,63 +54,53 @@ class PeriodBounds(NamedTuple):
     lower_printed              2*pi/sqrt(omega0^2 + sigma*y0^2/(l*l0)), report-only
     upper                      2*pi/omega0, the linear-limit period, rigorous
     rel_error_bound_corrected  -y0^2/(4*(l - l0)*l) <= (P - upper)/P, rigorous
-    rel_error_bound_printed    -y0^2*m/(4*T*l0), report-only
     """
 
     lower_corrected: float
     lower_printed: float
     upper: float
     rel_error_bound_corrected: float
-    rel_error_bound_printed: float
 
 
-def _lower_past_overflow(p: StringParams, y0: float, q: float, n: int) -> float:
-    """2*pi/sqrt(w + 4*q*(y0*2**n)**2) on the unit values, scaled back, where
-    that sum overflows; q is a quarter of sigma over the excess's
-    denominator, so it cannot overflow. Both stiffness roots, sqrt(w) and
-    y0*sqrt(4*q)*2**n, are divided exactly by 2**(e + n + 1), e the exponent
-    of y0, and summed by hypot (Blue, ACM TOMS 4 (1978) 15-23): nothing
-    squares y0, and the bound reads 0 only where it is below the floats."""
+def _lower(p: StringParams, y0: float, den: float, n: int) -> float:
+    """2*pi/sqrt(w + sigma*(y0*2**n)**2/den) on the unit values, scaled back,
+    w the unit stiffness. Where that sum overflows, both stiffness roots,
+    sqrt(w) and y0*sqrt(4*q)*2**n with q = sigma/(4*den), which cannot
+    overflow, are divided exactly by 2**(e + n + 1), e the exponent of y0,
+    and summed by hypot (Blue, ACM TOMS 4 (1978) 15-23): nothing squares y0,
+    and the bound reads 0 only where it is below the floats."""
+    ys = _scaled(y0, n)
+    stiff = p._unit_stiffness + p._unit_sigma * (ys * ys) / den
+    if stiff < math.inf:
+        return _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
     frac, e = math.frexp(y0)
+    q = 0.25 * p._unit_sigma / den
     root = math.hypot(math.ldexp(math.sqrt(p._unit_stiffness), -e - n - 1), frac * math.sqrt(q))
     return _scaled(TWO_PI / root, p._period_exp - e - n - 1)
 
 
 def _lower_corrected(p: StringParams, y0: float) -> float:
     """PeriodBounds.lower_corrected on the unit values, y0 the unit amplitude."""
-    den = p._unit_mass * p._unit_l0 * (p._unit_l * p._unit_l)
-    stiff = p._unit_stiffness + p._unit_sigma * (y0 * y0) / den
-    if stiff < math.inf:
-        return _scaled(TWO_PI / math.sqrt(stiff), p._period_exp)
-    return _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / den, 0)
+    return _lower(p, y0, p._unit_mass * p._unit_l0 * (p._unit_l * p._unit_l), 0)
 
 
 def compute_bounds(osc: Oscillation) -> PeriodBounds:
     p = osc.params
     l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    # the printed excess is formed on the unit stiffness's scale, y0 first
-    n = p._sigma_exp + p._period_exp
-    ys = _scaled(y0, n)
-    stiff = p._unit_stiffness + p._unit_sigma * (ys * ys) / (l * l0)
-    # sigma cancels from the corrected -sigma*y0^2/(4*T*l0*l), which is free
-    # of units; the printed one goes as a period squared and is scaled back.
-    # Both take y0's binade out before it is squared and put it back with
-    # the scaling, as _lower_past_overflow does, so only a bound itself can
-    # leave the float range: y0*y0 on the unit values underflowed where the
-    # bounds are normal floats, and the printed one's scaling after it
-    # over- or underflowed. The binade is read off the physical y0, as the
-    # unit one underflows where y0/l is below about 1e-308. T*l0 is formed
-    # before the 4: 4*T overflows where the unit l0 nears 2**-1022
-    tension = p._unit_sigma * (l - l0) / l0
+    # sigma cancels from the relative bound -sigma*y0^2/(4*T*l0*l), which is
+    # free of units. It takes y0's binade out before it is squared and puts
+    # it back with the scaling, so only the bound itself can leave the float
+    # range: y0*y0 on the unit values underflowed where the bound is a
+    # normal float. The binade is read off the physical y0, as the unit one
+    # underflows where y0/l is below about 1e-308
     frac, k = math.frexp(osc.y0)
     k -= 2 * p._length_exp
     return PeriodBounds(
         _lower_corrected(p, y0),
-        _scaled(TWO_PI / math.sqrt(stiff), p._period_exp) if stiff < math.inf
-        else _lower_past_overflow(p, y0, 0.25 * p._unit_sigma / (l * l0), n),
+        # the printed excess is formed on the unit stiffness's scale, y0 first
+        _lower(p, y0, l * l0, p._sigma_exp + p._period_exp),
         rayleigh_period(p),
         _scaled(-(frac * frac) / (4.0 * (l - l0) * l), 2 * k),
-        _scaled(-(frac * frac) * p._unit_mass / (4.0 * (tension * l0)), 2 * (k + p._period_exp)),
     )
 
 

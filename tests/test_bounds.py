@@ -55,7 +55,6 @@ def test_bounds_coincide_at_zero_amplitude(reference_params):
     assert b.lower_corrected == b.upper
     assert b.lower_printed == b.upper
     assert b.rel_error_bound_corrected == 0.0
-    assert b.rel_error_bound_printed == 0.0
 
 
 def test_relative_error_bounds_reference(reference_osc):
@@ -74,12 +73,6 @@ def test_relative_error_bound_does_not_depend_on_sigma():
         for sigma in (1e300, 1e-310):
             osc = Oscillation(StringParams(1.0, 1.25, sigma, 1.0), y0)
             assert compute_bounds(osc).rel_error_bound_corrected == expected
-
-
-def test_printed_error_variant_computes(reference_osc):
-    # Reported for comparison only; its scaling differs from the corrected
-    # form, so no ordering against the true deviation is asserted.
-    assert compute_bounds(reference_osc).rel_error_bound_printed == -0.25
 
 
 def test_compute_bounds_is_consistent(reference_params):
@@ -295,7 +288,7 @@ def _within_lower_ulps(value, exact):
 def test_bounds_survive_overflowing_amplitude(reference_params):
     # y0^2 overflows: both lower bounds take the one path that never squares
     # y0, within their counts of the 40-digit values (lower_printed read 0
-    # here); the relative bounds fall to -inf, still true, and the exact
+    # here); the relative bound falls to -inf, still true, and the exact
     # period stays inside.
     osc = Oscillation(reference_params, 1e200)
     b = compute_bounds(osc)
@@ -303,7 +296,6 @@ def test_bounds_survive_overflowing_amplitude(reference_params):
     assert _within_lower_ulps(b.lower_printed, "7.024814731040726605775583587371460923561e-200")
     assert b.upper == rayleigh_period(reference_params)
     assert b.rel_error_bound_corrected == -math.inf
-    assert b.rel_error_bound_printed == -math.inf
     assert check_sandwich(osc, exact_period(osc)).passed
 
 
@@ -342,23 +334,22 @@ def test_lower_bounds_round_within_their_counts_across_the_float_range(a, b, sig
 
 @settings(max_examples=300)
 @given(_any_scale, _any_scale, _any_scale, _any_scale, _any_scale)
-# the printed bound read -0.0 for -5/18
+# the unit y0*y0 underflows to 0, and the bound, -2.8e-600, lies below the floats
 @example(1e299, 1e300, 1.0, 1e300, 1e-300)
-# the unit y0*y0 is subnormal: the corrected bound read -1.529781275363382e-300
-# for -1.529781275363143e-300, the printed one -6.579047009465168e-21 for
-# -6.5790470094644535e-21
+# the unit y0*y0 is subnormal: the bound read -1.529781275363382e-300 for
+# -1.529781275363143e-300
 @example(2.6806457714819412e16, 2.680645771484791e16, 5.606116147224027e-137, 8.994070990864377e126, 2.550629519640896e-156)
-# the corrected bound read -0.0 for -2.9e-318
+# the bound read -0.0 for -2.9e-318
 @example(31619915.2662284, 31619915.266235106, 2.743527877749576e166, 1.955035376793169e-177, 1.581145981999381e-165)
-# the unit l0 is 3.2e-308 and 4*T overflowed: the printed bound read -0.0 for -2.7e7
+# the unit l0 is 3.2e-308, near the bottom of the normal floats; the bound is -1/4
 @example(108254987.75023076, 2.171738281389827e-300, 1.0, 1.0, 1.0)
 def test_relative_error_bounds_negative_across_the_float_range(a, b, sigma, mass, rel_amp):
-    # both relative-error bounds are below 0 at every y0 > 0 wherever their
-    # 40-digit values round to a nonzero float, and within 8 ulps of those
-    # values wherever they are normal floats (the printed one counts 7
-    # roundings, the corrected one 4): a bound that reads -0.0 claims the
-    # period is at least the linear one. Where the square of the unit y0
-    # underflowed both lost their digits, or read -0.0 for a normal float
+    # the relative-error bound is below 0 at every y0 > 0 wherever its
+    # 40-digit value rounds to a nonzero float, and within 8 ulps of that
+    # value wherever it is a normal float (it counts 4 roundings): a bound
+    # that reads -0.0 claims the period is at least the linear one. Where
+    # the square of the unit y0 underflowed it lost its digits, or read -0.0
+    # for a normal float
     l0, l = sorted((a, b))
     y0 = rel_amp * l
     assume(l0 < l and math.isfinite(y0))
@@ -366,19 +357,14 @@ def test_relative_error_bounds_negative_across_the_float_range(a, b, sigma, mass
         osc = Oscillation(StringParams(l0, l, sigma, mass), y0)
     except InvalidParameters:
         assume(False)
-    bounds = compute_bounds(osc)
+    computed = compute_bounds(osc).rel_error_bound_corrected
     with mpmath.workdps(40):
-        l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in (l0, l, sigma, mass, y0))
-        exact = {
-            "rel_error_bound_corrected": -(y0**2) / (4 * (l - l0) * l),
-            "rel_error_bound_printed": -(y0**2) * mass / (4 * sigma * (l - l0)),
-        }
-        for name, value in exact.items():
-            computed = getattr(bounds, name)
-            if 5e-324 <= -value <= 1.7e308:
-                assert computed < 0.0, name
-            if 2.0**-1022 <= -value <= 1.7e308:
-                assert abs(computed - value) <= 8 * math.ulp(float(value)), name
+        l0, l, y0 = (mpmath.mpf(x) for x in (l0, l, y0))
+        value = -(y0**2) / (4 * (l - l0) * l)
+        if 5e-324 <= -value <= 1.7e308:
+            assert computed < 0.0
+        if 2.0**-1022 <= -value <= 1.7e308:
+            assert abs(computed - value) <= 8 * math.ulp(float(value))
 
 
 @pytest.mark.parametrize(
@@ -534,15 +520,15 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
         (1e-201, 1e-200, 1.0, 1.0, 1e-200),
         # mass*l underflows to 0 on raw values
         (1e-31, 1e-30, 1.0, 1e-300, 1e-31),
-        # 4*T*l0 underflows to 0 on raw values
+        # sigma*(l - l0) and sigma*y0*y0 underflow to 0 on raw values
         (1e-30, 2e-30, 1e-300, 1.0, 1e-30),
         # sigma*y0^2/(l*l0) = 5e19 where y0*y0 overflows on raw lengths
         (1e150, 2e150, 1.0, 1.0, 1e160),
-        # y0*y0 on the unit values underflows before its scaling by
-        # 4**_period_exp: the relative bound read -0.0 for -5/18
+        # y0*y0 on the unit values underflows unless y0 is scaled first:
+        # the excess read 0 and the bound upper, 1.48e300 for 1.19e300
         (1e299, 1e300, 1.0, 1e300, 1.0),
-        # y0 on the unit values underflows to 0: the relative bound read
-        # -0.0 for -1.009e-301
+        # y0 on the unit values underflows to 0, and with it the printed
+        # excess, 1e-230 of the stiffness
         (
             5.858532086652578e+189, 5.858532086652594e+189, 7.275958413574125e+70,
             1.2852745896583659e+215, 1.9018903779641766e-135,
@@ -550,12 +536,10 @@ def test_bounds_round_within_the_sandwich_allowance(a, b, sigma, mass, rel_amp):
     ],
 )
 def test_printed_bounds_on_unit_values(cell):
-    # the printed formulas raised ZeroDivisionError or read 0 on raw values
+    # the printed lower bound raised ZeroDivisionError or read 0 on raw values
     l0, l, sigma, mass, y0 = (mpmath.mpf(x) for x in cell)
     with mpmath.workdps(30):
         omega0_sq = 2 * sigma * (l - l0) / (mass * l0 * l)
         lower = 2 * mpmath.pi / mpmath.sqrt(omega0_sq + sigma * y0**2 / (l * l0))
-        rel = -(y0**2) * mass / (4 * sigma * (l - l0))
     b = compute_bounds(Oscillation(StringParams(*cell[:4]), cell[4]))
     assert b.lower_printed == pytest.approx(float(lower), rel=1e-14, abs=0.0)
-    assert b.rel_error_bound_printed == pytest.approx(float(rel), rel=1e-14, abs=0.0)

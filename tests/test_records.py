@@ -59,7 +59,6 @@ FIELDS = {
         "lower_printed",
         "upper",
         "rel_error_bound_corrected",
-        "rel_error_bound_printed",
     ),
     SandwichReport: ("lower", "upper", "value", "slack", "deviation"),
     CheckResult: ("name", "samples", "failures", "worst"),
