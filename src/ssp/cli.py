@@ -25,9 +25,9 @@ from typing import Sequence
 from .bounds import _BOUND_ULPS, check_sandwich, compute_bounds
 from .elliptic import period_elliptic
 from .errors import EngineFailure, InvalidParameters
-from .model import Oscillation, StringParams, rayleigh_period
+from .model import Oscillation, StringParams
 from .odesim import SimConfig, _release, measure_period, simulate
-from .quadrature import Method, PeriodEstimate, exact_period
+from .quadrature import exact_period
 from .verify import run_invariant_suite
 
 __all__ = ["main", "entrypoint"]
@@ -90,13 +90,6 @@ def _oscillation(args: argparse.Namespace, **override: float) -> Oscillation:
     return Oscillation(StringParams(v["l0"], v["l"], v["sigma"], v["mass"]), v["y0"])
 
 
-def _ode_estimate(osc: Oscillation, cfg: SimConfig) -> PeriodEstimate:
-    # the rest state has no turning point to simulate
-    if osc.y0 == 0.0:
-        return PeriodEstimate(rayleigh_period(osc.params), Method.ODE_SIM, 0.0)
-    return measure_period(_release(osc, cfg))
-
-
 def _build_row(
     osc: Oscillation,
     methods: Sequence[str],
@@ -118,7 +111,7 @@ def _build_row(
     if "elliptic" in methods:
         row["period_elliptic"] = period_elliptic(osc).value
     if "ode" in methods:
-        row["period_ode"] = _ode_estimate(osc, sim_cfg).value
+        row["period_ode"] = measure_period(_release(osc, sim_cfg)).value
     bounds = compute_bounds(osc)
     row["upper"] = bounds.upper
     row["lower_corrected"] = bounds.lower_corrected

@@ -171,9 +171,11 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     The run has no horizon: the period is at most the linear-limit one,
     t_lin, so t_q <= t_lin/4. A run that has not crossed y = 0 after
     _MAX_STEPS attempted steps raises EngineFailure, and so does a step
-    below 32 ulps of t_lin. InvalidParameters is raised where the
-    Trajectory of n_periods would hold more than _MAX_STEPS samples, and
-    where rel_tol*y0 or rel_tol*|F(y0)| on the unit values is below 5e-324.
+    below 32 ulps of t_lin. At y0 = 0, the rest state, there is no turning
+    point to step to: the run is its initial sample, t_q = t_lin/4 and
+    local_err 0. InvalidParameters is raised where the Trajectory of
+    n_periods would hold more than _MAX_STEPS samples, and where a positive
+    y0 has rel_tol*y0 or rel_tol*|F(y0)| on the unit values below 5e-324.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -188,10 +190,11 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     accel = _bound_acceleration(p)
     rel_tol = cfg.rel_tol
     y0 = osc._unit_y0
-    if y0 == 0.0:
-        raise InvalidParameters("simulation needs a nonzero amplitude")
     omega0 = math.sqrt(p._unit_stiffness)
     t, t_lin = 0.0, TWO_PI / omega0
+    if osc.y0 == 0.0:
+        t_q = 0.25 * t_lin
+        return _Run([0.0], [0.0], [0.0], _events(t_q, 1, cfg, shift), 0, 0, 0.0, t_q)
     h_floor = 32.0 * math.ulp(t_lin)
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
@@ -293,22 +296,29 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     local += e5 + rounding
     while ts[-1] >= t_q:  # where the correction moved t_q onto a sample
         del ts[-1], ys[-1], vs[-1]
+    return _Run(ts, ys, vs, _events(t_q, len(ts), cfg, shift), n_acc, n_rej, local / y0, t_q)
+
+
+def _events(t_q: float, n: int, cfg: SimConfig, shift: int) -> list[float]:
+    """The turning times k*2*t_q in physical time, k in 0..2*n_periods, of a
+    run of n samples before t_q; InvalidParameters where its Trajectory
+    would hold more than _MAX_STEPS samples."""
     halves = int(2 * cfg.n_periods)
     # each half period after the first repeats its samples but t = 0
-    if halves * (2 * len(ts) - 1) + 1 > _MAX_STEPS:
+    if halves * (2 * n - 1) + 1 > _MAX_STEPS:
         raise InvalidParameters(
             f"n_periods = {cfg.n_periods!r} cannot be run: its trajectory of "
-            f"{len(ts)} samples per quarter period would hold more than "
+            f"{n} samples per quarter period would hold more than "
             f"{_MAX_STEPS} samples"
         )
-    events = [_scaled(k * (t_q + t_q), shift) for k in range(halves + 1)]
-    return _Run(ts, ys, vs, events, n_acc, n_rej, local / y0, t_q)
+    return [_scaled(k * (t_q + t_q), shift) for k in range(halves + 1)]
 
 
 def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     """Release from rest at y0, integrate to the first zero crossing
     t_q = P/4, and tile n_periods periods from that quarter (see
-    Trajectory): the events are t = 0, P/2, P, ...
+    Trajectory): the events are t = 0, P/2, P, ... At y0 = 0, the rest
+    state, the run takes no step, and t_q is a quarter of the linear period.
     """
     import numpy as np
 
@@ -316,7 +326,9 @@ def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
     two_t_q = run.t_q + run.t_q
     ts = run.t + [two_t_q - t for t in reversed(run.t)]
-    ys = run.y + [-y for y in reversed(run.y)]
+    # negated as 0.0 - x, not -x, so that v reads 0.0 at every turning and
+    # y at every sample of the rest state
+    ys = run.y + [0.0 - y for y in reversed(run.y)]
     vs = run.v + run.v[::-1]
     # half period j >= 1 repeats the first's samples after t = 0, shifted
     # by j*2*t_q and negated for odd j, and ends on its event
@@ -325,8 +337,8 @@ def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
         start = j * two_t_q
         ts += [start + t for t in ts[1 : n - 1]]
         ts.append((j + 1) * two_t_q)
-        if j % 2:  # 0.0 - v, not -v, so that v reads 0.0 at every turning
-            ys += [-y for y in ys[1:n]]
+        if j % 2:
+            ys += [0.0 - y for y in ys[1:n]]
             vs += [0.0 - v for v in vs[1:n]]
         else:
             ys += ys[1:n]

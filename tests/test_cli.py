@@ -487,10 +487,16 @@ def test_period_names_the_overflowing_trial_steps(capsys):
     assert err.startswith("engine failure: the trial steps were not finite")
 
 
-def test_trajectory_rejects_zero_amplitude(capsys):
-    code, _, err = run_cli(capsys, "trajectory", "--y0", "0")
-    assert code == 1
-    assert "error:" in err
+def test_trajectory_at_zero_amplitude_is_the_rest_state(capsys):
+    # the rest state's samples are its turning events, at y = v = 0.0, half a
+    # linear period apart
+    code, out, err = run_cli(capsys, "trajectory", "--y0", "0", "--periods", "1")
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header == ["t", "y", "v", "E"]
+    half = oracle.UPPER_REF / 2
+    assert [float(r["t"]) for r in rows] == pytest.approx([0.0, half, 2 * half], rel=1e-15)
+    assert all(r["y"] == r["v"] == "0.0" for r in rows)
 
 
 def test_trajectory_rejects_underflowing_amplitude(capsys):
@@ -745,13 +751,16 @@ def test_environment_changes_no_result(capsys, monkeypatch):
     assert "seed=0," in base[1][1]
 
 
-def test_ode_estimate_degenerate_amplitude():
-    # Reaching through the CLI helper: a zero amplitude cannot be simulated,
-    # so the reported ode period falls back to the harmonic value.
-    from ssp import Oscillation, SimConfig, StringParams, rayleigh_period
+def test_ode_estimate_degenerate_amplitude(capsys):
+    # the library's rest run gives the ode period at y0 = 0, the linear one;
+    # a positive amplitude whose unit value underflows is still refused
+    from ssp import StringParams, rayleigh_period
 
-    p = StringParams(l0=1.0, l=1.25, sigma=1.0, mass=1.0)
-    est = ssp.cli._ode_estimate(Oscillation(p, 0.0), SimConfig())
-    assert isinstance(est, PeriodEstimate)
-    assert est.method is Method.ODE_SIM
-    assert est.value == rayleigh_period(p)
+    code, out, _ = run_cli(capsys, "period", "--y0", "0", "--method", "ode", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["period_ode"] == rayleigh_period(StringParams(1.0, 1.25, 1.0, 1.0))
+    code, out, err = run_cli(
+        capsys, "period", "--l0", "1e300", "--l", "2e300", "--y0", "1e-300", "--method", "ode"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot simulate at amplitude 1e-300")

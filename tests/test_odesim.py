@@ -459,10 +459,23 @@ def test_tighter_tolerance_takes_more_steps(default_traj):
     assert coarse.n_rejected >= 0
 
 
-def test_zero_amplitude_rejected(default_traj):
+def test_zero_amplitude_is_the_rest_state(default_traj):
+    # y0 = 0 has no turning point to step to: the run takes no step, its
+    # events are half linear periods apart, at y = v = 0.0, and its period is
+    # the linear one with no error
     osc, _ = default_traj
+    traj = simulate(Oscillation(osc.params, 0.0), SimConfig(n_periods=1))
+    assert (traj.n_accepted, traj.n_rejected, traj.local_err) == (0, 0, 0.0)
+    assert traj.t.tobytes() == traj.events.tobytes()
+    half = rayleigh_period(osc.params) / 2
+    assert traj.events.tolist() == [0.0, half, 2 * half]
+    assert traj.y.tobytes() == traj.v.tobytes() == np.zeros(3).tobytes()
+    assert measure_period(traj) == (rayleigh_period(osc.params), Method.ODE_SIM, 0.0)
+    # a positive amplitude whose unit value underflows to 0 is refused
+    tiny = Oscillation(StringParams(1e300, 2e300, 1.0, 1.0), 1e-300)
+    assert tiny._unit_y0 == 0.0
     with pytest.raises(InvalidParameters):
-        simulate(Oscillation(osc.params, 0.0))
+        simulate(tiny)
 
 
 @pytest.mark.parametrize("l, y0", [(1.25, 5e-324), (1.0 + 1e-9, 1e-310)])
