@@ -88,11 +88,10 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
     p = osc.params
     l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
     # sigma cancels from the relative bound -sigma*y0^2/(4*T*l0*l), which is
-    # free of units. It takes y0's binade out before it is squared and puts
-    # it back with the scaling, so only the bound itself can leave the float
-    # range: y0*y0 on the unit values underflowed where the bound is a
-    # normal float. The binade is read off the physical y0, as the unit one
-    # underflows where y0/l is below about 1e-308
+    # free of units. y0's binade is taken out before the square and put back
+    # with the scaling, as y0*y0 on the unit values underflows where the
+    # bound is a normal float; it is read off the physical y0, as the unit
+    # one underflows where y0/l is below about 1e-308
     frac, k = math.frexp(osc.y0)
     k -= 2 * p._length_exp
     return PeriodBounds(
