@@ -87,11 +87,11 @@ def _lower_corrected(p: StringParams, y0: float) -> float:
 def compute_bounds(osc: Oscillation) -> PeriodBounds:
     p = osc.params
     l0, l, y0 = p._unit_l0, p._unit_l, osc._unit_y0
-    # sigma cancels from the relative bound -sigma*y0^2/(4*T*l0*l), which is
-    # free of units. y0's binade is taken out before the square and put back
-    # with the scaling, as y0*y0 on the unit values underflows where the
-    # bound is a normal float; it is read off the physical y0, as the unit
-    # one underflows where y0/l is below about 1e-308
+    # sigma cancels from the relative bound -sigma*y0^2/(4*T*l0*l), free of
+    # units. y0's binade is taken out before the square and put back with the
+    # scaling, as y0*y0 on the unit values underflows where the bound is a
+    # normal float; it is read off the physical y0, as the unit one underflows
+    # where y0/l is below about 1e-308. 0.0 - x, not -x, reads 0.0 at y0 = 0
     frac, k = math.frexp(osc.y0)
     k -= 2 * p._length_exp
     return PeriodBounds(
@@ -99,7 +99,7 @@ def compute_bounds(osc: Oscillation) -> PeriodBounds:
         # the printed excess is formed on the unit stiffness's scale, y0 first
         _lower(p, y0, l * l0, p._sigma_exp + p._period_exp),
         rayleigh_period(p),
-        _scaled(-(frac * frac) / (4.0 * (l - l0) * l), 2 * k),
+        _scaled(0.0 - frac * frac / (4.0 * (l - l0) * l), 2 * k),
     )
 
 

@@ -48,11 +48,11 @@ makes twelve force evaluations and the call through `acceleration` costs
 more than its arithmetic; it does the same operations in the same order,
 so every force value is the model's, scaled by a power of two.
 
-Every accepted step before t_q is recorded, in plain lists, the turning
-times in physical time; `simulate` imports numpy where it turns them into a
-Trajectory's arrays, with the mirror images of the samples before t_q and
-the images of that half period for each further one. measure_period reads
-the period off the lists, so it needs neither numpy nor the images.
+Every accepted step before t_q is recorded, in plain lists, with the turning
+times 0 and 2*t_q in physical time; measure_period reads the period off
+these. `simulate` adds, in plain floats, the mirror images of the samples
+before t_q and the images of that half period for each further one, and
+imports numpy only to wrap the finished lists as a Trajectory's arrays.
 """
 
 from __future__ import annotations
@@ -125,14 +125,15 @@ class Trajectory(NamedTuple):
     j >= 1 is the image (t + 2*j*t_q, (-1)**j*y, (-1)**j*v) of the first's
     samples after t = 0, and ends on its turning event. e holds the
     conserved energy of the full nonlinear model at each sample, +-inf where
-    it is beyond the float range. events are the turning times k*2*t_q for
-    k in 0..2*n_periods. n_accepted and n_rejected count the quarter
-    period's steps. local_err, relative to y0, sums over accepted steps the
-    combined norm e that _dop853.step returns and the rounding of y and
-    of the force, ulp(y0)/y0 + ulp(F)/|F| at the release force F, which is
-    the run's error near the bottom of the float range, and adds
-    |dt|/(2*t_q), the correction of the zero crossing time relative to the
-    half period.
+    it is beyond the float range, formed with math.hypot once per sample
+    before t_q and copied to its images, as it is even in y and in v. events
+    are the turning times k*2*t_q for k in 0..2*n_periods. n_accepted and
+    n_rejected count the quarter period's steps. local_err, relative to y0,
+    sums over accepted steps the combined norm e that _dop853.step returns
+    and the rounding of y and of the force, ulp(y0)/y0 + ulp(F)/|F| at the
+    release force F, which is the run's error near the bottom of the float
+    range, and adds |dt|/(2*t_q), the correction of the zero crossing time
+    relative to the half period.
     """
 
     t: np.ndarray
@@ -148,8 +149,8 @@ class Trajectory(NamedTuple):
 class _Run(NamedTuple):
     """What _release records: the samples before the first zero crossing on
     the unit values, where physical time is unit time times 2**_period_exp,
-    the turning times in physical time, the step counts, local_err (see
-    Trajectory) and the unit time t_q of the crossing."""
+    the turning times 0 and 2*t_q in physical time, the step counts,
+    local_err (see Trajectory) and the unit time t_q of the crossing."""
 
     t: list[float]
     y: list[float]
@@ -165,17 +166,16 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     """simulate's run, before its arrays are built: (y, v) from (y0, 0) at
     t = 0 under the model's force, forward to the first zero crossing t_q,
     found on the crossing step's Hermite polynomial and corrected by a step
-    to it (see the module docstring). The turning events are k*2*t_q for k
-    in 0..2*n_periods, in physical time.
+    to it (see the module docstring). Its events are the first half
+    period's turning times, 0 and 2*t_q, in physical time.
 
     The run has no horizon: the period is at most the linear-limit one,
     t_lin, so t_q <= t_lin/4. A run that has not crossed y = 0 after
     _MAX_STEPS attempted steps raises EngineFailure, and so does a step
     below 32 ulps of t_lin. At y0 = 0, the rest state, there is no turning
     point to step to: the run is its initial sample, t_q = t_lin/4 and
-    local_err 0. InvalidParameters is raised where the Trajectory of
-    n_periods would hold more than _MAX_STEPS samples, and where a positive
-    y0 has rel_tol*y0 or rel_tol*|F(y0)| on the unit values below 5e-324.
+    local_err 0. InvalidParameters is raised where a positive y0 has
+    rel_tol*y0 or rel_tol*|F(y0)| on the unit values below 5e-324.
 
     The run is on the unit values of p (model.StringParams), in unit time
     tau = t * 2**-shift, shift = _period_exp: displacements are scaled by
@@ -194,7 +194,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     t, t_lin = 0.0, TWO_PI / omega0
     if osc.y0 == 0.0:
         t_q = 0.25 * t_lin
-        return _Run([0.0], [0.0], [0.0], _events(t_q, 1, cfg, shift), 0, 0, 0.0, t_q)
+        return _Run([0.0], [0.0], [0.0], [0.0, _scaled(t_q + t_q, shift)], 0, 0, 0.0, t_q)
     h_floor = 32.0 * math.ulp(t_lin)
     # the force at the step end is the next step's first stage (FSAL)
     y, v = y0, 0.0
@@ -296,22 +296,7 @@ def _release(osc: Oscillation, cfg: SimConfig) -> _Run:
     local += e5 + rounding
     while ts[-1] >= t_q:  # where the correction moved t_q onto a sample
         del ts[-1], ys[-1], vs[-1]
-    return _Run(ts, ys, vs, _events(t_q, len(ts), cfg, shift), n_acc, n_rej, local / y0, t_q)
-
-
-def _events(t_q: float, n: int, cfg: SimConfig, shift: int) -> list[float]:
-    """The turning times k*2*t_q in physical time, k in 0..2*n_periods, of a
-    run of n samples before t_q; InvalidParameters where its Trajectory
-    would hold more than _MAX_STEPS samples."""
-    halves = int(2 * cfg.n_periods)
-    # each half period after the first repeats its samples but t = 0
-    if halves * (2 * n - 1) + 1 > _MAX_STEPS:
-        raise InvalidParameters(
-            f"n_periods = {cfg.n_periods!r} cannot be run: its trajectory of "
-            f"{n} samples per quarter period would hold more than "
-            f"{_MAX_STEPS} samples"
-        )
-    return [_scaled(k * (t_q + t_q), shift) for k in range(halves + 1)]
+    return _Run(ts, ys, vs, [0.0, _scaled(t_q + t_q, shift)], n_acc, n_rej, local / y0, t_q)
 
 
 def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
@@ -319,39 +304,53 @@ def simulate(osc: Oscillation, cfg: SimConfig = SimConfig()) -> Trajectory:
     t_q = P/4, and tile n_periods periods from that quarter (see
     Trajectory): the events are t = 0, P/2, P, ... At y0 = 0, the rest
     state, the run takes no step, and t_q is a quarter of the linear period.
+    InvalidParameters is raised, before any image is formed, where the
+    Trajectory would hold more than _MAX_STEPS samples.
     """
     import numpy as np
 
     run = _release(osc, cfg)
-    p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
-    two_t_q = run.t_q + run.t_q
-    ts = run.t + [two_t_q - t for t in reversed(run.t)]
-    # negated as 0.0 - x, not -x, so that v reads 0.0 at every turning and
-    # y at every sample of the rest state
-    ys = run.y + [0.0 - y for y in reversed(run.y)]
-    vs = run.v + run.v[::-1]
-    # half period j >= 1 repeats the first's samples after t = 0, shifted
-    # by j*2*t_q and negated for odd j, and ends on its event
-    n = len(ts)
-    for j in range(1, len(run.events) - 1):
-        start = j * two_t_q
-        ts += [start + t for t in ts[1 : n - 1]]
-        ts.append((j + 1) * two_t_q)
-        if j % 2:
-            ys += [0.0 - y for y in ys[1:n]]
-            vs += [0.0 - v for v in vs[1:n]]
-        else:
-            ys += ys[1:n]
-            vs += vs[1:n]
-    ya, va = np.asarray(ys), np.asarray(vs)
-    # energy goes as velocity squared, 4**(2*_length_exp - shift)
-    with np.errstate(over="ignore"):
-        e = 0.5 * va * va + (2.0 * p._unit_sigma / p._unit_mass) * (
-            ya * ya / (2.0 * p._unit_l0) - np.hypot(p._unit_l, ya)
+    q, halves = len(run.t), int(2 * cfg.n_periods)
+    # each half period after the first repeats its samples but t = 0
+    if halves * (2 * q - 1) + 1 > _MAX_STEPS:
+        raise InvalidParameters(
+            f"n_periods = {cfg.n_periods!r} cannot be run: its trajectory of {q} samples "
+            f"per quarter period would hold more than {_MAX_STEPS} samples"
         )
-        e = np.ldexp(e, 4 * le - 2 * shift)
-        y, v = np.ldexp(ya, 2 * le), np.ldexp(va, 2 * le - shift)
-        arrays = (np.ldexp(ts, shift), y, v, e, np.asarray(run.events))
+    p, shift, le = osc.params, osc.params._period_exp, osc.params._length_exp
+    # energy goes as velocity squared, 4**(2*_length_exp - shift)
+    k, two_l0, l = 2.0 * p._unit_sigma / p._unit_mass, 2.0 * p._unit_l0, p._unit_l
+    es = [
+        _scaled(0.5 * v * v + k * (y * y / two_l0 - math.hypot(l, y)), 4 * le - 2 * shift)
+        for y, v in zip(run.y, run.v)
+    ]
+    es += es[::-1]
+    # the first half period, in unit time and on the unit values, ends at
+    # 2*t_q; y is negated as 0.0 - y, not -y, so that it reads 0.0 at every
+    # sample of the rest state
+    two_t_q = run.t_q + run.t_q
+    ut = run.t + [two_t_q - t for t in reversed(run.t)]
+    ts = [_scaled(t, shift) for t in ut]
+    ys = [_scaled(y, 2 * le) for y in run.y + [0.0 - y for y in reversed(run.y)]]
+    vs = [_scaled(v, 2 * le - shift) for v in run.v]
+    vs += vs[::-1]
+    # half period j >= 1 repeats the first's samples after t = 0, shifted by
+    # j*2*t_q, and ends on its event. For odd j they are negated: y as the
+    # first half period's y read backwards, which are its negations bit for
+    # bit, and v as 0.0 - v, which reads 0.0 at every turning; as v <= 0
+    # before t_q, that has the bits of the negated unit value also where the
+    # scaled velocity underflows
+    n = len(ut)
+    odd_y, odd_v = ys[-2::-1], [0.0 - v for v in vs[1:]]
+    for j in range(1, halves):
+        start = j * two_t_q
+        ts += [_scaled(start + t, shift) for t in ut[1 : n - 1]]
+        ts.append(_scaled((j + 1) * two_t_q, shift))
+        ys += odd_y if j % 2 else ys[1:n]
+        vs += odd_v if j % 2 else vs[1:n]
+        es += es[1:n]
+    # every turning event is a sample: the last of each half period
+    arrays = [np.array(c) for c in (ts, ys, vs, es, ts[:: n - 1])]
     for a in arrays:
         a.flags.writeable = False
     return Trajectory(*arrays, run.n_accepted, run.n_rejected, run.local_err)

@@ -54,7 +54,9 @@ def test_bounds_coincide_at_zero_amplitude(reference_params):
     b = compute_bounds(osc)
     assert b.lower_corrected == b.upper
     assert b.lower_printed == b.upper
+    # +0.0, not -0.0, which compares equal to it but prints as -0
     assert b.rel_error_bound_corrected == 0.0
+    assert math.copysign(1.0, b.rel_error_bound_corrected) == 1.0
 
 
 def test_relative_error_bounds_reference(reference_osc):

@@ -234,6 +234,27 @@ def test_default_run_is_mirrored_about_its_zero_crossing(default_traj):
     assert np.array_equal(traj.e[second], traj.e[first])
 
 
+def test_energy_formed_once_per_quarter_sample():
+    # each sample before t_q has its energy formed on the unit values with
+    # math.hypot, the correctly rounded root, and scaled back; its mirror
+    # image holds the same bits. np.hypot, which is not correctly rounded,
+    # moved one sample's energy on this string by ulps
+    p = StringParams(1.1676159725991329, 4.333436709166182, 0.016342068328849286,
+                     1.158529366116483)
+    osc = Oscillation(p, 7.091876443708687)
+    traj = simulate(osc, SimConfig(n_periods=2))
+    run = odesim._release(osc, SimConfig())
+    k, l0, l = 2.0 * p._unit_sigma / p._unit_mass, p._unit_l0, p._unit_l
+    scale = 4 * p._length_exp - 2 * p._period_exp
+    want = [
+        math.ldexp(0.5 * v * v + k * (y * y / (2.0 * l0) - math.hypot(l, y)), scale)
+        for y, v in zip(run.y, run.v)
+    ]
+    n = len(want)
+    assert traj.e[:n].tolist() == want
+    assert traj.e[n : 2 * n].tolist() == want[::-1]
+
+
 def test_default_run_energy_drift_within_budget(default_traj):
     osc, _ = default_traj
     traj = simulate(osc)
@@ -390,6 +411,35 @@ def test_tiled_run_is_an_image_of_its_half_period(default_traj, n_periods):
     assert traj.t[::k].tobytes() == traj.events.tobytes()
     shift = traj.t[k:] - traj.t[:-k]
     assert np.all(np.abs(shift - traj.events[1]) <= 2 * np.spacing(traj.t[-1]))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # the period, 2.2e-308, and every sample time are subnormal floats
+        (1.9584808688968406e-264, 1.899202390399199e-256, 1.6632074969568463e152,
+         2.1751099914223694e-201, 4.569897679791401e-260),
+        # at y0 = 5e-324 the displacements near the crossing underflow to 0
+        (1.7939157807368968e-211, 3.711817780272621e-211, 3.148616884510973e85,
+         3.040857163208938e-115, 5e-324),
+    ],
+)
+def test_images_rounded_once_outside_the_normal_range(cell):
+    # every sample is formed in unit time and on the unit values and scaled
+    # back once: a tiled time is (t + 2*j*t_q)*2**_period_exp rounded once,
+    # not a sum of rounded subnormal times, and the image of a displacement
+    # that underflows to 0.0 reads -0.0, as its negation does
+    osc = Oscillation(StringParams(*cell[:4]), cell[4])
+    traj = simulate(osc, SimConfig(n_periods=2))
+    run = odesim._release(osc, SimConfig())
+    two_t_q = run.t_q + run.t_q
+    unit = run.t + [two_t_q - t for t in reversed(run.t)]
+    q, k = len(run.t), len(unit) - 1
+    for j in (1, 2, 3):
+        unit += [j * two_t_q + t for t in unit[1:k]] + [(j + 1) * two_t_q]
+    assert traj.t.tolist() == [math.ldexp(t, osc.params._period_exp) for t in unit]
+    assert traj.y[2 * q - 1 : q - 1 : -1].tobytes() == (-traj.y[:q]).tobytes()
+    assert traj.y[k:].tobytes() == (-traj.y[:-k]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -635,14 +685,15 @@ def test_overflowing_trial_steps_named():
 @pytest.mark.parametrize("n_periods", [1e13, 5e307])
 def test_span_below_the_step_floor_refused(n_periods):
     # a span too long to tile: the Trajectory would hold more than
-    # _MAX_STEPS samples. The refusal comes before any list of the tiled
-    # run is built, as it comes from _release alone
+    # _MAX_STEPS samples. simulate refuses it before it tiles anything: at
+    # 5e307 periods a tiling attempt would exhaust memory first. _release
+    # integrates the same quarter period at every n_periods
     osc = Oscillation(StringParams(1.0, 1.25, 1.0, 1.0), 0.5)
+    cfg = SimConfig(n_periods=n_periods)
     message = r"^n_periods = .* cannot be run: its trajectory of 8 samples per quarter"
     with pytest.raises(InvalidParameters, match=message):
-        odesim._release(osc, SimConfig(n_periods=n_periods))
-    with pytest.raises(InvalidParameters, match=message):
-        simulate(osc, SimConfig(n_periods=n_periods))
+        simulate(osc, cfg)
+    assert odesim._release(osc, cfg) == odesim._release(osc, SimConfig())
 
 
 def test_sample_cap_is_the_trajectory_size(monkeypatch):
